@@ -39,16 +39,11 @@ TRACED = {
 }
 
 
-def _arg(args, kwargs, i, name, default=None):
-    if len(args) > i:
-        return args[i]
-    return kwargs.get(name, default)
-
-
 def _verify_trg(args, kwargs, result):
     report, cert = result
     stats = dict(report.stats)
-    relative = _arg(args, kwargs, 2, "codomain_topology", "upper") == "relative"
+    mode = args[2] if len(args) > 2 else kwargs.get("codomain_topology", "upper")
+    relative = mode == "relative"
     cod = stats["tau-G-opens" if relative else "tau-opens"]
     return {"passes": cert is not None,
             "pairs_scanned": args[0].g_mask.bit_count() ** 2 * cod}
@@ -78,19 +73,20 @@ COUNTERS = {
         "assoc_triples": dict(r[0].stats).get("upper-size", 0) ** 3},
 }
 
-COUNTER_UNITS = {
-    "topology.generate_topology.opens_out": "count",
-    "topology.product_topology.carrier_points": "count",
-    "topology.enumerate_topologies.topologies_out": "count",
-    "topology.enumerate_topologies.relations_scanned": "count",
-    "trg.verify_trg.pairs_scanned": "count",
-    "topology.verify_topology.pairs": "count",
-    "topology.is_continuous.opens_pulled_back": "count",
-    "actions.is_rough_homogeneous.bijections": "count",
-    "parser.parse_spec.bytes": "B",
-    "report.serialize_report.bytes": "B",
-    "groups.verify_rough_group.assoc_triples": "count",
-}
+# every counter, reported (as 0 when never reached) on every workload
+COUNTER_NAMES = (
+    "topology.generate_topology.opens_out",
+    "topology.product_topology.carrier_points",
+    "topology.enumerate_topologies.topologies_out",
+    "topology.enumerate_topologies.relations_scanned",
+    "trg.verify_trg.pairs_scanned",
+    "topology.verify_topology.pairs",
+    "topology.is_continuous.opens_pulled_back",
+    "actions.is_rough_homogeneous.bijections",
+    "parser.parse_spec.bytes",
+    "report.serialize_report.bytes",
+    "groups.verify_rough_group.assoc_triples",
+)
 
 
 class Recorder:
@@ -196,8 +192,8 @@ def layer_metrics(recorder: Recorder, wall_traced: float, wall_untraced: float) 
             key = f"{layer}.{fname}"
             m[f"{key}.self_s"] = (fn_self[key], "s")
             m[f"{key}.calls"] = (fn_calls[key], "count")
-    for key, unit in COUNTER_UNITS.items():
-        m[key] = (recorder.counters[key], unit)
+    for key in COUNTER_NAMES:
+        m[key] = (recorder.counters[key], "B" if key.endswith(".bytes") else "count")
     calls = fn_calls["trg.verify_trg"]
     m["trg.verify_trg.pass_ratio"] = (
         recorder.counters["trg.verify_trg.passes"] / calls if calls else 0.0, "ratio")
