@@ -18,6 +18,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench"), str(ROOT / "tests")]
 
+import clock  # noqa: E402
 import gen  # noqa: E402
 import oracle  # noqa: E402
 import tracing  # noqa: E402
@@ -63,6 +64,17 @@ def test_same_seed_same_documents():
            [(op.argv, op.doc, op.expect) for op in b]
     c = gen.make_pass(12, ROOT)
     assert [op.doc for op in a] != [op.doc for op in c]
+
+
+def test_calibrated_clock_scales_by_the_nearby_probes():
+    cal = clock.Calibrator()
+    cal.at = [float(t) for t in range(10)]
+    cal.ends = [t + 0.1 for t in cal.at]
+    cal.took = [clock.REF_S] * 5 + [2 * clock.REF_S] * 5   # the host halves its speed at t=5
+    assert cal.calibrated([(1.2, 1.5), (7.2, 7.4)]) == pytest.approx([0.3, 0.1])
+    # the probes at 1.0 and 2.0 lie inside the span and are left out
+    assert cal.calibrated_total([(0.5, 2.5)]) == pytest.approx(1.8)
+    assert cal.factor() == pytest.approx(1.5)
 
 
 def test_self_times_on_a_hand_built_tree():

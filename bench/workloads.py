@@ -57,20 +57,22 @@ class CliWorkload:
     """Operations are CLI invocations: (argv, stdin document or None,
     expected exit code, optional stdout check)."""
 
-    def run_pass(self, ops, recorder=None, first=None):
-        """(latency, exit code, stdout) per operation.  Given the first
-        pass, a later pass keeps only whether stdout repeated it."""
+    def run_pass(self, ops, recorder=None, first=None, calibrator=None):
+        """((start, end), exit code, stdout) per operation.  Given the
+        first pass, a later pass keeps only whether stdout repeated it."""
         rec = []
         for i, op in enumerate(ops):
             if recorder is not None:
                 recorder.op += 1
+            if calibrator is not None:
+                calibrator.maybe_probe()
             t0 = time.perf_counter()
             code, out = call_cli(op.argv, op.doc)
-            latency = time.perf_counter() - t0
-            rec.append((latency, code, out if first is None else out == first[i][2]))
+            t1 = time.perf_counter()
+            rec.append(((t0, t1), code, out if first is None else out == first[i][2]))
         return rec
 
-    def latencies(self, passes):
+    def spans(self, passes):
         return [r[0] for rec in passes for r in rec]
 
     def judge(self, ops, passes):
@@ -131,9 +133,9 @@ class ExploreZ4:
         random.Random(seed).shuffle(cands)
         return cands
 
-    def run_pass(self, cands, recorder=None, first=None):
+    def run_pass(self, cands, recorder=None, first=None, calibrator=None):
         """Per candidate: (cert is not None, topologies, verdicts,
-        latencies); only the first pass keeps the topologies."""
+        (start, end) spans); only the first pass keeps the topologies."""
         rec = []
         for n, blocks, space, g in cands:
             if recorder is not None:
@@ -146,10 +148,12 @@ class ExploreZ4:
                 recorder.op += 1
             tops = topology.enumerate_topologies(space.universe, cert.upper)
             verdicts = []
-            lats = []
+            spans = []
             for tau in tops:
                 if recorder is not None:
                     recorder.op += 1
+                if calibrator is not None:
+                    calibrator.maybe_probe()
                 t0 = time.perf_counter()
                 try:
                     report, _ = trg.verify_trg(cert, tau)
@@ -158,12 +162,12 @@ class ExploreZ4:
                     verdict = "refused"
                 except Exception:  # a traceback: judged wrong
                     verdict = "traceback"
-                lats.append(time.perf_counter() - t0)
+                spans.append((t0, time.perf_counter()))
                 verdicts.append(verdict)
-            rec.append((True, tops if first is None else (), verdicts, lats))
+            rec.append((True, tops if first is None else (), verdicts, spans))
         return rec
 
-    def latencies(self, passes):
+    def spans(self, passes):
         return [t for rec in passes for c in rec for t in c[3]]
 
     def judge(self, cands, passes):
