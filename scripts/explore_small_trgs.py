@@ -12,9 +12,8 @@ rough group, plus per-modulus and overall totals.
 Usage:
     python3 scripts/explore_small_trgs.py [--max-n N]
 
-Moduli 2..N are swept (default 3; 4 is allowed but markedly slower
-because discrete topologies on a 4-point upper push the product
-topology to 65536 open sets).
+Moduli 2..N are swept (default 3; 4 is allowed but slower, because
+every 4-point upper approximation carries 355 topologies to verify).
 """
 
 from __future__ import annotations

@@ -14,7 +14,6 @@ group elements in the other order.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .approx import (
@@ -301,15 +300,44 @@ def translation_map(
     return fmap, combine("translation", clauses)
 
 
+def _automorphism(points, nbhd, key, p: int, q: int) -> dict | None:
+    """A bijection f of the points with f(p) = q and f(a) in N(f(b))
+    iff a in N(b), found by backtracking over images of matching key,
+    or None when there is none."""
+    order = (p,) + tuple(x for x in points if x != p)
+    image: dict[int, int] = {}
+
+    def extend(i: int, used: int) -> bool:
+        if i == len(order):
+            return True
+        a = order[i]
+        for b in (q,) if i == 0 else points:
+            if used >> b & 1 or key[b] != key[a]:
+                continue
+            if all((nbhd[a] >> c & 1) == (nbhd[b] >> d & 1)
+                   and (nbhd[c] >> a & 1) == (nbhd[d] >> b & 1)
+                   for c, d in image.items()):
+                image[a] = b
+                if extend(i + 1, used | 1 << b):
+                    return True
+                del image[a]
+        return False
+
+    return image if extend(0, 0) else None
+
+
 def is_rough_homogeneous(
     rspace: RoughSpace, cap: int = DEFAULT_BIJECTION_CAP
 ) -> tuple[bool, str | None]:
     """Every ordered pair of points of upper(X) is connected by some
-    self-homeomorphism, found by enumerating all bijections.
+    self-homeomorphism.
 
-    A bijection of a finite carrier is a homeomorphism exactly when it
-    maps every open set to an open set (the induced map on the finite
-    family of opens is injective, hence onto).
+    A bijection of a finite space is a homeomorphism exactly when it is
+    an automorphism of the specialization preorder (q in N(p) iff f(q)
+    in N(f(p))).  The orbits of the automorphism group are built by
+    searching, for each pair of points not yet known to share an orbit,
+    for an automorphism joining them; candidates are pruned by |N(p)|,
+    the size of the closure of {p}, and the points already assigned.
     """
     xu = rspace.space.universe
     points = tuple(bit_indices(rspace.upper_x))
@@ -320,23 +348,23 @@ def is_rough_homogeneous(
             f"{n}; use translation maps of a verified action for one-sided "
             "evidence instead"
         )
-    opens = rspace.tau_x.opens
-    reach = {p: 1 << p for p in points}
-    for perm in itertools.permutations(range(n)):
-        assign = {points[i]: points[perm[i]] for i in range(n)}
-        ok = True
-        for o in opens:
-            img = 0
-            for p in bit_indices(o):
-                img |= 1 << assign[p]
-            if not rspace.tau_x.is_open(img):
-                ok = False
-                break
-        if ok:
-            for p in points:
-                reach[p] |= 1 << assign[p]
+    top = rspace.tau_x
+    nbhd = top.nbhd
+    key = {p: (nbhd[p].bit_count(), top.up[p].bit_count()) for p in points}
+    orbit = {p: 1 << p for p in points}
     for p in points:
-        missing = rspace.upper_x & ~reach[p]
+        for q in points:
+            if orbit[p] >> q & 1 or key[p] != key[q]:
+                continue
+            f = _automorphism(points, nbhd, key, p, q)
+            if f is None:
+                continue
+            for a, b in f.items():
+                joined = orbit[a] | orbit[b]
+                for c in bit_indices(joined):
+                    orbit[c] = joined
+    for p in points:
+        missing = rspace.upper_x & ~orbit[p]
         if missing:
             q = (missing & -missing).bit_length() - 1
             return False, (f"no self-homeomorphism carries {xu.elements[p]} "

@@ -101,7 +101,8 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--json", action="store_true",
                         help="emit the report as JSON")
         sp.add_argument("--cap", type=int, default=None,
-                        help="size cap override for products and enumerations")
+                        help="size cap override for enumerating subgroups and "
+                             "for the homogeneity search")
         sp.add_argument("--strict-hom", action="store_true",
                         help="also require the source upper approximation to "
                              "be closed under the operation")
@@ -203,9 +204,7 @@ def _trg_cert(ws: Workspace, args, check: str, prefix: str = ""):
         return None, na
     dash = f"{prefix}-" if prefix else ""
     _, top = ws.topology(_need(args, f"{dash}topology", check))
-    rep, trg = verify_trg(cert, top,
-                          codomain_topology=args.codomain_topology,
-                          cap=_cap(args, 64))
+    rep, trg = verify_trg(cert, top, codomain_topology=args.codomain_topology)
     if trg is None:
         label = f"premise-{prefix}-trg" if prefix else "premise-trg"
         return None, _premise_report(check, label, rep.first_witness(),
@@ -284,9 +283,7 @@ def _run_check(ws: Workspace, args) -> VerificationReport:
         if cert is None:
             return na
         _, top = ws.topology(_need(args, "topology", kind))
-        rep, _ = verify_trg(cert, top,
-                            codomain_topology=args.codomain_topology,
-                            cap=_cap(args, 64))
+        rep, _ = verify_trg(cert, top, codomain_topology=args.codomain_topology)
         return rep
     if kind in ("trg-hom", "trg-homeo"):
         check = "trg-homomorphism" if kind == "trg-hom" else "trg-homeomorphism"
@@ -409,8 +406,7 @@ def _run_enumerate(ws: Workspace, args) -> VerificationReport:
         tops = enumerate_topologies(u, cert.upper)
         for i, top in enumerate(tops):
             rep, _ = verify_trg(cert, top,
-                                codomain_topology=args.codomain_topology,
-                                cap=_cap(args, 64))
+                                codomain_topology=args.codomain_topology)
             if rep.passed:
                 passes += 1
             opens = " ".join(u.set_str(o) for o in top.opens)

@@ -29,6 +29,7 @@ from .groups import CayleyTable
 from .topology import FiniteMap, FiniteTopology
 
 _BRACE_RE = re.compile(r"\{([^{}]*)\}")
+_TOKEN_RE = re.compile(r"\S+")
 
 
 @dataclass
@@ -82,53 +83,75 @@ class Workspace:
         return self.maps[name]
 
 
-def _col(raw: str, token: str) -> int:
-    at = raw.find(token)
-    return at + 1 if at >= 0 else 1
+def _tokens(text: str, offset: int) -> list[tuple[str, int]]:
+    """Whitespace-separated tokens of a line fragment starting at
+    `offset`, each with its 1-based column on the line."""
+    return [(m.group(), offset + m.start() + 1) for m in _TOKEN_RE.finditer(text)]
 
 
 def _element(universe: Universe, uname: str, tok: str,
-             lineno: int, raw: str) -> int:
+             lineno: int, col: int) -> int:
     try:
         return universe.index(tok)
     except InputError:
         raise ParseError(f"unknown element {tok!r} in universe {uname}",
-                         lineno, _col(raw, tok)) from None
+                         lineno, col) from None
 
 
-def _brace_groups(tail: str, lineno: int, raw: str) -> list[list[str]]:
-    groups = _BRACE_RE.findall(tail)
+def _elements(universe: Universe, uname: str, text: str, offset: int,
+              lineno: int) -> list[int]:
+    """Element indices of the tokens of a line fragment starting at
+    `offset`; columns are worked out only to name an unknown token."""
+    try:
+        return [universe.index(tok) for tok in text.split()]
+    except InputError:
+        # raises at the first unknown token
+        return [_element(universe, uname, tok, lineno, col)
+                for tok, col in _tokens(text, offset)]
+
+
+def _brace_groups(tail: str, offset: int, lineno: int) -> list[tuple[str, int]]:
+    """The text inside each pair of braces and its offset on the line."""
+    groups = list(_BRACE_RE.finditer(tail))
     if tail.count("{") != len(groups) or tail.count("}") != len(groups):
-        raise ParseError("unbalanced braces", lineno, _col(raw, "{"))
-    leftover = _BRACE_RE.sub("", tail).split()
-    if leftover:
-        raise ParseError(
-            f"unexpected text {leftover[0]!r} outside braces",
-            lineno, _col(raw, leftover[0]),
-        )
-    return [g.split() for g in groups]
+        at = tail.find("{")
+        raise ParseError("unbalanced braces", lineno,
+                         offset + at + 1 if at >= 0 else 1)
+    if _BRACE_RE.sub("", tail).split():
+        blanked = _BRACE_RE.sub(lambda m: " " * len(m.group()), tail)
+        tok, col = _tokens(blanked, offset)[0]
+        raise ParseError(f"unexpected text {tok!r} outside braces", lineno, col)
+    return [(m.group(1), offset + m.start(1)) for m in groups]
 
 
-def _split_header(content: str, lineno: int, raw: str) -> tuple[list[str], str]:
+def _split_header(content: str, lineno: int,
+                  raw: str) -> tuple[list[str], str, str, int]:
+    """Header words, the header text, the text after the colon, and the
+    offset of that text on the line."""
     head, colon, tail = content.partition(":")
     if not colon:
         raise ParseError("missing ':' after the declaration header",
                          lineno, len(raw.rstrip()) + 1)
-    return head.split(), tail
+    return head.split(), head, tail, len(head) + 1
 
 
-def _expect_keyword(head: list[str], at: int, word: str,
-                    lineno: int, raw: str) -> None:
-    if len(head) <= at or head[at] != word:
-        got = head[at] if len(head) > at else "end of header"
+def _word_col(head: str, at: int) -> int:
+    """Column of the header word at index `at`."""
+    return _tokens(head, 0)[at][1]
+
+
+def _expect_keyword(words: list[str], head: str, at: int, word: str,
+                    lineno: int) -> None:
+    if len(words) <= at or words[at] != word:
+        got = words[at] if len(words) > at else "end of header"
         raise ParseError(f"expected {word!r}, got {got!r}",
-                         lineno, _col(raw, head[at]) if len(head) > at else 1)
+                         lineno, _word_col(head, at) if len(words) > at else 1)
 
 
-def _check_fresh(kind: str, name: str, existing, lineno: int, raw: str) -> None:
+def _check_fresh(kind: str, name: str, existing, lineno: int, head: str) -> None:
     if name in existing:
         raise ParseError(f"duplicate {kind} name {name!r}",
-                         lineno, _col(raw, name))
+                         lineno, _word_col(head, 1))
 
 
 def parse_spec(text: str) -> Workspace:
@@ -143,7 +166,7 @@ def parse_spec(text: str) -> Workspace:
     while pos < len(items):
         lineno, raw, content = items[pos]
         pos += 1
-        head, tail = _split_header(content, lineno, raw)
+        head, head_text, tail, off = _split_header(content, lineno, raw)
         if not head:
             raise ParseError("empty declaration header", lineno, 1)
         kind = head[0]
@@ -151,7 +174,7 @@ def parse_spec(text: str) -> Workspace:
             if len(head) != 2:
                 raise ParseError("expected 'universe <name>:'", lineno, 1)
             name = head[1]
-            _check_fresh("universe", name, ws.universes, lineno, raw)
+            _check_fresh("universe", name, ws.universes, lineno, head_text)
             try:
                 ws.universes[name] = Universe(tuple(tail.split()))
             except InputError as e:
@@ -161,15 +184,15 @@ def parse_spec(text: str) -> Workspace:
                 raise ParseError("expected 'table <name> on <universe>:'",
                                  lineno, 1)
             name = head[1]
-            _expect_keyword(head, 2, "on", lineno, raw)
-            _check_fresh("table", name, ws.tables, lineno, raw)
+            _expect_keyword(head, head_text, 2, "on", lineno)
+            _check_fresh("table", name, ws.tables, lineno, head_text)
             uname = head[3]
             if uname not in ws.universes:
                 raise ParseError(f"unknown universe {uname!r}",
-                                 lineno, _col(raw, uname))
+                                 lineno, _word_col(head_text, 3))
             if tail.split():
                 raise ParseError("table rows belong on the following lines",
-                                 lineno, _col(raw, tail.split()[0]))
+                                 lineno, _tokens(tail, off)[0][1])
             u = ws.universes[uname]
             n = u.size
             if pos + n > len(items):
@@ -179,35 +202,33 @@ def parse_spec(text: str) -> Workspace:
                 )
             rows = []
             for r in range(n):
-                row_lineno, row_raw, row_content = items[pos]
+                row_lineno, _, row_content = items[pos]
                 pos += 1
-                toks = row_content.split()
-                if len(toks) != n:
+                entries = len(row_content.split())
+                if entries != n:
                     raise ParseError(
-                        f"table row has {len(toks)} entries, expected {n}",
+                        f"table row has {entries} entries, expected {n}",
                         row_lineno, 1,
                     )
-                rows.append(tuple(
-                    _element(u, uname, t, row_lineno, row_raw) for t in toks
-                ))
+                rows.append(tuple(_elements(u, uname, row_content, 0, row_lineno)))
             ws.tables[name] = (uname, CayleyTable(u, tuple(rows)))
         elif kind == "partition":
             if len(head) != 4:
                 raise ParseError("expected 'partition <name> on <universe>:'",
                                  lineno, 1)
             name = head[1]
-            _expect_keyword(head, 2, "on", lineno, raw)
-            _check_fresh("partition", name, ws.partitions, lineno, raw)
+            _expect_keyword(head, head_text, 2, "on", lineno)
+            _check_fresh("partition", name, ws.partitions, lineno, head_text)
             uname = head[3]
             if uname not in ws.universes:
                 raise ParseError(f"unknown universe {uname!r}",
-                                 lineno, _col(raw, uname))
+                                 lineno, _word_col(head_text, 3))
             u = ws.universes[uname]
             blocks = []
-            for group in _brace_groups(tail, lineno, raw):
+            for group, at in _brace_groups(tail, off, lineno):
                 mask = 0
-                for tok in group:
-                    mask |= 1 << _element(u, uname, tok, lineno, raw)
+                for i in _elements(u, uname, group, at, lineno):
+                    mask |= 1 << i
                 blocks.append(mask)
             try:
                 ws.partitions[name] = (uname, Partition(u, tuple(blocks)))
@@ -218,34 +239,34 @@ def parse_spec(text: str) -> Workspace:
                 raise ParseError("expected 'subset <name> of <universe>:'",
                                  lineno, 1)
             name = head[1]
-            _expect_keyword(head, 2, "of", lineno, raw)
-            _check_fresh("subset", name, ws.subsets, lineno, raw)
+            _expect_keyword(head, head_text, 2, "of", lineno)
+            _check_fresh("subset", name, ws.subsets, lineno, head_text)
             uname = head[3]
             if uname not in ws.universes:
                 raise ParseError(f"unknown universe {uname!r}",
-                                 lineno, _col(raw, uname))
+                                 lineno, _word_col(head_text, 3))
             u = ws.universes[uname]
             mask = 0
-            for tok in tail.split():
-                mask |= 1 << _element(u, uname, tok, lineno, raw)
+            for i in _elements(u, uname, tail, off, lineno):
+                mask |= 1 << i
             ws.subsets[name] = (uname, mask)
         elif kind == "topology":
             if len(head) != 4:
                 raise ParseError("expected 'topology <name> on <carrier>:'",
                                  lineno, 1)
             name = head[1]
-            _expect_keyword(head, 2, "on", lineno, raw)
-            _check_fresh("topology", name, ws.topologies, lineno, raw)
+            _expect_keyword(head, head_text, 2, "on", lineno)
+            _check_fresh("topology", name, ws.topologies, lineno, head_text)
             cname = head[3]
             try:
                 _, u, carrier = ws.set_ref(cname)
             except InputError as e:
-                raise ParseError(str(e), lineno, _col(raw, cname)) from None
+                raise ParseError(str(e), lineno, _word_col(head_text, 3)) from None
             family = []
-            for group in _brace_groups(tail, lineno, raw):
+            for group, at in _brace_groups(tail, off, lineno):
                 mask = 0
-                for tok in group:
-                    mask |= 1 << _element(u, cname, tok, lineno, raw)
+                for i in _elements(u, cname, group, at, lineno):
+                    mask |= 1 << i
                 family.append(mask)
             try:
                 ws.topologies[name] = (
@@ -258,28 +279,27 @@ def parse_spec(text: str) -> Workspace:
                 raise ParseError("expected 'map <name> from <set> to <set>:'",
                                  lineno, 1)
             name = head[1]
-            _expect_keyword(head, 2, "from", lineno, raw)
-            _expect_keyword(head, 4, "to", lineno, raw)
-            _check_fresh("map", name, ws.maps, lineno, raw)
+            _expect_keyword(head, head_text, 2, "from", lineno)
+            _expect_keyword(head, head_text, 4, "to", lineno)
+            _check_fresh("map", name, ws.maps, lineno, head_text)
             aname, bname = head[3], head[5]
             try:
                 _, au, amask = ws.set_ref(aname)
             except InputError as e:
-                raise ParseError(str(e), lineno, _col(raw, aname)) from None
+                raise ParseError(str(e), lineno, _word_col(head_text, 3)) from None
             try:
                 _, bu, bmask = ws.set_ref(bname)
             except InputError as e:
-                raise ParseError(str(e), lineno, _col(raw, bname)) from None
+                raise ParseError(str(e), lineno, _word_col(head_text, 5)) from None
             pairs = []
-            for tok in tail.split():
+            for tok, col in _tokens(tail, off):
                 parts = tok.split("->")
                 if len(parts) != 2 or not parts[0] or not parts[1]:
                     raise ParseError(
-                        f"expected 'src->dst', got {tok!r}",
-                        lineno, _col(raw, tok),
-                    )
-                src = _element(au, aname, parts[0], lineno, raw)
-                dst = _element(bu, bname, parts[1], lineno, raw)
+                        f"expected 'src->dst', got {tok!r}", lineno, col)
+                src = _element(au, aname, parts[0], lineno, col)
+                dst = _element(bu, bname, parts[1], lineno,
+                               col + len(parts[0]) + 2)
                 pairs.append((src, dst))
             try:
                 ws.maps[name] = (
@@ -289,7 +309,7 @@ def parse_spec(text: str) -> Workspace:
                 raise ParseError(str(e), lineno, 1) from None
         else:
             raise ParseError(f"unknown declaration kind {kind!r}",
-                             lineno, _col(raw, kind))
+                             lineno, _word_col(head_text, 0))
     return ws
 
 

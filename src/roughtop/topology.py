@@ -1,9 +1,25 @@
-"""Finite topologies stored as explicit families of opens.
+"""Finite topologies stored as one minimal open neighbourhood per point.
 
-Carriers are small, so every check is a direct scan.  On a finite
-carrier, closure under pairwise unions already implies closure under
-arbitrary unions (any finite union is a chain of pairwise ones, and
-there are no infinite ones), so verification only scans pairs.
+On a finite carrier every point p has a smallest open set N(p), the
+intersection of the opens that contain it (Alexandrov 1937).  A set is
+open exactly when it contains N(p) for each of its points p, so the
+neighbourhoods determine the topology; read as "q <= p iff q is in
+N(p)" they are its specialization preorder.  Every check here is
+decided from them: the closure of A is the set of points whose N(p)
+meets A, the interior is the set of points whose N(p) lies inside A, a
+subspace on A has N(p) & A, a product has N((x, y)) = N(x) x N(y), and
+a map f is continuous iff f(N(p)) lies inside N(f(p)) for every p
+(Barmak, *Algebraic Topology of Finite Topological Spaces and
+Applications*, LNM 2032, 2011).  The list of opens is derived on first
+use, only for callers that print or walk every open, and
+`count_opens` counts them without listing them.
+
+Witness rule: several checks name the first open, in canonical
+(ascending mask) order, on which some condition fails.  Each of those
+conditions fails on an open O only if it already fails on some N(z)
+inside O, and a subset's mask is never larger than its superset's, so
+the first failing open is the first failing neighbourhood and only the
+distinct neighbourhoods need to be tried (`first_failing_open`).
 
 Bases are represented as plain tuples of open masks; `verify_base` and
 `base_at` operate on those directly.
@@ -12,17 +28,13 @@ Bases are represented as plain tuples of open masks; `verify_base` and
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .approx import Universe, bit_indices, product_mask, product_universe
 from .errors import CapExceededError, InputError
 from .report import FAIL, NOT_APPLICABLE, PASS, Clause, VerificationReport, combine
 
-DEFAULT_PRODUCT_CARRIER_CAP = 64
 ENUMERATION_MAX_POINTS = 4
-# hard ceiling on the number of opens a generated topology may have;
-# 2**16 is exactly the discrete topology on a 16-point carrier, the
-# largest case the product checks produce
-DEFAULT_MAX_OPENS = 1 << 16
 
 
 def canonical_family(members) -> tuple[int, ...]:
@@ -33,24 +45,48 @@ def family_str(universe: Universe, members) -> str:
     return " ".join(universe.set_str(m) for m in members)
 
 
-@dataclass(frozen=True)
-class FiniteTopology:
-    """Family of open sets over a carrier inside a universe.
+def _nbhds(size: int, carrier: int, family) -> tuple[int, ...]:
+    """N(p) for each point: the carrier cut down by every member that
+    contains p; 0 for points outside the carrier."""
+    nbhd = [0] * size
+    for p in bit_indices(carrier):
+        acc = carrier
+        bit = 1 << p
+        for m in family:
+            if m & bit:
+                acc &= m
+        nbhd[p] = acc
+    return tuple(nbhd)
 
-    The topology axioms are assumed by this type; raw families coming
-    from outside go through `from_family`, which validates them with
-    `verify_topology`.  The algorithmic constructors below produce
-    valid topologies directly.
+
+@dataclass(frozen=True, init=False)
+class FiniteTopology:
+    """A topology on a carrier inside a universe, stored as nbhd[p] =
+    N(p) for every point p of the carrier (0 for the other elements).
+
+    `FiniteTopology(universe, carrier, opens)` takes a family of opens
+    and assumes the topology axioms; raw families coming from outside
+    go through `from_family`, which validates them with
+    `verify_topology`.  The algorithmic constructors below build the
+    neighbourhoods directly with `from_nbhd`.
     """
 
     universe: Universe
     carrier: int
-    opens: tuple[int, ...]
+    nbhd: tuple[int, ...]
 
-    def __post_init__(self):
-        opens = canonical_family(self.opens)
-        object.__setattr__(self, "opens", opens)
-        object.__setattr__(self, "_open_set", frozenset(opens))
+    def __init__(self, universe: Universe, carrier: int, opens):
+        object.__setattr__(self, "universe", universe)
+        object.__setattr__(self, "carrier", carrier)
+        object.__setattr__(self, "nbhd", _nbhds(universe.size, carrier, opens))
+
+    @classmethod
+    def from_nbhd(cls, universe: Universe, carrier: int, nbhd) -> "FiniteTopology":
+        top = cls.__new__(cls)
+        object.__setattr__(top, "universe", universe)
+        object.__setattr__(top, "carrier", carrier)
+        object.__setattr__(top, "nbhd", tuple(nbhd))
+        return top
 
     @classmethod
     def from_family(cls, universe: Universe, carrier: int, family) -> "FiniteTopology":
@@ -59,15 +95,125 @@ class FiniteTopology:
             raise InputError(f"family is not a topology: {rep.first_witness()}")
         return cls(universe, carrier, family)
 
+    @cached_property
+    def up(self) -> tuple[int, ...]:
+        """up[p]: the points whose neighbourhood contains p, which is
+        the closure of {p}."""
+        up = [0] * len(self.nbhd)
+        for q in bit_indices(self.carrier):
+            qbit = 1 << q
+            n = self.nbhd[q]
+            while n:
+                low = n & -n
+                up[low.bit_length() - 1] |= qbit
+                n ^= low
+        return tuple(up)
+
+    @cached_property
+    def minimal_opens(self) -> tuple[int, ...]:
+        """The distinct neighbourhoods N(p), in canonical order."""
+        return canonical_family(self.nbhd[p] for p in bit_indices(self.carrier))
+
+    @cached_property
+    def opens(self) -> tuple[int, ...]:
+        """Every open set in canonical order, listed on first use.
+
+        Neighbourhoods taken by size form a linear extension of the
+        preorder; the point class sharing N(p) can join an open set
+        once every other point of N(p) is already in it.
+        """
+        opens = [0]
+        for n in sorted(self.minimal_opens, key=lambda m: (m.bit_count(), m)):
+            same = 0
+            for p in bit_indices(n):
+                if self.nbhd[p] == n:
+                    same |= 1 << p
+            below = n & ~same
+            opens += [o | same for o in opens if below & ~o == 0]
+        return tuple(sorted(opens))
+
+    def count_opens(self) -> int:
+        """Number of open sets, without listing them: the product over
+        the connected components of the preorder of the memoised count
+        D(P) = D(P minus every p with x in N(p)) + D(P minus N(x)),
+        which splits on whether the pivot x is left out or put in."""
+        nbhd, up = self.nbhd, self.up
+        adj = [n | u for n, u in zip(nbhd, up)]
+        memo: dict[int, int] = {}
+
+        def pivot(comp: int) -> int:
+            """The point whose two branches remove the most points in
+            the worse case; it keeps chains logarithmically deep."""
+            best = best_p = -1
+            left = comp
+            while left:
+                low = left & -left
+                left ^= low
+                p = low.bit_length() - 1
+                k = min((up[p] & comp).bit_count(), (nbhd[p] & comp).bit_count())
+                if k > best:
+                    best, best_p = k, p
+            return best_p
+
+        def count(rest: int) -> int:
+            total = 1
+            while rest:
+                comp = frontier = rest & -rest
+                while frontier:
+                    low = frontier & -frontier
+                    frontier ^= low
+                    new = adj[low.bit_length() - 1] & rest & ~comp
+                    comp |= new
+                    frontier |= new
+                rest ^= comp
+                if comp & (comp - 1) == 0:
+                    total *= 2
+                    continue
+                if comp not in memo:
+                    x = pivot(comp)
+                    memo[comp] = count(comp & ~up[x]) + count(comp & ~nbhd[x])
+                total *= memo[comp]
+            return total
+
+        return count(self.carrier)
+
     def is_open(self, mask: int) -> bool:
-        return mask in self._open_set
+        if mask < 0 or mask & ~self.carrier:
+            return False
+        nbhd = self.nbhd
+        for p in bit_indices(mask):
+            if nbhd[p] & ~mask:
+                return False
+        return True
 
     def is_closed(self, mask: int) -> bool:
-        return (self.carrier & ~mask) in self._open_set and mask & ~self.carrier == 0
+        return mask & ~self.carrier == 0 and self.is_open(self.carrier & ~mask)
+
+
+def first_failing_open(top: FiniteTopology, fails) -> int | None:
+    """The first open of `top`, in canonical order, on which `fails`
+    holds, for a condition that fails on an open only if it fails on
+    some neighbourhood inside it (see the module docstring)."""
+    for o in top.minimal_opens:
+        if fails(o):
+            return o
+    return None
+
+
+_TOPOLOGY_CLAUSES = ("empty-set-member", "carrier-member", "union-closure",
+                     "intersection-closure")
 
 
 def verify_topology(universe: Universe, carrier: int, family) -> VerificationReport:
-    """Check the finite topology axioms on a raw family of subsets."""
+    """Check the finite topology axioms on a raw family of subsets.
+
+    Every member is open in the topology that the family's own
+    neighbourhoods generate, and every open there is a union of
+    neighbourhoods.  So the family is a topology exactly when it holds
+    the empty set and the carrier and m | N(p) is a member for every
+    member m and point p: O(|family| * n).  Only a failing family gets
+    the pairwise scan, which names the first offending pair.
+    """
     universe.check_subset(carrier, "carrier")
     fam = canonical_family(family)
     for m in fam:
@@ -76,7 +222,13 @@ def verify_topology(universe: Universe, carrier: int, family) -> VerificationRep
                 f"family member {universe.set_str(m & universe.all_mask)} is not a subset "
                 f"of the carrier {universe.set_str(carrier)}"
             )
+    stats = [("members", len(fam))]
     members = frozenset(fam)
+    nbhds = set(_nbhds(universe.size, carrier, fam)) - {0}
+    if 0 in members and carrier in members and all(
+            m | n in members for n in nbhds for m in fam):
+        return combine("topology", [Clause(c, PASS) for c in _TOPOLOGY_CLAUSES],
+                       stats=stats)
     clauses = []
     ok = 0 in members
     clauses.append(Clause("empty-set-member", PASS if ok else FAIL,
@@ -104,109 +256,60 @@ def verify_topology(universe: Universe, carrier: int, family) -> VerificationRep
         if wit:
             break
     clauses.append(Clause("intersection-closure", FAIL if wit else PASS, wit))
-    return combine("topology", clauses, stats=[("members", len(fam))])
+    return combine("topology", clauses, stats=stats)
 
 
-def generate_topology(universe: Universe, carrier: int, subbasis,
-                      max_opens: int = DEFAULT_MAX_OPENS) -> FiniteTopology:
-    """Smallest topology on the carrier containing every subbasis member.
-
-    On a finite carrier the generated topology is determined by minimal
-    neighborhoods: N(p) is the intersection of the carrier with every
-    subbasis member containing p, and a set is open exactly when it
-    contains N(p) for each of its points.  Opens are then the unions of
-    point classes (points sharing a neighborhood) that are downward
-    closed under neighborhood inclusion, enumerated by a depth-first
-    walk whose cost is proportional to the size of the output.  A naive
-    union fixpoint over the basis computes the same family but is
-    quadratic in the number of opens, which is prohibitive for the
-    near-discrete topologies the product constructions produce.
-    """
+def generate_topology(universe: Universe, carrier: int, subbasis) -> FiniteTopology:
+    """Smallest topology on the carrier containing every subbasis member:
+    N(p) is the carrier cut down by every subbasis member containing p."""
     universe.check_subset(carrier, "carrier")
     sub = canonical_family(subbasis)
     for m in sub:
         if m < 0 or m & ~carrier:
             raise InputError("subbasis member is not a subset of the carrier")
-    nbhd_pts: dict[int, int] = {}
-    for p in bit_indices(carrier):
-        acc = carrier
-        pbit = 1 << p
-        for m in sub:
-            if m & pbit:
-                acc &= m
-        nbhd_pts[acc] = nbhd_pts.get(acc, 0) | pbit
-    # classes ordered by neighborhood size give a linear extension of
-    # the inclusion order, so every prerequisite has a smaller index
-    classes = sorted(nbhd_pts, key=lambda m: (m.bit_count(), m))
-    k = len(classes)
-    pts = [nbhd_pts[m] for m in classes]
-    req = []
-    for i, ni in enumerate(classes):
-        r = 0
-        for j in range(i):
-            if classes[j] & ~ni == 0:
-                r |= 1 << j
-        req.append(r)
-    opens: list[int] = []
-
-    def walk(i: int, chosen: int, mask: int) -> None:
-        if i == k:
-            if len(opens) >= max_opens:
-                raise CapExceededError(
-                    f"generated topology exceeds the cap of {max_opens} open sets"
-                )
-            opens.append(mask)
-            return
-        walk(i + 1, chosen, mask)
-        if req[i] & ~chosen == 0:
-            walk(i + 1, chosen | (1 << i), mask | pts[i])
-
-    walk(0, 0, 0)
-    return FiniteTopology(universe, carrier, tuple(opens))
+    return FiniteTopology.from_nbhd(universe, carrier, _nbhds(universe.size, carrier, sub))
 
 
 def subspace_topology(top: FiniteTopology, a_mask: int) -> FiniteTopology:
-    """Relative topology: intersections of opens with the new carrier."""
+    """Relative topology on A: N_A(p) = N(p) & A."""
     if a_mask < 0 or a_mask & ~top.carrier:
         raise InputError("subspace carrier is not a subset of the carrier")
-    return FiniteTopology(top.universe, a_mask, tuple(o & a_mask for o in top.opens))
+    return FiniteTopology.from_nbhd(
+        top.universe, a_mask,
+        (n & a_mask if a_mask >> p & 1 else 0 for p, n in enumerate(top.nbhd)))
 
 
-def product_topology(t1: FiniteTopology, t2: FiniteTopology,
-                     cap: int = DEFAULT_PRODUCT_CARRIER_CAP) -> FiniteTopology:
-    """Product topology on the pair universe, generated by open rectangles."""
-    n = t1.carrier.bit_count() * t2.carrier.bit_count()
-    if n > cap:
-        raise CapExceededError(
-            f"product carrier would have {n} points, exceeding the cap of {cap}"
-        )
+def product_topology(t1: FiniteTopology, t2: FiniteTopology) -> FiniteTopology:
+    """Product topology on the pair universe: N((x, y)) = N(x) x N(y)."""
     universe = product_universe(t1.universe, t2.universe)
     n2 = t2.universe.size
-    carrier = product_mask(t1.carrier, t2.carrier, n2)
-    rectangles = [product_mask(o1, o2, n2) for o1 in t1.opens for o2 in t2.opens]
-    return generate_topology(universe, carrier, rectangles)
+    nbhd = [0] * universe.size
+    for x in bit_indices(t1.carrier):
+        for y in bit_indices(t2.carrier):
+            nbhd[x * n2 + y] = product_mask(t1.nbhd[x], t2.nbhd[y], n2)
+    return FiniteTopology.from_nbhd(
+        universe, product_mask(t1.carrier, t2.carrier, n2), nbhd)
 
 
 def closure(top: FiniteTopology, a_mask: int) -> int:
-    """Smallest closed superset of A."""
+    """Smallest closed superset of A: the points whose N(p) meets A."""
     if a_mask < 0 or a_mask & ~top.carrier:
         raise InputError("A is not a subset of the carrier")
-    acc = top.carrier
-    for o in top.opens:
-        c = top.carrier & ~o
-        if a_mask & ~c == 0:
-            acc &= c
+    acc = 0
+    for p in bit_indices(top.carrier):
+        if top.nbhd[p] & a_mask:
+            acc |= 1 << p
     return acc
 
 
 def interior(top: FiniteTopology, a_mask: int) -> int:
-    """Largest open subset of A."""
+    """Largest open subset of A: the points whose N(p) lies inside A."""
     if a_mask < 0 or a_mask & ~top.carrier:
         raise InputError("A is not a subset of the carrier")
     acc = 0
-    for o in top.opens:
-        if o & ~a_mask == 0:
-            acc |= o
+    for p in bit_indices(a_mask):
+        if top.nbhd[p] & ~a_mask == 0:
+            acc |= 1 << p
     return acc
 
 
@@ -291,7 +394,8 @@ class FiniteMap:
 
 def is_continuous(fmap: FiniteMap, dom_top: FiniteTopology,
                   cod_top: FiniteTopology) -> VerificationReport:
-    """Preimage scan: every open of the codomain pulls back to an open set."""
+    """f(N(p)) inside N(f(p)) for every point p; a failure is named by
+    the first open of the codomain whose preimage is not open."""
     if fmap.domain_universe != dom_top.universe or fmap.codomain_universe != cod_top.universe:
         raise InputError("map universes do not match the topologies")
     if fmap.domain != dom_top.carrier:
@@ -299,11 +403,12 @@ def is_continuous(fmap: FiniteMap, dom_top: FiniteTopology,
     if fmap.codomain != cod_top.carrier:
         raise InputError("map codomain differs from the codomain-topology carrier")
     wit = None
-    for o in cod_top.opens:
-        pre = fmap.preimage(o)
-        if not dom_top.is_open(pre):
+    for p in bit_indices(dom_top.carrier):
+        if fmap.image_mask(dom_top.nbhd[p]) & ~cod_top.nbhd[fmap.apply(p)]:
+            o = first_failing_open(
+                cod_top, lambda o: not dom_top.is_open(fmap.preimage(o)))
             wit = (f"open {cod_top.universe.set_str(o)} has preimage "
-                   f"{dom_top.universe.set_str(pre)}, which is not open")
+                   f"{dom_top.universe.set_str(fmap.preimage(o))}, which is not open")
             break
     return combine("continuity", [Clause("preimage-openness", FAIL if wit else PASS, wit)])
 
@@ -339,17 +444,19 @@ def verify_base(top: FiniteTopology, members) -> VerificationReport:
             wit = f"member {top.universe.set_str(m)} is not open"
             break
     clauses.append(Clause("members-open", FAIL if wit else PASS, wit))
-    wit = None
     if clauses[0].verdict == PASS:
-        for o in top.opens:
+        def inside(o: int) -> int:
             u = 0
             for m in fam:
                 if m & ~o == 0:
                     u |= m
-            if u != o:
-                wit = (f"open {top.universe.set_str(o)} is not a union of members; "
-                       f"members inside it cover only {top.universe.set_str(u)}")
-                break
+            return u
+
+        o = first_failing_open(top, lambda o: inside(o) != o)
+        wit = None
+        if o is not None:
+            wit = (f"open {top.universe.set_str(o)} is not a union of members; "
+                   f"members inside it cover only {top.universe.set_str(inside(o))}")
         clauses.append(Clause("covers-all-opens", FAIL if wit else PASS, wit))
     else:
         clauses.append(Clause("covers-all-opens", NOT_APPLICABLE, "skipped: non-open member"))
@@ -365,10 +472,10 @@ def enumerate_topologies(universe: Universe, carrier: int) -> tuple[FiniteTopolo
     """All topologies on the carrier, in canonical order.
 
     Uses the bijection between topologies on a finite set and preorders:
-    opens are exactly the up-closed sets of the specialization preorder,
-    and distinct preorders give distinct topologies.  Candidate relation
-    count grows as 2^(n^2 - n), so the carrier is capped at
-    ENUMERATION_MAX_POINTS points.
+    a transitive reflexive relation gives N(p) as the set of points p
+    relates to, and distinct preorders give distinct topologies.
+    Candidate relation count grows as 2^(n^2 - n), so the carrier is
+    capped at ENUMERATION_MAX_POINTS points.
     """
     universe.check_subset(carrier, "carrier")
     points = tuple(bit_indices(carrier))
@@ -396,13 +503,10 @@ def enumerate_topologies(universe: Universe, carrier: int) -> tuple[FiniteTopolo
                 break
         if not transitive:
             continue
-        opens = []
-        for s in range(1 << n):
-            if all(rows[i] & ~s == 0 for i in bit_indices(s)):
-                mask = 0
-                for i in bit_indices(s):
-                    mask |= 1 << points[i]
-                opens.append(mask)
-        found.append(FiniteTopology(universe, carrier, tuple(opens)))
+        nbhd = [0] * universe.size
+        for i in range(n):
+            for j in bit_indices(rows[i]):
+                nbhd[points[i]] |= 1 << points[j]
+        found.append(FiniteTopology.from_nbhd(universe, carrier, nbhd))
     found.sort(key=lambda t: t.opens)
     return tuple(found)

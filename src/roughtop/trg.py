@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .approx import DEFAULT_UNIVERSE_CAP, bit_indices
+from .approx import DEFAULT_UNIVERSE_CAP, bit_indices, pair_name
 from .errors import InputError
 from .groups import (
     RoughGroupCert,
@@ -33,11 +33,11 @@ from .report import (
     combine,
 )
 from .topology import (
-    DEFAULT_PRODUCT_CARRIER_CAP,
     FiniteMap,
     FiniteTopology,
     base_at,
     closure,
+    first_failing_open,
     is_continuous,
     is_homeomorphism,
     product_topology,
@@ -82,42 +82,45 @@ class TRGCert:
 
 def _product_map_clause(
     group: RoughGroupCert,
-    prod_top: FiniteTopology,
-    cod_universe,
-    cod_opens,
+    factor: FiniteTopology,
+    cod: FiniteTopology,
 ) -> Clause:
-    """Continuity of (x, y) -> x*y out of G x G against a family of
-    codomain opens, by direct preimage scan.
+    """Continuity of (x, y) -> x*y out of G x G, where G carries
+    `factor`, into `cod`: N(x)*N(y) must lie inside N(x*y) for every
+    pair whose product lies in the codomain carrier.  A failure is
+    named by the first open of `cod` whose preimage is not open in the
+    product topology on G x G; the product space is never built.
 
-    The scan works even when products escape the codomain carrier
-    (possible in strict mode, where the carrier is G but products only
-    promise to stay in the upper approximation): such pairs simply lie
-    in no preimage.
+    Pairs whose product escapes the codomain carrier (possible in
+    strict mode, where the carrier is G but products only promise to
+    stay in the upper approximation) lie in no preimage.
     """
     table = group.table
-    n = group.space.universe.size
+    u = group.space.universe
     g_elems = tuple(bit_indices(group.g_mask))
-    wit = None
-    for v in cod_opens:
-        pre = 0
-        for x in g_elems:
-            row = table.rows[x]
-            for y in g_elems:
-                if (v >> row[y]) & 1:
-                    pre |= 1 << (x * n + y)
-        if not prod_top.is_open(pre):
-            wit = (f"open {cod_universe.set_str(v)} pulls back to "
-                   f"{prod_top.universe.set_str(pre)}, which is not open "
-                   "in the product topology on G x G")
-            break
-    return Clause("product-map-continuity", FAIL if wit else PASS, wit)
+    nbhd = factor.nbhd
+    # (x*y, N(x)*N(y)) for every pair
+    pairs = [(table.rows[x][y], set_product(table, nbhd[x], nbhd[y]))
+             for x in g_elems for y in g_elems]
+
+    def preimage_not_open(v: int) -> bool:
+        return any(v >> z & 1 and prods & ~v for z, prods in pairs)
+
+    if all(cod.carrier >> z & 1 == 0 or prods & ~cod.nbhd[z] == 0
+           for z, prods in pairs):
+        return Clause("product-map-continuity", PASS)
+    v = first_failing_open(cod, preimage_not_open)
+    pre = ",".join(pair_name(u.elements[x], u.elements[y])
+                   for x in g_elems for y in g_elems if v >> table.rows[x][y] & 1)
+    return Clause("product-map-continuity", FAIL,
+                  f"open {u.set_str(v)} pulls back to {{{pre}}}, which is not "
+                  "open in the product topology on G x G")
 
 
 def verify_trg(
     group: RoughGroupCert,
     tau: FiniteTopology,
     codomain_topology: str = "upper",
-    cap: int = DEFAULT_PRODUCT_CARRIER_CAP,
 ) -> tuple[VerificationReport, TRGCert | None]:
     """Check the two continuity conditions over a verified rough group.
 
@@ -140,18 +143,18 @@ def verify_trg(
         )
     inverse_map = group.unique_inverse_map()
     tau_G = subspace_topology(tau, group.g_mask)
-    prod_top = product_topology(tau_G, tau_G, cap=cap)
+    prod_top = product_topology(tau_G, tau_G)
     clauses = [Clause("codomain-topology", INFO, codomain_topology)]
-    cod_opens = tau.opens if codomain_topology == "upper" else tau_G.opens
-    clauses.append(_product_map_clause(group, prod_top, u, cod_opens))
+    cod = tau if codomain_topology == "upper" else tau_G
+    clauses.append(_product_map_clause(group, tau_G, cod))
     inv_rep = is_continuous(inverse_map, tau_G, tau_G)
     clauses.append(Clause("inverse-map-continuity", inv_rep.verdict,
                           inv_rep.first_witness()))
     report = combine(
         "trg", clauses,
-        stats=[("tau-opens", len(tau.opens)),
-               ("tau-G-opens", len(tau_G.opens)),
-               ("product-opens", len(prod_top.opens))],
+        stats=[("tau-opens", tau.count_opens()),
+               ("tau-G-opens", tau_G.count_opens()),
+               ("product-opens", prod_top.count_opens())],
     )
     if not report.passed:
         return report, None
@@ -244,24 +247,25 @@ def check_G_equals_G_inverse(cert: TRGCert) -> VerificationReport:
 
 def check_open_iff_inverse_open(cert: TRGCert) -> VerificationReport:
     """The inverse map carries opens of tau_G to opens and closeds to
-    closeds (both subsets of G, complements taken inside G)."""
+    closeds (both subsets of G, complements taken inside G).  The inverse
+    map is an involution of G, so each condition fails on an open only
+    if it fails on a neighbourhood inside it, and the first failing open
+    is found among the neighbourhoods."""
     u = cert.universe
+    top = cert.tau_G
+    v = first_failing_open(top, lambda v: not top.is_open(inverse_of_set(cert, v)))
     wit = None
-    for v in cert.tau_G.opens:
-        inv = inverse_of_set(cert, v)
-        if not cert.tau_G.is_open(inv):
-            wit = (f"V = {u.set_str(v)} is open but V^-1 = {u.set_str(inv)} "
-                   "is not")
-            break
+    if v is not None:
+        wit = (f"V = {u.set_str(v)} is open but V^-1 = "
+               f"{u.set_str(inverse_of_set(cert, v))} is not")
     clauses = [Clause("open-sets", FAIL if wit else PASS, wit)]
+    v = first_failing_open(
+        top, lambda v: not top.is_closed(inverse_of_set(cert, cert.g_mask & ~v)))
     wit = None
-    for v in cert.tau_G.opens:
+    if v is not None:
         c = cert.g_mask & ~v
-        inv = inverse_of_set(cert, c)
-        if not cert.tau_G.is_closed(inv):
-            wit = (f"C = {u.set_str(c)} is closed but C^-1 = {u.set_str(inv)} "
-                   "is not")
-            break
+        wit = (f"C = {u.set_str(c)} is closed but C^-1 = "
+               f"{u.set_str(inverse_of_set(cert, c))} is not")
     clauses.append(Clause("closed-sets", FAIL if wit else PASS, wit))
     return combine("open-inverse", clauses)
 
@@ -318,8 +322,7 @@ def check_topological_group(cert: TRGCert) -> VerificationReport:
     clauses = [Clause("premise-G-equals-upper", PASS)]
     wit = group_axioms_witness(cert.table, cert.g_mask)
     clauses.append(Clause("group-axioms", FAIL if wit else PASS, wit))
-    prod_top = product_topology(cert.tau, cert.tau)
-    clauses.append(_product_map_clause(cert.group, prod_top, u, cert.tau.opens))
+    clauses.append(_product_map_clause(cert.group, cert.tau, cert.tau))
     inv_rep = is_continuous(cert.inverse_map, cert.tau_G, cert.tau_G)
     clauses.append(Clause("inversion-continuity", inv_rep.verdict,
                           inv_rep.first_witness()))
@@ -383,8 +386,8 @@ def product_trg(a: TRGCert, b: TRGCert, cap: int = DEFAULT_UNIVERSE_CAP) -> TRGC
     """Componentwise product; the continuity conditions re-verify by
     construction, so a failure here signals an internal bug."""
     group = product_rough_group(a.group, b.group, cap)
-    tau = product_topology(a.tau, b.tau, cap=cap)
-    report, cert = verify_trg(group, tau, cap=cap)
+    tau = product_topology(a.tau, b.tau)
+    report, cert = verify_trg(group, tau)
     if cert is None:
         raise RuntimeError(
             "internal error: product of verified topological rough groups "
@@ -449,14 +452,12 @@ def check_base_translation(cert: TRGCert, members) -> VerificationReport:
             if (go >> g) & 1 == 0:
                 wit = f"g*O = {u.set_str(go)} does not contain {u.elements[g]}"
                 break
-        if wit is None:
-            for w in cert.tau.opens:
-                if (w >> g) & 1 == 0:
-                    continue
-                if not any(go & ~w == 0 for go in translated):
-                    wit = (f"open {u.set_str(w)} contains {u.elements[g]} but "
-                           "no translated member fits inside it")
-                    break
+        # every open holding g contains N(g), so N(g) is the first one
+        # in canonical order that no translated member fits inside
+        w = cert.tau.nbhd[g]
+        if wit is None and not any(go & ~w == 0 for go in translated):
+            wit = (f"open {u.set_str(w)} contains {u.elements[g]} but "
+                   "no translated member fits inside it")
         clauses.append(Clause(f"base-at-{u.elements[g]}",
                               FAIL if wit else PASS, wit))
     return combine("base-translation", clauses,

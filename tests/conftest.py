@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import io
 import contextlib
+import itertools
 from pathlib import Path
 
 import pytest
@@ -26,6 +27,9 @@ from roughtop import (
     verify_rough_group,
     verify_trg,
 )
+from roughtop.approx import bit_indices, product_mask, product_universe
+from roughtop.errors import CapExceededError, InputError
+from roughtop.report import FAIL, INFO, PASS, Clause, combine
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXDIR = ROOT / "fixtures"
@@ -109,6 +113,150 @@ def oracle_all_topologies(n: int) -> list[tuple[int, ...]]:
         if oracle_is_topology(carrier, fam):
             out.append(tuple(sorted(fam)))
     return sorted(out)
+
+
+# ---------------------------------------------------------------------------
+# oracles: the explicit-open algorithms, which store and scan every open
+# set.  The library decides the same questions from minimal open
+# neighbourhoods; these keep the earlier list-every-open implementations
+# so that whole reports (verdict, witnesses, stats) can be compared.
+
+
+def oracle_verify_topology(universe, carrier, family):
+    """Topology axioms by the pairwise union and intersection scan."""
+    universe.check_subset(carrier, "carrier")
+    fam = tuple(sorted(set(family)))
+    for m in fam:
+        if m < 0 or m & ~carrier:
+            raise InputError(
+                f"family member {universe.set_str(m & universe.all_mask)} is not a subset "
+                f"of the carrier {universe.set_str(carrier)}"
+            )
+    members = frozenset(fam)
+    clauses = []
+    ok = 0 in members
+    clauses.append(Clause("empty-set-member", PASS if ok else FAIL,
+                          None if ok else "the empty set is missing from the family"))
+    ok = carrier in members
+    clauses.append(Clause("carrier-member", PASS if ok else FAIL,
+                          None if ok else f"the carrier {universe.set_str(carrier)} is missing"))
+    for name, op, word in (("union-closure", int.__or__, "union"),
+                           ("intersection-closure", int.__and__, "intersection")):
+        wit = None
+        for a, b in itertools.combinations(fam, 2):
+            if op(a, b) not in members:
+                wit = (f"{word} of {universe.set_str(a)} and {universe.set_str(b)} = "
+                       f"{universe.set_str(op(a, b))} is not in the family")
+                break
+        clauses.append(Clause(name, FAIL if wit else PASS, wit))
+    return combine("topology", clauses, stats=[("members", len(fam))])
+
+
+def oracle_generate_opens(carrier: int, subbasis) -> tuple[int, ...]:
+    """Every open of the generated topology, listed by a depth-first walk
+    over point classes in a linear extension of neighbourhood inclusion."""
+    nbhd_pts: dict[int, int] = {}
+    for p in bit_indices(carrier):
+        acc = carrier
+        for m in subbasis:
+            if m >> p & 1:
+                acc &= m
+        nbhd_pts[acc] = nbhd_pts.get(acc, 0) | 1 << p
+    classes = sorted(nbhd_pts, key=lambda m: (m.bit_count(), m))
+    pts = [nbhd_pts[m] for m in classes]
+    req = [sum(1 << j for j in range(i) if classes[j] & ~ni == 0)
+           for i, ni in enumerate(classes)]
+    opens: list[int] = []
+
+    def walk(i: int, chosen: int, mask: int) -> None:
+        if i == len(classes):
+            opens.append(mask)
+            return
+        walk(i + 1, chosen, mask)
+        if req[i] & ~chosen == 0:
+            walk(i + 1, chosen | 1 << i, mask | pts[i])
+
+    walk(0, 0, 0)
+    return tuple(sorted(opens))
+
+
+def oracle_product_opens(opens1, carrier1, opens2, carrier2, n2: int) -> tuple[int, ...]:
+    """Product topology generated by every open rectangle."""
+    rectangles = [product_mask(o1, o2, n2) for o1 in opens1 for o2 in opens2]
+    return oracle_generate_opens(product_mask(carrier1, carrier2, n2), rectangles)
+
+
+def oracle_is_continuous(fmap, dom_universe, dom_opens, cod_universe, cod_opens):
+    """Preimage scan: every open of the codomain pulls back to an open."""
+    dom = frozenset(dom_opens)
+    wit = None
+    for o in sorted(cod_opens):
+        pre = fmap.preimage(o)
+        if pre not in dom:
+            wit = (f"open {cod_universe.set_str(o)} has preimage "
+                   f"{dom_universe.set_str(pre)}, which is not open")
+            break
+    return combine("continuity", [Clause("preimage-openness", FAIL if wit else PASS, wit)])
+
+
+def oracle_product_map_clause(group, prod_universe, prod_opens, cod_universe, cod_opens):
+    """Continuity of (x, y) -> x*y by pulling every codomain open back
+    into the materialised product topology on G x G."""
+    table = group.table
+    n = group.space.universe.size
+    g_elems = tuple(bit_indices(group.g_mask))
+    prod = frozenset(prod_opens)
+    wit = None
+    for v in sorted(cod_opens):
+        pre = 0
+        for x in g_elems:
+            for y in g_elems:
+                if v >> table.rows[x][y] & 1:
+                    pre |= 1 << (x * n + y)
+        if pre not in prod:
+            wit = (f"open {cod_universe.set_str(v)} pulls back to "
+                   f"{prod_universe.set_str(pre)}, which is not open "
+                   "in the product topology on G x G")
+            break
+    return Clause("product-map-continuity", FAIL if wit else PASS, wit)
+
+
+def oracle_verify_trg(group, tau_opens, mode: str = "upper"):
+    """The TRG report, with tau, tau_G and G x G as explicit families."""
+    u = group.space.universe
+    g = group.g_mask
+    tau = tuple(sorted(set(tau_opens)))
+    tau_g = tuple(sorted({o & g for o in tau}))
+    prod = oracle_product_opens(tau_g, g, tau_g, g, u.size)
+    cod = tau if mode == "upper" else tau_g
+    clauses = [Clause("codomain-topology", INFO, mode),
+               oracle_product_map_clause(group, product_universe(u, u), prod, u, cod)]
+    inv = oracle_is_continuous(group.unique_inverse_map(), u, tau_g, u, tau_g)
+    clauses.append(Clause("inverse-map-continuity", inv.verdict, inv.first_witness()))
+    return combine("trg", clauses, stats=[("tau-opens", len(tau)),
+                                          ("tau-G-opens", len(tau_g)),
+                                          ("product-opens", len(prod))])
+
+
+def oracle_is_rough_homogeneous(universe, carrier: int, opens, cap: int = 8):
+    """Orbits by trying every bijection of the carrier against every open."""
+    points = tuple(bit_indices(carrier))
+    if len(points) > cap:
+        raise CapExceededError(f"{len(points)} points exceed the cap of {cap}")
+    members = frozenset(opens)
+    reach = {p: 1 << p for p in points}
+    for perm in itertools.permutations(points):
+        assign = dict(zip(points, perm))
+        if all(sum(1 << assign[p] for p in bit_indices(o)) in members for o in opens):
+            for p in points:
+                reach[p] |= 1 << assign[p]
+    for p in points:
+        missing = carrier & ~reach[p]
+        if missing:
+            q = (missing & -missing).bit_length() - 1
+            return False, (f"no self-homeomorphism carries {universe.elements[p]} "
+                           f"to {universe.elements[q]}")
+    return True, None
 
 
 # ---------------------------------------------------------------------------

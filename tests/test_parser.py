@@ -32,6 +32,7 @@ BAD_CASES = [
     ("duplicate_name.rg", 2, 10, "duplicate universe name 'UA'"),
     ("duplicate_universe_element.rg", 1, 1,
      "duplicate element name '0' in universe"),
+    ("element_inside_keyword.rg", 2, 16, "unknown element 't' in universe U"),
     ("empty_braces_partition.rg", 2, 1, "partition block may not be empty"),
     ("missing_colon.rg", 1, 18, "missing ':' after the declaration header"),
     ("missing_table_rows.rg", 2, 1, "table 'TA' needs 3 rows, found 1"),

@@ -115,10 +115,13 @@ def test_generate_matches_closure_oracle_on_rectangles(ws_product):
     assert oracle_is_topology(u.all_mask, gen.opens)
 
 
-def test_generate_topology_cap():
+def test_generate_topology_counts_past_the_old_cap():
+    """No cap on generated topologies: the discrete topology on 17
+    points is counted, not listed, at exactly 2^17 opens."""
     u = Universe(tuple(str(i) for i in range(17)))
-    with pytest.raises(CapExceededError, match=r"cap of 65536 open sets"):
-        generate_topology(u, (1 << 17) - 1, [1 << i for i in range(17)])
+    top = generate_topology(u, (1 << 17) - 1, [1 << i for i in range(17)])
+    assert top.count_opens() == 1 << 17
+    assert top.nbhd == tuple(1 << i for i in range(17))
 
 
 def test_subspace_topology(topA, u3, ws_s4):
@@ -149,11 +152,14 @@ def test_product_topology_values(topA, u3, ws_product):
     assert len(product_topology(discrete, discrete).opens) == 512
 
 
-def test_product_topology_cap():
+def test_product_topology_past_the_old_cap():
+    """No cap on product carriers: the 9 x 9 discrete product has 81
+    points and exactly 2^81 opens."""
     u9 = Universe(tuple(str(i) for i in range(9)))
     big = FiniteTopology(u9, (1 << 9) - 1, tuple(range(1 << 9)))
-    with pytest.raises(CapExceededError, match=r"81 points, exceeding the cap of 64"):
-        product_topology(big, big)
+    prod = product_topology(big, big)
+    assert prod.carrier.bit_count() == 81
+    assert prod.count_opens() == 1 << 81
 
 
 def test_closure_interior_values(topA, u3):

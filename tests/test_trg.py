@@ -8,8 +8,8 @@ import pytest
 from roughtop import ApproxSpace, Partition, Universe
 from roughtop.actions import check_AU_open, check_subgroup_open
 from roughtop.errors import AmbiguousInverseError, CapExceededError, InputError
-from roughtop.groups import verify_rough_group
-from roughtop.topology import FiniteTopology, family_str
+from roughtop.groups import CayleyTable, verify_rough_group
+from roughtop.topology import FiniteTopology, family_str, generate_topology
 from roughtop.trg import (
     check_G_equals_G_inverse,
     check_base_translation,
@@ -65,6 +65,23 @@ def test_fixb_trg_passes(ws_s4, fixb_cert):
     u = ws_s4.universes["UB"]
     assert family_str(u, tcert.tau_G.opens) == (
         "{} {(12)} {(123),(132)} {(12),(123),(132)}")
+
+
+def test_discrete_trg_past_the_old_cap_lists_no_opens():
+    """Discrete Z_16 was refused by the open-set cap; it now passes, with
+    exact counts, and no topology involved ever lists its opens."""
+    n = 16
+    u = Universe(tuple(str(i) for i in range(n)))
+    table = CayleyTable.from_names(
+        u, [[str((x + y) % n) for y in range(n)] for x in range(n)])
+    _, cert = verify_rough_group(
+        ApproxSpace(u, Partition.singletons(u), table), u.all_mask)
+    tau = generate_topology(u, u.all_mask, [1 << i for i in range(n)])
+    rep, tcert = verify_trg(cert, tau)
+    assert rep.verdict == "pass"
+    assert rep.stats == (
+        ("product-opens", 2 ** 256), ("tau-G-opens", 2 ** 16), ("tau-opens", 2 ** 16))
+    assert "opens" not in vars(tau) and "opens" not in vars(tcert.tau_G)
 
 
 def test_trg_fails_on_asymmetric_topology(ws_zmod3, fixa_cert):
