@@ -4,16 +4,18 @@
 For each modulus n, every partition of {0,...,n-1} (enumerated as
 restricted growth strings) and every nonempty subset G is screened with
 verify_rough_group.  For each certificate we then enumerate all
-topologies on the upper approximation and count how many make the
-product and inversion maps continuous, i.e. how many admit a passing
-TRG certificate.  The output is a deterministic table, one line per
-rough group, plus per-modulus and overall totals.
+topologies on the upper approximation (each preorder generated once)
+and count how many make the product and inversion maps continuous,
+i.e. how many admit a passing TRG certificate; decide_trg decides each
+one without counting its opens.  The output is a deterministic table,
+one line per rough group, plus per-modulus and overall totals.
 
 Usage:
     python3 scripts/explore_small_trgs.py [--max-n N]
 
-Moduli 2..N are swept (default 3; 4 is allowed but slower, because
-every 4-point upper approximation carries 355 topologies to verify).
+Moduli 2..N are swept (default 3).  Every 4-point upper approximation
+carries 355 topologies and every 5-point one 6942, so --max-n 4 takes
+seconds and --max-n 5, about a million TRG decisions, takes minutes.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from collections import defaultdict
 from roughtop.approx import ApproxSpace, Partition, Universe
 from roughtop.groups import CayleyTable, verify_rough_group
 from roughtop.topology import enumerate_topologies
-from roughtop.trg import verify_trg
+from roughtop.trg import decide_trg
 
 
 def restricted_growth_strings(n: int):
@@ -74,7 +76,7 @@ def sweep_modulus(n: int) -> tuple[int, int, int]:
             rough_groups += 1
             tops = enumerate_topologies(u, cert.upper)
             passing = sum(
-                1 for tau in tops if verify_trg(cert, tau)[0].verdict == "pass")
+                1 for tau in tops if decide_trg(cert, tau)[0].verdict == "pass")
             trg_instances += passing
             print(f"  partition {label:<16} G={u.set_str(g_mask):<10}"
                   f" identity {u.elements[cert.designated_e]};"
@@ -87,7 +89,7 @@ def sweep_modulus(n: int) -> tuple[int, int, int]:
 def main() -> None:
     ap = argparse.ArgumentParser(
         description="enumerate topological rough groups over Z mod n")
-    ap.add_argument("--max-n", type=int, default=3, choices=(2, 3, 4),
+    ap.add_argument("--max-n", type=int, default=3, choices=(2, 3, 4, 5),
                     help="largest modulus to sweep (default 3)")
     args = ap.parse_args()
     grand = (0, 0, 0)

@@ -69,6 +69,7 @@ from .trg import (
     check_open_iff_inverse_open,
     check_topological_group,
     check_translations,
+    decide_trg,
     find_symmetric_square_nbhd,
     inverse_of_set,
     is_rough_symmetric,

@@ -4,8 +4,9 @@ Reads a structure-description document (a file or stdin), runs one
 check or enumeration against the declarations in it, and prints a
 deterministic report to stdout.  Exit codes: 0 the check passed, 1 it
 failed (with a witness in the report), 2 it did not apply (a premise
-failed), 3 the input was malformed (parse diagnostics go to stderr;
-semantic input errors become an error report on stdout).
+failed), 3 the input or the command line was malformed (parse
+diagnostics and usage errors go to stderr; semantic input errors become
+an error report on stdout).
 
 Both spellings of the command word work: `check trg ...` and
 `--check trg ...` are equivalent, likewise for `enumerate`.
@@ -57,6 +58,7 @@ from .trg import (
     check_open_iff_inverse_open,
     check_topological_group,
     check_translations,
+    decide_trg,
     find_symmetric_square_nbhd,
     upper_inverse_set,
     verify_trg,
@@ -88,8 +90,23 @@ def _shim_argv(argv: list[str]) -> list[str]:
     return out
 
 
+class _UsageError(Exception):
+    """A malformed command line, already reported on stderr."""
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """argparse with its usage message, but exit code 3: a malformed
+    command line is bad input, and 2 means a failed premise.  The
+    subparsers inherit the class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        print(f"{self.prog}: error: {message}", file=sys.stderr)
+        raise _UsageError
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _ArgumentParser(
         prog="roughtop",
         description="Verify and explore finite rough algebraic-topological "
                     "structures described in a declaration file.",
@@ -204,7 +221,7 @@ def _trg_cert(ws: Workspace, args, check: str, prefix: str = ""):
         return None, na
     dash = f"{prefix}-" if prefix else ""
     _, top = ws.topology(_need(args, f"{dash}topology", check))
-    rep, trg = verify_trg(cert, top, codomain_topology=args.codomain_topology)
+    rep, trg = decide_trg(cert, top, codomain_topology=args.codomain_topology)
     if trg is None:
         label = f"premise-{prefix}-trg" if prefix else "premise-trg"
         return None, _premise_report(check, label, rep.first_witness(),
@@ -405,7 +422,7 @@ def _run_enumerate(ws: Workspace, args) -> VerificationReport:
         passes = 0
         tops = enumerate_topologies(u, cert.upper)
         for i, top in enumerate(tops):
-            rep, _ = verify_trg(cert, top,
+            rep, _ = decide_trg(cert, top,
                                 codomain_topology=args.codomain_topology)
             if rep.passed:
                 passes += 1
@@ -447,8 +464,10 @@ def _run_enumerate(ws: Workspace, args) -> VerificationReport:
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser = _build_parser()
-    args = parser.parse_args(_shim_argv(list(argv)))
+    try:
+        args = _build_parser().parse_args(_shim_argv(list(argv)))
+    except _UsageError:
+        return 3
     if args.file:
         source = args.file
         try:

@@ -37,6 +37,7 @@ from .topology import (
     FiniteTopology,
     base_at,
     closure,
+    count_product_opens,
     first_failing_open,
     is_continuous,
     is_homeomorphism,
@@ -117,7 +118,7 @@ def _product_map_clause(
                   "open in the product topology on G x G")
 
 
-def verify_trg(
+def decide_trg(
     group: RoughGroupCert,
     tau: FiniteTopology,
     codomain_topology: str = "upper",
@@ -126,7 +127,8 @@ def verify_trg(
 
     Requires tau to live on the upper approximation and every member of
     G to have a unique inverse (the inverse map must be a function; an
-    ambiguous certificate raises rather than picking silently).
+    ambiguous certificate raises rather than picking silently).  The
+    report carries no stats; `verify_trg` adds the open counts.
     """
     if codomain_topology not in CODOMAIN_MODES:
         raise InputError(
@@ -143,23 +145,34 @@ def verify_trg(
         )
     inverse_map = group.unique_inverse_map()
     tau_G = subspace_topology(tau, group.g_mask)
-    prod_top = product_topology(tau_G, tau_G)
     clauses = [Clause("codomain-topology", INFO, codomain_topology)]
     cod = tau if codomain_topology == "upper" else tau_G
     clauses.append(_product_map_clause(group, tau_G, cod))
     inv_rep = is_continuous(inverse_map, tau_G, tau_G)
     clauses.append(Clause("inverse-map-continuity", inv_rep.verdict,
                           inv_rep.first_witness()))
-    report = combine(
-        "trg", clauses,
-        stats=[("tau-opens", tau.count_opens()),
-               ("tau-G-opens", tau_G.count_opens()),
-               ("product-opens", prod_top.count_opens())],
-    )
+    report = combine("trg", clauses)
     if not report.passed:
         return report, None
     cert = TRGCert(group, tau, tau_G, inverse_map, codomain_topology, report)
     return report, cert
+
+
+def verify_trg(
+    group: RoughGroupCert,
+    tau: FiniteTopology,
+    codomain_topology: str = "upper",
+) -> tuple[VerificationReport, TRGCert | None]:
+    """`decide_trg`, with the report's stats counting the opens of tau,
+    of tau_G and of the product topology on G x G."""
+    report, cert = decide_trg(group, tau, codomain_topology)
+    tau_G = subspace_topology(tau, group.g_mask)
+    return combine(
+        "trg", report.clauses,
+        stats=[("tau-opens", tau.count_opens()),
+               ("tau-G-opens", tau_G.count_opens()),
+               ("product-opens", count_product_opens(tau_G, tau_G))],
+    ), cert
 
 
 def inverse_of_set(cert: TRGCert, v_mask: int) -> int:
@@ -387,7 +400,7 @@ def product_trg(a: TRGCert, b: TRGCert, cap: int = DEFAULT_UNIVERSE_CAP) -> TRGC
     construction, so a failure here signals an internal bug."""
     group = product_rough_group(a.group, b.group, cap)
     tau = product_topology(a.tau, b.tau)
-    report, cert = verify_trg(group, tau)
+    report, cert = decide_trg(group, tau)
     if cert is None:
         raise RuntimeError(
             "internal error: product of verified topological rough groups "

@@ -115,6 +115,31 @@ def oracle_all_topologies(n: int) -> list[tuple[int, ...]]:
     return sorted(out)
 
 
+def oracle_enumerate_topologies(universe, carrier: int) -> tuple[FiniteTopology, ...]:
+    """All topologies on the carrier, sorted by their lists of opens,
+    by filtering every reflexive relation on it for transitivity: each
+    preorder gives N(p) as the set of points p relates to.  Scans
+    2^(n^2 - n) relations; keep n at 4 or below."""
+    points = tuple(bit_indices(carrier))
+    n = len(points)
+    offdiag = [(i, j) for i in range(n) for j in range(n) if i != j]
+    found = []
+    for bitsv in range(1 << len(offdiag)):
+        rows = [1 << i for i in range(n)]
+        for k, (i, j) in enumerate(offdiag):
+            if (bitsv >> k) & 1:
+                rows[i] |= 1 << j
+        if any(rows[j] & ~rows[i] for i in range(n) for j in bit_indices(rows[i])):
+            continue
+        nbhd = [0] * universe.size
+        for i in range(n):
+            for j in bit_indices(rows[i]):
+                nbhd[points[i]] |= 1 << points[j]
+        found.append(FiniteTopology.from_nbhd(universe, carrier, nbhd))
+    found.sort(key=lambda t: t.opens)
+    return tuple(found)
+
+
 # ---------------------------------------------------------------------------
 # oracles: the explicit-open algorithms, which store and scan every open
 # set.  The library decides the same questions from minimal open

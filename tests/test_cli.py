@@ -200,6 +200,24 @@ def test_parse_error_goes_to_stderr():
     assert err == f"{path}:2:17: unknown element '5' in universe UA\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["check", "nope"], "roughtop check: error: argument kind: invalid choice: 'nope'"),
+    (["check", "trg", "--bogus"], "roughtop: error: unrecognized arguments: --bogus"),
+])
+def test_usage_error_exits_3(argv, message):
+    code, out, err = run_cli(argv)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("usage: roughtop")
+    assert message in err
+
+
+def test_help_still_exits_0():
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["--help"])
+    assert exc.value.code == 0
+
+
 def test_reads_stdin_when_no_file():
     source = (FIXDIR / "zmod3.rg").read_text()
     code, out, _ = run_cli(

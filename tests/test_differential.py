@@ -17,16 +17,18 @@ from roughtop.groups import CayleyTable, verify_rough_group
 from roughtop.topology import (
     FiniteMap,
     FiniteTopology,
+    enumerate_topologies,
     generate_topology,
     is_continuous,
     product_topology,
     verify_topology,
 )
-from roughtop.trg import verify_trg
+from roughtop.trg import decide_trg, verify_trg
 
 from conftest import (
     cert_of,
     oracle_all_topologies,
+    oracle_enumerate_topologies,
     oracle_generate_opens,
     oracle_is_continuous,
     oracle_is_rough_homogeneous,
@@ -90,6 +92,34 @@ def test_verify_trg_matches_oracle_on_every_topology(case, mode, ws_zmod3, ws_zm
         assert got == want, fam
         verdicts.add(got.verdict)
     assert verdicts == {"pass", "fail"}
+
+
+@pytest.mark.parametrize("case", ["zmod3-full", "zmod4-full"])
+@pytest.mark.parametrize("mode", ["upper", "relative"])
+def test_decide_trg_matches_verify_trg_without_the_counts(case, mode, ws_zmod3, ws_zmod4):
+    cert = TRG_CASES[case]({"zmod3": ws_zmod3, "zmod4": ws_zmod4})
+    u = cert.space.universe
+    tops = enumerate_topologies(u, cert.upper)
+    assert len(tops) == {3: 29, 4: 355}[cert.upper.bit_count()]
+    for tau in tops:
+        got, got_cert = decide_trg(cert, tau, mode)
+        want, want_cert = verify_trg(cert, tau, mode)
+        assert (got.check, got.verdict, got.clauses) == (
+            want.check, want.verdict, want.clauses)
+        assert got_cert == want_cert
+        assert got.stats == ()
+        assert dict(want.stats).keys() == {"tau-opens", "tau-G-opens", "product-opens"}
+
+
+def test_enumerate_topologies_matches_oracle_on_every_small_carrier():
+    u = Universe(tuple("abcdef"))
+    checked = 0
+    for carrier in range(1 << u.size):
+        if carrier.bit_count() <= 4:
+            got = [t.nbhd for t in enumerate_topologies(u, carrier)]
+            assert got == [t.nbhd for t in oracle_enumerate_topologies(u, carrier)]
+            checked += 1
+    assert checked == 57
 
 
 def test_is_continuous_matches_oracle_on_every_map_between_3_point_spaces():

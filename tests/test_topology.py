@@ -252,7 +252,7 @@ def test_base_at(u3):
 
 
 def test_enumerate_topologies_counts():
-    for n, count in ((1, 1), (2, 4), (3, 29), (4, 355)):
+    for n, count in ((1, 1), (2, 4), (3, 29), (4, 355), (5, 6942)):
         u = Universe(tuple(str(i) for i in range(n)))
         tops = enumerate_topologies(u, (1 << n) - 1)
         assert len(tops) == count
@@ -272,9 +272,9 @@ def test_enumerate_topologies_partial_carrier():
 
 
 def test_enumerate_topologies_cap():
-    u = Universe(tuple(str(i) for i in range(5)))
-    with pytest.raises(CapExceededError, match=r"at most 4 points, got 5"):
-        enumerate_topologies(u, 0b11111)
+    u = Universe(tuple(str(i) for i in range(6)))
+    with pytest.raises(CapExceededError, match=r"at most 5 points, got 6"):
+        enumerate_topologies(u, 0b111111)
 
 
 def test_finite_topology_canonicalizes_and_validates(u3):
