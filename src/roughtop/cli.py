@@ -90,23 +90,8 @@ def _shim_argv(argv: list[str]) -> list[str]:
     return out
 
 
-class _UsageError(Exception):
-    """A malformed command line, already reported on stderr."""
-
-
-class _ArgumentParser(argparse.ArgumentParser):
-    """argparse with its usage message, but exit code 3: a malformed
-    command line is bad input, and 2 means a failed premise.  The
-    subparsers inherit the class."""
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise _UsageError
-
-
 def _build_parser() -> argparse.ArgumentParser:
-    p = _ArgumentParser(
+    p = argparse.ArgumentParser(
         prog="roughtop",
         description="Verify and explore finite rough algebraic-topological "
                     "structures described in a declaration file.",
@@ -466,7 +451,11 @@ def main(argv: list[str] | None = None) -> int:
         argv = sys.argv[1:]
     try:
         args = _build_parser().parse_args(_shim_argv(list(argv)))
-    except _UsageError:
+    except SystemExit as exc:
+        # argparse has printed its usage error; a malformed command
+        # line is bad input (3), while 2 means a failed premise
+        if exc.code != 2:
+            raise
         return 3
     if args.file:
         source = args.file

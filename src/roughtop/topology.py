@@ -133,8 +133,49 @@ class FiniteTopology:
         return tuple(sorted(opens))
 
     def count_opens(self) -> int:
-        """Number of open sets, without listing them."""
-        return _count_down_sets(self.nbhd, self.up, self.carrier)
+        """Number of open sets, without listing them: the product over
+        the connected components of the preorder of the memoised count
+        D(P) = D(P minus every p with x in N(p)) + D(P minus N(x)),
+        which splits on whether the pivot x is left out or put in."""
+        nbhd, up = self.nbhd, self.up
+        adj = [n | u for n, u in zip(nbhd, up)]
+        memo: dict[int, int] = {}
+
+        def pivot(comp: int) -> int:
+            """The point whose two branches remove the most points in
+            the worse case; it keeps chains logarithmically deep."""
+            best = best_p = -1
+            left = comp
+            while left:
+                low = left & -left
+                left ^= low
+                p = low.bit_length() - 1
+                k = min((up[p] & comp).bit_count(), (nbhd[p] & comp).bit_count())
+                if k > best:
+                    best, best_p = k, p
+            return best_p
+
+        def count(rest: int) -> int:
+            total = 1
+            while rest:
+                comp = frontier = rest & -rest
+                while frontier:
+                    low = frontier & -frontier
+                    frontier ^= low
+                    new = adj[low.bit_length() - 1] & rest & ~comp
+                    comp |= new
+                    frontier |= new
+                rest ^= comp
+                if comp & (comp - 1) == 0:
+                    total *= 2
+                    continue
+                if comp not in memo:
+                    x = pivot(comp)
+                    memo[comp] = count(comp & ~up[x]) + count(comp & ~nbhd[x])
+                total *= memo[comp]
+            return total
+
+        return count(self.carrier)
 
     def is_open(self, mask: int) -> bool:
         if mask < 0 or mask & ~self.carrier:
@@ -147,78 +188,6 @@ class FiniteTopology:
 
     def is_closed(self, mask: int) -> bool:
         return mask & ~self.carrier == 0 and self.is_open(self.carrier & ~mask)
-
-
-def _count_down_sets(nbhd, up, carrier: int) -> int:
-    """Number of down-sets (opens) of the preorder given by nbhd and
-    up over the carrier: the product over its connected components of
-    the memoised count D(P) = D(P minus every p with x in N(p)) +
-    D(P minus N(x)), which splits on whether the pivot x is left out or
-    put in."""
-    adj = [n | u for n, u in zip(nbhd, up)]
-    memo: dict[int, int] = {}
-
-    def pivot(comp: int) -> int:
-        """The point whose two branches remove the most points in
-        the worse case; it keeps chains logarithmically deep."""
-        best = best_p = -1
-        left = comp
-        while left:
-            low = left & -left
-            left ^= low
-            p = low.bit_length() - 1
-            k = min((up[p] & comp).bit_count(), (nbhd[p] & comp).bit_count())
-            if k > best:
-                best, best_p = k, p
-        return best_p
-
-    def count(rest: int) -> int:
-        total = 1
-        while rest:
-            comp = frontier = rest & -rest
-            while frontier:
-                low = frontier & -frontier
-                frontier ^= low
-                new = adj[low.bit_length() - 1] & rest & ~comp
-                comp |= new
-                frontier |= new
-            rest ^= comp
-            if comp & (comp - 1) == 0:
-                total *= 2
-                continue
-            if comp not in memo:
-                x = pivot(comp)
-                memo[comp] = count(comp & ~up[x]) + count(comp & ~nbhd[x])
-            total *= memo[comp]
-        return total
-
-    return count(carrier)
-
-
-def count_product_opens(t1: FiniteTopology, t2: FiniteTopology) -> int:
-    """Number of opens of t1 x t2, counted on a grid that indexes the
-    carrier pairs compactly, so the pair universe is never built."""
-    def compact(top: FiniteTopology) -> tuple[list[int], list[int]]:
-        """N(p) and the closure of {p}, renumbered along the carrier."""
-        points = tuple(bit_indices(top.carrier))
-        bit = {p: 1 << i for i, p in enumerate(points)}
-
-        def squeeze(mask: int) -> int:
-            acc = 0
-            for q in bit_indices(mask):
-                acc |= bit[q]
-            return acc
-
-        return ([squeeze(top.nbhd[p]) for p in points],
-                [squeeze(top.up[p]) for p in points])
-
-    nbhd1, up1 = compact(t1)
-    nbhd2, up2 = compact(t2)
-    n2 = len(nbhd2)
-    # N((x, y)) = N(x) x N(y), and likewise for the closures of points
-    nbhd = [product_mask(a, b, n2) for a in nbhd1 for b in nbhd2]
-    up = [product_mask(a, b, n2) for a in up1 for b in up2]
-    return _count_down_sets(nbhd, up, (1 << len(nbhd)) - 1)
 
 
 def first_failing_open(top: FiniteTopology, fails) -> int | None:

@@ -37,7 +37,6 @@ from .topology import (
     FiniteTopology,
     base_at,
     closure,
-    count_product_opens,
     first_failing_open,
     is_continuous,
     is_homeomorphism,
@@ -118,18 +117,12 @@ def _product_map_clause(
                   "open in the product topology on G x G")
 
 
-def decide_trg(
+def _decide(
     group: RoughGroupCert,
     tau: FiniteTopology,
-    codomain_topology: str = "upper",
-) -> tuple[VerificationReport, TRGCert | None]:
-    """Check the two continuity conditions over a verified rough group.
-
-    Requires tau to live on the upper approximation and every member of
-    G to have a unique inverse (the inverse map must be a function; an
-    ambiguous certificate raises rather than picking silently).  The
-    report carries no stats; `verify_trg` adds the open counts.
-    """
+    codomain_topology: str,
+) -> tuple[VerificationReport, TRGCert | None, FiniteTopology]:
+    """`decide_trg`, also returning the subspace topology tau_G."""
     if codomain_topology not in CODOMAIN_MODES:
         raise InputError(
             f"unknown codomain topology mode {codomain_topology!r}; "
@@ -153,8 +146,24 @@ def decide_trg(
                           inv_rep.first_witness()))
     report = combine("trg", clauses)
     if not report.passed:
-        return report, None
+        return report, None, tau_G
     cert = TRGCert(group, tau, tau_G, inverse_map, codomain_topology, report)
+    return report, cert, tau_G
+
+
+def decide_trg(
+    group: RoughGroupCert,
+    tau: FiniteTopology,
+    codomain_topology: str = "upper",
+) -> tuple[VerificationReport, TRGCert | None]:
+    """Check the two continuity conditions over a verified rough group.
+
+    Requires tau to live on the upper approximation and every member of
+    G to have a unique inverse (the inverse map must be a function; an
+    ambiguous certificate raises rather than picking silently).  The
+    report carries no stats; `verify_trg` adds the open counts.
+    """
+    report, cert, _ = _decide(group, tau, codomain_topology)
     return report, cert
 
 
@@ -165,13 +174,12 @@ def verify_trg(
 ) -> tuple[VerificationReport, TRGCert | None]:
     """`decide_trg`, with the report's stats counting the opens of tau,
     of tau_G and of the product topology on G x G."""
-    report, cert = decide_trg(group, tau, codomain_topology)
-    tau_G = subspace_topology(tau, group.g_mask)
+    report, cert, tau_G = _decide(group, tau, codomain_topology)
     return combine(
         "trg", report.clauses,
         stats=[("tau-opens", tau.count_opens()),
                ("tau-G-opens", tau_G.count_opens()),
-               ("product-opens", count_product_opens(tau_G, tau_G))],
+               ("product-opens", product_topology(tau_G, tau_G).count_opens())],
     ), cert
 
 
