@@ -25,9 +25,9 @@ from .approx import (
 )
 from .errors import CapExceededError, InputError
 from .groups import (
+    escape_witness,
     group_axioms_witness,
-    left_translate,
-    right_translate,
+    set_product,
     verify_rough_subgroup,
 )
 from .report import (
@@ -142,17 +142,8 @@ def verify_rough_action(
         raise InputError("action map codomain is not upper(X)")
 
     table = cert.table
-    wit = None
-    for x in bit_indices(cert.upper):
-        row = table.rows[x]
-        for y in bit_indices(cert.upper):
-            z = row[y]
-            if (cert.upper >> z) & 1 == 0:
-                wit = (f"{gu.elements[x]} * {gu.elements[y]} = "
-                       f"{gu.elements[z]} leaves the upper approximation of G")
-                break
-        if wit:
-            break
+    wit = escape_witness(table, cert.upper, cert.upper,
+                         "leaves the upper approximation of G")
     if wit is not None:
         return combine(
             "rough-action",
@@ -389,11 +380,8 @@ def check_AU_open(cert: TRGCert, a_mask: int, u_mask: int) -> VerificationReport
             verdict=NOT_APPLICABLE,
         )
     clauses = [Clause("premise-upper-group", PASS)]
-    au = 0
-    ua = 0
-    for a in bit_indices(a_mask):
-        au |= left_translate(cert.table, a, u_mask)
-        ua |= right_translate(cert.table, u_mask, a)
+    au = set_product(cert.table, a_mask, u_mask)
+    ua = set_product(cert.table, u_mask, a_mask)
     wit = None
     if not cert.tau.is_open(au):
         wit = f"A*U = {gu.set_str(au)} is not open"
@@ -429,17 +417,8 @@ def check_subgroup_open(
         None if sub.passed else sub.first_witness(),
     ))
     upper_h = upper_approx(cert.group.space, h_mask)
-    wit = None
-    for x in bit_indices(upper_h):
-        row = cert.table.rows[x]
-        for y in bit_indices(upper_h):
-            z = row[y]
-            if (upper_h >> z) & 1 == 0:
-                wit = (f"{gu.elements[x]} * {gu.elements[y]} = "
-                       f"{gu.elements[z]} leaves the upper approximation of H")
-                break
-        if wit:
-            break
+    wit = escape_witness(cert.table, upper_h, upper_h,
+                         "leaves the upper approximation of H")
     premises.append(Clause("premise-upper-H-closed",
                            NOT_APPLICABLE if wit else PASS, wit))
     ok = cert.tau_G.is_open(w_mask)
@@ -461,9 +440,7 @@ def check_subgroup_open(
         return combine("subgroup-open", premises, verdict=NOT_APPLICABLE)
 
     clauses = list(premises)
-    union = 0
-    for h in bit_indices(upper_h):
-        union |= left_translate(cert.table, h, w_mask)
+    union = set_product(cert.table, upper_h, w_mask)
     wit = None
     if union != upper_h:
         wit = (f"the union of translates is {gu.set_str(union)}, not "
@@ -476,7 +453,7 @@ def check_subgroup_open(
     sub_top = subspace_topology(cert.tau, upper_h)
     wit = None
     for h in bit_indices(h_mask):
-        hw = left_translate(cert.table, h, w_mask)
+        hw = set_product(cert.table, 1 << h, w_mask)
         if not sub_top.is_open(hw):
             wit = (f"h = {gu.elements[h]}: h*W = {gu.set_str(hw)} is not open "
                    "in the subspace on upper(H)")

@@ -30,7 +30,6 @@ from .groups import (
     enumerate_rough_subgroups,
     is_rough_normal,
     rough_kernel,
-    set_product,
     verify_rough_group,
     verify_rough_homomorphism,
     verify_rough_subgroup,
@@ -51,6 +50,7 @@ from .report import (
 )
 from .topology import enumerate_topologies
 from .trg import (
+    INVERSE_CONVENTION,
     check_G_equals_G_inverse,
     check_base_translation,
     check_closure_subgroup,
@@ -60,7 +60,7 @@ from .trg import (
     check_translations,
     decide_trg,
     find_symmetric_square_nbhd,
-    upper_inverse_set,
+    symmetric_square_nbhds,
     verify_trg,
 )
 
@@ -421,29 +421,32 @@ def _run_enumerate(ws: Workspace, args) -> VerificationReport:
         cert, na = _trg_cert(ws, args, "enumerate-witness")
         if cert is None:
             return na
-        u = cert.universe
         w = _subset_on(ws, _need(args, "w", "enumerate witness"),
                        cert.group.space, "W")
-        if not cert.tau.is_open(w):
-            raise InputError(f"W = {u.set_str(w)} is not open in the topology")
-        clauses = [Clause(
-            "inverse-convention", INFO,
-            "inverses taken inside the upper approximation with respect to "
-            "the designated identity",
-        )]
-        i = 0
-        for v in cert.tau.opens:
-            if (v >> cert.e) & 1 == 0:
-                continue
-            if upper_inverse_set(cert, v) != v:
-                continue
-            if set_product(cert.table, v, v) & ~w:
-                continue
-            clauses.append(Clause(f"item-{i}", INFO, u.set_str(v)))
-            i += 1
+        found = list(symmetric_square_nbhds(cert, w))
+        clauses = [INVERSE_CONVENTION] + [
+            Clause(f"item-{i}", INFO, cert.universe.set_str(v))
+            for i, v in enumerate(found)
+        ]
         return combine("enumerate-witness", clauses,
-                       stats=[("count", i)], verdict=PASS)
+                       stats=[("count", len(found))], verdict=PASS)
     raise InputError(f"unknown enumeration {what!r}")
+
+
+def _read_file(path: str) -> str:
+    """The file as UTF-8 text with universal newlines, as text-mode
+    `open` reads it; a byte that does not decode is a ParseError at the
+    line and column the parser would give its character."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        head = data[:e.start].decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+        raise ParseError(f"invalid UTF-8 byte 0x{data[e.start]:02x}",
+                         head.count("\n") + 1,
+                         len(head) - head.rfind("\n")) from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -457,19 +460,12 @@ def main(argv: list[str] | None = None) -> int:
         if exc.code != 2:
             raise
         return 3
-    if args.file:
-        source = args.file
-        try:
-            with open(args.file, encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as e:
-            print(f"{source}: {e.strerror or e}", file=sys.stderr)
-            return 3
-    else:
-        source = "<stdin>"
-        text = sys.stdin.read()
+    source = args.file or "<stdin>"
     try:
-        ws = parse_spec(text)
+        ws = parse_spec(_read_file(args.file) if args.file else sys.stdin.read())
+    except OSError as e:
+        print(f"{source}: {e.strerror or e}", file=sys.stderr)
+        return 3
     except ParseError as e:
         print(f"{source}:{e.line}:{e.column}: {e}", file=sys.stderr)
         return 3

@@ -81,20 +81,51 @@ def set_product(table: CayleyTable, m1: int, m2: int) -> int:
     return acc
 
 
-def left_translate(table: CayleyTable, x: int, mask: int) -> int:
-    """{x*n : n in mask}."""
+def escape_witness(table: CayleyTable, mask: int, target: int,
+                   where: str) -> str | None:
+    """`x * y = z <where>` for the first pair of members of mask, in
+    canonical order, whose product z lies outside target; None when
+    every product stays inside."""
+    u = table.universe
+    elems = tuple(bit_indices(mask))
+    for x in elems:
+        row = table.rows[x]
+        for y in elems:
+            z = row[y]
+            if (target >> z) & 1 == 0:
+                return (f"{u.elements[x]} * {u.elements[y]} = {u.elements[z]} "
+                        f"{where}")
+    return None
+
+
+def associativity_witness(table: CayleyTable, mask: int) -> str | None:
+    """The first triple of members of mask, in canonical order, that
+    the operation does not associate, or None."""
+    u = table.universe
+    rows = table.rows
+    elems = tuple(bit_indices(mask))
+    for x in elems:
+        row_x = rows[x]
+        for y in elems:
+            row_xy = rows[row_x[y]]
+            row_y = rows[y]
+            for z in elems:
+                a = row_xy[z]
+                b = row_x[row_y[z]]
+                if a != b:
+                    return (f"({u.elements[x]} * {u.elements[y]}) * {u.elements[z]} = "
+                            f"{u.elements[a]} but {u.elements[x]} * "
+                            f"({u.elements[y]} * {u.elements[z]}) = {u.elements[b]}")
+    return None
+
+
+def inverses_in(table: CayleyTable, x: int, mask: int, e: int) -> int:
+    """Members y of mask with x*y = y*x = e."""
     row = table.rows[x]
     acc = 0
-    for j in bit_indices(mask):
-        acc |= 1 << row[j]
-    return acc
-
-
-def right_translate(table: CayleyTable, mask: int, x: int) -> int:
-    """{n*x : n in mask}."""
-    acc = 0
-    for i in bit_indices(mask):
-        acc |= 1 << table.rows[i][x]
+    for y in bit_indices(mask):
+        if row[y] == e and table.rows[y][x] == e:
+            acc |= 1 << y
     return acc
 
 
@@ -104,33 +135,19 @@ def group_axioms_witness(table: CayleyTable, mask: int) -> str | None:
     Checks closure of the subset under the table, associativity,
     a two-sided identity inside the subset, and inverses inside it.
     """
-    u = table.universe
+    wit = (escape_witness(table, mask, mask, "leaves the set")
+           or associativity_witness(table, mask))
+    if wit:
+        return wit
     elems = tuple(bit_indices(mask))
-    for x in elems:
-        for y in elems:
-            z = table.rows[x][y]
-            if (mask >> z) & 1 == 0:
-                return (f"{u.elements[x]} * {u.elements[y]} = {u.elements[z]} "
-                        "leaves the set")
-    for x in elems:
-        for y in elems:
-            for z in elems:
-                a = table.rows[table.rows[x][y]][z]
-                b = table.rows[x][table.rows[y][z]]
-                if a != b:
-                    return (f"({u.elements[x]} * {u.elements[y]}) * {u.elements[z]} = "
-                            f"{u.elements[a]} but {u.elements[x]} * "
-                            f"({u.elements[y]} * {u.elements[z]}) = {u.elements[b]}")
-    e = None
-    for c in elems:
-        if all(table.rows[x][c] == x and table.rows[c][x] == x for x in elems):
-            e = c
-            break
+    e = next((c for c in elems
+              if all(table.rows[x][c] == x and table.rows[c][x] == x
+                     for x in elems)), None)
     if e is None:
         return "no identity element in the set"
     for x in elems:
-        if not any(table.rows[x][y] == e and table.rows[y][x] == e for y in elems):
-            return f"{u.elements[x]} has no inverse in the set"
+        if not inverses_in(table, x, mask, e):
+            return f"{table.universe.elements[x]} has no inverse in the set"
     return None
 
 
@@ -207,35 +224,10 @@ def verify_rough_group(
     up_elems = tuple(bit_indices(upper))
     clauses = []
 
-    wit = None
-    for x in g_elems:
-        for y in g_elems:
-            z = table.rows[x][y]
-            if (upper >> z) & 1 == 0:
-                wit = (f"{u.elements[x]} * {u.elements[y]} = {u.elements[z]} "
-                       "escapes the upper approximation")
-                break
-        if wit:
-            break
+    wit = escape_witness(table, g_mask, upper,
+                         "escapes the upper approximation")
     clauses.append(Clause("products-in-upper", FAIL if wit else PASS, wit))
-
-    wit = None
-    for x in up_elems:
-        for y in up_elems:
-            xy = table.rows[x][y]
-            row_x = table.rows[x]
-            for z in up_elems:
-                a = table.rows[xy][z]
-                b = row_x[table.rows[y][z]]
-                if a != b:
-                    wit = (f"({u.elements[x]} * {u.elements[y]}) * {u.elements[z]} = "
-                           f"{u.elements[a]} but {u.elements[x]} * "
-                           f"({u.elements[y]} * {u.elements[z]}) = {u.elements[b]}")
-                    break
-            if wit:
-                break
-        if wit:
-            break
+    wit = associativity_witness(table, upper)
     clauses.append(Clause("associativity-on-upper", FAIL if wit else PASS, wit))
 
     identities = tuple(
@@ -278,10 +270,7 @@ def verify_rough_group(
     else:
         wit = None
         for x in g_elems:
-            inv = 0
-            for y in g_elems:
-                if table.rows[x][y] == e and table.rows[y][x] == e:
-                    inv |= 1 << y
+            inv = inverses_in(table, x, g_mask, e)
             if inv == 0 and wit is None:
                 wit = (f"{u.elements[x]} has no inverse in G with respect to "
                        f"identity {u.elements[e]}")
@@ -310,29 +299,15 @@ def verify_rough_subgroup(parent: RoughGroupCert, h_mask: int) -> VerificationRe
         )
     table = parent.table
     upper_h = upper_approx(parent.space, h_mask)
-    h_elems = tuple(bit_indices(h_mask))
     e = parent.designated_e
-    clauses = []
-
-    wit = None
-    for x in h_elems:
-        for y in h_elems:
-            z = table.rows[x][y]
-            if (upper_h >> z) & 1 == 0:
-                wit = (f"{u.elements[x]} * {u.elements[y]} = {u.elements[z]} "
-                       "escapes the upper approximation of H")
-                break
-        if wit:
-            break
-    clauses.append(Clause("products-in-upper", FAIL if wit else PASS, wit))
-
-    wit = None
-    for x in h_elems:
-        if not any(table.rows[x][y] == e and table.rows[y][x] == e
-                   for y in h_elems):
-            wit = (f"{u.elements[x]} has no inverse inside H with respect to "
-                   f"identity {u.elements[e]}")
-            break
+    wit = escape_witness(table, h_mask, upper_h,
+                         "escapes the upper approximation of H")
+    clauses = [Clause("products-in-upper", FAIL if wit else PASS, wit)]
+    x = next((x for x in bit_indices(h_mask)
+              if not inverses_in(table, x, h_mask, e)), None)
+    wit = None if x is None else (
+        f"{u.elements[x]} has no inverse inside H with respect to "
+        f"identity {u.elements[e]}")
     clauses.append(Clause("inverses-in-H", FAIL if wit else PASS, wit))
     return combine("rough-subgroup", clauses,
                    stats=[("upper-size", popcount(upper_h))])
@@ -357,8 +332,8 @@ def is_rough_normal(parent: RoughGroupCert, n_mask: int) -> VerificationReport:
     clauses = [Clause("premise-rough-subgroup", PASS)]
     wit = None
     for x in bit_indices(parent.g_mask):
-        xn = left_translate(table, x, n_mask)
-        nx = right_translate(table, n_mask, x)
+        xn = set_product(table, 1 << x, n_mask)
+        nx = set_product(table, n_mask, 1 << x)
         if xn != nx:
             wit = (f"x = {u.elements[x]}: x*N = {u.set_str(xn)} but "
                    f"N*x = {u.set_str(nx)}")
@@ -434,17 +409,12 @@ def verify_rough_homomorphism(
     constrained = 0
     unconstrained = 0
     wit = None
-    first_escape = None
     for x in up1:
         fx = fmap.apply(x)
         for y in up1:
             z = s_table.rows[x][y]
             if (src.upper >> z) & 1 == 0:
                 unconstrained += 1
-                if first_escape is None:
-                    first_escape = (f"{su.elements[x]} * {su.elements[y]} = "
-                                    f"{su.elements[z]} leaves the source upper "
-                                    "approximation")
                 continue
             constrained += 1
             lhs = fmap.apply(z)
@@ -455,8 +425,9 @@ def verify_rough_homomorphism(
                        f"map({su.elements[y]}) = {tu.elements[rhs]}")
     clauses = [Clause("compatibility", FAIL if wit else PASS, wit)]
     if strict:
-        clauses.append(Clause("upper-closed", FAIL if first_escape else PASS,
-                              first_escape))
+        escape = escape_witness(s_table, src.upper, src.upper,
+                                "leaves the source upper approximation")
+        clauses.append(Clause("upper-closed", FAIL if escape else PASS, escape))
     injective = fmap.is_injective()
     surjective = fmap.image_mask() == tgt.upper
     if injective and surjective:

@@ -13,12 +13,15 @@ genuinely disagree on some inputs, so every report names the mode).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from .approx import DEFAULT_UNIVERSE_CAP, bit_indices, pair_name
 from .errors import InputError
 from .groups import (
     RoughGroupCert,
+    escape_witness,
     group_axioms_witness,
+    inverses_in,
     product_rough_group,
     set_product,
     verify_rough_subgroup,
@@ -46,6 +49,11 @@ from .topology import (
 )
 
 CODOMAIN_MODES = ("upper", "relative")
+INVERSE_CONVENTION = Clause(
+    "inverse-convention", INFO,
+    "inverses taken inside the upper approximation with respect to the "
+    "designated identity",
+)
 
 
 @dataclass(frozen=True)
@@ -91,7 +99,7 @@ def _product_map_clause(
     named by the first open of `cod` whose preimage is not open in the
     product topology on G x G; the product space is never built.
 
-    Pairs whose product escapes the codomain carrier (possible in
+    Pairs whose product lies outside the codomain carrier (possible in
     strict mode, where the carrier is G but products only promise to
     stay in the upper approximation) lie in no preimage.
     """
@@ -204,14 +212,9 @@ def upper_inverse_set(cert: TRGCert, v_mask: int) -> int:
         raise InputError(
             f"V = {u.set_str(v_mask)} is not a subset of the upper approximation"
         )
-    table = cert.table
-    e = cert.e
     acc = 0
-    for y in bit_indices(cert.upper):
-        for x in bit_indices(v_mask):
-            if table.rows[x][y] == e and table.rows[y][x] == e:
-                acc |= 1 << y
-                break
+    for x in bit_indices(v_mask):
+        acc |= inverses_in(cert.table, x, cert.upper, cert.e)
     return acc
 
 
@@ -291,11 +294,10 @@ def check_open_iff_inverse_open(cert: TRGCert) -> VerificationReport:
     return combine("open-inverse", clauses)
 
 
-def find_symmetric_square_nbhd(
-    cert: TRGCert, w_mask: int
-) -> tuple[int | None, VerificationReport]:
-    """Search for an open V containing the identity with V = V^-1 and
-    V*V inside W, scanning the opens of tau in canonical order."""
+def symmetric_square_nbhds(cert: TRGCert, w_mask: int) -> Iterator[int]:
+    """The opens V of tau, in canonical order, with the identity in V,
+    V = V^-1 and V*V inside W.  W must be open and hold the identity;
+    that is checked at once, the opens are scanned as they are drawn."""
     u = cert.universe
     if not cert.tau.is_open(w_mask):
         raise InputError(f"W = {u.set_str(w_mask)} is not open in the topology")
@@ -303,29 +305,26 @@ def find_symmetric_square_nbhd(
         raise InputError(
             f"the designated identity {u.elements[cert.e]} is not a member of W"
         )
-    clauses = [Clause(
-        "inverse-convention", INFO,
-        "inverses taken inside the upper approximation with respect to the "
-        "designated identity",
-    )]
-    found = None
-    for v in cert.tau.opens:
-        if (v >> cert.e) & 1 == 0:
-            continue
-        if upper_inverse_set(cert, v) != v:
-            continue
-        if set_product(cert.table, v, v) & ~w_mask:
-            continue
-        found = v
-        break
+    return (v for v in cert.tau.opens
+            if (v >> cert.e) & 1
+            and upper_inverse_set(cert, v) == v
+            and set_product(cert.table, v, v) & ~w_mask == 0)
+
+
+def find_symmetric_square_nbhd(
+    cert: TRGCert, w_mask: int
+) -> tuple[int | None, VerificationReport]:
+    """The first open V of `symmetric_square_nbhds`, or None."""
+    found = next(symmetric_square_nbhds(cert, w_mask), None)
     if found is None:
-        clauses.append(Clause(
+        clause = Clause(
             "witness-found", FAIL,
             "no open V with the identity in V, V = V^-1, and V*V inside W",
-        ))
+        )
     else:
-        clauses.append(Clause("witness-found", PASS, f"V = {u.set_str(found)}"))
-    return found, combine("symmetric-square", clauses)
+        clause = Clause("witness-found", PASS,
+                        f"V = {cert.universe.set_str(found)}")
+    return found, combine("symmetric-square", [INVERSE_CONVENTION, clause])
 
 
 def check_topological_group(cert: TRGCert) -> VerificationReport:
@@ -434,17 +433,8 @@ def check_base_translation(cert: TRGCert, members) -> VerificationReport:
         "premise-identity-in-G", PASS if ok else NOT_APPLICABLE,
         None if ok else f"designated identity {u.elements[e]} lies outside G",
     ))
-    wit = None
-    for x in bit_indices(cert.upper):
-        row = table.rows[x]
-        for y in bit_indices(cert.upper):
-            z = row[y]
-            if (cert.upper >> z) & 1 == 0:
-                wit = (f"{u.elements[x]} * {u.elements[y]} = {u.elements[z]} "
-                       "leaves the upper approximation")
-                break
-        if wit:
-            break
+    wit = escape_witness(table, cert.upper, cert.upper,
+                         "leaves the upper approximation")
     premises.append(Clause("premise-upper-closed",
                            NOT_APPLICABLE if wit else PASS, wit))
     ok = cert.tau.is_open(cert.g_mask)

@@ -1,10 +1,17 @@
 """Command-line behavior: exit codes, report texts, JSON, error paths."""
 
 import json
+import sys
+from pathlib import Path
 
 import pytest
 
 from conftest import FIXDIR, run_cli
+
+# Recorded stdout, stderr and exit code of every MATRIX row, in text and
+# in --json mode. Regenerate after a deliberate output change with
+#   PYTHONPATH=src python tests/test_cli.py --record
+GOLDEN = Path(__file__).resolve().parent / "golden" / "matrix.json"
 
 # (fixture, argv tail, expected exit code) covering every subcommand,
 # every proposition, and all four exit codes.
@@ -77,6 +84,32 @@ def test_json_mode_matches_text_mode(fixture, tail, expected):
     payload = json.loads(out)
     verdict = {0: "pass", 1: "fail", 2: "not-applicable", 3: "error"}[expected]
     assert payload["verdict"] == verdict
+
+
+def _golden_key(fixture: str, tail: str, mode: str) -> str:
+    return f"{fixture} {tail} [{mode}]"
+
+
+def _matrix_runs():
+    for fixture, tail, _ in MATRIX:
+        for mode, extra in (("text", []), ("json", ["--json"])):
+            code, out, err = run_cli(tail.split() + extra, fixture=fixture)
+            yield _golden_key(fixture, tail, mode), {
+                "exit": code, "stdout": out, "stderr": err}
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(GOLDEN.read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("mode", ["text", "json"])
+@pytest.mark.parametrize("fixture,tail", [row[:2] for row in MATRIX])
+def test_matrix_matches_golden(golden, fixture, tail, mode):
+    extra = ["--json"] if mode == "json" else []
+    code, out, err = run_cli(tail.split() + extra, fixture=fixture)
+    assert {"exit": code, "stdout": out, "stderr": err} == \
+        golden[_golden_key(fixture, tail, mode)]
 
 
 def test_trg_report_text():
@@ -200,6 +233,42 @@ def test_parse_error_goes_to_stderr():
     assert err == f"{path}:2:17: unknown element '5' in universe UA\n"
 
 
+@pytest.mark.parametrize("data, where", [
+    (b"\xff", "1:1: invalid UTF-8 byte 0xff"),
+    # columns count characters: the two-byte \u00e9 is one column
+    ("universe U: \u00e9 ".encode() + b"\xff b\n", "1:15: invalid UTF-8 byte 0xff"),
+    # \r\n and a lone \r end lines, as in text-mode reading
+    (b"# one\r\n# two\rx\ny \x80\n", "4:3: invalid UTF-8 byte 0x80"),
+])
+def test_undecodable_file_is_a_diagnostic(tmp_path, data, where):
+    path = tmp_path / "bad.rg"
+    path.write_bytes(data)
+    code, out, err = run_cli(
+        "check rough-group --table T --partition P --group G".split()
+        + ["--file", str(path)])
+    assert code == 3
+    assert out == ""
+    assert err == f"{path}:{where}\n"
+
+
+def test_crlf_file_reads_like_lf(tmp_path):
+    path = tmp_path / "crlf.rg"
+    path.write_bytes((FIXDIR / "zmod3.rg").read_bytes().replace(b"\n", b"\r\n"))
+    tail = "check trg --table TA --partition PA --group GA --topology tauA".split()
+    assert run_cli(tail + ["--file", str(path)]) == run_cli(tail, fixture="zmod3.rg")
+
+
+def test_enumerate_witness_refuses_W_without_the_identity():
+    tail = ("--w GA --table TA --partition PA --group GA "
+            "--topology tauA").split()
+    for argv in (["enumerate", "witness"], ["check", "prop", "symmetric-square"]):
+        code, out, err = run_cli(argv + tail, fixture="zmod3.rg")
+        assert code == 3
+        assert out.endswith("  input: error  witness: the designated identity 0 "
+                            "is not a member of W\n")
+        assert err == ""
+
+
 @pytest.mark.parametrize("argv, message", [
     (["check", "nope"], "roughtop check: error: argument kind: invalid choice: 'nope'"),
     (["check", "trg", "--bogus"], "roughtop: error: unrecognized arguments: --bogus"),
@@ -234,3 +303,9 @@ def test_output_is_deterministic():
     assert runs[0] == runs[1]
     json_runs = [run_cli(tail + ["--json"], fixture="s4.rg") for _ in range(2)]
     assert json_runs[0] == json_runs[1]
+
+
+if __name__ == "__main__" and sys.argv[1:] == ["--record"]:
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(json.dumps(dict(_matrix_runs()), indent=1,
+                                 ensure_ascii=False) + "\n", encoding="utf-8")

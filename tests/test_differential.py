@@ -6,6 +6,7 @@ so a fast path that reaches the right verdict with a different witness
 fails here.
 """
 
+import dataclasses
 import itertools
 import random
 
@@ -21,12 +22,22 @@ from roughtop.topology import (
     generate_topology,
     is_continuous,
     product_topology,
+    subspace_topology,
     verify_topology,
 )
-from roughtop.trg import decide_trg, verify_trg
+from roughtop.trg import (
+    decide_trg,
+    find_symmetric_square_nbhd,
+    symmetric_square_nbhds,
+    verify_trg,
+)
 
 from conftest import (
+    FIXDIR,
     cert_of,
+    mask_to_set,
+    run_cli,
+    set_to_mask,
     oracle_all_topologies,
     oracle_enumerate_topologies,
     oracle_generate_opens,
@@ -198,3 +209,61 @@ def test_homogeneity_matches_oracle_on_every_small_topology():
             assert is_rough_homogeneous(rs) == oracle_is_rough_homogeneous(u, carrier, fam)
             checked += 1
     assert checked == 1 + 1 + 4 + 29 + 355
+
+
+def _brute_symmetric_squares(rows, e: int, upper: frozenset, fam, w: frozenset):
+    """Opens V of the family, in its order, with e in V, V equal to its
+    rough inverse inside the upper approximation, and V*V inside W."""
+    out = []
+    for v in map(mask_to_set, fam):
+        inverse = {y for y in upper for x in v if rows[x][y] == e == rows[y][x]}
+        square = {rows[x][y] for x in v for y in v}
+        if e in v and inverse == v and square <= w:
+            out.append(set_to_mask(v))
+    return out
+
+
+def test_symmetric_square_nbhds_match_brute_force_on_every_zmod3_topology(fixa_trg):
+    """Every topology on the upper approximation of the zmod3 fixture and
+    every open W holding the identity.  Topologies that make a TRG are
+    also run through `enumerate witness` on the command line."""
+    group = fixa_trg.group
+    u = group.space.universe
+    rows, e = group.table.rows, group.designated_e
+    source = (FIXDIR / "zmod3.rg").read_text(encoding="utf-8")
+
+    def spelled(mask: int) -> str:
+        return " ".join(u.elements[i] for i in sorted(mask_to_set(mask)))
+
+    families = list(_topologies_on(u, group.upper))
+    assert len(families) == 29
+    cases = found = via_cli = 0
+    for fam in families:
+        tau = FiniteTopology(u, group.upper, fam)
+        cert = dataclasses.replace(fixa_trg, tau=tau,
+                                   tau_G=subspace_topology(tau, group.g_mask))
+        is_trg = decide_trg(group, tau)[0].passed
+        for w in fam:
+            if not w >> e & 1:
+                continue
+            want = _brute_symmetric_squares(
+                rows, e, mask_to_set(group.upper), fam, mask_to_set(w))
+            assert list(symmetric_square_nbhds(cert, w)) == want, (fam, w)
+            assert find_symmetric_square_nbhd(cert, w)[0] == (want[0] if want else None)
+            cases += 1
+            found += bool(want)
+            if not is_trg:
+                continue
+            opens = " ".join("{" + spelled(o) + "}" for o in fam)
+            doc = (source + f"topology tauX on GbarA: {opens}\n"
+                   f"subset WX of UA: {spelled(w)}\n")
+            code, out, _ = run_cli(
+                ("enumerate witness --w WX --table TA --partition PA --group GA "
+                 "--topology tauX").split(), stdin=doc)
+            assert code == 0
+            items = [line.split("witness: ")[1] for line in out.splitlines()
+                     if line.startswith("  item-")]
+            assert items == [u.set_str(v) for v in want]
+            via_cli += 1
+    assert 0 < found < cases
+    assert via_cli > 0

@@ -1,6 +1,7 @@
-"""Seeded mutation fuzzing: the shipped fixtures with bytes and lines
-flipped, deleted and duplicated.  The parser may only reject a document
-with ParseError, and the CLI may only exit 0-3, never with a traceback.
+"""Seeded mutation fuzzing: the shipped fixtures with characters, lines
+and raw bytes flipped, deleted and duplicated.  The parser may only
+reject a document with ParseError, and the CLI may only exit 0-3, never
+with a traceback.
 """
 
 import random
@@ -62,5 +63,34 @@ def test_cli_exits_0_to_3_on_mutated_fixtures():
         text = _mutate(rng, (FIXDIR / fixture).read_text())
         code, _, _ = run_cli(tail.split(), stdin=text)
         assert code in (0, 1, 2, 3), (fixture, tail, text)
+        codes.add(code)
+    assert 3 in codes and 0 in codes
+
+
+def _mutate_bytes(rng: random.Random, data: bytes) -> bytes:
+    """One to three byte edits: overwrite a byte with any value, most
+    often one of 0x80-0xff, or delete or duplicate one."""
+    data = bytearray(data)
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(data))
+        kind = rng.randrange(4)
+        if kind < 2:
+            data[i] = rng.randrange(0x80, 0x100) if kind == 0 else rng.randrange(0x100)
+        elif kind == 2:
+            del data[i]
+        else:
+            data.insert(i, data[i])
+    return bytes(data)
+
+
+def test_cli_exits_0_to_3_on_byte_mutated_files(tmp_path):
+    rng = random.Random(1810)
+    path = tmp_path / "mutated.rg"
+    codes = set()
+    for _ in range(100):
+        fixture, tail, _ = rng.choice(MATRIX)
+        path.write_bytes(_mutate_bytes(rng, (FIXDIR / fixture).read_bytes()))
+        code, _, _ = run_cli(tail.split() + ["--file", str(path)])
+        assert code in (0, 1, 2, 3), (fixture, tail, path.read_bytes())
         codes.add(code)
     assert 3 in codes and 0 in codes
