@@ -23,7 +23,7 @@ from .approx import (
     product_universe,
     upper_approx,
 )
-from .errors import CapExceededError, InputError
+from .errors import InputError
 from .groups import (
     escape_witness,
     group_axioms_witness,
@@ -49,7 +49,6 @@ from .topology import (
 from .trg import TRGCert
 
 SIDES = ("left", "right")
-DEFAULT_BIJECTION_CAP = 8
 
 
 @dataclass(frozen=True)
@@ -291,75 +290,32 @@ def translation_map(
     return fmap, combine("translation", clauses)
 
 
-def _automorphism(points, nbhd, key, p: int, q: int) -> dict | None:
-    """A bijection f of the points with f(p) = q and f(a) in N(f(b))
-    iff a in N(b), found by backtracking over images of matching key,
-    or None when there is none."""
-    order = (p,) + tuple(x for x in points if x != p)
-    image: dict[int, int] = {}
-
-    def extend(i: int, used: int) -> bool:
-        if i == len(order):
-            return True
-        a = order[i]
-        for b in (q,) if i == 0 else points:
-            if used >> b & 1 or key[b] != key[a]:
-                continue
-            if all((nbhd[a] >> c & 1) == (nbhd[b] >> d & 1)
-                   and (nbhd[c] >> a & 1) == (nbhd[d] >> b & 1)
-                   for c, d in image.items()):
-                image[a] = b
-                if extend(i + 1, used | 1 << b):
-                    return True
-                del image[a]
-        return False
-
-    return image if extend(0, 0) else None
-
-
-def is_rough_homogeneous(
-    rspace: RoughSpace, cap: int = DEFAULT_BIJECTION_CAP
-) -> tuple[bool, str | None]:
+def is_rough_homogeneous(rspace: RoughSpace) -> tuple[bool, str | None]:
     """Every ordered pair of points of upper(X) is connected by some
     self-homeomorphism.
 
-    A bijection of a finite space is a homeomorphism exactly when it is
-    an automorphism of the specialization preorder (q in N(p) iff f(q)
-    in N(f(p))).  The orbits of the automorphism group are built by
-    searching, for each pair of points not yet known to share an orbit,
-    for an automorphism joining them; candidates are pruned by |N(p)|,
-    the size of the closure of {p}, and the points already assigned.
+    Rule: give each point p the key (|N(p)|, |closure of {p}|); the
+    space is homogeneous iff all keys are equal.  A homeomorphism of a
+    finite space is an automorphism of its specialization preorder
+    (a in N(b)), so it preserves both sizes, which makes the key an
+    invariant.  Conversely, if all |N(p)| are equal, a in N(b) gives
+    N(a) inside N(b) of the same size, hence N(a) = N(b): the preorder
+    is an equivalence whose classes are the neighbourhoods, all open
+    and of one size, and a bijection carrying classes to classes joins
+    any two points.
+
+    Witness: p is the first point and q the first point whose key
+    differs from p's; no self-homeomorphism carries p to q.
     """
     xu = rspace.space.universe
-    points = tuple(bit_indices(rspace.upper_x))
-    n = len(points)
-    if n > cap:
-        raise CapExceededError(
-            f"homogeneity enumerates bijections of up to {cap} points, got "
-            f"{n}; use translation maps of a verified action for one-sided "
-            "evidence instead"
-        )
     top = rspace.tau_x
-    nbhd = top.nbhd
-    key = {p: (nbhd[p].bit_count(), top.up[p].bit_count()) for p in points}
-    orbit = {p: 1 << p for p in points}
-    for p in points:
-        for q in points:
-            if orbit[p] >> q & 1 or key[p] != key[q]:
-                continue
-            f = _automorphism(points, nbhd, key, p, q)
-            if f is None:
-                continue
-            for a, b in f.items():
-                joined = orbit[a] | orbit[b]
-                for c in bit_indices(joined):
-                    orbit[c] = joined
-    for p in points:
-        missing = rspace.upper_x & ~orbit[p]
-        if missing:
-            q = (missing & -missing).bit_length() - 1
-            return False, (f"no self-homeomorphism carries {xu.elements[p]} "
-                           f"to {xu.elements[q]}")
+    nbhd, up = top.nbhd, top.up
+    points = tuple(bit_indices(rspace.upper_x))
+    key = [(nbhd[p].bit_count(), up[p].bit_count()) for p in points]
+    for q, k in zip(points, key):
+        if k != key[0]:
+            return False, (f"no self-homeomorphism carries "
+                           f"{xu.elements[points[0]]} to {xu.elements[q]}")
     return True, None
 
 

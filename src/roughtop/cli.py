@@ -27,6 +27,7 @@ from .actions import (
 from .approx import ApproxSpace, popcount
 from .errors import InputError, ParseError
 from .groups import (
+    DEFAULT_SUBGROUP_ENUM_CAP,
     enumerate_rough_subgroups,
     is_rough_normal,
     rough_kernel,
@@ -102,9 +103,8 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--file", help="input document (default: stdin)")
         sp.add_argument("--json", action="store_true",
                         help="emit the report as JSON")
-        sp.add_argument("--cap", type=int, default=None,
-                        help="size cap override for enumerating subgroups and "
-                             "for the homogeneity search")
+        sp.add_argument("--cap", type=int, default=DEFAULT_SUBGROUP_ENUM_CAP,
+                        help="size cap for enumerating subgroups")
         sp.add_argument("--strict-hom", action="store_true",
                         help="also require the source upper approximation to "
                              "be closed under the operation")
@@ -232,10 +232,6 @@ def _with_kernel_info(report: VerificationReport, hom) -> VerificationReport:
                    verdict=report.verdict)
 
 
-def _cap(args, default: int) -> int:
-    return args.cap if args.cap is not None else default
-
-
 def _rough_space(ws: Workspace, args, check: str) -> RoughSpace:
     x_uname, xu, x_mask = ws.set_ref(_need(args, "x-subset", check))
     pname = _need(args, "x-partition", check)
@@ -315,7 +311,7 @@ def _run_check(ws: Workspace, args) -> VerificationReport:
         return rep
     if kind == "homogeneous":
         rspace = _rough_space(ws, args, kind)
-        ok, wit = is_rough_homogeneous(rspace, cap=_cap(args, 8))
+        ok, wit = is_rough_homogeneous(rspace)
         clause = Clause("orbit-transitivity", PASS if ok else FAIL, wit)
         return combine("homogeneous", [clause],
                        stats=[("points", popcount(rspace.upper_x))])
@@ -384,7 +380,7 @@ def _run_enumerate(ws: Workspace, args) -> VerificationReport:
         cert, na = _group_cert(ws, args, "enumerate-subgroups")
         if cert is None:
             return na
-        found = enumerate_rough_subgroups(cert, cap=_cap(args, 20))
+        found = enumerate_rough_subgroups(cert, cap=args.cap)
         u = cert.space.universe
         clauses = [
             Clause(f"item-{i}", INFO, u.set_str(mask))
@@ -433,12 +429,10 @@ def _run_enumerate(ws: Workspace, args) -> VerificationReport:
     raise InputError(f"unknown enumeration {what!r}")
 
 
-def _read_file(path: str) -> str:
-    """The file as UTF-8 text with universal newlines, as text-mode
-    `open` reads it; a byte that does not decode is a ParseError at the
-    line and column the parser would give its character."""
-    with open(path, "rb") as fh:
-        data = fh.read()
+def _decode(data: bytes) -> str:
+    """The bytes as UTF-8 text with universal newlines, as text-mode
+    `open` reads them; a byte that does not decode is a ParseError at
+    the line and column the parser would give its character."""
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as e:
@@ -447,6 +441,17 @@ def _read_file(path: str) -> str:
                          head.count("\n") + 1,
                          len(head) - head.rfind("\n")) from None
     return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
+def _read_input(path: str | None) -> str:
+    """The document from the file, or else from stdin.  Stdin is decoded
+    from its bytes like a file; a text-only stream (no `buffer`, as an
+    in-memory StringIO) is read as text."""
+    if path:
+        with open(path, "rb") as fh:
+            return _decode(fh.read())
+    buf = getattr(sys.stdin, "buffer", None)
+    return sys.stdin.read() if buf is None else _decode(buf.read())
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -462,7 +467,7 @@ def main(argv: list[str] | None = None) -> int:
         return 3
     source = args.file or "<stdin>"
     try:
-        ws = parse_spec(_read_file(args.file) if args.file else sys.stdin.read())
+        ws = parse_spec(_read_input(args.file))
     except OSError as e:
         print(f"{source}: {e.strerror or e}", file=sys.stderr)
         return 3

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .approx import bit_indices
 from .groups import RoughHom, verify_rough_homomorphism
 from .report import (
     FAIL,
@@ -64,6 +65,16 @@ def verify_trg_homomorphism(
     return report, TRGHom(src, tgt, fmap, algebra, cont)
 
 
+def _composite_moves(first: FiniteMap, then: FiniteMap,
+                     mask: int) -> str | None:
+    """`composite moves x` for the first x of mask with then(first(x))
+    other than x, or None."""
+    for x in bit_indices(mask):
+        if then.apply(first.apply(x)) != x:
+            return f"composite moves {first.domain_universe.elements[x]}"
+    return None
+
+
 def verify_trg_homeomorphism(hom: TRGHom) -> VerificationReport:
     """Bijectivity plus a verified inverse homomorphism.
 
@@ -75,7 +86,6 @@ def verify_trg_homeomorphism(hom: TRGHom) -> VerificationReport:
     homeomorphism must carry the source G onto the target G.
     """
     fmap = hom.fmap
-    su = hom.src.universe
     tu = hom.tgt.universe
     if not fmap.is_bijective():
         wit = ("map is not injective" if not fmap.is_injective()
@@ -87,27 +97,14 @@ def verify_trg_homeomorphism(hom: TRGHom) -> VerificationReport:
     clauses.append(Clause("inverse-homomorphism", inv_rep.verdict,
                           inv_rep.first_witness()))
 
-    wit = None
-    for x in range(su.size):
-        if (hom.src.g_mask >> x) & 1 and inverse.apply(fmap.apply(x)) != x:
-            wit = f"composite moves {su.elements[x]}"
-            break
-    clauses.append(Clause("composite-identity-on-source-G",
-                          FAIL if wit else PASS, wit))
-    wit = None
-    for x in range(su.size):
-        if (hom.src.upper >> x) & 1 and inverse.apply(fmap.apply(x)) != x:
-            wit = f"composite moves {su.elements[x]}"
-            break
-    clauses.append(Clause("composite-identity-on-source-upper",
-                          FAIL if wit else PASS, wit))
-    wit = None
-    for y in range(tu.size):
-        if (hom.tgt.upper >> y) & 1 and fmap.apply(inverse.apply(y)) != y:
-            wit = f"composite moves {tu.elements[y]}"
-            break
-    clauses.append(Clause("composite-identity-on-target-upper",
-                          FAIL if wit else PASS, wit))
+    for name, first, then, mask in (
+        ("source-G", fmap, inverse, hom.src.g_mask),
+        ("source-upper", fmap, inverse, hom.src.upper),
+        ("target-upper", inverse, fmap, hom.tgt.upper),
+    ):
+        wit = _composite_moves(first, then, mask)
+        clauses.append(Clause(f"composite-identity-on-{name}",
+                              FAIL if wit else PASS, wit))
     g_image = fmap.image_mask(hom.src.g_mask)
     clauses.append(Clause(
         "G-image", INFO,

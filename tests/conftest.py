@@ -263,8 +263,9 @@ def oracle_verify_trg(group, tau_opens, mode: str = "upper"):
                                           ("product-opens", len(prod))])
 
 
-def oracle_is_rough_homogeneous(universe, carrier: int, opens, cap: int = 8):
-    """Orbits by trying every bijection of the carrier against every open."""
+def oracle_homogeneity_orbits(carrier: int, opens, cap: int = 8) -> dict:
+    """p -> the mask of points some self-homeomorphism carries p to,
+    found by trying every bijection of the carrier against every open."""
     points = tuple(bit_indices(carrier))
     if len(points) > cap:
         raise CapExceededError(f"{len(points)} points exceed the cap of {cap}")
@@ -275,7 +276,14 @@ def oracle_is_rough_homogeneous(universe, carrier: int, opens, cap: int = 8):
         if all(sum(1 << assign[p] for p in bit_indices(o)) in members for o in opens):
             for p in points:
                 reach[p] |= 1 << assign[p]
-    for p in points:
+    return reach
+
+
+def oracle_is_rough_homogeneous(universe, carrier: int, opens, cap: int = 8):
+    """The verdict, and for the first point p whose orbit misses a point,
+    the first such point q."""
+    reach = oracle_homogeneity_orbits(carrier, opens, cap)
+    for p in bit_indices(carrier):
         missing = carrier & ~reach[p]
         if missing:
             q = (missing & -missing).bit_length() - 1

@@ -14,7 +14,7 @@ from roughtop.actions import (
     verify_rough_action,
 )
 from roughtop.approx import pair_name, product_mask, product_universe
-from roughtop.errors import CapExceededError, InputError
+from roughtop.errors import InputError
 from roughtop.groups import CayleyTable, verify_rough_group
 from roughtop.topology import FiniteMap, FiniteTopology
 from roughtop.trg import verify_trg
@@ -206,14 +206,19 @@ def test_homogeneity_two_points():
     assert is_rough_homogeneous(sym) == (True, None)
 
 
-def test_homogeneity_cap():
-    u = Universe(("0", "1", "2", "3"))
-    space = ApproxSpace(u, Partition.one_block(u))
-    rs = RoughSpace.make(
-        space, 0b1111, FiniteTopology(u, 0b1111, tuple(range(16))))
-    with pytest.raises(CapExceededError) as exc:
-        is_rough_homogeneous(rs, cap=3)
-    assert str(exc.value) == (
-        "homogeneity enumerates bijections of up to 3 points, got 4; use "
-        "translation maps of a verified action for one-sided evidence instead")
-    assert is_rough_homogeneous(rs, cap=4) == (True, None)
+def _space_of_nbhds(nbhd) -> RoughSpace:
+    u = Universe(tuple(str(p) for p in range(len(nbhd))))
+    carrier = u.all_mask
+    return RoughSpace.make(ApproxSpace(u, Partition.one_block(u)), carrier,
+                           FiniteTopology.from_nbhd(u, carrier, nbhd))
+
+
+def test_homogeneity_has_no_size_cap():
+    # 32 open two-point classes {2k, 2k+1}: homogeneous at 64 points
+    pairs = [0b11 << (p & ~1) for p in range(64)]
+    assert is_rough_homogeneous(_space_of_nbhds(pairs)) == (True, None)
+    # the last two points form a chain with 63 below 62: |N(62)| = 2, as
+    # for every pair point, so only the closure size of 62 tells it apart
+    chain = pairs[:62] + [0b11 << 62, 1 << 63]
+    assert is_rough_homogeneous(_space_of_nbhds(chain)) == (
+        False, "no self-homeomorphism carries 0 to 62")

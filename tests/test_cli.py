@@ -1,6 +1,8 @@
 """Command-line behavior: exit codes, report texts, JSON, error paths."""
 
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -233,13 +235,17 @@ def test_parse_error_goes_to_stderr():
     assert err == f"{path}:2:17: unknown element '5' in universe UA\n"
 
 
-@pytest.mark.parametrize("data, where", [
+UNDECODABLE = [
     (b"\xff", "1:1: invalid UTF-8 byte 0xff"),
     # columns count characters: the two-byte \u00e9 is one column
     ("universe U: \u00e9 ".encode() + b"\xff b\n", "1:15: invalid UTF-8 byte 0xff"),
     # \r\n and a lone \r end lines, as in text-mode reading
     (b"# one\r\n# two\rx\ny \x80\n", "4:3: invalid UTF-8 byte 0x80"),
-])
+    (b"universe U: a\n\xff\n", "2:1: invalid UTF-8 byte 0xff"),
+]
+
+
+@pytest.mark.parametrize("data, where", UNDECODABLE)
 def test_undecodable_file_is_a_diagnostic(tmp_path, data, where):
     path = tmp_path / "bad.rg"
     path.write_bytes(data)
@@ -249,6 +255,20 @@ def test_undecodable_file_is_a_diagnostic(tmp_path, data, where):
     assert code == 3
     assert out == ""
     assert err == f"{path}:{where}\n"
+
+
+@pytest.mark.parametrize("data, where", UNDECODABLE)
+def test_undecodable_stdin_is_a_diagnostic(data, where):
+    # a real process, so that stdin is a byte stream, not a StringIO
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), LC_ALL="C")
+    proc = subprocess.run(
+        [sys.executable, "-m", "roughtop", "check", "rough-group",
+         "--table", "T", "--partition", "P", "--group", "G"],
+        input=data, capture_output=True, env=env, timeout=60)
+    assert proc.returncode == 3
+    assert proc.stdout == b""
+    assert proc.stderr.decode() == f"<stdin>:{where}\n"
 
 
 def test_crlf_file_reads_like_lf(tmp_path):

@@ -41,6 +41,7 @@ from conftest import (
     oracle_all_topologies,
     oracle_enumerate_topologies,
     oracle_generate_opens,
+    oracle_homogeneity_orbits,
     oracle_is_continuous,
     oracle_is_rough_homogeneous,
     oracle_product_opens,
@@ -209,6 +210,40 @@ def test_homogeneity_matches_oracle_on_every_small_topology():
             assert is_rough_homogeneous(rs) == oracle_is_rough_homogeneous(u, carrier, fam)
             checked += 1
     assert checked == 1 + 1 + 4 + 29 + 355
+
+
+def _random_topology(rng: random.Random, n: int) -> tuple[int, ...]:
+    """Opens of a random topology on range(n): generated by a random
+    subbasis, or the unions of the blocks of a random partition (the
+    source of most homogeneous samples)."""
+    carrier = (1 << n) - 1
+    if rng.random() < 0.3:
+        label = [rng.randrange(rng.randint(1, n)) for _ in range(n)]
+        blocks = [sum(1 << p for p in range(n) if label[p] == b) for b in set(label)]
+        return oracle_generate_opens(carrier, blocks)
+    return oracle_generate_opens(
+        carrier, [rng.randrange(1 << n) for _ in range(rng.randint(0, 6))])
+
+
+def test_homogeneity_matches_oracle_orbits_on_random_topologies():
+    rng = random.Random(20261018)
+    verdicts = set()
+    for n, samples in ((5, 400), (6, 150)):
+        u = Universe(tuple(str(i) for i in range(n)))
+        carrier = (1 << n) - 1
+        space = ApproxSpace(u, Partition.singletons(u))
+        for _ in range(samples):
+            fam = _random_topology(rng, n)
+            rs = RoughSpace.make(space, carrier, FiniteTopology(u, carrier, fam))
+            ok, wit = is_rough_homogeneous(rs)
+            orbits = oracle_homogeneity_orbits(carrier, fam)
+            assert ok == all(o == carrier for o in orbits.values())
+            verdicts.add(ok)
+            if not ok:
+                p, q = wit.removeprefix("no self-homeomorphism carries ").split(" to ")
+                assert p == "0"
+                assert orbits[0] >> int(q) & 1 == 0
+    assert verdicts == {True, False}
 
 
 def _brute_symmetric_squares(rows, e: int, upper: frozenset, fam, w: frozenset):
