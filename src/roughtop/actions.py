@@ -14,8 +14,6 @@ group elements in the other order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .approx import (
     ApproxSpace,
     bit_indices,
@@ -30,6 +28,7 @@ from .groups import (
     set_product,
     verify_rough_subgroup,
 )
+from .record import Record
 from .report import (
     FAIL,
     NOT_APPLICABLE,
@@ -51,26 +50,24 @@ from .trg import TRGCert
 SIDES = ("left", "right")
 
 
-@dataclass(frozen=True)
-class RoughSpace:
+class RoughSpace(Record):
     """A rough set with a topology on its upper approximation."""
 
-    space: ApproxSpace
-    x_mask: int
-    upper_x: int
-    tau_x: FiniteTopology
+    _fields = ("space", "x_mask", "upper_x", "tau_x")
 
-    def __post_init__(self):
-        if upper_approx(self.space, self.x_mask) != self.upper_x:
+    def __init__(self, space: ApproxSpace, x_mask: int, upper_x: int,
+                 tau_x: FiniteTopology):
+        if upper_approx(space, x_mask) != upper_x:
             raise InputError(
                 "upper_x is not the upper approximation of X in this space"
             )
-        if self.tau_x.universe != self.space.universe:
+        if tau_x.universe != space.universe:
             raise InputError("topology is defined over a different universe")
-        if self.tau_x.carrier != self.upper_x:
+        if tau_x.carrier != upper_x:
             raise InputError(
                 "topology carrier is not the upper approximation of X"
             )
+        self._set(space=space, x_mask=x_mask, upper_x=upper_x, tau_x=tau_x)
 
     @classmethod
     def make(cls, space: ApproxSpace, x_mask: int,
@@ -78,20 +75,17 @@ class RoughSpace:
         return cls(space, x_mask, upper_approx(space, x_mask), tau_x)
 
 
-@dataclass(frozen=True)
-class RoughAction:
+class RoughAction(Record):
     """A verified action, with the evidence report attached."""
 
-    cert: TRGCert
-    rspace: RoughSpace
-    mu: FiniteMap
-    side: str
-    evidence: VerificationReport | None
+    _fields = ("cert", "rspace", "mu", "side", "evidence")
 
-    def __post_init__(self):
-        ng = self.cert.universe.size
-        nx = self.rspace.space.universe.size
-        object.__setattr__(self, "_second_size", nx if self.side == "left" else ng)
+    def __init__(self, cert: TRGCert, rspace: RoughSpace, mu: FiniteMap, side: str,
+                 evidence: VerificationReport | None):
+        ng = cert.universe.size
+        nx = rspace.space.universe.size
+        self._set(cert=cert, rspace=rspace, mu=mu, side=side, evidence=evidence,
+                  _second_size=nx if side == "left" else ng)
 
     def act(self, g: int, x: int) -> int:
         """mu applied to (g, x), regardless of argument order on disk."""

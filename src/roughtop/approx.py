@@ -8,10 +8,10 @@ out in a canonical order for free, which keeps reports byte-stable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
 from .errors import CapExceededError, InputError
+from .record import Record
 
 if TYPE_CHECKING:  # import cycle guard, types only
     from .groups import CayleyTable
@@ -31,19 +31,18 @@ def popcount(mask: int) -> int:
     return mask.bit_count()
 
 
-@dataclass(frozen=True)
-class Universe:
+class Universe(Record):
     """Ordered finite set of distinct, opaque element names."""
 
-    elements: tuple[str, ...]
+    _fields = ("elements",)
 
-    def __post_init__(self):
+    def __init__(self, elements: tuple[str, ...]):
         index: dict[str, int] = {}
-        for i, name in enumerate(self.elements):
+        for i, name in enumerate(elements):
             if name in index:
                 raise InputError(f"duplicate element name {name!r} in universe")
             index[name] = i
-        object.__setattr__(self, "_index", index)
+        self._set(elements=elements, _index=index)
 
     @property
     def size(self) -> int:
@@ -76,20 +75,17 @@ class Universe:
             raise InputError(f"{what} is not a subset of the universe")
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(Record):
     """Partition of a universe into nonempty disjoint covering blocks.
 
     Blocks are normalized to ascending mask order, so two partitions are
     equal exactly when they induce the same equivalence relation.
     """
 
-    universe: Universe
-    blocks: tuple[int, ...]
+    _fields = ("universe", "blocks")
 
-    def __post_init__(self):
-        blocks = tuple(sorted(self.blocks))
-        object.__setattr__(self, "blocks", blocks)
+    def __init__(self, universe: Universe, blocks: tuple[int, ...]):
+        blocks = tuple(sorted(blocks))
         union = 0
         for b in blocks:
             if b == 0:
@@ -97,14 +93,14 @@ class Partition:
             if b & union:
                 raise InputError("partition blocks overlap")
             union |= b
-        if union != self.universe.all_mask:
-            missing = self.universe.set_str(self.universe.all_mask & ~union)
+        if union != universe.all_mask:
+            missing = universe.set_str(universe.all_mask & ~union)
             raise InputError(f"partition does not cover the universe; missing {missing}")
-        arr = [-1] * self.universe.size
+        arr = [-1] * universe.size
         for bi, b in enumerate(blocks):
             for i in bit_indices(b):
                 arr[i] = bi
-        object.__setattr__(self, "_block_of", tuple(arr))
+        self._set(universe=universe, blocks=blocks, _block_of=tuple(arr))
 
     @classmethod
     def from_names(cls, universe: Universe, named_blocks) -> "Partition":
@@ -125,23 +121,21 @@ class Partition:
         return self.blocks[self._block_of[i]]
 
 
-@dataclass(frozen=True)
-class ApproxSpace:
+class ApproxSpace(Record):
     """A universe with an equivalence partition and an optional operation."""
 
-    universe: Universe
-    partition: Partition
-    op: "CayleyTable | None" = None
+    _fields = ("universe", "partition", "op")
 
-    def __post_init__(self):
-        if self.partition.universe != self.universe:
+    def __init__(self, universe: Universe, partition: Partition,
+                 op: CayleyTable | None = None):
+        if partition.universe != universe:
             raise InputError("partition is defined on a different universe")
-        if self.op is not None and self.op.universe != self.universe:
+        if op is not None and op.universe != universe:
             raise InputError("operation table is defined on a different universe")
+        self._set(universe=universe, partition=partition, op=op)
 
 
-@dataclass(frozen=True)
-class RoughSet:
+class RoughSet(NamedTuple):
     """A subset together with its lower and upper approximations."""
 
     space: ApproxSpace

@@ -91,6 +91,18 @@ def _shim_argv(argv: list[str]) -> list[str]:
     return out
 
 
+def _non_negative_int(text: str) -> int:
+    """A non-negative integer option value; anything else is a usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer, got {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="roughtop",
@@ -103,7 +115,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--file", help="input document (default: stdin)")
         sp.add_argument("--json", action="store_true",
                         help="emit the report as JSON")
-        sp.add_argument("--cap", type=int, default=DEFAULT_SUBGROUP_ENUM_CAP,
+        sp.add_argument("--cap", type=_non_negative_int, default=DEFAULT_SUBGROUP_ENUM_CAP,
                         help="size cap for enumerating subgroups")
         sp.add_argument("--strict-hom", action="store_true",
                         help="also require the source upper approximation to "
@@ -134,7 +146,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--open", dest="open_set")
         sp.add_argument("--subset")
         sp.add_argument("--base-member", action="append", default=[])
-        sp.add_argument("--max-size", type=int, default=3)
+        sp.add_argument("--max-size", type=_non_negative_int, default=3)
 
     cp = sub.add_parser("check", help="verify one structure or theorem instance")
     cp.add_argument("kind", choices=_CHECK_KINDS)

@@ -12,8 +12,6 @@ bitmasks over the universe's canonical order throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .approx import (
     DEFAULT_UNIVERSE_CAP,
     ApproxSpace,
@@ -25,6 +23,7 @@ from .approx import (
     upper_approx,
 )
 from .errors import AmbiguousInverseError, CapExceededError, InputError
+from .record import Record
 from .report import (
     FAIL,
     INFO,
@@ -39,26 +38,25 @@ from .topology import FiniteMap
 DEFAULT_SUBGROUP_ENUM_CAP = 20
 
 
-@dataclass(frozen=True)
-class CayleyTable:
+class CayleyTable(Record):
     """Total binary operation on a universe, stored as an index matrix."""
 
-    universe: Universe
-    rows: tuple[tuple[int, ...], ...]
+    _fields = ("universe", "rows")
 
-    def __post_init__(self):
-        n = self.universe.size
-        if len(self.rows) != n:
-            raise InputError(f"table has {len(self.rows)} rows, expected {n}")
-        for i, row in enumerate(self.rows):
+    def __init__(self, universe: Universe, rows: tuple[tuple[int, ...], ...]):
+        n = universe.size
+        if len(rows) != n:
+            raise InputError(f"table has {len(rows)} rows, expected {n}")
+        for i, row in enumerate(rows):
             if len(row) != n:
                 raise InputError(
-                    f"table row for {self.universe.elements[i]} has {len(row)} "
+                    f"table row for {universe.elements[i]} has {len(row)} "
                     f"entries, expected {n}"
                 )
             for v in row:
                 if not 0 <= v < n:
                     raise InputError("table entry is not a universe element")
+        self._set(universe=universe, rows=rows)
 
     @classmethod
     def from_names(cls, universe: Universe, name_rows) -> "CayleyTable":
@@ -151,8 +149,7 @@ def group_axioms_witness(table: CayleyTable, mask: int) -> str | None:
     return None
 
 
-@dataclass(frozen=True)
-class RoughGroupCert:
+class RoughGroupCert(Record):
     """Evidence that (space, G) passed the rough-group axioms.
 
     `identities` holds every element of the upper approximation acting
@@ -161,15 +158,15 @@ class RoughGroupCert:
     G, every inverse in G with respect to that designated identity.
     """
 
-    space: ApproxSpace
-    g_mask: int
-    upper: int
-    identities: tuple[int, ...]
-    designated_e: int
-    inverse_sets: tuple[tuple[int, int], ...]
+    _fields = ("space", "g_mask", "upper", "identities", "designated_e",
+               "inverse_sets")
 
-    def __post_init__(self):
-        object.__setattr__(self, "_inv", dict(self.inverse_sets))
+    def __init__(self, space: ApproxSpace, g_mask: int, upper: int,
+                 identities: tuple[int, ...], designated_e: int,
+                 inverse_sets: tuple[tuple[int, int], ...]):
+        self._set(space=space, g_mask=g_mask, upper=upper, identities=identities,
+                  designated_e=designated_e, inverse_sets=inverse_sets,
+                  _inv=dict(inverse_sets))
 
     @property
     def table(self) -> CayleyTable:
@@ -368,18 +365,17 @@ _CLASSIFICATIONS = ("homomorphism-only", "monomorphism", "epimorphism",
                     "isomorphism")
 
 
-@dataclass(frozen=True)
-class RoughHom:
+class RoughHom(Record):
     """A verified structure-compatible map between two rough groups."""
 
-    source: RoughGroupCert
-    target: RoughGroupCert
-    fmap: FiniteMap
-    classification: str
+    _fields = ("source", "target", "fmap", "classification")
 
-    def __post_init__(self):
-        if self.classification not in _CLASSIFICATIONS:
-            raise InputError(f"unknown classification {self.classification!r}")
+    def __init__(self, source: RoughGroupCert, target: RoughGroupCert,
+                 fmap: FiniteMap, classification: str):
+        if classification not in _CLASSIFICATIONS:
+            raise InputError(f"unknown classification {classification!r}")
+        self._set(source=source, target=target, fmap=fmap,
+                  classification=classification)
 
 
 def verify_rough_homomorphism(

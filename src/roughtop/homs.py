@@ -11,7 +11,7 @@ verdict reported separately.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .approx import bit_indices
 from .groups import RoughHom, verify_rough_homomorphism
@@ -27,8 +27,7 @@ from .topology import FiniteMap, is_continuous
 from .trg import TRGCert
 
 
-@dataclass(frozen=True)
-class TRGHom:
+class TRGHom(NamedTuple):
     """A verified continuous rough homomorphism between certificates."""
 
     src: TRGCert

@@ -21,31 +21,40 @@ and column it was detected at.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 
 from .approx import Partition, Universe
 from .errors import InputError, ParseError
 from .groups import CayleyTable
+from .record import Record
 from .topology import FiniteMap, FiniteTopology
 
 _BRACE_RE = re.compile(r"\{([^{}]*)\}")
 _TOKEN_RE = re.compile(r"\S+")
 
 
-@dataclass
-class Workspace:
+class Workspace(Record):
     """Symbol table of parsed declarations, one namespace per kind.
 
     Values keep the referenced names alongside the built objects so a
-    workspace serializes back to an equivalent document.
+    workspace serializes back to an equivalent document.  Unlike the
+    other records it is mutable, and so unhashable.
     """
 
-    universes: dict[str, Universe] = field(default_factory=dict)
-    tables: dict[str, tuple[str, CayleyTable]] = field(default_factory=dict)
-    partitions: dict[str, tuple[str, Partition]] = field(default_factory=dict)
-    subsets: dict[str, tuple[str, int]] = field(default_factory=dict)
-    topologies: dict[str, tuple[str, FiniteTopology]] = field(default_factory=dict)
-    maps: dict[str, tuple[str, str, FiniteMap]] = field(default_factory=dict)
+    _fields = ("universes", "tables", "partitions", "subsets", "topologies", "maps")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, universes=None, tables=None, partitions=None, subsets=None,
+                 topologies=None, maps=None):
+        self.universes: dict[str, Universe] = {} if universes is None else universes
+        self.tables: dict[str, tuple[str, CayleyTable]] = {} if tables is None else tables
+        self.partitions: dict[str, tuple[str, Partition]] = (
+            {} if partitions is None else partitions)
+        self.subsets: dict[str, tuple[str, int]] = {} if subsets is None else subsets
+        self.topologies: dict[str, tuple[str, FiniteTopology]] = (
+            {} if topologies is None else topologies)
+        self.maps: dict[str, tuple[str, str, FiniteMap]] = {} if maps is None else maps
 
     def universe(self, name: str) -> Universe:
         if name not in self.universes:

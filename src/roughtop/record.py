@@ -1,0 +1,43 @@
+"""Read-only value records with an explicit ``__init__``.
+
+A subclass names its fields in ``_fields`` and stores them, together
+with any derived private state, through ``_set``.  It then compares and
+hashes by those fields (only against its own class), and assigning or
+deleting an attribute raises AttributeError.  ``_replace`` copies a
+record through ``__init__``, so validation, normalisation and derived
+state are redone for the copy.
+"""
+
+from __future__ import annotations
+
+
+class Record:
+    _fields: tuple[str, ...] = ()
+
+    def _set(self, **values) -> None:
+        self.__dict__.update(values)
+
+    def _values(self) -> tuple:
+        d = self.__dict__
+        return tuple([d[f] for f in self._fields])
+
+    def _replace(self, **changes):
+        return type(self)(**dict(zip(self._fields, self._values()), **changes))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__name__, ", ".join(
+            f"{f}={v!r}" for f, v in zip(self._fields, self._values())))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")

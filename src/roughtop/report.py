@@ -10,7 +10,9 @@ report twice yields byte-identical output.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from typing import NamedTuple
+
+from .record import Record
 
 PASS = "pass"
 FAIL = "fail"
@@ -21,8 +23,7 @@ INFO = "info"
 _EXIT_CODES = {PASS: 0, FAIL: 1, NOT_APPLICABLE: 2, ERROR: 3}
 
 
-@dataclass(frozen=True)
-class Clause:
+class Clause(NamedTuple):
     """One named condition inside a report."""
 
     name: str
@@ -30,16 +31,14 @@ class Clause:
     witness: str | None = None
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    check: str
-    verdict: str
-    clauses: tuple[Clause, ...] = ()
-    stats: tuple[tuple[str, int], ...] = ()
+class VerificationReport(Record):
+    _fields = ("check", "verdict", "clauses", "stats")
 
-    def __post_init__(self):
+    def __init__(self, check: str, verdict: str, clauses: tuple[Clause, ...] = (),
+                 stats: tuple[tuple[str, int], ...] = ()):
         # keep counters in a fixed order regardless of how they were supplied
-        object.__setattr__(self, "stats", tuple(sorted(self.stats)))
+        self._set(check=check, verdict=verdict, clauses=clauses,
+                  stats=tuple(sorted(stats)))
 
     @property
     def passed(self) -> bool:

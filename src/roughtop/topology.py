@@ -27,11 +27,11 @@ Bases are represented as plain tuples of open masks; `verify_base` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from .approx import Universe, bit_indices, product_mask, product_universe
 from .errors import CapExceededError, InputError
+from .record import Record
 from .report import FAIL, NOT_APPLICABLE, PASS, Clause, VerificationReport, combine
 
 ENUMERATION_MAX_POINTS = 5
@@ -59,8 +59,7 @@ def _nbhds(size: int, carrier: int, family) -> tuple[int, ...]:
     return tuple(nbhd)
 
 
-@dataclass(frozen=True, init=False)
-class FiniteTopology:
+class FiniteTopology(Record):
     """A topology on a carrier inside a universe, stored as nbhd[p] =
     N(p) for every point p of the carrier (0 for the other elements).
 
@@ -71,22 +70,21 @@ class FiniteTopology:
     neighbourhoods directly with `from_nbhd`.
     """
 
-    universe: Universe
-    carrier: int
-    nbhd: tuple[int, ...]
+    _fields = ("universe", "carrier", "nbhd")
 
     def __init__(self, universe: Universe, carrier: int, opens):
-        object.__setattr__(self, "universe", universe)
-        object.__setattr__(self, "carrier", carrier)
-        object.__setattr__(self, "nbhd", _nbhds(universe.size, carrier, opens))
+        self._set(universe=universe, carrier=carrier,
+                  nbhd=_nbhds(universe.size, carrier, opens))
 
     @classmethod
     def from_nbhd(cls, universe: Universe, carrier: int, nbhd) -> "FiniteTopology":
         top = cls.__new__(cls)
-        object.__setattr__(top, "universe", universe)
-        object.__setattr__(top, "carrier", carrier)
-        object.__setattr__(top, "nbhd", tuple(nbhd))
+        top._set(universe=universe, carrier=carrier, nbhd=tuple(nbhd))
         return top
+
+    def _replace(self, **changes) -> "FiniteTopology":
+        # the constructor takes opens, not neighbourhoods
+        return self.from_nbhd(**dict(zip(self._fields, self._values()), **changes))
 
     @classmethod
     def from_family(cls, universe: Universe, carrier: int, family) -> "FiniteTopology":
@@ -313,34 +311,30 @@ def interior(top: FiniteTopology, a_mask: int) -> int:
     return acc
 
 
-@dataclass(frozen=True)
-class FiniteMap:
+class FiniteMap(Record):
     """Total map between finite subsets, stored by element index."""
 
-    domain_universe: Universe
-    codomain_universe: Universe
-    domain: int
-    codomain: int
-    pairs: tuple[tuple[int, int], ...]
+    _fields = ("domain_universe", "codomain_universe", "domain", "codomain", "pairs")
 
-    def __post_init__(self):
-        pairs = tuple(sorted(self.pairs))
-        object.__setattr__(self, "pairs", pairs)
+    def __init__(self, domain_universe: Universe, codomain_universe: Universe,
+                 domain: int, codomain: int, pairs: tuple[tuple[int, int], ...]):
+        pairs = tuple(sorted(pairs))
         seen = 0
         table = {}
         for src, dst in pairs:
-            if (self.domain >> src) & 1 == 0:
+            if (domain >> src) & 1 == 0:
                 raise InputError("map assigns an element outside its domain")
             if seen >> src & 1:
                 raise InputError("map assigns an element twice")
-            if (self.codomain >> dst) & 1 == 0:
+            if (codomain >> dst) & 1 == 0:
                 raise InputError("map image escapes its codomain")
             seen |= 1 << src
             table[src] = dst
-        if seen != self.domain:
-            missing = self.domain_universe.set_str(self.domain & ~seen)
+        if seen != domain:
+            missing = domain_universe.set_str(domain & ~seen)
             raise InputError(f"map is not total: missing {missing}")
-        object.__setattr__(self, "_table", table)
+        self._set(domain_universe=domain_universe, codomain_universe=codomain_universe,
+                  domain=domain, codomain=codomain, pairs=pairs, _table=table)
 
     @classmethod
     def from_dict(cls, dom_u, cod_u, domain, codomain, mapping: dict) -> "FiniteMap":

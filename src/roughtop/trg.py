@@ -12,8 +12,7 @@ genuinely disagree on some inputs, so every report names the mode).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .approx import DEFAULT_UNIVERSE_CAP, bit_indices, pair_name
 from .errors import InputError
@@ -56,8 +55,7 @@ INVERSE_CONVENTION = Clause(
 )
 
 
-@dataclass(frozen=True)
-class TRGCert:
+class TRGCert(NamedTuple):
     """A rough group certificate with verified continuity evidence."""
 
     group: RoughGroupCert

@@ -1,7 +1,5 @@
 """Continuous actions of topological rough groups on rough sets."""
 
-import dataclasses
-
 import pytest
 
 from roughtop import ApproxSpace, Partition, Universe
@@ -136,9 +134,8 @@ def test_action_premise_not_applicable(sa):
     """A certificate doctored so upper(G) is not closed under the table
     short-circuits to a not-applicable verdict before continuity."""
     u = sa["u"]
-    doc_group = dataclasses.replace(
-        sa["tc_disc"].group, upper=u.mask_of(["1", "2"]))
-    doc = dataclasses.replace(sa["tc_disc"], group=doc_group)
+    doc_group = sa["tc_disc"].group._replace(upper=u.mask_of(["1", "2"]))
+    doc = sa["tc_disc"]._replace(group=doc_group)
     rs = RoughSpace.make(sa["space"], u.all_mask, sa["ws"].topologies["tauD"][1])
     pu = product_universe(u, u)
     dom = product_mask(doc_group.upper, u.all_mask, u.size)

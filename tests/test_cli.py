@@ -292,6 +292,13 @@ def test_enumerate_witness_refuses_W_without_the_identity():
 @pytest.mark.parametrize("argv, message", [
     (["check", "nope"], "roughtop check: error: argument kind: invalid choice: 'nope'"),
     (["check", "trg", "--bogus"], "roughtop: error: unrecognized arguments: --bogus"),
+    (["enumerate", "subgroups", "--cap", "-1"],
+     "roughtop enumerate: error: argument --cap: expected a non-negative integer, got '-1'"),
+    (["enumerate", "topologies", "--max-size", "-1"],
+     "roughtop enumerate: error: argument --max-size: expected a non-negative "
+     "integer, got '-1'"),
+    (["enumerate", "topologies", "--max-size", "three"],
+     "argument --max-size: expected a non-negative integer, got 'three'"),
 ])
 def test_usage_error_exits_3(argv, message):
     code, out, err = run_cli(argv)
@@ -299,6 +306,22 @@ def test_usage_error_exits_3(argv, message):
     assert out == ""
     assert err.startswith("usage: roughtop")
     assert message in err
+
+
+def test_cold_import_loads_every_module_and_no_dataclasses():
+    """A fresh `import roughtop.cli` loads every module of the package,
+    so no import waits for the first operation, and it needs neither
+    `dataclasses` nor the `inspect` chain behind it."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = ("import sys, roughtop.cli\n"
+            "print(*sorted(m for m in sys.modules if m.split('.')[0] in "
+            "('roughtop', 'dataclasses', 'inspect')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    modules = {f"roughtop.{p.stem}" for p in (src / "roughtop").glob("*.py")}
+    assert set(proc.stdout.split()) == (
+        modules - {"roughtop.__init__", "roughtop.__main__"} | {"roughtop"})
 
 
 def test_help_still_exits_0():

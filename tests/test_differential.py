@@ -6,7 +6,6 @@ so a fast path that reaches the right verdict with a different witness
 fails here.
 """
 
-import dataclasses
 import itertools
 import random
 
@@ -275,8 +274,8 @@ def test_symmetric_square_nbhds_match_brute_force_on_every_zmod3_topology(fixa_t
     cases = found = via_cli = 0
     for fam in families:
         tau = FiniteTopology(u, group.upper, fam)
-        cert = dataclasses.replace(fixa_trg, tau=tau,
-                                   tau_G=subspace_topology(tau, group.g_mask))
+        cert = fixa_trg._replace(tau=tau,
+                                 tau_G=subspace_topology(tau, group.g_mask))
         is_trg = decide_trg(group, tau)[0].passed
         for w in fam:
             if not w >> e & 1:

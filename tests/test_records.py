@@ -1,0 +1,174 @@
+"""Value semantics of the public record types.
+
+Each record is built twice from the same inputs, through independent
+parses of a fixture, so equal values never share identity by accident.
+"""
+
+import pytest
+
+from conftest import FIXDIR
+from roughtop import (
+    ApproxSpace,
+    CayleyTable,
+    Clause,
+    FiniteMap,
+    FiniteTopology,
+    Partition,
+    RoughSpace,
+    Universe,
+    VerificationReport,
+    parse_spec,
+    verify_rough_group,
+    verify_trg,
+)
+from roughtop.actions import verify_rough_action
+from roughtop.approx import make_rough_set
+from roughtop.errors import InputError
+from roughtop.groups import RoughHom, verify_rough_homomorphism
+from roughtop.homs import verify_trg_homomorphism
+
+
+def build() -> dict:
+    """One instance of every public record type, from a fresh parse."""
+    ws = parse_spec((FIXDIR / "zmod3_selfaction.rg").read_text(encoding="utf-8"))
+    u = ws.universes["UA"]
+    _, table = ws.tables["TA"]
+    _, part = ws.partitions["PA"]
+    space = ApproxSpace(u, part, table)
+    _, group = verify_rough_group(space, ws.subsets["GA"][1])
+    tau = ws.topologies["tauD"][1]
+    _, trg = verify_trg(group, tau)
+    neg = ws.maps["neg"][2]
+    _, hom = verify_rough_homomorphism(group, group, neg)
+    _, trg_hom = verify_trg_homomorphism(trg, trg, neg)
+    rspace = RoughSpace.make(space, u.all_mask, tau)
+    _, action = verify_rough_action(trg, rspace, ws.maps["mu"][2])
+    records = {
+        "Universe": u,
+        "Partition": part,
+        "ApproxSpace": space,
+        "RoughSet": make_rough_set(space, ws.subsets["GA"][1]),
+        "CayleyTable": table,
+        "RoughGroupCert": group,
+        "RoughHom": hom,
+        "FiniteTopology": tau,
+        "FiniteMap": neg,
+        "TRGCert": trg,
+        "TRGHom": trg_hom,
+        "RoughSpace": rspace,
+        "RoughAction": action,
+        "Clause": trg.evidence.clauses[0],
+        "VerificationReport": trg.evidence,
+    }
+    assert all(v is not None for v in records.values())
+    return records
+
+
+FIRST, SECOND = build(), build()
+NAMES = sorted(FIRST)
+
+
+def test_every_record_type_is_covered():
+    assert len(NAMES) == 15  # the 16th, the mutable Workspace, is below
+    assert [type(FIRST[n]).__name__ for n in NAMES] == NAMES
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_equal_inputs_give_equal_records(name):
+    a, b = FIRST[name], SECOND[name]
+    assert a is not b
+    assert a == b
+    assert not a != b
+    assert hash(a) == hash(b)
+    assert len({a, b}) == 1
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_records_are_read_only(name):
+    rec = FIRST[name]
+    for attr in ("universe", "nbhd", "verdict", "name", "space", "fresh_attribute"):
+        with pytest.raises(AttributeError):
+            setattr(rec, attr, None)
+
+
+def test_records_of_different_values_differ():
+    u = FIRST["Universe"]
+    assert u != Universe(("0", "1"))
+    assert Clause("a", "pass") != Clause("a", "fail")
+    assert Partition.singletons(u) != Partition.one_block(u)
+
+
+def test_partition_blocks_are_sorted():
+    u = Universe(("a", "b", "c"))
+    part = Partition(u, (0b100, 0b011))
+    assert part.blocks == (0b011, 0b100)
+    assert part == Partition(u, (0b011, 0b100))
+    assert hash(part) == hash(Partition(u, (0b011, 0b100)))
+    assert part.block_index_of(2) == 1 and part.block_mask_of(0) == 0b011
+
+
+def test_finite_map_pairs_are_sorted():
+    u = Universe(("a", "b", "c"))
+    fmap = FiniteMap(u, u, 0b111, 0b111, ((2, 0), (0, 1), (1, 2)))
+    assert fmap.pairs == ((0, 1), (1, 2), (2, 0))
+    assert fmap == FiniteMap.from_dict(u, u, 0b111, 0b111, {0: 1, 1: 2, 2: 0})
+    assert fmap.apply(2) == 0
+
+
+def test_report_stats_are_sorted():
+    rep = VerificationReport("x", "pass", (), (("b", 2), ("a", 1)))
+    assert rep.stats == (("a", 1), ("b", 2))
+    assert rep == VerificationReport("x", "pass", (), (("a", 1), ("b", 2)))
+    assert VerificationReport("x", "pass").clauses == ()
+    assert Clause("a", "pass").witness is None
+
+
+def test_topology_from_opens_equals_from_nbhd():
+    u = Universe(("a", "b", "c", "d"))
+    opens = (0, 0b0001, 0b0011, 0b0100, 0b0101, 0b0111, 0b1111)
+    top = FiniteTopology(u, 0b1111, opens)
+    same = FiniteTopology.from_nbhd(u, 0b1111, top.nbhd)
+    assert top.nbhd == (0b0001, 0b0011, 0b0100, 0b1111)
+    assert top == same and hash(top) == hash(same)
+    assert same.opens == opens
+    assert top.up == same.up
+
+
+def test_validation_messages_are_kept():
+    u = Universe(("a", "b"))
+    with pytest.raises(InputError, match=r"duplicate element name 'a' in universe"):
+        Universe(("a", "a"))
+    with pytest.raises(InputError, match=r"partition blocks overlap"):
+        Partition(u, (0b01, 0b11))
+    with pytest.raises(InputError, match=r"table has 1 rows, expected 2"):
+        CayleyTable(u, ((0, 1),))
+    with pytest.raises(InputError, match=r"map is not total: missing \{b\}"):
+        FiniteMap(u, u, 0b11, 0b11, ((0, 0),))
+    with pytest.raises(InputError, match=r"unknown classification 'x'"):
+        RoughHom(FIRST["RoughGroupCert"], FIRST["RoughGroupCert"], FIRST["FiniteMap"], "x")
+
+
+def test_copies_rederive_private_state():
+    cert = FIRST["RoughGroupCert"]
+    doctored = cert._replace(inverse_sets=((1, 0b110), (2, 0b010)))
+    assert doctored.inverses_of(1) == 0b110 and cert.inverses_of(1) == 0b100
+    assert doctored.space is cert.space and doctored != cert
+    part = FIRST["Partition"]
+    assert part._replace(blocks=part.blocks[::-1]) == part
+    action = FIRST["RoughAction"]._replace(side="right")
+    assert action.act(1, 2) == action.mu.apply(2 * 3 + 1)
+    tau = FIRST["FiniteTopology"]
+    assert tau._replace() == tau and tau._replace(nbhd=tau.nbhd[::-1]) != tau
+    trg = FIRST["TRGCert"]._replace(codomain_mode="relative")
+    assert trg.group is FIRST["TRGCert"].group and trg != FIRST["TRGCert"]
+
+
+def test_workspace_is_a_mutable_value():
+    a = parse_spec((FIXDIR / "zmod3.rg").read_text(encoding="utf-8"))
+    b = parse_spec((FIXDIR / "zmod3.rg").read_text(encoding="utf-8"))
+    assert a == b
+    with pytest.raises(TypeError):
+        hash(a)
+    b.subsets = {}
+    assert a != b
+    assert type(a)().universes == {}

@@ -1,8 +1,6 @@
 """Topological rough groups: continuity of the product and inversion maps,
 derived symmetry facts, and the openness propositions."""
 
-import dataclasses
-
 import pytest
 
 from roughtop import ApproxSpace, Partition, Universe
@@ -121,8 +119,7 @@ def test_trg_input_errors(ws_zmod3, fixa_cert):
 
 def test_ambiguous_inverse_guard(ws_zmod3, fixa_cert):
     u = ws_zmod3.universes["UA"]
-    doctored = dataclasses.replace(
-        fixa_cert,
+    doctored = fixa_cert._replace(
         inverse_sets=((u.index("1"), 0b110), (u.index("2"), 0b010)))
     with pytest.raises(AmbiguousInverseError,
                        match=r"1 has 2 inverses under identity 0"):
@@ -190,7 +187,7 @@ def test_symmetric_square_no_witness(fixa_trg):
     """With the open sets thinned out no symmetric square fits inside W."""
     u = fixa_trg.group.space.universe
     thin = FiniteTopology(u, 0b111, (0, 0b011, 0b111))
-    doctored = dataclasses.replace(fixa_trg, tau=thin)
+    doctored = fixa_trg._replace(tau=thin)
     v, rep = find_symmetric_square_nbhd(doctored, 0b011)
     assert v is None
     assert rep.verdict == "fail"
