@@ -9,7 +9,9 @@ well-posed, and the verdict is "not applicable" rather than a failure.
 
 Right actions are mirrored onto the same code path: the map takes its
 arguments in the other order and the compatibility law composes the
-group elements in the other order.
+group elements in the other order.  Continuity of the action map is
+decided like the TRG product map, by monotonicity in each argument
+(`topology.first_discontinuity`), so no product topology is built.
 """
 
 from __future__ import annotations
@@ -40,9 +42,8 @@ from .report import (
 from .topology import (
     FiniteMap,
     FiniteTopology,
-    is_continuous,
+    first_discontinuity,
     is_homeomorphism,
-    product_topology,
     subspace_topology,
 )
 from .trg import TRGCert
@@ -94,19 +95,32 @@ class RoughAction(Record):
         return self.mu.apply(x * self._second_size + g)
 
 
-def _expected_mu_shape(cert: TRGCert, rspace: RoughSpace, side: str):
-    """Pair universe, domain mask, and product topology for the stated side."""
-    gu = cert.universe
-    xu = rspace.space.universe
-    if side == "left":
-        pu = product_universe(gu, xu)
-        dom = product_mask(cert.upper, rspace.upper_x, xu.size)
-        prod_top = product_topology(cert.tau, rspace.tau_x)
-    else:
-        pu = product_universe(xu, gu)
-        dom = product_mask(rspace.upper_x, cert.upper, gu.size)
-        prod_top = product_topology(rspace.tau_x, cert.tau)
-    return pu, dom, prod_top
+def _first_incompatible(action: RoughAction, laws):
+    """The names of the first (outer, inner, x, lhs, rhs), over the
+    (outer, inner, combined) of `laws` and then the x of upper(X), with
+    lhs = outer.(inner.x) other than rhs = combined.x, or None."""
+    g_names = action.cert.universe.elements
+    x_names = action.rspace.space.universe.elements
+    x_elems = tuple(bit_indices(action.rspace.upper_x))
+    for outer, inner, combined in laws:
+        for x in x_elems:
+            lhs = action.act(outer, action.act(inner, x))
+            rhs = action.act(combined, x)
+            if lhs != rhs:
+                return (g_names[outer], g_names[inner],
+                        *(x_names[i] for i in (x, lhs, rhs)))
+    return None
+
+
+def _moved_by_identity(action: RoughAction):
+    """The names of the first x of upper(X) that the identity moves,
+    and of the point it moves x to, or None."""
+    x_names = action.rspace.space.universe.elements
+    for x in bit_indices(action.rspace.upper_x):
+        y = action.act(action.cert.e, x)
+        if y != x:
+            return x_names[x], x_names[y]
+    return None
 
 
 def verify_rough_action(
@@ -126,8 +140,12 @@ def verify_rough_action(
         raise InputError(f"unknown action side {side!r}")
     gu = cert.universe
     xu = rspace.space.universe
-    pu, dom, prod_top = _expected_mu_shape(cert, rspace, side)
-    if mu.domain_universe != pu or mu.domain != dom:
+    g_side, x_side = (cert.tau, cert.upper), (rspace.tau_x, rspace.upper_x)
+    (left, a_mask), (right, b_mask) = ((g_side, x_side) if side == "left"
+                                       else (x_side, g_side))
+    pu = product_universe(left.universe, right.universe)
+    n2 = right.universe.size
+    if mu.domain_universe != pu or mu.domain != product_mask(a_mask, b_mask, n2):
         raise InputError(
             "action map domain is not upper(G) x upper(X) in the stated order"
         )
@@ -145,50 +163,35 @@ def verify_rough_action(
         ), None
     clauses = [Clause("premise-upper-closed", PASS)]
 
-    cont = is_continuous(mu, prod_top, rspace.tau_x)
-    clauses.append(Clause("action-continuity", cont.verdict,
-                          cont.first_witness()))
+    rows = {a: {b: mu.apply(a * n2 + b) for b in bit_indices(b_mask)}
+            for a in bit_indices(a_mask)}
+    v = first_discontinuity(rows, left, right, rspace.tau_x)
+    wit = None if v is None else (f"open {xu.set_str(v)} has preimage "
+                                  f"{pu.set_str(mu.preimage(v))}, which is not open")
+    clauses.append(Clause("action-continuity", FAIL if wit else PASS, wit))
 
     action = RoughAction(cert, rspace, mu, side, evidence=None)
     g_elems = tuple(bit_indices(cert.upper))
-    x_elems = tuple(bit_indices(rspace.upper_x))
+    found = _first_incompatible(action, (
+        (g, gp, table.rows[g][gp]) if side == "left" else (gp, g, table.rows[g][gp])
+        for g in g_elems for gp in g_elems))
     wit = None
-    for g in g_elems:
-        for gp in g_elems:
-            gg = table.rows[g][gp]
-            for x in x_elems:
-                if side == "left":
-                    lhs = action.act(g, action.act(gp, x))
-                else:
-                    lhs = action.act(gp, action.act(g, x))
-                rhs = action.act(gg, x)
-                if lhs != rhs:
-                    order = (f"{gu.elements[g]}({gu.elements[gp]} {xu.elements[x]})"
-                             if side == "left" else
-                             f"(({xu.elements[x]} {gu.elements[g]}) {gu.elements[gp]})")
-                    wit = (f"{order} = {xu.elements[lhs]} but the combined "
-                           f"element gives {xu.elements[rhs]}")
-                    break
-            if wit:
-                break
-        if wit:
-            break
+    if found:
+        outer, inner, x, lhs, rhs = found
+        order = (f"{outer}({inner} {x})" if side == "left"
+                 else f"(({x} {inner}) {outer})")
+        wit = f"{order} = {lhs} but the combined element gives {rhs}"
     clauses.append(Clause("compatibility", FAIL if wit else PASS, wit))
 
-    e = cert.e
-    wit = None
-    for x in x_elems:
-        y = action.act(e, x)
-        if y != x:
-            wit = (f"identity {gu.elements[e]} moves {xu.elements[x]} to "
-                   f"{xu.elements[y]}")
-            break
+    moved = _moved_by_identity(action)
+    wit = (f"identity {gu.elements[cert.e]} moves {moved[0]} to {moved[1]}"
+           if moved else None)
     clauses.append(Clause("identity", FAIL if wit else PASS, wit))
 
     report = combine(
         "rough-action", clauses,
         stats=[("compatibility-triples",
-                len(g_elems) * len(g_elems) * len(x_elems))],
+                len(g_elems) ** 2 * rspace.upper_x.bit_count())],
     )
     if not report.passed:
         return report, None
@@ -257,29 +260,19 @@ def translation_map(
     homeo = is_homeomorphism(fmap, action.rspace.tau_x, action.rspace.tau_x)
     clauses = [Clause("homeomorphism", homeo.verdict, homeo.first_witness())]
 
-    table = cert.table
+    rows = cert.table.rows
+    found = _first_incompatible(action, (
+        (g, gp, rows[g][gp] if action.side == "left" else rows[gp][g])
+        for gp in bit_indices(cert.upper)))
     wit = None
-    for gp in bit_indices(cert.upper):
-        gg = table.rows[g][gp] if action.side == "left" else table.rows[gp][g]
-        for x in x_elems:
-            lhs = action.act(g, action.act(gp, x))
-            rhs = action.act(gg, x)
-            if lhs != rhs:
-                wit = (f"translating by {gu.elements[gp]} then {gu.elements[g]} "
-                       f"sends {xu.elements[x]} to {xu.elements[lhs]}, but the "
-                       f"combined element sends it to {xu.elements[rhs]}")
-                break
-        if wit:
-            break
+    if found:
+        outer, inner, x, lhs, rhs = found
+        wit = (f"translating by {inner} then {outer} sends {x} to {lhs}, "
+               f"but the combined element sends it to {rhs}")
     clauses.append(Clause("composition-law", FAIL if wit else PASS, wit))
 
-    wit = None
-    for x in x_elems:
-        y = action.act(cert.e, x)
-        if y != x:
-            wit = (f"identity translation moves {xu.elements[x]} to "
-                   f"{xu.elements[y]}")
-            break
+    moved = _moved_by_identity(action)
+    wit = f"identity translation moves {moved[0]} to {moved[1]}" if moved else None
     clauses.append(Clause("identity-translation", FAIL if wit else PASS, wit))
     return fmap, combine("translation", clauses)
 

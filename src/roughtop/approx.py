@@ -8,13 +8,10 @@ out in a canonical order for free, which keeps reports byte-stable.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
+from collections import namedtuple
 
 from .errors import CapExceededError, InputError
 from .record import Record
-
-if TYPE_CHECKING:  # import cycle guard, types only
-    from .groups import CayleyTable
 
 DEFAULT_UNIVERSE_CAP = 64
 
@@ -135,13 +132,10 @@ class ApproxSpace(Record):
         self._set(universe=universe, partition=partition, op=op)
 
 
-class RoughSet(NamedTuple):
+class RoughSet(namedtuple("RoughSet", "space subset lower upper")):
     """A subset together with its lower and upper approximations."""
 
-    space: ApproxSpace
-    subset: int
-    lower: int
-    upper: int
+    __slots__ = ()
 
 
 def lower_approx(space: ApproxSpace, x_mask: int) -> int:

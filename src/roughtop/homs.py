@@ -11,10 +11,10 @@ verdict reported separately.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from .approx import bit_indices
-from .groups import RoughHom, verify_rough_homomorphism
+from .groups import verify_rough_homomorphism
 from .report import (
     FAIL,
     INFO,
@@ -27,14 +27,10 @@ from .topology import FiniteMap, is_continuous
 from .trg import TRGCert
 
 
-class TRGHom(NamedTuple):
+class TRGHom(namedtuple("TRGHom", "src tgt fmap algebra continuity")):
     """A verified continuous rough homomorphism between certificates."""
 
-    src: TRGCert
-    tgt: TRGCert
-    fmap: FiniteMap
-    algebra: RoughHom
-    continuity: VerificationReport
+    __slots__ = ()
 
     @property
     def classification(self) -> str:

@@ -10,7 +10,7 @@ report twice yields byte-identical output.
 from __future__ import annotations
 
 import json
-from typing import NamedTuple
+from collections import namedtuple
 
 from .record import Record
 
@@ -23,12 +23,10 @@ INFO = "info"
 _EXIT_CODES = {PASS: 0, FAIL: 1, NOT_APPLICABLE: 2, ERROR: 3}
 
 
-class Clause(NamedTuple):
+class Clause(namedtuple("Clause", "name verdict witness", defaults=(None,))):
     """One named condition inside a report."""
 
-    name: str
-    verdict: str
-    witness: str | None = None
+    __slots__ = ()
 
 
 class VerificationReport(Record):

@@ -234,26 +234,13 @@ def verify_topology(universe: Universe, carrier: int, family) -> VerificationRep
     ok = carrier in members
     clauses.append(Clause("carrier-member", PASS if ok else FAIL,
                           None if ok else f"the carrier {universe.set_str(carrier)} is missing"))
-    wit = None
-    for i, a in enumerate(fam):
-        for b in fam[i + 1:]:
-            if a | b not in members:
-                wit = (f"union of {universe.set_str(a)} and {universe.set_str(b)} = "
-                       f"{universe.set_str(a | b)} is not in the family")
-                break
-        if wit:
-            break
-    clauses.append(Clause("union-closure", FAIL if wit else PASS, wit))
-    wit = None
-    for i, a in enumerate(fam):
-        for b in fam[i + 1:]:
-            if a & b not in members:
-                wit = (f"intersection of {universe.set_str(a)} and {universe.set_str(b)} = "
-                       f"{universe.set_str(a & b)} is not in the family")
-                break
-        if wit:
-            break
-    clauses.append(Clause("intersection-closure", FAIL if wit else PASS, wit))
+    for word, op in (("union", int.__or__), ("intersection", int.__and__)):
+        a, b = next(((a, b) for i, a in enumerate(fam) for b in fam[i + 1:]
+                     if op(a, b) not in members), (None, None))
+        wit = None if a is None else (
+            f"{word} of {universe.set_str(a)} and {universe.set_str(b)} = "
+            f"{universe.set_str(op(a, b))} is not in the family")
+        clauses.append(Clause(f"{word}-closure", FAIL if wit else PASS, wit))
     return combine("topology", clauses, stats=stats)
 
 
@@ -405,6 +392,44 @@ def is_continuous(fmap: FiniteMap, dom_top: FiniteTopology,
                    f"{dom_top.universe.set_str(fmap.preimage(o))}, which is not open")
             break
     return combine("continuity", [Clause("preimage-openness", FAIL if wit else PASS, wit)])
+
+
+def first_discontinuity(rows, left: FiniteTopology, right: FiniteTopology,
+                        cod: FiniteTopology) -> int | None:
+    """None if the map (x, y) -> rows[x][y] from the product of `left`
+    and `right` into `cod` is continuous, else the first open of `cod`
+    whose preimage is not open.  Separate monotonicity decides it: with
+    z = rows[x][y], each rows[a][y] (a in N(x)) and rows[x][b] (b in
+    N(y)) lies in N(z); then rows[a][b] lies in N(rows[a][y]), inside
+    N(z).  A value outside cod's carrier lies in no preimage.  The
+    failing open is the first neighbourhood on which some pair of its
+    preimage fails the same test."""
+    xs = tuple(bit_indices(left.carrier))
+    ys = tuple(bit_indices(right.carrier))
+    # N(p) without p itself, for each point p
+    below_x = [[a for a in bit_indices(left.nbhd[x]) if a != x] for x in xs]
+    below_y = {y: [b for b in bit_indices(right.nbhd[y]) if b != y] for y in ys}
+    cod_nbhd = cod.nbhd
+
+    def fails(v: int) -> bool:
+        """Some pair with its value in v fails the test against v, or,
+        for v = 0 (no neighbourhood is empty), against its own N(z)."""
+        for x, below in zip(xs, below_x):
+            row = rows[x]
+            for y in ys:
+                z = row[y]
+                w = v or cod_nbhd[z]
+                if not w >> z & 1:
+                    continue
+                for a in below:
+                    if not w >> rows[a][y] & 1:
+                        return True
+                for b in below_y[y]:
+                    if not w >> row[b] & 1:
+                        return True
+        return False
+
+    return first_failing_open(cod, fails) if fails(0) else None
 
 
 def is_homeomorphism(fmap: FiniteMap, dom_top: FiniteTopology,

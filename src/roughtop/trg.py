@@ -8,11 +8,13 @@ product map's codomain is the upper approximation; its continuity is
 checked against tau by default, with a strict mode that instead pulls
 back only the opens of the subspace topology on G (the two readings
 genuinely disagree on some inputs, so every report names the mode).
+Both modes decide it by one rule, monotonicity in each argument
+(`topology.first_discontinuity`), without building G x G.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, NamedTuple
+from collections import namedtuple
 
 from .approx import DEFAULT_UNIVERSE_CAP, bit_indices, pair_name
 from .errors import InputError
@@ -39,6 +41,7 @@ from .topology import (
     FiniteTopology,
     base_at,
     closure,
+    first_discontinuity,
     first_failing_open,
     is_continuous,
     is_homeomorphism,
@@ -55,15 +58,11 @@ INVERSE_CONVENTION = Clause(
 )
 
 
-class TRGCert(NamedTuple):
+class TRGCert(namedtuple("TRGCert", "group tau tau_G inverse_map codomain_mode "
+                                    "evidence")):
     """A rough group certificate with verified continuity evidence."""
 
-    group: RoughGroupCert
-    tau: FiniteTopology
-    tau_G: FiniteTopology
-    inverse_map: FiniteMap
-    codomain_mode: str
-    evidence: VerificationReport
+    __slots__ = ()
 
     @property
     def universe(self):
@@ -92,30 +91,17 @@ def _product_map_clause(
     cod: FiniteTopology,
 ) -> Clause:
     """Continuity of (x, y) -> x*y out of G x G, where G carries
-    `factor`, into `cod`: N(x)*N(y) must lie inside N(x*y) for every
-    pair whose product lies in the codomain carrier.  A failure is
-    named by the first open of `cod` whose preimage is not open in the
-    product topology on G x G; the product space is never built.
-
-    Pairs whose product lies outside the codomain carrier (possible in
-    strict mode, where the carrier is G but products only promise to
-    stay in the upper approximation) lie in no preimage.
+    `factor`, into `cod`, by separate monotonicity
+    (`first_discontinuity`); the product space is never built.  A
+    failure is named by the first open of `cod` whose preimage is not
+    open in the product topology on G x G.
     """
     table = group.table
+    v = first_discontinuity(table.rows, factor, factor, cod)
+    if v is None:
+        return Clause("product-map-continuity", PASS)
     u = group.space.universe
     g_elems = tuple(bit_indices(group.g_mask))
-    nbhd = factor.nbhd
-    # (x*y, N(x)*N(y)) for every pair
-    pairs = [(table.rows[x][y], set_product(table, nbhd[x], nbhd[y]))
-             for x in g_elems for y in g_elems]
-
-    def preimage_not_open(v: int) -> bool:
-        return any(v >> z & 1 and prods & ~v for z, prods in pairs)
-
-    if all(cod.carrier >> z & 1 == 0 or prods & ~cod.nbhd[z] == 0
-           for z, prods in pairs):
-        return Clause("product-map-continuity", PASS)
-    v = first_failing_open(cod, preimage_not_open)
     pre = ",".join(pair_name(u.elements[x], u.elements[y])
                    for x in g_elems for y in g_elems if v >> table.rows[x][y] & 1)
     return Clause("product-map-continuity", FAIL,
@@ -123,12 +109,18 @@ def _product_map_clause(
                   "open in the product topology on G x G")
 
 
-def _decide(
+def decide_trg(
     group: RoughGroupCert,
     tau: FiniteTopology,
-    codomain_topology: str,
-) -> tuple[VerificationReport, TRGCert | None, FiniteTopology]:
-    """`decide_trg`, also returning the subspace topology tau_G."""
+    codomain_topology: str = "upper",
+) -> tuple[VerificationReport, TRGCert | None]:
+    """Check the two continuity conditions over a verified rough group.
+
+    Requires tau to live on the upper approximation and every member of
+    G to have a unique inverse (the inverse map must be a function; an
+    ambiguous certificate raises rather than picking silently).  The
+    report carries no stats; `verify_trg` adds the open counts.
+    """
     if codomain_topology not in CODOMAIN_MODES:
         raise InputError(
             f"unknown codomain topology mode {codomain_topology!r}; "
@@ -152,25 +144,8 @@ def _decide(
                           inv_rep.first_witness()))
     report = combine("trg", clauses)
     if not report.passed:
-        return report, None, tau_G
-    cert = TRGCert(group, tau, tau_G, inverse_map, codomain_topology, report)
-    return report, cert, tau_G
-
-
-def decide_trg(
-    group: RoughGroupCert,
-    tau: FiniteTopology,
-    codomain_topology: str = "upper",
-) -> tuple[VerificationReport, TRGCert | None]:
-    """Check the two continuity conditions over a verified rough group.
-
-    Requires tau to live on the upper approximation and every member of
-    G to have a unique inverse (the inverse map must be a function; an
-    ambiguous certificate raises rather than picking silently).  The
-    report carries no stats; `verify_trg` adds the open counts.
-    """
-    report, cert, _ = _decide(group, tau, codomain_topology)
-    return report, cert
+        return report, None
+    return report, TRGCert(group, tau, tau_G, inverse_map, codomain_topology, report)
 
 
 def verify_trg(
@@ -180,7 +155,8 @@ def verify_trg(
 ) -> tuple[VerificationReport, TRGCert | None]:
     """`decide_trg`, with the report's stats counting the opens of tau,
     of tau_G and of the product topology on G x G."""
-    report, cert, tau_G = _decide(group, tau, codomain_topology)
+    report, cert = decide_trg(group, tau, codomain_topology)
+    tau_G = cert.tau_G if cert else subspace_topology(tau, group.g_mask)
     return combine(
         "trg", report.clauses,
         stats=[("tau-opens", tau.count_opens()),

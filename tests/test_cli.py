@@ -324,6 +324,18 @@ def test_cold_import_loads_every_module_and_no_dataclasses():
         modules - {"roughtop.__init__", "roughtop.__main__"} | {"roughtop"})
 
 
+def test_cold_import_without_site_loads_no_typing():
+    """Under `python -S`, where no site hook has loaded `typing` first,
+    `import roughtop.cli` does not load it either."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = (f"import sys; sys.path.insert(0, {str(src)!r}); import roughtop.cli; "
+            "print('typing' in sys.modules, 'roughtop.trg' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True"]
+
+
 def test_help_still_exits_0():
     with pytest.raises(SystemExit) as exc:
         run_cli(["--help"])
