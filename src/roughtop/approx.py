@@ -9,6 +9,7 @@ out in a canonical order for free, which keeps reports byte-stable.
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Iterable, Iterator
 
 from .errors import CapExceededError, InputError
 from .record import Record
@@ -201,8 +202,6 @@ def product_space(s1: ApproxSpace, s2: ApproxSpace, cap: int = DEFAULT_UNIVERSE_
     partition = Partition(universe, blocks)
     op = None
     if s1.op is not None and s2.op is not None:
-        from .groups import CayleyTable
-
         n1 = s1.universe.size
         rows = []
         for i1 in range(n1):
@@ -214,3 +213,7 @@ def product_space(s1: ApproxSpace, s2: ApproxSpace, cap: int = DEFAULT_UNIVERSE_
                 rows.append(tuple(row))
         op = CayleyTable(universe, tuple(rows))
     return ApproxSpace(universe, partition, op)
+
+
+# groups imports this module, so its table type comes in last
+from .groups import CayleyTable  # noqa: E402

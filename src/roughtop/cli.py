@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 
 from .actions import (
     RoughSpace,
@@ -411,6 +412,8 @@ def _run_enumerate(ws: Workspace, args) -> VerificationReport:
                 f"--max-size {args.max_size}"
             )
         u = cert.space.universe
+        # at most 2^n distinct opens occur, so each is formatted once
+        set_str = cache(u.set_str)
         clauses = []
         passes = 0
         tops = enumerate_topologies(u, cert.upper)
@@ -419,7 +422,7 @@ def _run_enumerate(ws: Workspace, args) -> VerificationReport:
                                 codomain_topology=args.codomain_topology)
             if rep.passed:
                 passes += 1
-            opens = " ".join(u.set_str(o) for o in top.opens)
+            opens = " ".join(map(set_str, top.opens))
             clauses.append(Clause(f"topology-{i}", INFO,
                                   f"trg={rep.verdict} opens: {opens}"))
         return combine("enumerate-topologies", clauses,

@@ -14,6 +14,13 @@ Applications*, LNM 2032, 2011).  The list of opens is derived on first
 use, only for callers that print or walk every open, and
 `count_opens` counts them without listing them.
 
+Enumeration is the one place that carries the opens instead.  Each
+preorder on n points is built once from one on n - 1 points, and its
+opens come straight from its parent's (`_preorder_keys`).  A preorder
+is held as one bytes key of local masks, opens first, which the
+garbage collector does not track and whose byte order is the
+canonical order, so one sort of the keys orders every topology.
+
 Witness rule: several checks name the first open, in canonical
 (ascending mask) order, on which some condition fails.  Each of those
 conditions fails on an open O only if it already fails on some N(z)
@@ -27,14 +34,16 @@ Bases are represented as plain tuples of open masks; `verify_base` and
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Sequence
 from functools import cached_property
+from operator import itemgetter, methodcaller
 
 from .approx import Universe, bit_indices, product_mask, product_universe
 from .errors import CapExceededError, InputError
 from .record import Record
 from .report import FAIL, NOT_APPLICABLE, PASS, Clause, VerificationReport, combine
 
-ENUMERATION_MAX_POINTS = 5
+ENUMERATION_MAX_POINTS = 6
 
 
 def canonical_family(members) -> tuple[int, ...]:
@@ -88,10 +97,11 @@ class FiniteTopology(Record):
 
     @classmethod
     def from_family(cls, universe: Universe, carrier: int, family) -> "FiniteTopology":
-        rep = verify_topology(universe, carrier, family)
+        nbhd = _nbhds(universe.size, carrier, family)
+        rep = verify_topology(universe, carrier, family, nbhd=nbhd)
         if rep.verdict != PASS:
             raise InputError(f"family is not a topology: {rep.first_witness()}")
-        return cls(universe, carrier, family)
+        return cls.from_nbhd(universe, carrier, nbhd)
 
     @cached_property
     def up(self) -> tuple[int, ...]:
@@ -202,7 +212,8 @@ _TOPOLOGY_CLAUSES = ("empty-set-member", "carrier-member", "union-closure",
                      "intersection-closure")
 
 
-def verify_topology(universe: Universe, carrier: int, family) -> VerificationReport:
+def verify_topology(universe: Universe, carrier: int, family, *,
+                    nbhd: tuple[int, ...] | None = None) -> VerificationReport:
     """Check the finite topology axioms on a raw family of subsets.
 
     Every member is open in the topology that the family's own
@@ -210,7 +221,9 @@ def verify_topology(universe: Universe, carrier: int, family) -> VerificationRep
     neighbourhoods.  So the family is a topology exactly when it holds
     the empty set and the carrier and m | N(p) is a member for every
     member m and point p: O(|family| * n).  Only a failing family gets
-    the pairwise scan, which names the first offending pair.
+    the pairwise scan, which names the first offending pair.  A caller
+    that already holds the family's neighbourhoods (`_nbhds`) passes
+    them as `nbhd`.
     """
     universe.check_subset(carrier, "carrier")
     fam = canonical_family(family)
@@ -222,7 +235,9 @@ def verify_topology(universe: Universe, carrier: int, family) -> VerificationRep
             )
     stats = [("members", len(fam))]
     members = frozenset(fam)
-    nbhds = set(_nbhds(universe.size, carrier, fam)) - {0}
+    if nbhd is None:
+        nbhd = _nbhds(universe.size, carrier, fam)
+    nbhds = set(nbhd) - {0}
     if 0 in members and carrier in members and all(
             m | n in members for n in nbhds for m in fam):
         return combine("topology", [Clause(c, PASS) for c in _TOPOLOGY_CLAUSES],
@@ -487,53 +502,135 @@ def base_at(members, point: int) -> tuple[int, ...]:
     return tuple(m for m in canonical_family(members) if (m >> point) & 1)
 
 
-def _preorders(n: int):
-    """Yield every preorder on range(n) once, as the tuple of N(p).
+def _preorder_keys(n: int) -> list[bytes]:
+    """Every preorder on range(n) once, as one bytes key: its opens in
+    ascending order, then N(n-1), ..., N(0), all as local masks.
 
-    A preorder on 0..k restricts to one on 0..k-1, so each arises once
-    from that restriction by adding k with a down-set D (the points
-    below k) and an up-set U (the points above k).  Transitivity holds
-    exactly when D is open, U is closed and D lies inside N(u) for
-    every u in U; then N(k) = D + k, and every N(u) gains k.
+    A preorder P on 0..k-1 grows to one on 0..k by giving k a down-set
+    D and an up-set U; transitivity holds exactly when D is open, U is
+    closed and D lies inside N(u) for every u in U.  Then N(k) = D + k,
+    and every N(u) with u in U gains k.  The child's opens are the
+    opens of P that miss U, followed by the opens of P that contain D
+    with k added.  That list is already ascending, because k is the
+    highest bit placed so far.  No opens list is a proper prefix of
+    another (each ends at the carrier), so the keys sort as their opens
+    do.  Masks are single bytes, so n is at most 8.
     """
-    if n == 0:
-        yield ()
-        return
-    k = n - 1
-    full, kbit = (1 << k) - 1, 1 << k
-    for nbhd in _preorders(k):
-        opens = [s for s in range(1 << k)
-                 if all(nbhd[q] & ~s == 0 for q in bit_indices(s))]
-        for d in opens:
+    keys = [b"\x00"]
+    for k in range(n):
+        kbit, full = 1 << k, (1 << k) - 1
+        masks = range(kbit)
+        # deletion tables for bytes.translate: the masks that are not
+        # inside m, and the masks that do not contain m
+        not_inside = [bytes(x for x in masks if x & ~m) for m in masks]
+        not_above = [bytes(x for x in masks if m & ~x) for m in masks]
+        add_k = bytes(x | kbit for x in range(256))
+        # k added to N(q) for every q in U, as an int whose byte q is N(q)
+        raise_u = [sum(kbit << 8 * q for q in bit_indices(u)) for u in masks]
+        children = []
+        add = children.append
+        for key in keys:
+            cut = len(key) - k
+            opens, nbhd = key[:cut], key[cut:]
+            nbhd_int = int.from_bytes(nbhd, "big")
+            # the opens that contain D, with k added, then N(k) = D + k
+            above = {d: opens.translate(add_k, not_above[d]) + bytes((d | kbit,))
+                     for d in opens}
             for o in opens:
                 u = full & ~o
-                if all(d & ~nbhd[q] == 0 for q in bit_indices(u)):
-                    yield tuple(m | kbit if u >> q & 1 else m
-                                for q, m in enumerate(nbhd)) + (d | kbit,)
+                # D must lie inside every N(u); N(q) is byte k-1-q
+                bound, rest = full, u
+                while rest:
+                    low = rest & -rest
+                    bound &= nbhd[k - low.bit_length()]
+                    rest ^= low
+                miss_u = opens.translate(None, not_inside[o])
+                raised = (nbhd_int | raise_u[u]).to_bytes(k, "big")
+                for d in opens.translate(None, not_inside[bound]):
+                    add(miss_u + above[d] + raised)
+        keys = children
+    return keys
 
 
-def enumerate_topologies(universe: Universe, carrier: int) -> tuple[FiniteTopology, ...]:
+class Topologies(Sequence):
+    """The topologies of `enumerate_topologies`, held as their sorted
+    keys and built when read.  Each read makes a FiniteTopology with
+    its nbhd and opens already set, mapped from local to universe masks
+    through one table, which keeps mask order.  A caller that walks the
+    sequence holds one topology object at a time, not 209527 of them at
+    6 points."""
+
+    __slots__ = ("_keys", "_build")
+
+    def __init__(self, universe: Universe, carrier: int, keys: list[bytes]):
+        points = tuple(bit_indices(carrier))
+        n = len(points)
+        table = [0]
+        for p in points:
+            table += [m | 1 << p for m in table]
+        if carrier < 256:
+            # every universe mask fits in a byte: one translate maps a key
+            remap = methodcaller("translate", bytes(table).ljust(256, b"\0"))
+        else:
+            to_mask = table.__getitem__
+
+            def remap(key: bytes) -> tuple[int, ...]:
+                return tuple(map(to_mask, key))
+        # where each universe element's N sits in a key: the i-th
+        # point's at -1 - i, the others' at 0, which holds the empty open
+        pick = [0] * universe.size
+        for i, p in enumerate(points):
+            pick[p] = -1 - i
+        # itemgetter returns a bare item, not a tuple, for a single index
+        spread = (itemgetter(*pick) if len(pick) > 1
+                  else lambda key: tuple(key[i] for i in pick))
+        new = FiniteTopology.__new__
+
+        def build(key: bytes) -> FiniteTopology:
+            key = remap(key)
+            top = new(FiniteTopology)
+            # the fields Record._set would store, without its keyword dict
+            fields = top.__dict__
+            fields["universe"] = universe
+            fields["carrier"] = carrier
+            fields["nbhd"] = spread(key)
+            fields["opens"] = tuple(key[:len(key) - n])
+            return top
+
+        self._keys = keys
+        self._build = build
+
+    def __len__(self) -> int:
+        return len(self._keys)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(self._build, self._keys[i]))
+        return self._build(self._keys[i])
+
+    def __iter__(self) -> Iterator[FiniteTopology]:
+        return map(self._build, self._keys)
+
+
+def enumerate_topologies(universe: Universe, carrier: int) -> Topologies:
     """All topologies on the carrier, in canonical order (by their
-    sorted lists of opens).
+    sorted lists of opens), each with its opens already listed.
 
     Topologies on a finite set match one-to-one its preorders (q <= p
-    iff q is in N(p)), and each preorder is generated once, by adding
-    one point at a time.  The n-point count is A000798(n): 6942 at 5
-    points and 209527 at 6, so the carrier is capped at
+    iff q is in N(p)).  `_preorder_keys` generates each preorder once
+    on local masks (bit i for the i-th point of the carrier), together
+    with its opens, and one sort of the keys puts them in canonical
+    order.  The result is a sequence that builds each topology when it
+    is read (`Topologies`).  The n-point count is A000798(n): 209527 at
+    6 points and 9535241 at 7, so the carrier is capped at
     ENUMERATION_MAX_POINTS points.
     """
     universe.check_subset(carrier, "carrier")
-    points = tuple(bit_indices(carrier))
-    n = len(points)
+    n = carrier.bit_count()
     if n > ENUMERATION_MAX_POINTS:
         raise CapExceededError(
             f"topology enumeration supports at most {ENUMERATION_MAX_POINTS} points, got {n}"
         )
-    found = []
-    for local in _preorders(n):
-        nbhd = [0] * universe.size
-        for i, m in enumerate(local):
-            nbhd[points[i]] = sum(1 << points[j] for j in bit_indices(m))
-        found.append(FiniteTopology.from_nbhd(universe, carrier, nbhd))
-    found.sort(key=lambda t: t.opens)
-    return tuple(found)
+    keys = _preorder_keys(n)
+    keys.sort()
+    return Topologies(universe, carrier, keys)

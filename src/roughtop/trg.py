@@ -15,6 +15,7 @@ Both modes decide it by one rule, monotonicity in each argument
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Iterator
 
 from .approx import DEFAULT_UNIVERSE_CAP, bit_indices, pair_name
 from .errors import InputError

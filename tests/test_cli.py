@@ -1,13 +1,18 @@
 """Command-line behavior: exit codes, report texts, JSON, error paths."""
 
+import importlib
+import inspect
 import json
 import os
+import pkgutil
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import pytest
 
+import roughtop
 from conftest import FIXDIR, run_cli
 
 # Recorded stdout, stderr and exit code of every MATRIX row, in text and
@@ -334,6 +339,27 @@ def test_cold_import_without_site_loads_no_typing():
                           text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False", "True"]
+
+
+def test_every_annotation_in_the_package_resolves():
+    """`typing.get_type_hints` resolves every function and method that
+    a `roughtop` module defines, so each annotated name is importable
+    where it is used."""
+    checked = 0
+    for info in pkgutil.iter_modules(roughtop.__path__):
+        module = importlib.import_module(f"roughtop.{info.name}")
+        for obj in vars(module).values():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            members = vars(obj).values() if inspect.isclass(obj) else [obj]
+            for member in members:
+                # unwrap classmethod, staticmethod, cached_property, property
+                for attr in ("__func__", "func", "fget"):
+                    member = getattr(member, attr, member)
+                if inspect.isfunction(member):
+                    typing.get_type_hints(member)
+                    checked += 1
+    assert checked > 100
 
 
 def test_help_still_exits_0():

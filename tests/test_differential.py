@@ -135,8 +135,9 @@ def test_enumerate_topologies_matches_oracle_on_every_small_carrier():
     checked = 0
     for carrier in range(1 << u.size):
         if carrier.bit_count() <= 4:
-            got = [t.nbhd for t in enumerate_topologies(u, carrier)]
-            assert got == [t.nbhd for t in oracle_enumerate_topologies(u, carrier)]
+            got = [(t.nbhd, t.opens) for t in enumerate_topologies(u, carrier)]
+            assert got == [(t.nbhd, t.opens)
+                           for t in oracle_enumerate_topologies(u, carrier)]
             checked += 1
     assert checked == 57
 

@@ -1,7 +1,10 @@
 """Finite topologies: verification, generation, products, maps, enumeration."""
 
+import random
+
 import pytest
 
+import roughtop.topology as topology
 from roughtop import Universe
 from roughtop.errors import CapExceededError, InputError
 from roughtop.report import serialize_report
@@ -251,12 +254,37 @@ def test_base_at(u3):
     assert base_at(members, 0) == (0b111,)
 
 
-def test_enumerate_topologies_counts():
-    for n, count in ((1, 1), (2, 4), (3, 29), (4, 355), (5, 6942)):
+@pytest.fixture(scope="module")
+def six_point_topologies():
+    """One 6-point enumeration, shared by the tests that read it."""
+    u = Universe(tuple("abcdef"))
+    return enumerate_topologies(u, u.all_mask)
+
+
+def test_enumerate_topologies_counts(six_point_topologies):
+    for n, count in ((0, 1), (1, 1), (2, 4), (3, 29), (4, 355), (5, 6942), (6, 209527)):
         u = Universe(tuple(str(i) for i in range(n)))
-        tops = enumerate_topologies(u, (1 << n) - 1)
+        tops = six_point_topologies if n == 6 else enumerate_topologies(u, (1 << n) - 1)
         assert len(tops) == count
-        assert len({t.opens for t in tops}) == count
+        opens = [t.opens for t in tops]
+        assert all(a < b for a, b in zip(opens, opens[1:]))
+
+
+def test_enumerate_topologies_carry_the_opens_of_their_neighbourhoods(six_point_topologies):
+    u = Universe(tuple("abcde"))
+    five = enumerate_topologies(u, u.all_mask)
+    six = six_point_topologies
+    picked = random.Random(9).sample(range(len(six)), 2000)
+    for top in [*five, *(six[i] for i in picked)]:
+        assert top.opens == FiniteTopology.from_nbhd(top.universe, top.carrier, top.nbhd).opens
+
+
+def test_enumerate_topologies_reads_like_a_tuple():
+    u = Universe(("0", "1", "2"))
+    tops = enumerate_topologies(u, 0b111)
+    assert tops[-1] == tuple(tops)[-1] == tops[len(tops) - 1]
+    assert tops[1:3] == tuple(tops)[1:3]
+    assert tops.index(tops[5]) == 5 and tops[5] in tops
 
 
 def test_enumerate_topologies_matches_oracle():
@@ -269,12 +297,26 @@ def test_enumerate_topologies_matches_oracle():
 def test_enumerate_topologies_partial_carrier():
     u = Universe(("0", "1", "2", "3"))
     assert len(enumerate_topologies(u, 0b0011)) == 4
+    big = Universe(tuple(str(i) for i in range(12)))
+    tops = enumerate_topologies(big, 0b1001_0000_0001)
+    assert len(tops) == 29
+    assert tops[0].nbhd == (1,) + (0,) * 7 + (1 << 8,) + (0,) * 2 + (1 << 11,)
+    assert tops[-1].opens == (0, 0b1001_0000_0001)
 
 
 def test_enumerate_topologies_cap():
-    u = Universe(tuple(str(i) for i in range(6)))
-    with pytest.raises(CapExceededError, match=r"at most 5 points, got 6"):
-        enumerate_topologies(u, 0b111111)
+    u = Universe(tuple(str(i) for i in range(7)))
+    with pytest.raises(CapExceededError, match=r"at most 6 points, got 7"):
+        enumerate_topologies(u, 0b1111111)
+
+
+def test_from_family_computes_the_neighbourhoods_once(u3, monkeypatch):
+    calls = []
+    nbhds = topology._nbhds
+    monkeypatch.setattr(topology, "_nbhds", lambda *a: calls.append(a) or nbhds(*a))
+    top = FiniteTopology.from_family(u3, 0b111, (0b111, 0, 0b010, 0b110, 0b100))
+    assert top.nbhd == (0b111, 0b010, 0b100)
+    assert len(calls) == 1
 
 
 def test_finite_topology_canonicalizes_and_validates(u3):
