@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
 from functools import cached_property
-from operator import itemgetter, methodcaller
+from operator import itemgetter
 
 from .approx import Universe, bit_indices, product_mask, product_universe
 from .errors import CapExceededError, InputError
@@ -97,10 +97,22 @@ class FiniteTopology(Record):
 
     @classmethod
     def from_family(cls, universe: Universe, carrier: int, family) -> "FiniteTopology":
-        nbhd = _nbhds(universe.size, carrier, family)
-        rep = verify_topology(universe, carrier, family, nbhd=nbhd)
+        """Validate the family with `verify_topology`, then read N(p) off
+        it as the first member, in canonical order, that holds p: every
+        open holding p contains N(p), which is a member, so its mask is
+        no smaller.  One cheap pass, where `_nbhds` intersects every
+        member with every point."""
+        fam = canonical_family(family)
+        rep = verify_topology(universe, carrier, fam)
         if rep.verdict != PASS:
             raise InputError(f"family is not a topology: {rep.first_witness()}")
+        nbhd = [0] * universe.size
+        seen = 0
+        for m in fam:
+            if m & ~seen:
+                for p in bit_indices(m & ~seen):
+                    nbhd[p] = m
+                seen |= m
         return cls.from_nbhd(universe, carrier, nbhd)
 
     @cached_property
@@ -212,8 +224,7 @@ _TOPOLOGY_CLAUSES = ("empty-set-member", "carrier-member", "union-closure",
                      "intersection-closure")
 
 
-def verify_topology(universe: Universe, carrier: int, family, *,
-                    nbhd: tuple[int, ...] | None = None) -> VerificationReport:
+def verify_topology(universe: Universe, carrier: int, family) -> VerificationReport:
     """Check the finite topology axioms on a raw family of subsets.
 
     Every member is open in the topology that the family's own
@@ -221,9 +232,7 @@ def verify_topology(universe: Universe, carrier: int, family, *,
     neighbourhoods.  So the family is a topology exactly when it holds
     the empty set and the carrier and m | N(p) is a member for every
     member m and point p: O(|family| * n).  Only a failing family gets
-    the pairwise scan, which names the first offending pair.  A caller
-    that already holds the family's neighbourhoods (`_nbhds`) passes
-    them as `nbhd`.
+    the pairwise scan, which names the first offending pair.
     """
     universe.check_subset(carrier, "carrier")
     fam = canonical_family(family)
@@ -235,9 +244,7 @@ def verify_topology(universe: Universe, carrier: int, family, *,
             )
     stats = [("members", len(fam))]
     members = frozenset(fam)
-    if nbhd is None:
-        nbhd = _nbhds(universe.size, carrier, fam)
-    nbhds = set(nbhd) - {0}
+    nbhds = set(_nbhds(universe.size, carrier, fam)) - {0}
     if 0 in members and carrier in members and all(
             m | n in members for n in nbhds for m in fam):
         return combine("topology", [Clause(c, PASS) for c in _TOPOLOGY_CLAUSES],
@@ -558,7 +565,10 @@ class Topologies(Sequence):
     its nbhd and opens already set, mapped from local to universe masks
     through one table, which keeps mask order.  A caller that walks the
     sequence holds one topology object at a time, not 209527 of them at
-    6 points."""
+    6 points.  Unlike a tuple, two sequences do not compare equal by
+    value, and each read builds a new object whose cached properties
+    (`up`, `minimal_opens`) start empty; take `tuple(...)` of it to
+    compare listings or to keep the objects."""
 
     __slots__ = ("_keys", "_build")
 
@@ -568,14 +578,7 @@ class Topologies(Sequence):
         table = [0]
         for p in points:
             table += [m | 1 << p for m in table]
-        if carrier < 256:
-            # every universe mask fits in a byte: one translate maps a key
-            remap = methodcaller("translate", bytes(table).ljust(256, b"\0"))
-        else:
-            to_mask = table.__getitem__
-
-            def remap(key: bytes) -> tuple[int, ...]:
-                return tuple(map(to_mask, key))
+        to_mask = table.__getitem__
         # where each universe element's N sits in a key: the i-th
         # point's at -1 - i, the others' at 0, which holds the empty open
         pick = [0] * universe.size
@@ -587,14 +590,13 @@ class Topologies(Sequence):
         new = FiniteTopology.__new__
 
         def build(key: bytes) -> FiniteTopology:
-            key = remap(key)
+            key = tuple(map(to_mask, key))
             top = new(FiniteTopology)
-            # the fields Record._set would store, without its keyword dict
-            fields = top.__dict__
-            fields["universe"] = universe
-            fields["carrier"] = carrier
-            fields["nbhd"] = spread(key)
-            fields["opens"] = tuple(key[:len(key) - n])
+            # from_nbhd's fields and the opens in one _set: from_nbhd and
+            # a second _set put the 6-point probe path over its 1 s
+            # budget (BENCH_9.json)
+            top._set(universe=universe, carrier=carrier, nbhd=spread(key),
+                     opens=key[:len(key) - n])
             return top
 
         self._keys = keys

@@ -287,6 +287,18 @@ def test_enumerate_topologies_reads_like_a_tuple():
     assert tops.index(tops[5]) == 5 and tops[5] in tops
 
 
+def test_enumerate_topologies_build_the_fields_of_from_nbhd():
+    """A read sets exactly the fields `from_nbhd` sets, plus the opens,
+    so a field added to FiniteTopology cannot be missed here."""
+    u = Universe(tuple(str(i) for i in range(12)))
+    for carrier in (0b111, 0b1001_0000_0001):
+        for top in enumerate_topologies(u, carrier):
+            ref = FiniteTopology.from_nbhd(u, carrier, top.nbhd)
+            assert top == ref
+            assert set(vars(top)) == set(vars(ref)) | {"opens"}
+            assert top.opens == ref.opens
+
+
 def test_enumerate_topologies_matches_oracle():
     u = Universe(("0", "1", "2"))
     tops = enumerate_topologies(u, 0b111)
@@ -317,6 +329,20 @@ def test_from_family_computes_the_neighbourhoods_once(u3, monkeypatch):
     top = FiniteTopology.from_family(u3, 0b111, (0b111, 0, 0b010, 0b110, 0b100))
     assert top.nbhd == (0b111, 0b010, 0b100)
     assert len(calls) == 1
+
+
+def test_from_family_reads_the_neighbourhoods_of_every_small_topology():
+    u = Universe(tuple(str(i) for i in range(6)))
+    for carrier in (0b1111, 0b101101):
+        for top in enumerate_topologies(u, carrier):
+            got = FiniteTopology.from_family(u, carrier, reversed(top.opens))
+            assert got.nbhd == top.nbhd
+
+
+def test_from_family_checks_the_carrier_first(u3):
+    for carrier in (-1, 0b1000):
+        with pytest.raises(InputError, match=r"carrier is not a subset of the universe"):
+            FiniteTopology.from_family(u3, carrier, (0, 0b1000))
 
 
 def test_finite_topology_canonicalizes_and_validates(u3):
