@@ -303,6 +303,13 @@ BAD_DOCS = {
     "empty_braces_partition.rg": (
         "universe UA: 0 1 2\npartition PA on UA: {0 1 2} {}\n"
     ),
+    "element_inside_keyword.rg": "universe U: a b\nsubset S of U: t\n",
+    "unknown_element_subset_topology.rg": (
+        "universe U: a b c\nsubset S of U: a b\ntopology t on S: {} {z} {a b}\n"
+    ),
+    "unknown_element_subset_map.rg": (
+        "universe U: a b c\nsubset S of U: a b\nmap m from S to U: a->a q->b\n"
+    ),
 }
 
 

@@ -33,11 +33,12 @@ from .groups import (
 from .record import Record
 from .report import (
     FAIL,
-    NOT_APPLICABLE,
     PASS,
     Clause,
     VerificationReport,
     combine,
+    not_applicable,
+    premise,
 )
 from .topology import (
     FiniteMap,
@@ -156,11 +157,7 @@ def verify_rough_action(
     wit = escape_witness(table, cert.upper, cert.upper,
                          "leaves the upper approximation of G")
     if wit is not None:
-        return combine(
-            "rough-action",
-            [Clause("premise-upper-closed", NOT_APPLICABLE, wit)],
-            verdict=NOT_APPLICABLE,
-        ), None
+        return not_applicable("rough-action", "premise-upper-closed", wit), None
     clauses = [Clause("premise-upper-closed", PASS)]
 
     rows = {a: {b: mu.apply(a * n2 + b) for b in bit_indices(b_mask)}
@@ -258,7 +255,7 @@ def translation_map(
         tuple((x, action.act(g, x)) for x in x_elems),
     )
     homeo = is_homeomorphism(fmap, action.rspace.tau_x, action.rspace.tau_x)
-    clauses = [Clause("homeomorphism", homeo.verdict, homeo.first_witness())]
+    clauses = [homeo.as_clause("homeomorphism")]
 
     rows = cert.table.rows
     found = _first_incompatible(action, (
@@ -316,12 +313,8 @@ def check_AU_open(cert: TRGCert, a_mask: int, u_mask: int) -> VerificationReport
         raise InputError(f"U = {gu.set_str(u_mask)} is not open in the topology")
     why = group_axioms_witness(cert.table, cert.upper)
     if why is not None:
-        return combine(
-            "AU-open",
-            [Clause("premise-upper-group", NOT_APPLICABLE,
-                    f"the upper approximation is not a group: {why}")],
-            verdict=NOT_APPLICABLE,
-        )
+        return not_applicable("AU-open", "premise-upper-group",
+                              f"the upper approximation is not a group: {why}")
     clauses = [Clause("premise-upper-group", PASS)]
     au = set_product(cert.table, a_mask, u_mask)
     ua = set_product(cert.table, u_mask, a_mask)
@@ -348,39 +341,26 @@ def check_subgroup_open(
     tau_G, contains the identity, and sits inside H.
     """
     gu = cert.universe
-    premises = []
     why = group_axioms_witness(cert.table, cert.upper)
-    premises.append(Clause(
-        "premise-upper-group", NOT_APPLICABLE if why else PASS,
-        f"the upper approximation is not a group: {why}" if why else None,
-    ))
-    sub = verify_rough_subgroup(cert.group, h_mask)
-    premises.append(Clause(
-        "premise-rough-subgroup", PASS if sub.passed else NOT_APPLICABLE,
-        None if sub.passed else sub.first_witness(),
-    ))
+    # the subgroup check validates H, so it runs before upper(H) is taken
+    not_sub = verify_rough_subgroup(cert.group, h_mask).first_witness()
     upper_h = upper_approx(cert.group.space, h_mask)
-    wit = escape_witness(cert.table, upper_h, upper_h,
-                         "leaves the upper approximation of H")
-    premises.append(Clause("premise-upper-H-closed",
-                           NOT_APPLICABLE if wit else PASS, wit))
-    ok = cert.tau_G.is_open(w_mask)
-    premises.append(Clause(
-        "premise-W-open", PASS if ok else NOT_APPLICABLE,
-        None if ok else f"W = {gu.set_str(w_mask)} is not open in tau_G",
-    ))
-    ok = (w_mask >> cert.e) & 1 == 1
-    premises.append(Clause(
-        "premise-identity-in-W", PASS if ok else NOT_APPLICABLE,
-        None if ok else f"the identity {gu.elements[cert.e]} is not in W",
-    ))
-    ok = w_mask & ~h_mask == 0
-    premises.append(Clause(
-        "premise-W-inside-H", PASS if ok else NOT_APPLICABLE,
-        None if ok else f"W = {gu.set_str(w_mask)} is not a subset of H",
-    ))
+    premises = [
+        premise("premise-upper-group", None if why is None
+                else f"the upper approximation is not a group: {why}"),
+        premise("premise-rough-subgroup", not_sub),
+        premise("premise-upper-H-closed",
+                escape_witness(cert.table, upper_h, upper_h,
+                               "leaves the upper approximation of H")),
+        premise("premise-W-open", None if cert.tau_G.is_open(w_mask)
+                else f"W = {gu.set_str(w_mask)} is not open in tau_G"),
+        premise("premise-identity-in-W", None if (w_mask >> cert.e) & 1
+                else f"the identity {gu.elements[cert.e]} is not in W"),
+        premise("premise-W-inside-H", None if w_mask & ~h_mask == 0
+                else f"W = {gu.set_str(w_mask)} is not a subset of H"),
+    ]
     if any(c.verdict != PASS for c in premises):
-        return combine("subgroup-open", premises, verdict=NOT_APPLICABLE)
+        return combine("subgroup-open", premises)
 
     clauses = list(premises)
     union = set_product(cert.table, upper_h, w_mask)

@@ -41,13 +41,13 @@ from .parser import Workspace, parse_spec
 from .report import (
     FAIL,
     INFO,
-    NOT_APPLICABLE,
     PASS,
     Clause,
     VerificationReport,
     combine,
     error_report,
     exit_code,
+    not_applicable,
     serialize_report,
 )
 from .topology import enumerate_topologies
@@ -168,15 +168,6 @@ def _need(args, flag: str, kind: str) -> str:
     return value
 
 
-def _premise_report(check: str, clause_name: str, witness: str | None,
-                    fallback: str) -> VerificationReport:
-    return combine(
-        check,
-        [Clause(clause_name, NOT_APPLICABLE, witness or fallback)],
-        verdict=NOT_APPLICABLE,
-    )
-
-
 def _build_space(ws: Workspace, table_name: str, partition_name: str) -> ApproxSpace:
     t_uname, table = ws.table(table_name)
     p_uname, partition = ws.partition(partition_name)
@@ -208,8 +199,8 @@ def _group_cert(ws: Workspace, args, check: str, prefix: str = ""):
     rep, cert = verify_rough_group(space, g_mask)
     if cert is None:
         label = f"premise-{prefix}-rough-group" if prefix else "premise-rough-group"
-        return None, _premise_report(check, label, rep.first_witness(),
-                                     "the group axioms fail")
+        return None, not_applicable(
+            check, label, rep.first_witness() or "the group axioms fail")
     return cert, None
 
 
@@ -222,8 +213,8 @@ def _trg_cert(ws: Workspace, args, check: str, prefix: str = ""):
     rep, trg = decide_trg(cert, top, codomain_topology=args.codomain_topology)
     if trg is None:
         label = f"premise-{prefix}-trg" if prefix else "premise-trg"
-        return None, _premise_report(check, label, rep.first_witness(),
-                                     "the continuity conditions fail")
+        return None, not_applicable(
+            check, label, rep.first_witness() or "the continuity conditions fail")
     return trg, None
 
 
@@ -241,8 +232,7 @@ def _with_kernel_info(report: VerificationReport, hom) -> VerificationReport:
         extra.append(Clause("kernel-normal", INFO,
                             krep.verdict + (f": {wit}" if wit else "")))
     stats = list(report.stats) + [("kernel-size", popcount(kernel))]
-    return combine(report.check, list(report.clauses) + extra, stats=stats,
-                   verdict=report.verdict)
+    return combine(report.check, list(report.clauses) + extra, stats=stats)
 
 
 def _rough_space(ws: Workspace, args, check: str) -> RoughSpace:
@@ -310,9 +300,9 @@ def _run_check(ws: Workspace, args) -> VerificationReport:
         if kind == "trg-hom":
             return _with_kernel_info(rep, hom.algebra if hom else None)
         if hom is None:
-            return _premise_report(check, "premise-trg-homomorphism",
-                                   rep.first_witness(),
-                                   "the map is not a continuous homomorphism")
+            return not_applicable(
+                check, "premise-trg-homomorphism",
+                rep.first_witness() or "the map is not a continuous homomorphism")
         return verify_trg_homeomorphism(hom)
     if kind == "action":
         cert, na = _trg_cert(ws, args, "rough-action")
@@ -400,7 +390,7 @@ def _run_enumerate(ws: Workspace, args) -> VerificationReport:
             for i, mask in enumerate(found)
         ]
         return combine("enumerate-subgroups", clauses,
-                       stats=[("count", len(found))], verdict=PASS)
+                       stats=[("count", len(found))])
     if what == "topologies":
         cert, na = _group_cert(ws, args, "enumerate-topologies")
         if cert is None:
@@ -426,8 +416,7 @@ def _run_enumerate(ws: Workspace, args) -> VerificationReport:
             clauses.append(Clause(f"topology-{i}", INFO,
                                   f"trg={rep.verdict} opens: {opens}"))
         return combine("enumerate-topologies", clauses,
-                       stats=[("count", len(tops)), ("trg-pass", passes)],
-                       verdict=PASS)
+                       stats=[("count", len(tops)), ("trg-pass", passes)])
     if what == "witness":
         cert, na = _trg_cert(ws, args, "enumerate-witness")
         if cert is None:
@@ -440,7 +429,7 @@ def _run_enumerate(ws: Workspace, args) -> VerificationReport:
             for i, v in enumerate(found)
         ]
         return combine("enumerate-witness", clauses,
-                       stats=[("count", len(found))], verdict=PASS)
+                       stats=[("count", len(found))])
     raise InputError(f"unknown enumeration {what!r}")
 
 

@@ -32,6 +32,7 @@ from .report import (
     Clause,
     VerificationReport,
     combine,
+    not_applicable,
 )
 from .topology import FiniteMap
 
@@ -318,12 +319,8 @@ def is_rough_normal(parent: RoughGroupCert, n_mask: int) -> VerificationReport:
     """
     sub = verify_rough_subgroup(parent, n_mask)
     if not sub.passed:
-        return combine(
-            "rough-normal",
-            [Clause("premise-rough-subgroup", NOT_APPLICABLE,
-                    sub.first_witness() or "N is not a rough subgroup")],
-            verdict=NOT_APPLICABLE,
-        )
+        return not_applicable("rough-normal", "premise-rough-subgroup",
+                              sub.first_witness() or "N is not a rough subgroup")
     u = parent.space.universe
     table = parent.table
     clauses = [Clause("premise-rough-subgroup", PASS)]
@@ -462,14 +459,11 @@ def rough_kernel(hom: RoughHom) -> tuple[int, VerificationReport]:
             "empty kernel: no member of G maps to the target identity",
         ))
         return kernel, combine("rough-kernel", clauses,
-                               stats=[("kernel-size", 0)],
-                               verdict=NOT_APPLICABLE)
+                               stats=[("kernel-size", 0)])
     sub = verify_rough_subgroup(src, kernel)
-    clauses.append(Clause("kernel-subgroup", sub.verdict, sub.first_witness()))
+    clauses.append(sub.as_clause("kernel-subgroup"))
     if sub.passed:
-        normal = is_rough_normal(src, kernel)
-        clauses.append(Clause("kernel-normal", normal.verdict,
-                              normal.first_witness()))
+        clauses.append(is_rough_normal(src, kernel).as_clause("kernel-normal"))
     else:
         clauses.append(Clause("kernel-normal", NOT_APPLICABLE,
                               "skipped: kernel is not a rough subgroup"))

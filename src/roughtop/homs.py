@@ -47,10 +47,9 @@ def verify_trg_homomorphism(
     algebra_rep, algebra = verify_rough_homomorphism(
         src.group, tgt.group, fmap, strict=strict
     )
-    clauses = [Clause("rough-homomorphism", algebra_rep.verdict,
-                      algebra_rep.first_witness())]
+    clauses = [algebra_rep.as_clause("rough-homomorphism")]
     cont = is_continuous(fmap, src.tau, tgt.tau)
-    clauses.append(Clause("continuity", cont.verdict, cont.first_witness()))
+    clauses.append(cont.as_clause("continuity"))
     cls_clause = algebra_rep.clause("classification")
     classification = cls_clause.witness if cls_clause else "homomorphism-only"
     clauses.append(Clause("classification", INFO, classification))
@@ -89,8 +88,7 @@ def verify_trg_homeomorphism(hom: TRGHom) -> VerificationReport:
     clauses = [Clause("bijective", PASS)]
     inverse = fmap.inverse()
     inv_rep, _ = verify_trg_homomorphism(hom.tgt, hom.src, inverse)
-    clauses.append(Clause("inverse-homomorphism", inv_rep.verdict,
-                          inv_rep.first_witness()))
+    clauses.append(inv_rep.as_clause("inverse-homomorphism"))
 
     for name, first, then, mask in (
         ("source-G", fmap, inverse, hom.src.g_mask),

@@ -268,13 +268,13 @@ def parse_spec(text: str) -> Workspace:
             _check_fresh("topology", name, ws.topologies, lineno, head_text)
             cname = head[3]
             try:
-                _, u, carrier = ws.set_ref(cname)
+                uname, u, carrier = ws.set_ref(cname)
             except InputError as e:
                 raise ParseError(str(e), lineno, _word_col(head_text, 3)) from None
             family = []
             for group, at in _brace_groups(tail, off, lineno):
                 mask = 0
-                for i in _elements(u, cname, group, at, lineno):
+                for i in _elements(u, uname, group, at, lineno):
                     mask |= 1 << i
                 family.append(mask)
             try:
@@ -293,11 +293,11 @@ def parse_spec(text: str) -> Workspace:
             _check_fresh("map", name, ws.maps, lineno, head_text)
             aname, bname = head[3], head[5]
             try:
-                _, au, amask = ws.set_ref(aname)
+                a_uname, au, amask = ws.set_ref(aname)
             except InputError as e:
                 raise ParseError(str(e), lineno, _word_col(head_text, 3)) from None
             try:
-                _, bu, bmask = ws.set_ref(bname)
+                b_uname, bu, bmask = ws.set_ref(bname)
             except InputError as e:
                 raise ParseError(str(e), lineno, _word_col(head_text, 5)) from None
             pairs = []
@@ -306,8 +306,8 @@ def parse_spec(text: str) -> Workspace:
                 if len(parts) != 2 or not parts[0] or not parts[1]:
                     raise ParseError(
                         f"expected 'src->dst', got {tok!r}", lineno, col)
-                src = _element(au, aname, parts[0], lineno, col)
-                dst = _element(bu, bname, parts[1], lineno,
+                src = _element(au, a_uname, parts[0], lineno, col)
+                dst = _element(bu, b_uname, parts[1], lineno,
                                col + len(parts[0]) + 2)
                 pairs.append((src, dst))
             try:

@@ -3,8 +3,10 @@
 Every check in the package returns a :class:`VerificationReport`: an
 overall verdict, an ordered list of named clauses (each with its own
 verdict and, where relevant, a witness or counterexample string), and a
-few integer counters.  Reports are pure values; serializing the same
-report twice yields byte-identical output.
+few integer counters.  The overall verdict follows from the clauses
+(`combine`): a failed premise makes a check not-applicable rather than
+failed.  Reports are pure values; serializing the same report twice
+yields byte-identical output.
 """
 
 from __future__ import annotations
@@ -55,13 +57,34 @@ class VerificationReport(Record):
                 return c.witness
         return None
 
+    def as_clause(self, name: str) -> Clause:
+        """This report as one clause of another: its verdict and its
+        first witness."""
+        return Clause(name, self.verdict, self.first_witness())
 
-def combine(check: str, clauses, stats=None, verdict: str | None = None) -> VerificationReport:
-    """Build a report; by default the verdict is fail iff some clause failed."""
+
+def combine(check: str, clauses, stats=None) -> VerificationReport:
+    """Build a report whose verdict follows from its clauses: fail if
+    any clause failed, else not-applicable if any clause is
+    not-applicable, else pass.  Info clauses never decide."""
     clauses = tuple(clauses)
-    if verdict is None:
-        verdict = FAIL if any(c.verdict == FAIL for c in clauses) else PASS
+    verdicts = {c.verdict for c in clauses}
+    verdict = (FAIL if FAIL in verdicts
+               else NOT_APPLICABLE if NOT_APPLICABLE in verdicts else PASS)
     return VerificationReport(check, verdict, clauses, tuple(stats or ()))
+
+
+def premise(name: str, witness: str | None) -> Clause:
+    """A premise clause: not-applicable with the witness that breaks
+    it, or pass when there is none.  Under `combine` a failed premise
+    makes the check not-applicable, never failed."""
+    return Clause(name, NOT_APPLICABLE if witness else PASS, witness)
+
+
+def not_applicable(check: str, name: str, witness: str) -> VerificationReport:
+    """The report of a check whose premise `name` fails, with that
+    premise as its one clause; `combine` makes it not-applicable."""
+    return combine(check, [Clause(name, NOT_APPLICABLE, witness)])
 
 
 def error_report(check: str, message: str) -> VerificationReport:

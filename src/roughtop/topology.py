@@ -72,28 +72,16 @@ class FiniteTopology(Record):
     """A topology on a carrier inside a universe, stored as nbhd[p] =
     N(p) for every point p of the carrier (0 for the other elements).
 
-    `FiniteTopology(universe, carrier, opens)` takes a family of opens
-    and assumes the topology axioms; raw families coming from outside
-    go through `from_family`, which validates them with
-    `verify_topology`.  The algorithmic constructors below build the
-    neighbourhoods directly with `from_nbhd`.
+    `FiniteTopology(universe, carrier, nbhd)` takes the neighbourhoods
+    (any iterable) and assumes they form a preorder.  A family of
+    opens goes through `from_family`, which validates it with
+    `verify_topology`, and a subbasis through `generate_topology`.
     """
 
     _fields = ("universe", "carrier", "nbhd")
 
-    def __init__(self, universe: Universe, carrier: int, opens):
-        self._set(universe=universe, carrier=carrier,
-                  nbhd=_nbhds(universe.size, carrier, opens))
-
-    @classmethod
-    def from_nbhd(cls, universe: Universe, carrier: int, nbhd) -> "FiniteTopology":
-        top = cls.__new__(cls)
-        top._set(universe=universe, carrier=carrier, nbhd=tuple(nbhd))
-        return top
-
-    def _replace(self, **changes) -> "FiniteTopology":
-        # the constructor takes opens, not neighbourhoods
-        return self.from_nbhd(**dict(zip(self._fields, self._values()), **changes))
+    def __init__(self, universe: Universe, carrier: int, nbhd):
+        self._set(universe=universe, carrier=carrier, nbhd=tuple(nbhd))
 
     @classmethod
     def from_family(cls, universe: Universe, carrier: int, family) -> "FiniteTopology":
@@ -113,7 +101,7 @@ class FiniteTopology(Record):
                 for p in bit_indices(m & ~seen):
                     nbhd[p] = m
                 seen |= m
-        return cls.from_nbhd(universe, carrier, nbhd)
+        return cls(universe, carrier, nbhd)
 
     @cached_property
     def up(self) -> tuple[int, ...]:
@@ -274,14 +262,14 @@ def generate_topology(universe: Universe, carrier: int, subbasis) -> FiniteTopol
     for m in sub:
         if m < 0 or m & ~carrier:
             raise InputError("subbasis member is not a subset of the carrier")
-    return FiniteTopology.from_nbhd(universe, carrier, _nbhds(universe.size, carrier, sub))
+    return FiniteTopology(universe, carrier, _nbhds(universe.size, carrier, sub))
 
 
 def subspace_topology(top: FiniteTopology, a_mask: int) -> FiniteTopology:
     """Relative topology on A: N_A(p) = N(p) & A."""
     if a_mask < 0 or a_mask & ~top.carrier:
         raise InputError("subspace carrier is not a subset of the carrier")
-    return FiniteTopology.from_nbhd(
+    return FiniteTopology(
         top.universe, a_mask,
         (n & a_mask if a_mask >> p & 1 else 0 for p, n in enumerate(top.nbhd)))
 
@@ -294,7 +282,7 @@ def product_topology(t1: FiniteTopology, t2: FiniteTopology) -> FiniteTopology:
     for x in bit_indices(t1.carrier):
         for y in bit_indices(t2.carrier):
             nbhd[x * n2 + y] = product_mask(t1.nbhd[x], t2.nbhd[y], n2)
-    return FiniteTopology.from_nbhd(
+    return FiniteTopology(
         universe, product_mask(t1.carrier, t2.carrier, n2), nbhd)
 
 
@@ -465,11 +453,11 @@ def is_homeomorphism(fmap: FiniteMap, dom_top: FiniteTopology,
         return combine("homeomorphism", clauses)
     clauses.append(Clause("bijective", PASS))
     fwd = is_continuous(fmap, dom_top, cod_top)
-    clauses.append(Clause("forward-continuity", fwd.verdict, fwd.first_witness()))
+    clauses.append(fwd.as_clause("forward-continuity"))
     if fwd.verdict != PASS:
         return combine("homeomorphism", clauses)
     bwd = is_continuous(fmap.inverse(), cod_top, dom_top)
-    clauses.append(Clause("inverse-continuity", bwd.verdict, bwd.first_witness()))
+    clauses.append(bwd.as_clause("inverse-continuity"))
     return combine("homeomorphism", clauses)
 
 
@@ -592,9 +580,9 @@ class Topologies(Sequence):
         def build(key: bytes) -> FiniteTopology:
             key = tuple(map(to_mask, key))
             top = new(FiniteTopology)
-            # from_nbhd's fields and the opens in one _set: from_nbhd and
-            # a second _set put the 6-point probe path over its 1 s
-            # budget (BENCH_9.json)
+            # the constructor's fields and the opens in one _set: the
+            # constructor and a second _set put the 6-point probe path
+            # over its 1 s budget (BENCH_9.json)
             top._set(universe=universe, carrier=carrier, nbhd=spread(key),
                      opens=key[:len(key) - n])
             return top

@@ -36,6 +36,8 @@ from .report import (
     Clause,
     VerificationReport,
     combine,
+    not_applicable,
+    premise,
 )
 from .topology import (
     FiniteMap,
@@ -141,8 +143,7 @@ def decide_trg(
     cod = tau if codomain_topology == "upper" else tau_G
     clauses.append(_product_map_clause(group, tau_G, cod))
     inv_rep = is_continuous(inverse_map, tau_G, tau_G)
-    clauses.append(Clause("inverse-map-continuity", inv_rep.verdict,
-                          inv_rep.first_witness()))
+    clauses.append(inv_rep.as_clause("inverse-map-continuity"))
     report = combine("trg", clauses)
     if not report.passed:
         return report, None
@@ -224,11 +225,9 @@ def check_translations(cert: TRGCert, a: int) -> VerificationReport:
                 seen[y] = x
         clauses.append(Clause(f"{label}-injective", FAIL if wit else PASS, wit))
         cont = is_continuous(fmap, cert.tau_G, cert.tau)
-        clauses.append(Clause(f"{label}-continuity", cont.verdict,
-                              cont.first_witness()))
+        clauses.append(cont.as_clause(f"{label}-continuity"))
     homeo = is_homeomorphism(cert.inverse_map, cert.tau_G, cert.tau_G)
-    clauses.append(Clause("inverse-homeomorphism", homeo.verdict,
-                          homeo.first_witness()))
+    clauses.append(homeo.as_clause("inverse-homeomorphism"))
     return combine("translations", clauses)
 
 
@@ -307,20 +306,16 @@ def check_topological_group(cert: TRGCert) -> VerificationReport:
     classical topological group; otherwise the check does not apply."""
     u = cert.universe
     if cert.g_mask != cert.upper:
-        return combine(
-            "topological-group",
-            [Clause("premise-G-equals-upper", NOT_APPLICABLE,
-                    f"G = {u.set_str(cert.g_mask)} differs from its upper "
-                    f"approximation {u.set_str(cert.upper)}")],
-            verdict=NOT_APPLICABLE,
-        )
+        return not_applicable(
+            "topological-group", "premise-G-equals-upper",
+            f"G = {u.set_str(cert.g_mask)} differs from its upper "
+            f"approximation {u.set_str(cert.upper)}")
     clauses = [Clause("premise-G-equals-upper", PASS)]
     wit = group_axioms_witness(cert.table, cert.g_mask)
     clauses.append(Clause("group-axioms", FAIL if wit else PASS, wit))
     clauses.append(_product_map_clause(cert.group, cert.tau, cert.tau))
     inv_rep = is_continuous(cert.inverse_map, cert.tau_G, cert.tau_G)
-    clauses.append(Clause("inversion-continuity", inv_rep.verdict,
-                          inv_rep.first_witness()))
+    clauses.append(inv_rep.as_clause("inversion-continuity"))
     return combine("topological-group", clauses)
 
 
@@ -337,12 +332,8 @@ def check_closure_symmetric(cert: TRGCert, a_mask: int) -> VerificationReport:
         )
     cl = closure(cert.tau, a_mask)
     if cl & ~cert.g_mask:
-        return combine(
-            "closure-symmetric",
-            [Clause("closure-inside-G", NOT_APPLICABLE,
-                    f"closure escapes G: cl(A) = {u.set_str(cl)}")],
-            verdict=NOT_APPLICABLE,
-        )
+        return not_applicable("closure-symmetric", "closure-inside-G",
+                              f"closure escapes G: cl(A) = {u.set_str(cl)}")
     clauses = [Clause("closure-inside-G", PASS, f"cl(A) = {u.set_str(cl)}")]
     inv = inverse_of_set(cert, cl)
     wit = None
@@ -358,22 +349,17 @@ def check_closure_subgroup(cert: TRGCert, h_mask: int) -> VerificationReport:
     u = cert.universe
     sub = verify_rough_subgroup(cert.group, h_mask)
     if not sub.passed:
-        return combine(
-            "closure-subgroup",
-            [Clause("premise-rough-subgroup", NOT_APPLICABLE,
-                    sub.first_witness() or "H is not a rough subgroup")],
-            verdict=NOT_APPLICABLE,
-        )
+        return not_applicable("closure-subgroup", "premise-rough-subgroup",
+                              sub.first_witness() or "H is not a rough subgroup")
     clauses = [Clause("premise-rough-subgroup", PASS)]
     cl = closure(cert.tau, h_mask)
     if cl & ~cert.g_mask:
         clauses.append(Clause("closure-inside-G", NOT_APPLICABLE,
                               f"closure escapes G: cl(H) = {u.set_str(cl)}"))
-        return combine("closure-subgroup", clauses, verdict=NOT_APPLICABLE)
+        return combine("closure-subgroup", clauses)
     clauses.append(Clause("closure-inside-G", PASS, f"cl(H) = {u.set_str(cl)}"))
-    clsub = verify_rough_subgroup(cert.group, cl)
-    clauses.append(Clause("closure-is-subgroup", clsub.verdict,
-                          clsub.first_witness()))
+    clauses.append(verify_rough_subgroup(cert.group, cl)
+                   .as_clause("closure-is-subgroup"))
     return combine("closure-subgroup", clauses)
 
 
@@ -402,28 +388,18 @@ def check_base_translation(cert: TRGCert, members) -> VerificationReport:
     u = cert.universe
     table = cert.table
     e = cert.e
-    premises = []
-    ok = (cert.g_mask >> e) & 1 == 1
-    premises.append(Clause(
-        "premise-identity-in-G", PASS if ok else NOT_APPLICABLE,
-        None if ok else f"designated identity {u.elements[e]} lies outside G",
-    ))
-    wit = escape_witness(table, cert.upper, cert.upper,
-                         "leaves the upper approximation")
-    premises.append(Clause("premise-upper-closed",
-                           NOT_APPLICABLE if wit else PASS, wit))
-    ok = cert.tau.is_open(cert.g_mask)
-    premises.append(Clause(
-        "premise-G-open", PASS if ok else NOT_APPLICABLE,
-        None if ok else f"G = {u.set_str(cert.g_mask)} is not open in tau",
-    ))
-    base_rep = verify_base(cert.tau_G, members)
-    premises.append(Clause(
-        "premise-base", PASS if base_rep.passed else NOT_APPLICABLE,
-        None if base_rep.passed else base_rep.first_witness(),
-    ))
+    premises = [
+        premise("premise-identity-in-G", None if (cert.g_mask >> e) & 1
+                else f"designated identity {u.elements[e]} lies outside G"),
+        premise("premise-upper-closed",
+                escape_witness(table, cert.upper, cert.upper,
+                               "leaves the upper approximation")),
+        premise("premise-G-open", None if cert.tau.is_open(cert.g_mask)
+                else f"G = {u.set_str(cert.g_mask)} is not open in tau"),
+        premise("premise-base", verify_base(cert.tau_G, members).first_witness()),
+    ]
     if any(c.verdict != PASS for c in premises):
-        return combine("base-translation", premises, verdict=NOT_APPLICABLE)
+        return combine("base-translation", premises)
 
     clauses = list(premises)
     b_e = base_at(members, e)

@@ -135,7 +135,7 @@ def oracle_enumerate_topologies(universe, carrier: int) -> tuple[FiniteTopology,
         for i in range(n):
             for j in bit_indices(rows[i]):
                 nbhd[points[i]] |= 1 << points[j]
-        found.append(FiniteTopology.from_nbhd(universe, carrier, nbhd))
+        found.append(FiniteTopology(universe, carrier, nbhd))
     found.sort(key=lambda t: t.opens)
     return tuple(found)
 

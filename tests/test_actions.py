@@ -14,7 +14,7 @@ from roughtop.actions import (
 from roughtop.approx import pair_name, product_mask, product_universe
 from roughtop.errors import InputError
 from roughtop.groups import CayleyTable, verify_rough_group
-from roughtop.topology import FiniteMap, FiniteTopology
+from roughtop.topology import FiniteMap, FiniteTopology, generate_topology
 from roughtop.trg import verify_trg
 
 from conftest import cert_of, space_of, trg_of
@@ -47,7 +47,7 @@ def test_rough_space_validation(ws_zmod3):
     assert rs.upper_x == u.all_mask
     with pytest.raises(InputError, match=r"not the upper approximation of X"):
         RoughSpace(space, ws_zmod3.subsets["GA"][1], u.mask_of(["1", "2"]), tau)
-    shrunk = FiniteTopology(u, u.mask_of(["1", "2"]), (0, u.mask_of(["1", "2"])))
+    shrunk = generate_topology(u, u.mask_of(["1", "2"]), (0, u.mask_of(["1", "2"])))
     with pytest.raises(InputError, match=r"carrier is not the upper"):
         RoughSpace.make(space, ws_zmod3.subsets["GA"][1], shrunk)
 
@@ -160,7 +160,7 @@ def test_monoid_action_translation_refusal():
     space = ApproxSpace(u, Partition.one_block(u), table)
     _, cert = verify_rough_group(space, 0b01)
     assert u.elements[cert.designated_e] == "0"
-    discrete = FiniteTopology(u, 0b11, (0, 1, 2, 3))
+    discrete = generate_topology(u, 0b11, (0, 1, 2, 3))
     _, tcert = verify_trg(cert, discrete)
     rs = RoughSpace.make(space, 0b11, discrete)
     pu = product_universe(u, u)
@@ -196,10 +196,10 @@ def test_homogeneity(sa, ws_zmod3):
 def test_homogeneity_two_points():
     u = Universe(("a", "b"))
     space = ApproxSpace(u, Partition.one_block(u))
-    asym = RoughSpace.make(space, 0b11, FiniteTopology(u, 0b11, (0, 0b01, 0b11)))
+    asym = RoughSpace.make(space, 0b11, generate_topology(u, 0b11, (0, 0b01, 0b11)))
     assert is_rough_homogeneous(asym) == (
         False, "no self-homeomorphism carries a to b")
-    sym = RoughSpace.make(space, 0b11, FiniteTopology(u, 0b11, (0, 0b11)))
+    sym = RoughSpace.make(space, 0b11, generate_topology(u, 0b11, (0, 0b11)))
     assert is_rough_homogeneous(sym) == (True, None)
 
 
@@ -207,7 +207,7 @@ def _space_of_nbhds(nbhd) -> RoughSpace:
     u = Universe(tuple(str(p) for p in range(len(nbhd))))
     carrier = u.all_mask
     return RoughSpace.make(ApproxSpace(u, Partition.one_block(u)), carrier,
-                           FiniteTopology.from_nbhd(u, carrier, nbhd))
+                           FiniteTopology(u, carrier, nbhd))
 
 
 def test_homogeneity_has_no_size_cap():

@@ -17,7 +17,6 @@ from roughtop.approx import product_mask, product_universe
 from roughtop.groups import CayleyTable, verify_rough_group
 from roughtop.topology import (
     FiniteMap,
-    FiniteTopology,
     enumerate_topologies,
     generate_topology,
     is_continuous,
@@ -74,7 +73,7 @@ def _cyclic_trg(n: int):
     """Z_n with G = Z_n, certified on the discrete topology."""
     cert = _cyclic_cert(n, (1 << n) - 1, tuple(1 << i for i in range(n)))
     u = cert.space.universe
-    return decide_trg(cert, FiniteTopology(u, u.all_mask, range(1 << n)))[1]
+    return decide_trg(cert, generate_topology(u, u.all_mask, range(1 << n)))[1]
 
 
 @pytest.fixture(scope="module")
@@ -106,7 +105,7 @@ def test_verify_trg_matches_oracle_on_every_topology(case, mode, ws_zmod3, ws_zm
     assert len(families) == {3: 29, 4: 355}[cert.upper.bit_count()]
     verdicts = set()
     for fam in families:
-        got, _ = verify_trg(cert, FiniteTopology(u, cert.upper, fam), mode)
+        got, _ = verify_trg(cert, generate_topology(u, cert.upper, fam), mode)
         want = oracle_verify_trg(cert, fam, mode)
         assert got == want, fam
         verdicts.add(got.verdict)
@@ -145,7 +144,7 @@ def test_enumerate_topologies_matches_oracle_on_every_small_carrier():
 def test_is_continuous_matches_oracle_on_every_map_between_3_point_spaces():
     u = Universe(("a", "b", "c"))
     families = list(_topologies_on(u, 0b111))
-    tops = [FiniteTopology(u, 0b111, fam) for fam in families]
+    tops = [generate_topology(u, 0b111, fam) for fam in families]
     maps = [FiniteMap(u, u, 0b111, 0b111, tuple(enumerate(img)))
             for img in itertools.product(range(3), repeat=3)]
     failures = 0
@@ -201,7 +200,7 @@ def test_generated_and_product_opens_match_oracle():
     u = Universe(("a", "b", "c"))
     families = list(_topologies_on(u, 0b111))
     for f1, f2 in itertools.product(families, repeat=2):
-        prod = product_topology(FiniteTopology(u, 0b111, f1), FiniteTopology(u, 0b111, f2))
+        prod = product_topology(generate_topology(u, 0b111, f1), generate_topology(u, 0b111, f2))
         want = oracle_product_opens(f1, 0b111, f2, 0b111, 3)
         assert prod.opens == want
         assert prod.count_opens() == len(want)
@@ -214,7 +213,7 @@ def test_homogeneity_matches_oracle_on_every_small_topology():
         carrier = (1 << n) - 1
         space = ApproxSpace(u, Partition.singletons(u))
         for fam in _topologies_on(u, carrier):
-            rs = RoughSpace.make(space, carrier, FiniteTopology(u, carrier, fam))
+            rs = RoughSpace.make(space, carrier, generate_topology(u, carrier, fam))
             assert is_rough_homogeneous(rs) == oracle_is_rough_homogeneous(u, carrier, fam)
             checked += 1
     assert checked == 1 + 1 + 4 + 29 + 355
@@ -242,7 +241,7 @@ def test_homogeneity_matches_oracle_orbits_on_random_topologies():
         space = ApproxSpace(u, Partition.singletons(u))
         for _ in range(samples):
             fam = _random_topology(rng, n)
-            rs = RoughSpace.make(space, carrier, FiniteTopology(u, carrier, fam))
+            rs = RoughSpace.make(space, carrier, generate_topology(u, carrier, fam))
             ok, wit = is_rough_homogeneous(rs)
             orbits = oracle_homogeneity_orbits(carrier, fam)
             assert ok == all(o == carrier for o in orbits.values())
@@ -282,7 +281,7 @@ def test_symmetric_square_nbhds_match_brute_force_on_every_zmod3_topology(fixa_t
     assert len(families) == 29
     cases = found = via_cli = 0
     for fam in families:
-        tau = FiniteTopology(u, group.upper, fam)
+        tau = generate_topology(u, group.upper, fam)
         cert = fixa_trg._replace(tau=tau,
                                  tau_G=subspace_topology(tau, group.g_mask))
         is_trg = decide_trg(group, tau)[0].passed
@@ -334,9 +333,9 @@ def test_action_continuity_matches_oracle_on_every_small_topology(side):
         x_of = [p % m if side == "left" else p // n for p in range(n * m)]
         for g_fam, x_fam in itertools.product(_topologies_on(gu, gu.all_mask),
                                               _topologies_on(xu, xu.all_mask)):
-            cert = cert0._replace(tau=FiniteTopology(gu, gu.all_mask, g_fam))
+            cert = cert0._replace(tau=generate_topology(gu, gu.all_mask, g_fam))
             rspace = RoughSpace.make(xspace, xu.all_mask,
-                                     FiniteTopology(xu, xu.all_mask, x_fam))
+                                     generate_topology(xu, xu.all_mask, x_fam))
             f1, f2 = (g_fam, x_fam) if side == "left" else (x_fam, g_fam)
             prod = oracle_product_opens(f1, first.all_mask, f2, second.all_mask,
                                         second.size)

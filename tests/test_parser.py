@@ -44,6 +44,9 @@ BAD_CASES = [
      "family is not a topology: the carrier {0,1,2} is missing"),
     ("unbalanced_brace.rg", 2, 21, "unbalanced braces"),
     ("unknown_element.rg", 2, 17, "unknown element '5' in universe UA"),
+    ("unknown_element_subset_map.rg", 3, 25, "unknown element 'q' in universe U"),
+    ("unknown_element_subset_topology.rg", 3, 22,
+     "unknown element 'z' in universe U"),
     ("unknown_kind.rg", 1, 1, "unknown declaration kind 'universes'"),
     ("unknown_universe.rg", 1, 13, "unknown universe 'UX'"),
 ]

@@ -4,6 +4,8 @@ Each record is built twice from the same inputs, through independent
 parses of a fixture, so equal values never share identity by accident.
 """
 
+import itertools
+
 import pytest
 
 from conftest import FIXDIR
@@ -26,6 +28,17 @@ from roughtop.approx import make_rough_set
 from roughtop.errors import InputError
 from roughtop.groups import RoughHom, verify_rough_homomorphism
 from roughtop.homs import verify_trg_homomorphism
+from roughtop.report import (
+    FAIL,
+    INFO,
+    NOT_APPLICABLE,
+    PASS,
+    combine,
+    exit_code,
+    not_applicable,
+    premise,
+)
+from roughtop.topology import generate_topology
 
 
 def build() -> dict:
@@ -123,11 +136,39 @@ def test_report_stats_are_sorted():
     assert Clause("a", "pass").witness is None
 
 
+# every mix of up to three clause verdicts, in every order
+VERDICT_MIXES = [mix for n in range(4)
+                 for mix in itertools.product((PASS, FAIL, NOT_APPLICABLE, INFO), repeat=n)]
+
+
+@pytest.mark.parametrize("verdicts", VERDICT_MIXES,
+                         ids=lambda mix: "+".join(mix) or "no-clauses")
+def test_combine_derives_the_verdict_from_the_clauses(verdicts):
+    """Fail beats not-applicable, not-applicable beats pass, info never
+    decides, and no clauses means pass."""
+    rank = {PASS: 0, NOT_APPLICABLE: 1, FAIL: 2}
+    deciding = [v for v in verdicts if v != INFO]
+    want = max(deciding, key=rank.__getitem__, default=PASS)
+    rep = combine("x", [Clause(f"c{i}", v) for i, v in enumerate(verdicts)])
+    assert rep.verdict == want
+    assert rep.clauses == tuple(Clause(f"c{i}", v) for i, v in enumerate(verdicts))
+
+
+def test_premise_helpers():
+    assert premise("p", None) == Clause("p", PASS)
+    assert premise("p", "why") == Clause("p", NOT_APPLICABLE, "why")
+    rep = not_applicable("x", "p", "why")
+    assert rep.clauses == (Clause("p", NOT_APPLICABLE, "why"),)
+    assert exit_code(rep) == 2 and rep.first_witness() == "why"
+    assert rep.as_clause("sub") == Clause("sub", NOT_APPLICABLE, "why")
+    assert combine("y", [Clause("c", PASS)]).as_clause("sub") == Clause("sub", PASS)
+
+
 def test_topology_from_opens_equals_from_nbhd():
     u = Universe(("a", "b", "c", "d"))
     opens = (0, 0b0001, 0b0011, 0b0100, 0b0101, 0b0111, 0b1111)
-    top = FiniteTopology(u, 0b1111, opens)
-    same = FiniteTopology.from_nbhd(u, 0b1111, top.nbhd)
+    top = generate_topology(u, 0b1111, opens)
+    same = FiniteTopology(u, 0b1111, top.nbhd)
     assert top.nbhd == (0b0001, 0b0011, 0b0100, 0b1111)
     assert top == same and hash(top) == hash(same)
     assert same.opens == opens

@@ -36,7 +36,7 @@ def u3():
 
 @pytest.fixture
 def topA(u3):
-    return FiniteTopology(u3, 0b111, (0, 0b010, 0b100, 0b110, 0b111))
+    return generate_topology(u3, 0b111, (0, 0b010, 0b100, 0b110, 0b111))
 
 
 def test_verify_topology_passes_fixture(ws_s4):
@@ -149,9 +149,9 @@ def test_product_topology_values(topA, u3, ws_product):
     prod = product_topology(topA, topA)
     assert len(prod.opens) == 48
     assert canonical_family(prod.opens) == ws_product.topologies["tauP"][1].opens
-    indiscrete = FiniteTopology(u3, 0b111, (0, 0b111))
+    indiscrete = generate_topology(u3, 0b111, (0, 0b111))
     assert len(product_topology(indiscrete, indiscrete).opens) == 2
-    discrete = FiniteTopology(u3, 0b111, tuple(range(8)))
+    discrete = generate_topology(u3, 0b111, tuple(range(8)))
     assert len(product_topology(discrete, discrete).opens) == 512
 
 
@@ -159,7 +159,7 @@ def test_product_topology_past_the_old_cap():
     """No cap on product carriers: the 9 x 9 discrete product has 81
     points and exactly 2^81 opens."""
     u9 = Universe(tuple(str(i) for i in range(9)))
-    big = FiniteTopology(u9, (1 << 9) - 1, tuple(range(1 << 9)))
+    big = generate_topology(u9, (1 << 9) - 1, tuple(range(1 << 9)))
     prod = product_topology(big, big)
     assert prod.carrier.bit_count() == 81
     assert prod.count_opens() == 1 << 81
@@ -205,7 +205,7 @@ def test_is_continuous(topA, u3):
     assert is_continuous(ident, topA, topA).verdict == "pass"
     const = FiniteMap.from_dict(u3, u3, 0b111, 0b111, {0: 0, 1: 0, 2: 0})
     assert is_continuous(const, topA, topA).verdict == "pass"
-    indiscrete = FiniteTopology(u3, 0b111, (0, 0b111))
+    indiscrete = generate_topology(u3, 0b111, (0, 0b111))
     rep = is_continuous(ident, indiscrete, topA)
     assert rep.verdict == "fail"
     assert rep.clause("preimage-openness").witness == (
@@ -225,7 +225,7 @@ def test_is_homeomorphism(topA, u3):
     rep2 = is_homeomorphism(const, topA, topA)
     assert rep2.verdict == "fail"
     assert rep2.clause("bijective").witness == "map is not injective"
-    discrete = FiniteTopology(u3, 0b111, tuple(range(8)))
+    discrete = generate_topology(u3, 0b111, tuple(range(8)))
     rep3 = is_homeomorphism(FiniteMap.identity(u3, 0b111), discrete, topA)
     assert rep3.verdict == "fail"
     assert rep3.clause("forward-continuity").verdict == "pass"
@@ -276,7 +276,7 @@ def test_enumerate_topologies_carry_the_opens_of_their_neighbourhoods(six_point_
     six = six_point_topologies
     picked = random.Random(9).sample(range(len(six)), 2000)
     for top in [*five, *(six[i] for i in picked)]:
-        assert top.opens == FiniteTopology.from_nbhd(top.universe, top.carrier, top.nbhd).opens
+        assert top.opens == FiniteTopology(top.universe, top.carrier, top.nbhd).opens
 
 
 def test_enumerate_topologies_reads_like_a_tuple():
@@ -287,13 +287,13 @@ def test_enumerate_topologies_reads_like_a_tuple():
     assert tops.index(tops[5]) == 5 and tops[5] in tops
 
 
-def test_enumerate_topologies_build_the_fields_of_from_nbhd():
-    """A read sets exactly the fields `from_nbhd` sets, plus the opens,
+def test_enumerate_topologies_build_the_fields_of_the_constructor():
+    """A read sets exactly the fields the constructor sets, plus the opens,
     so a field added to FiniteTopology cannot be missed here."""
     u = Universe(tuple(str(i) for i in range(12)))
     for carrier in (0b111, 0b1001_0000_0001):
         for top in enumerate_topologies(u, carrier):
-            ref = FiniteTopology.from_nbhd(u, carrier, top.nbhd)
+            ref = FiniteTopology(u, carrier, top.nbhd)
             assert top == ref
             assert set(vars(top)) == set(vars(ref)) | {"opens"}
             assert top.opens == ref.opens
@@ -346,7 +346,7 @@ def test_from_family_checks_the_carrier_first(u3):
 
 
 def test_finite_topology_canonicalizes_and_validates(u3):
-    top = FiniteTopology(u3, 0b111, (0b111, 0, 0b010, 0b110, 0b100))
+    top = generate_topology(u3, 0b111, (0b111, 0, 0b010, 0b110, 0b100))
     assert top.opens == (0, 0b010, 0b100, 0b110, 0b111)
     assert top.is_open(0b110) and not top.is_open(0b001)
     assert top.is_closed(0b001)

@@ -7,7 +7,7 @@ from roughtop import ApproxSpace, Partition, Universe
 from roughtop.actions import check_AU_open, check_subgroup_open
 from roughtop.errors import AmbiguousInverseError, CapExceededError, InputError
 from roughtop.groups import CayleyTable, verify_rough_group
-from roughtop.topology import FiniteTopology, family_str, generate_topology
+from roughtop.topology import family_str, generate_topology
 from roughtop.trg import (
     check_G_equals_G_inverse,
     check_base_translation,
@@ -37,7 +37,7 @@ def z4_indiscrete_trg(ws_zmod4):
     cert = cert_of(ws_zmod4, "T4", "P4", "G4")
     u = ws_zmod4.universes["U4"]
     upper = ws_zmod4.subsets["Gbar4"][1]
-    rep, tcert = verify_trg(cert, FiniteTopology(u, upper, (0, upper)))
+    rep, tcert = verify_trg(cert, generate_topology(u, upper, (0, upper)))
     assert rep.verdict == "pass"
     return tcert
 
@@ -107,7 +107,7 @@ def test_trg_relative_mode(ws_s4, fixb_cert):
 
 def test_trg_input_errors(ws_zmod3, fixa_cert):
     u = ws_zmod3.universes["UA"]
-    wrong_carrier = FiniteTopology(
+    wrong_carrier = generate_topology(
         u, u.mask_of(["1", "2"]), (0, u.mask_of(["1", "2"])))
     with pytest.raises(InputError, match=r"carrier \{1,2\} is not the upper"):
         verify_trg(fixa_cert, wrong_carrier)
@@ -186,7 +186,7 @@ def test_symmetric_square_input_errors(fixa_trg):
 def test_symmetric_square_no_witness(fixa_trg):
     """With the open sets thinned out no symmetric square fits inside W."""
     u = fixa_trg.group.space.universe
-    thin = FiniteTopology(u, 0b111, (0, 0b011, 0b111))
+    thin = generate_topology(u, 0b111, (0, 0b011, 0b111))
     doctored = fixa_trg._replace(tau=thin)
     v, rep = find_symmetric_square_nbhd(doctored, 0b011)
     assert v is None
@@ -199,7 +199,7 @@ def test_topological_group_pass(ws_zmod3):
     u = ws_zmod3.universes["UA"]
     space = ApproxSpace(u, Partition.singletons(u), ws_zmod3.tables["TA"][1])
     _, cert = verify_rough_group(space, 0b111)
-    _, tcert = verify_trg(cert, FiniteTopology(u, 0b111, tuple(range(8))))
+    _, tcert = verify_trg(cert, generate_topology(u, 0b111, tuple(range(8))))
     rep = check_topological_group(tcert)
     assert rep.verdict == "pass"
     assert [c.name for c in rep.clauses] == [
