@@ -310,6 +310,12 @@ BAD_DOCS = {
     "unknown_element_subset_map.rg": (
         "universe U: a b c\nsubset S of U: a b\nmap m from S to U: a->a q->b\n"
     ),
+    "map_outside_domain.rg": (
+        "universe U: a b c\nsubset S of U: a b\nmap m from S to U: a->a b->b c->a\n"
+    ),
+    "topology_outside_carrier.rg": (
+        "universe U: a b c\nsubset S of U: a b\ntopology t on S: {} {a} {a c} {a b}\n"
+    ),
 }
 
 

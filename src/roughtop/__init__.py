@@ -74,6 +74,7 @@ from .trg import (
     inverse_of_set,
     is_rough_symmetric,
     product_trg,
+    trg_topologies,
     verify_trg,
 )
 from .actions import (

@@ -63,6 +63,7 @@ from .trg import (
     decide_trg,
     find_symmetric_square_nbhd,
     symmetric_square_nbhds,
+    trg_topologies,
     verify_trg,
 )
 
@@ -404,19 +405,16 @@ def _run_enumerate(ws: Workspace, args) -> VerificationReport:
         u = cert.space.universe
         # at most 2^n distinct opens occur, so each is formatted once
         set_str = cache(u.set_str)
-        clauses = []
-        passes = 0
         tops = enumerate_topologies(u, cert.upper)
+        trg_opens = {t.opens for t in trg_topologies(cert, args.codomain_topology)}
+        clauses = []
         for i, top in enumerate(tops):
-            rep, _ = decide_trg(cert, top,
-                                codomain_topology=args.codomain_topology)
-            if rep.passed:
-                passes += 1
+            verdict = PASS if top.opens in trg_opens else FAIL
             opens = " ".join(map(set_str, top.opens))
             clauses.append(Clause(f"topology-{i}", INFO,
-                                  f"trg={rep.verdict} opens: {opens}"))
+                                  f"trg={verdict} opens: {opens}"))
         return combine("enumerate-topologies", clauses,
-                       stats=[("count", len(tops)), ("trg-pass", passes)])
+                       stats=[("count", len(tops)), ("trg-pass", len(trg_opens))])
     if what == "witness":
         cert, na = _trg_cert(ws, args, "enumerate-witness")
         if cert is None:

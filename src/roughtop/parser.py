@@ -276,6 +276,13 @@ def parse_spec(text: str) -> Workspace:
                 mask = 0
                 for i in _elements(u, uname, group, at, lineno):
                     mask |= 1 << i
+                if mask & ~carrier:
+                    tok, col = next((tok, col) for tok, col in _tokens(group, at)
+                                    if not carrier >> u.index(tok) & 1)
+                    raise ParseError(
+                        f"family member {u.set_str(mask)} is not a subset of the "
+                        f"carrier {u.set_str(carrier)}: {tok!r} lies outside it",
+                        lineno, col)
                 family.append(mask)
             try:
                 ws.topologies[name] = (
@@ -301,14 +308,24 @@ def parse_spec(text: str) -> Workspace:
             except InputError as e:
                 raise ParseError(str(e), lineno, _word_col(head_text, 5)) from None
             pairs = []
+            seen = 0
             for tok, col in _tokens(tail, off):
                 parts = tok.split("->")
                 if len(parts) != 2 or not parts[0] or not parts[1]:
                     raise ParseError(
                         f"expected 'src->dst', got {tok!r}", lineno, col)
                 src = _element(au, a_uname, parts[0], lineno, col)
-                dst = _element(bu, b_uname, parts[1], lineno,
-                               col + len(parts[0]) + 2)
+                if not amask >> src & 1:
+                    raise ParseError(f"map assigns {parts[0]!r}, which lies outside "
+                                     f"its domain {aname}", lineno, col)
+                if seen >> src & 1:
+                    raise ParseError(f"map assigns {parts[0]!r} twice", lineno, col)
+                seen |= 1 << src
+                dst_col = col + len(parts[0]) + 2
+                dst = _element(bu, b_uname, parts[1], lineno, dst_col)
+                if not bmask >> dst & 1:
+                    raise ParseError(f"map sends {parts[0]!r} to {parts[1]!r}, which "
+                                     f"lies outside its codomain {bname}", lineno, dst_col)
                 pairs.append((src, dst))
             try:
                 ws.maps[name] = (

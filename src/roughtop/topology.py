@@ -19,7 +19,10 @@ preorder on n points is built once from one on n - 1 points, and its
 opens come straight from its parent's (`_preorder_keys`).  A preorder
 is held as one bytes key of local masks, opens first, which the
 garbage collector does not track and whose byte order is the
-canonical order, so one sort of the keys orders every topology.
+canonical order, so one sort of the keys orders every topology.  The
+generator can also drop, level by level, the preorders that break given
+implications between relations; `trg.trg_topologies` lists the TRG
+topologies of a rough group that way.
 
 Witness rule: several checks name the first open, in canonical
 (ascending mask) order, on which some condition fails.  Each of those
@@ -106,15 +109,28 @@ class FiniteTopology(Record):
     @cached_property
     def up(self) -> tuple[int, ...]:
         """up[p]: the points whose neighbourhood contains p, which is
-        the closure of {p}."""
-        up = [0] * len(self.nbhd)
+        the closure of {p}.  The points q sharing one neighbourhood all
+        lie in it, so one walk of N(q) finds them and adds them to
+        up[p] together; a dense topology has few distinct
+        neighbourhoods, however many points it has.  q's own bit in
+        up[q] marks its class as done."""
+        nbhd = self.nbhd
+        up = [0] * len(nbhd)
         for q in bit_indices(self.carrier):
-            qbit = 1 << q
-            n = self.nbhd[q]
-            while n:
-                low = n & -n
-                up[low.bit_length() - 1] |= qbit
-                n ^= low
+            if up[q] >> q & 1:
+                continue
+            n = rest = nbhd[q]
+            same = 0
+            points = []
+            while rest:
+                low = rest & -rest
+                p = low.bit_length() - 1
+                if p == q or nbhd[p] == n:
+                    same |= low
+                points.append(p)
+                rest ^= low
+            for p in points:
+                up[p] |= same
         return tuple(up)
 
     @cached_property
@@ -497,7 +513,15 @@ def base_at(members, point: int) -> tuple[int, ...]:
     return tuple(m for m in canonical_family(members) if (m >> point) & 1)
 
 
-def _preorder_keys(n: int) -> list[bytes]:
+def _keeps(rel: int, rules) -> bool:
+    """Whether the relations `rel` keep every (if_bit, then_mask) rule."""
+    for if_bit, then in rules:
+        if rel >> if_bit & 1 and rel & then != then:
+            return False
+    return True
+
+
+def _preorder_keys(n: int, rules=None) -> list[bytes]:
     """Every preorder on range(n) once, as one bytes key: its opens in
     ascending order, then N(n-1), ..., N(0), all as local masks.
 
@@ -510,6 +534,16 @@ def _preorder_keys(n: int) -> list[bytes]:
     highest bit placed so far.  No opens list is a proper prefix of
     another (each ends at the carrier), so the keys sort as their opens
     do.  Masks are single bytes, so n is at most 8.
+
+    `rules`, if given, keeps only the preorders whose relations obey
+    some implications.  The relations of a key are the int of its last
+    k + 1 bytes, whose byte q is N(q): "i <= j" (i in N(j)) is bit
+    8 * j + i.  `rules[k]` lists (if_bit, then_mask) pairs whose bits
+    name points up to k; once level k is grown, a child with the if_bit
+    set and some bit of then_mask clear is dropped.  Bit 8 * n, which
+    no key holds, in a then_mask forbids the if_bit outright.  A
+    relation between two placed points never changes in a descendant,
+    so the pruning drops exactly the preorders that break a rule.
     """
     keys = [b"\x00"]
     for k in range(n):
@@ -543,6 +577,10 @@ def _preorder_keys(n: int) -> list[bytes]:
                 raised = (nbhd_int | raise_u[u]).to_bytes(k, "big")
                 for d in opens.translate(None, not_inside[bound]):
                     add(miss_u + above[d] + raised)
+        if rules and rules[k]:
+            level = rules[k]
+            children = [c for c in children
+                        if _keeps(int.from_bytes(c[-1 - k:], "big"), level)]
         keys = children
     return keys
 
@@ -602,9 +640,11 @@ class Topologies(Sequence):
         return map(self._build, self._keys)
 
 
-def enumerate_topologies(universe: Universe, carrier: int) -> Topologies:
+def enumerate_topologies(universe: Universe, carrier: int, rules=None) -> Topologies:
     """All topologies on the carrier, in canonical order (by their
-    sorted lists of opens), each with its opens already listed.
+    sorted lists of opens), each with its opens already listed; with
+    `rules`, only those whose preorders keep them (`_preorder_keys`,
+    where bit i stands for the i-th point of the carrier).
 
     Topologies on a finite set match one-to-one its preorders (q <= p
     iff q is in N(p)).  `_preorder_keys` generates each preorder once
@@ -621,6 +661,6 @@ def enumerate_topologies(universe: Universe, carrier: int) -> Topologies:
         raise CapExceededError(
             f"topology enumeration supports at most {ENUMERATION_MAX_POINTS} points, got {n}"
         )
-    keys = _preorder_keys(n)
+    keys = _preorder_keys(n, rules)
     keys.sort()
     return Topologies(universe, carrier, keys)

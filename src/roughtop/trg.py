@@ -9,12 +9,14 @@ checked against tau by default, with a strict mode that instead pulls
 back only the opens of the subspace topology on G (the two readings
 genuinely disagree on some inputs, so every report names the mode).
 Both modes decide it by one rule, monotonicity in each argument
-(`topology.first_discontinuity`), without building G x G.
+(`topology.first_discontinuity`), without building G x G.  Read on the
+specialization preorder, the same rules let `trg_topologies` list every
+TRG topology of a rough group straight from the preorder generator.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import defaultdict, namedtuple
 from collections.abc import Iterator
 
 from .approx import DEFAULT_UNIVERSE_CAP, bit_indices, pair_name
@@ -42,8 +44,10 @@ from .report import (
 from .topology import (
     FiniteMap,
     FiniteTopology,
+    Topologies,
     base_at,
     closure,
+    enumerate_topologies,
     first_discontinuity,
     first_failing_open,
     is_continuous,
@@ -112,6 +116,14 @@ def _product_map_clause(
                   "open in the product topology on G x G")
 
 
+def _check_mode(codomain_topology: str) -> None:
+    if codomain_topology not in CODOMAIN_MODES:
+        raise InputError(
+            f"unknown codomain topology mode {codomain_topology!r}; "
+            f"expected one of {', '.join(CODOMAIN_MODES)}"
+        )
+
+
 def decide_trg(
     group: RoughGroupCert,
     tau: FiniteTopology,
@@ -124,11 +136,7 @@ def decide_trg(
     ambiguous certificate raises rather than picking silently).  The
     report carries no stats; `verify_trg` adds the open counts.
     """
-    if codomain_topology not in CODOMAIN_MODES:
-        raise InputError(
-            f"unknown codomain topology mode {codomain_topology!r}; "
-            f"expected one of {', '.join(CODOMAIN_MODES)}"
-        )
+    _check_mode(codomain_topology)
     u = group.space.universe
     if tau.universe != u:
         raise InputError("topology is defined over a different universe")
@@ -148,6 +156,54 @@ def decide_trg(
     if not report.passed:
         return report, None
     return report, TRGCert(group, tau, tau_G, inverse_map, codomain_topology, report)
+
+
+def trg_topologies(group: RoughGroupCert,
+                   codomain_topology: str = "upper") -> Topologies:
+    """Every topology tau on the upper approximation for which
+    `decide_trg` passes, in canonical order, without deciding any one
+    of them: the preorder generator drops each preorder that breaks a
+    continuity rule as soon as the rule's points are placed.
+
+    Read as relations of the specialization preorder (a <= x iff a is
+    in N(x)), the two conditions are implications over points of G:
+    a <= x gives a^-1 <= x^-1 (the inverse map), and a*y <= x*y and
+    y*a <= y*x for every y in G (the product map, monotone in each
+    argument, as `first_discontinuity` decides it).  In relative mode
+    a product outside G sets no rule, and below a product inside G
+    must lie a point of G: when x*y lies in G and a*y does not, a <= x
+    is forbidden outright.  An ambiguous inverse raises, as in
+    `decide_trg`, and the carrier cap is `enumerate_topologies`'s.
+    """
+    _check_mode(codomain_topology)
+    inverse = group.unique_inverse_map().apply
+    g_mask, rows = group.g_mask, group.table.rows
+    points = tuple(bit_indices(group.upper))
+    local = {p: i for i, p in enumerate(points)}
+    g_elems = tuple(p for p in points if g_mask >> p & 1)
+    relative = codomain_topology == "relative"
+    never = 1 << 8 * len(points)  # a relation no preorder holds
+    then = defaultdict(int)
+    for x in g_elems:
+        for a in g_elems:
+            if a == x:
+                continue
+            below = [(inverse(a), inverse(x))]
+            for y in g_elems:
+                below += [(rows[a][y], rows[x][y]), (rows[y][a], rows[y][x])]
+            for c, d in below:
+                if c == d or relative and not g_mask >> d & 1:
+                    continue
+                if relative and not g_mask >> c & 1:
+                    level, bit = max(local[a], local[x]), never
+                else:
+                    level = max(local[a], local[x], local[c], local[d])
+                    bit = 1 << 8 * local[d] + local[c]
+                then[level, 8 * local[x] + local[a]] |= bit
+    rules = [[] for _ in points]
+    for (level, if_bit), mask in sorted(then.items()):
+        rules[level].append((if_bit, mask))
+    return enumerate_topologies(group.space.universe, group.upper, rules)
 
 
 def verify_trg(

@@ -240,6 +240,31 @@ def test_parse_error_goes_to_stderr():
     assert err == f"{path}:2:17: unknown element '5' in universe UA\n"
 
 
+@pytest.mark.parametrize("fixture, where", [
+    ("map_outside_domain.rg", "3:30: map assigns 'c', which lies outside its domain S"),
+    ("topology_outside_carrier.rg", "3:28: family member {a,c} is not a subset of "
+     "the carrier {a,b}: 'c' lies outside it"),
+])
+def test_element_outside_its_set_is_located(fixture, where):
+    code, out, err = run_cli(
+        "check rough-group --table T --partition P --group G".split(),
+        fixture=f"bad/{fixture}")
+    assert (code, out) == (3, "")
+    assert err == f"{FIXDIR / 'bad' / fixture}:{where}\n"
+
+
+@pytest.mark.parametrize("pairs, where", [
+    ("a->a b->c c->a", "3:28: map sends 'b' to 'c', which lies outside its codomain S"),
+    ("a->a b->b a->b", "3:30: map assigns 'a' twice"),
+])
+def test_bad_map_pair_is_located(pairs, where):
+    doc = f"universe U: a b c\nsubset S of U: a b\nmap m from U to S: {pairs}\n"
+    code, out, err = run_cli(
+        "check rough-group --table T --partition P --group G".split(), stdin=doc)
+    assert (code, out) == (3, "")
+    assert err == f"<stdin>:{where}\n"
+
+
 UNDECODABLE = [
     (b"\xff", "1:1: invalid UTF-8 byte 0xff"),
     # columns count characters: the two-byte \u00e9 is one column

@@ -7,6 +7,7 @@ fails here.
 """
 
 import itertools
+import json
 import random
 
 import pytest
@@ -28,6 +29,7 @@ from roughtop.trg import (
     decide_trg,
     find_symmetric_square_nbhd,
     symmetric_square_nbhds,
+    trg_topologies,
     verify_trg,
 )
 
@@ -127,6 +129,69 @@ def test_decide_trg_matches_verify_trg_without_the_counts(case, mode, ws_zmod3, 
         assert got_cert == want_cert
         assert got.stats == ()
         assert dict(want.stats).keys() == {"tau-opens", "tau-G-opens", "product-opens"}
+
+
+def _partitions(n: int):
+    """Every partition of range(n), as a tuple of block masks."""
+    if n == 0:
+        yield ()
+        return
+    for rest in _partitions(n - 1):
+        for i in range(len(rest)):
+            yield rest[:i] + (rest[i] | 1 << n - 1,) + rest[i + 1:]
+        yield rest + (1 << n - 1,)
+
+
+def _cyclic_rough_groups(n: int) -> list:
+    """Every rough group of Z_n: each partition with each nonempty G."""
+    u = Universe(tuple(str(i) for i in range(n)))
+    table = CayleyTable.from_names(
+        u, [[str((x + y) % n) for y in range(n)] for x in range(n)])
+    certs = []
+    for blocks in _partitions(n):
+        space = ApproxSpace(u, Partition(u, blocks), table)
+        for g_mask in range(1, 1 << n):
+            cert = verify_rough_group(space, g_mask)[1]
+            if cert is not None:
+                certs.append(cert)
+    return certs
+
+
+@pytest.mark.parametrize("mode, total", [("upper", 2940), ("relative", 3022)])
+def test_trg_topologies_match_decide_trg_on_every_rough_group_of_z2_to_z4(mode, total):
+    certs = [c for n in (2, 3, 4) for c in _cyclic_rough_groups(n)]
+    assert len(certs) == 93
+    found = 0
+    for cert in certs:
+        tops = enumerate_topologies(cert.space.universe, cert.upper)
+        want = [(t.nbhd, t.opens) for t in tops if decide_trg(cert, t, mode)[0].passed]
+        got = [(t.nbhd, t.opens) for t in trg_topologies(cert, mode)]
+        assert got == want, (cert.space.partition, cert.g_mask)
+        found += len(got)
+    assert found == total
+
+
+@pytest.mark.parametrize("mode", ["upper", "relative"])
+def test_enumerate_topologies_on_the_cli_marks_what_decide_trg_decides(mode, ws_zmod4):
+    code, out, _ = run_cli(
+        "enumerate topologies --table T4 --partition P4 --group G4 --max-size 4 "
+        f"--codomain-topology {mode} --json".split(), fixture="zmod4_discrete.rg")
+    assert code == 0
+    marks = [c["witness"].split()[0] for c in json.loads(out)["clauses"]]
+    cert = cert_of(ws_zmod4, "T4", "P4", "G4")
+    tops = enumerate_topologies(cert.space.universe, cert.upper)
+    want = [f"trg={decide_trg(cert, t, mode)[0].verdict}" for t in tops]
+    assert marks == want
+    assert len(want) == 355 and {"trg=pass", "trg=fail"} == set(want)
+
+
+def test_trg_topologies_count_the_trgs_of_z5():
+    """The totals of a per-topology `decide_trg` sweep over Z_2..Z_5,
+    from the pruned generator alone."""
+    certs = [c for n in (2, 3, 4, 5) for c in _cyclic_rough_groups(n)]
+    assert len(certs) == 296
+    assert sum(len(trg_topologies(c)) for c in certs) == 82703
+    assert sum(len(trg_topologies(c, "relative")) for c in certs) == 88978
 
 
 def test_enumerate_topologies_matches_oracle_on_every_small_carrier():

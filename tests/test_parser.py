@@ -34,12 +34,15 @@ BAD_CASES = [
      "duplicate element name '0' in universe"),
     ("element_inside_keyword.rg", 2, 16, "unknown element 't' in universe U"),
     ("empty_braces_partition.rg", 2, 1, "partition block may not be empty"),
+    ("map_outside_domain.rg", 3, 30, "map assigns 'c', which lies outside its domain S"),
     ("missing_colon.rg", 1, 18, "missing ':' after the declaration header"),
     ("missing_table_rows.rg", 2, 1, "table 'TA' needs 3 rows, found 1"),
     ("noncovering_partition.rg", 2, 1,
      "partition does not cover the universe; missing {2}"),
     ("outside_braces.rg", 2, 27, "unexpected text '1' outside braces"),
     ("short_table_row.rg", 4, 1, "table row has 2 entries, expected 3"),
+    ("topology_outside_carrier.rg", 3, 28,
+     "family member {a,c} is not a subset of the carrier {a,b}: 'c' lies outside it"),
     ("topology_no_carrier.rg", 2, 1,
      "family is not a topology: the carrier {0,1,2} is missing"),
     ("unbalanced_brace.rg", 2, 21, "unbalanced braces"),

@@ -270,6 +270,48 @@ def test_enumerate_topologies_counts(six_point_topologies):
         assert all(a < b for a, b in zip(opens, opens[1:]))
 
 
+def test_preorder_keys_with_empty_rules_are_the_unruled_keys():
+    """The unruled counts are pinned by test_enumerate_topologies_counts."""
+    for n in range(7):
+        assert topology._preorder_keys(n, [()] * n) == topology._preorder_keys(n)
+
+
+def _relations(key: bytes, n: int) -> int:
+    """The relations int of a key: byte q of its last n bytes is N(q)."""
+    return int.from_bytes(key[len(key) - n:], "big")
+
+
+def test_preorder_keys_with_rules_drop_exactly_the_preorders_that_break_one():
+    """Random implications, each filed at the level of its highest
+    point, against filtering every preorder by all of them at once."""
+    rnd = random.Random(11)
+    for n in (3, 4, 5):
+        every = topology._preorder_keys(n)
+        for _ in range(15):
+            rules = [[] for _ in range(n)]
+            for _ in range(rnd.randint(1, 4)):
+                a, x, c, d = (rnd.randrange(n) for _ in range(4))
+                then = 1 << 8 * n if rnd.random() < 0.2 else 1 << 8 * d + c
+                level = max(a, x) if then >> 8 * n else max(a, x, c, d)
+                rules[level].append((8 * x + a, then))
+            flat = [r for level in rules for r in level]
+            want = [k for k in every if topology._keeps(_relations(k, n), flat)]
+            assert topology._preorder_keys(n, rules) == want
+
+
+def test_up_matches_the_per_point_definition_on_every_small_topology():
+    u = Universe(tuple("abcdefg"))
+    checked = 0
+    for carrier in (0, 0b1, 0b101, 0b1011, 0b100_1011, 0b1_1111, 0b101_1011):
+        for top in enumerate_topologies(u, carrier):
+            want = tuple(sum(1 << q for q in range(u.size)
+                             if carrier >> q & 1 and top.nbhd[q] >> p & 1)
+                         for p in range(u.size))
+            assert top.up == want
+            checked += 1
+    assert checked == 1 + 1 + 4 + 29 + 355 + 6942 + 6942
+
+
 def test_enumerate_topologies_carry_the_opens_of_their_neighbourhoods(six_point_topologies):
     u = Universe(tuple("abcde"))
     five = enumerate_topologies(u, u.all_mask)

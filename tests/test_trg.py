@@ -20,6 +20,7 @@ from roughtop.trg import (
     inverse_of_set,
     is_rough_symmetric,
     product_trg,
+    trg_topologies,
     upper_inverse_set,
     verify_trg,
 )
@@ -124,6 +125,49 @@ def test_ambiguous_inverse_guard(ws_zmod3, fixa_cert):
     with pytest.raises(AmbiguousInverseError,
                        match=r"1 has 2 inverses under identity 0"):
         verify_trg(doctored, ws_zmod3.topologies["tauA"][1])
+
+
+def test_trg_topologies_guard_like_decide_trg(ws_zmod3, fixa_cert):
+    u = ws_zmod3.universes["UA"]
+    doctored = fixa_cert._replace(
+        inverse_sets=((u.index("1"), 0b110), (u.index("2"), 0b010)))
+    with pytest.raises(AmbiguousInverseError,
+                       match=r"1 has 2 inverses under identity 0"):
+        trg_topologies(doctored)
+    with pytest.raises(InputError, match=r"unknown codomain topology mode 'weird'"):
+        trg_topologies(fixa_cert, "weird")
+
+
+def test_trg_topologies_cap():
+    u = Universe(tuple(str(i) for i in range(7)))
+    table = CayleyTable.from_names(
+        u, [[str((x + y) % 7) for y in range(7)] for x in range(7)])
+    cert = verify_rough_group(ApproxSpace(u, Partition.singletons(u), table), 1)[1]
+    assert len(trg_topologies(cert)) == 1
+    whole = verify_rough_group(
+        ApproxSpace(u, Partition(u, (u.all_mask,)), table), 1)[1]
+    with pytest.raises(CapExceededError, match=r"at most 6 points, got 7"):
+        trg_topologies(whole)
+
+
+def test_trg_open_counts_on_indiscrete_and_discrete_z64():
+    """The indiscrete and discrete topologies of Z_64: the counts on the
+    4,096-point product come from `up`, which walks each distinct
+    neighbourhood once."""
+    n = 64
+    u = Universe(tuple(str(i) for i in range(n)))
+    table = CayleyTable.from_names(
+        u, [[str((x + y) % n) for y in range(n)] for x in range(n)])
+    cert = verify_rough_group(
+        ApproxSpace(u, Partition.singletons(u), table), u.all_mask)[1]
+    rep, _ = verify_trg(cert, generate_topology(u, u.all_mask, ()))
+    assert rep.verdict == "pass"
+    assert rep.stats == (("product-opens", 2), ("tau-G-opens", 2), ("tau-opens", 2))
+    rep, _ = verify_trg(cert, generate_topology(u, u.all_mask,
+                                                [1 << i for i in range(n)]))
+    assert rep.verdict == "pass"
+    assert rep.stats == (("product-opens", 2 ** 4096), ("tau-G-opens", 2 ** 64),
+                         ("tau-opens", 2 ** 64))
 
 
 def test_inverse_set_helpers(fixa_trg):
