@@ -44,3 +44,42 @@ def test_module_uses_every_import(name):
                          if isinstance(m, ast.Name)}
     unused = sorted((line, bound) for bound, line in imported.items() if bound not in used)
     assert unused == [], f"{name} imports names it never uses: {unused}"
+
+
+def _private_definitions(tree):
+    """Module-level private functions, classes and constants: names
+    with one leading underscore, bound by a def, class or assignment."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        for bound in names:
+            if bound.startswith("_") and not bound.startswith("__"):
+                yield node.lineno, bound
+
+
+def _reads(tree):
+    """Every name the module reads, bare or as an attribute."""
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            yield n.id
+        elif isinstance(n, ast.Attribute):
+            yield n.attr
+        elif isinstance(n, ast.alias):
+            yield n.name
+
+
+TREES = {name: ast.parse((SRC / name).read_text(encoding="utf-8"))
+         for name in MODULES + ["__init__.py"]}
+READS = {bound for tree in TREES.values() for bound in _reads(tree)}
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_module_private_helpers_are_read(name):
+    unread = [(line, bound) for line, bound in _private_definitions(TREES[name])
+              if bound not in READS]
+    assert unread == [], f"{name} defines private names nothing reads: {unread}"

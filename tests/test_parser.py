@@ -140,3 +140,12 @@ def test_fixture_partition_classes(ws_s4):
     assert b_of["1"] == b_of["(12)"]
     assert b_of["(123)"] != b_of["(12)"]
     assert b_of["(1234)"] != b_of["(12)(34)"]
+
+
+def test_readme_example_document_parses():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("## Input documents", 1)[1]
+    block = section.split("```text\n", 1)[1].split("```", 1)[0]
+    ws = parse_spec(block)
+    assert (len(ws.universes), len(ws.tables), len(ws.partitions), len(ws.subsets),
+            len(ws.topologies), len(ws.maps)) == (1, 1, 1, 2, 1, 1)
