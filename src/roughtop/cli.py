@@ -145,7 +145,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--side", choices=("left", "right"), default="left")
         sp.add_argument("--element")
         sp.add_argument("--w")
-        sp.add_argument("--open", dest="open_set")
+        sp.add_argument("--open")
         sp.add_argument("--subset")
         sp.add_argument("--base-member", action="append", default=[])
         sp.add_argument("--max-size", type=_non_negative_int, default=3)
@@ -170,8 +170,8 @@ def _need(args, flag: str, kind: str) -> str:
 
 
 def _build_space(ws: Workspace, table_name: str, partition_name: str) -> ApproxSpace:
-    t_uname, table = ws.table(table_name)
-    p_uname, partition = ws.partition(partition_name)
+    t_uname, table = ws.get("table", table_name)
+    p_uname, partition = ws.get("partition", partition_name)
     if t_uname != p_uname:
         raise InputError(
             f"table {table_name!r} is on universe {t_uname!r} but partition "
@@ -210,7 +210,7 @@ def _trg_cert(ws: Workspace, args, check: str, prefix: str = ""):
     if cert is None:
         return None, na
     dash = f"{prefix}-" if prefix else ""
-    _, top = ws.topology(_need(args, f"{dash}topology", check))
+    _, top = ws.get("topology", _need(args, f"{dash}topology", check))
     rep, trg = decide_trg(cert, top, codomain_topology=args.codomain_topology)
     if trg is None:
         label = f"premise-{prefix}-trg" if prefix else "premise-trg"
@@ -239,12 +239,12 @@ def _with_kernel_info(report: VerificationReport, hom) -> VerificationReport:
 def _rough_space(ws: Workspace, args, check: str) -> RoughSpace:
     x_uname, xu, x_mask = ws.set_ref(_need(args, "x-subset", check))
     pname = _need(args, "x-partition", check)
-    _, partition = ws.partition(pname)
+    _, partition = ws.get("partition", pname)
     if partition.universe != xu:
         raise InputError(
             f"partition {pname!r} is not on the universe of {x_uname!r}"
         )
-    _, tau_x = ws.topology(_need(args, "x-topology", check))
+    _, tau_x = ws.get("topology", _need(args, "x-topology", check))
     space = ApproxSpace(xu, partition, None)
     return RoughSpace.make(space, x_mask, tau_x)
 
@@ -276,7 +276,7 @@ def _run_check(ws: Workspace, args) -> VerificationReport:
         tgt, na = _group_cert(ws, args, "rough-homomorphism", prefix="tgt")
         if tgt is None:
             return na
-        _, _, fmap = ws.map(_need(args, "map", kind))
+        _, _, fmap = ws.get("map", _need(args, "map", kind))
         rep, hom = verify_rough_homomorphism(src, tgt, fmap,
                                              strict=args.strict_hom)
         return _with_kernel_info(rep, hom)
@@ -284,7 +284,7 @@ def _run_check(ws: Workspace, args) -> VerificationReport:
         cert, na = _group_cert(ws, args, "trg")
         if cert is None:
             return na
-        _, top = ws.topology(_need(args, "topology", kind))
+        _, top = ws.get("topology", _need(args, "topology", kind))
         rep, _ = verify_trg(cert, top, codomain_topology=args.codomain_topology)
         return rep
     if kind in ("trg-hom", "trg-homeo"):
@@ -295,7 +295,7 @@ def _run_check(ws: Workspace, args) -> VerificationReport:
         tgt, na = _trg_cert(ws, args, check, prefix="tgt")
         if tgt is None:
             return na
-        _, _, fmap = ws.map(_need(args, "map", kind))
+        _, _, fmap = ws.get("map", _need(args, "map", kind))
         rep, hom = verify_trg_homomorphism(src, tgt, fmap,
                                            strict=args.strict_hom)
         if kind == "trg-hom":
@@ -310,7 +310,7 @@ def _run_check(ws: Workspace, args) -> VerificationReport:
         if cert is None:
             return na
         rspace = _rough_space(ws, args, kind)
-        _, _, mu = ws.map(_need(args, "map", kind))
+        _, _, mu = ws.get("map", _need(args, "map", kind))
         rep, _ = verify_rough_action(cert, rspace, mu, side=args.side)
         return rep
     if kind == "homogeneous":
@@ -359,9 +359,7 @@ def _run_prop(ws: Workspace, args) -> VerificationReport:
         return check_closure_subgroup(cert, h)
     if name == "au-open":
         a = _subset_on(ws, _need(args, "subset", check), cert.group.space, "A")
-        if args.open_set is None:
-            raise InputError(f"{check} requires --open")
-        uopen = _subset_on(ws, args.open_set, cert.group.space, "U")
+        uopen = _subset_on(ws, _need(args, "open", check), cert.group.space, "U")
         return check_AU_open(cert, a, uopen)
     if name == "subgroup-open":
         h = _subset_on(ws, _need(args, "subgroup", check), cert.group.space, "H")

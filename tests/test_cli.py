@@ -221,6 +221,16 @@ def test_missing_flag_is_error_report():
     assert err == ""
 
 
+def test_au_open_requires_open():
+    code, out, err = run_cli(
+        "check prop au-open --subset HA --table TA --partition PA --group GA "
+        "--topology tauA".split(), fixture="zmod3.rg")
+    assert code == 3
+    assert out == ("ERROR prop-au-open\n"
+                   "  input: error  witness: prop-au-open requires --open\n")
+    assert err == ""
+
+
 def test_prop_requires_name():
     code, out, _ = run_cli(
         "check prop --table TA --partition PA --group GA --topology tauA".split(),

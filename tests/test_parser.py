@@ -149,3 +149,11 @@ def test_readme_example_document_parses():
     ws = parse_spec(block)
     assert (len(ws.universes), len(ws.tables), len(ws.partitions), len(ws.subsets),
             len(ws.topologies), len(ws.maps)) == (1, 1, 1, 2, 1, 1)
+
+
+def test_docstring_lists_every_header_of_the_grammar():
+    import roughtop.parser as parser
+
+    lines = [line.split(":")[0].strip() for line in parser.__doc__.splitlines()]
+    assert [header for header, _, _ in parser._DECLARATIONS] == \
+        [line for line in lines if line.split(" ")[0] in parser._GRAMMAR and "<" in line]
