@@ -231,6 +231,87 @@ def test_au_open_requires_open():
     assert err == ""
 
 
+_GROUP = "--table TA --partition PA --group GA"
+_TRG = _GROUP + " --topology tauA"
+_PAIR = ("--src-table TA --src-partition PA --src-group GA "
+         "--tgt-table TA --tgt-partition PA --tgt-group GA")
+_TRG_PAIR = _PAIR + " --src-topology tauA --tgt-topology tauA"
+_X = "--x-partition PA --x-subset GA --x-topology tauA"
+
+
+def _named(flags: str, name: str) -> dict:
+    return {tok[2:]: name for tok in flags.split()[::2]}
+
+
+# Every command with flags it runs on, the name of its error report, and
+# the name each flag's `requires` message gives where it differs.
+MISSING_FLAG = [
+    ("check rough-group", "zmod3.rg", _GROUP, "rough-group", {}),
+    ("check subgroup", "zmod3.rg", _GROUP + " --subgroup GA", "subgroup",
+     _named(_GROUP, "rough-subgroup")),
+    ("check normal", "zmod3.rg", _GROUP + " --subgroup GA", "normal",
+     _named(_GROUP, "rough-normal")),
+    ("check hom", "zmod3.rg", _PAIR + " --map neg", "hom",
+     _named(_PAIR, "rough-homomorphism")),
+    ("check trg", "zmod3.rg", _TRG, "trg", {}),
+    ("check trg-hom", "zmod3.rg", _TRG_PAIR + " --map neg", "trg-hom",
+     _named(_TRG_PAIR, "trg-homomorphism")),
+    ("check trg-homeo", "zmod3.rg", _TRG_PAIR + " --map neg", "trg-homeo",
+     _named(_TRG_PAIR, "trg-homeomorphism")),
+    ("check action", "zmod3_selfaction.rg",
+     _GROUP + " --topology tauD --x-partition PA --x-subset GA --x-topology tauD --map mu",
+     "action", _named(_TRG, "rough-action")),
+    ("check homogeneous", "zmod3.rg", _X, "homogeneous", {}),
+    ("check prop g-inverse", "zmod3.rg", _TRG, "prop-g-inverse", {}),
+    ("check prop open-inverse", "zmod3.rg", _TRG, "prop-open-inverse", {}),
+    ("check prop translations", "zmod3.rg", _TRG + " --element 1",
+     "prop-translations", {}),
+    ("check prop symmetric-square", "zmod3.rg", _TRG + " --w GbarA",
+     "prop-symmetric-square", {}),
+    ("check prop topological-group", "zmod3.rg", _TRG, "prop-topological-group", {}),
+    ("check prop closure-symmetric", "zmod3.rg", _TRG + " --subset GA",
+     "prop-closure-symmetric", {}),
+    ("check prop closure-subgroup", "zmod3.rg", _TRG + " --subgroup GA",
+     "prop-closure-subgroup", {}),
+    ("check prop au-open", "zmod3.rg", _TRG + " --subset HA --open GA",
+     "prop-au-open", {}),
+    ("check prop subgroup-open", "zmod3.rg", _TRG + " --subgroup GA --w GbarA",
+     "prop-subgroup-open", {}),
+    ("check prop base-translation", "zmod3.rg", _TRG + " --base-member GA",
+     "prop-base-translation", {}),
+    ("enumerate subgroups", "zmod3.rg", _GROUP, "subgroups",
+     _named(_GROUP, "enumerate-subgroups")),
+    ("enumerate topologies", "zmod3.rg", _GROUP, "topologies",
+     _named(_GROUP, "enumerate-topologies")),
+    ("enumerate witness", "zmod3.rg", _TRG + " --w GbarA", "witness",
+     dict(_named(_TRG, "enumerate-witness"), w="enumerate witness")),
+]
+
+
+def _missing_flag_cases():
+    for words, fixture, flags, label, names in MISSING_FLAG:
+        pairs = [flags.split()[i:i + 2] for i in range(0, len(flags.split()), 2)]
+        for i, (flag, _) in enumerate(pairs):
+            rest = [tok for pair in pairs[:i] + pairs[i + 1:] for tok in pair]
+            need = "at least one " if flag == "--base-member" else ""
+            message = f"{names.get(flag[2:], label)} requires {need}{flag}"
+            yield pytest.param(words.split() + rest, fixture, label, message,
+                               id=f"{words} {flag}")
+
+
+@pytest.mark.parametrize("argv, fixture, label, message", _missing_flag_cases())
+def test_missing_flag_report(argv, fixture, label, message):
+    code, out, err = run_cli(argv, fixture=fixture)
+    assert (code, err) == (3, "")
+    assert out == f"ERROR {label}\n  input: error  witness: {message}\n"
+
+
+@pytest.mark.parametrize("words, fixture, flags", [row[:3] for row in MISSING_FLAG])
+def test_missing_flag_rows_run_with_every_flag(words, fixture, flags):
+    code, out, _ = run_cli(words.split() + flags.split(), fixture=fixture)
+    assert code < 3, out
+
+
 def test_prop_requires_name():
     code, out, _ = run_cli(
         "check prop --table TA --partition PA --group GA --topology tauA".split(),
