@@ -67,18 +67,6 @@ from .trg import (
     verify_trg,
 )
 
-_CHECK_KINDS = (
-    "rough-group", "subgroup", "normal", "hom", "trg", "trg-hom",
-    "trg-homeo", "action", "homogeneous", "prop",
-)
-_PROP_NAMES = (
-    "g-inverse", "open-inverse", "translations", "symmetric-square",
-    "topological-group", "closure-symmetric", "closure-subgroup",
-    "au-open", "subgroup-open", "base-translation",
-)
-_ENUM_KINDS = ("subgroups", "topologies", "witness")
-
-
 def _shim_argv(argv: list[str]) -> list[str]:
     """Accept `--check X` / `--enumerate X` as spellings of the
     subcommands, by rewriting the flag token in place."""
@@ -151,72 +139,97 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--max-size", type=_non_negative_int, default=3)
 
     cp = sub.add_parser("check", help="verify one structure or theorem instance")
-    cp.add_argument("kind", choices=_CHECK_KINDS)
+    cp.add_argument("kind", choices=_next_words("check"))
     cp.add_argument("prop", nargs="?", default=None,
                     help="proposition name when kind is 'prop'")
     add_common(cp)
 
     ep = sub.add_parser("enumerate", help="list structures of a given kind")
-    ep.add_argument("what", choices=_ENUM_KINDS)
+    ep.add_argument("what", choices=_next_words("enumerate"))
     add_common(ep)
     return p
 
 
-def _need(args, flag: str, kind: str) -> str:
-    value = getattr(args, flag.replace("-", "_"))
-    if value is None:
-        raise InputError(f"{kind} requires --{flag}")
-    return value
+class _NotApplicable(Exception):
+    """A premise of the command failed; `report` is the command's
+    not-applicable report naming that premise."""
+
+    def __init__(self, report: VerificationReport):
+        self.report = report
 
 
-def _build_space(ws: Workspace, table_name: str, partition_name: str) -> ApproxSpace:
-    t_uname, table = ws.get("table", table_name)
-    p_uname, partition = ws.get("partition", partition_name)
-    if t_uname != p_uname:
-        raise InputError(
-            f"table {table_name!r} is on universe {t_uname!r} but partition "
-            f"{partition_name!r} is on {p_uname!r}"
-        )
-    return ApproxSpace(table.universe, partition, table)
+class _Run:
+    """One command on a parsed document.  Missing flags, bad references
+    and failed premises are reported under `name`, the name the
+    command's own report carries."""
 
+    def __init__(self, ws: Workspace, args: argparse.Namespace, name: str):
+        self.ws, self.args, self.name = ws, args, name
+        self.universe = None
 
-def _subset_on(ws: Workspace, name: str, space: ApproxSpace, what: str) -> int:
-    uname, u, mask = ws.set_ref(name)
-    if u != space.universe:
-        raise InputError(f"{what} {name!r} lives on universe {uname!r}, "
-                         "not the one the table and partition share")
-    return mask
+    def need(self, flag: str) -> str:
+        value = getattr(self.args, flag.replace("-", "_"))
+        if value is None:
+            raise InputError(f"{self.name} requires --{flag}")
+        return value
 
+    def get(self, kind: str, flag: str):
+        """The `kind` declaration named by --flag."""
+        return self.ws.get(kind, self.need(flag))[-1]
 
-def _group_cert(ws: Workspace, args, check: str, prefix: str = ""):
-    """Build a rough-group certificate from --table/--partition/--group
-    (or their src-/tgt- prefixed forms).  Returns (cert, None) or
-    (None, not-applicable report) when the group axioms fail."""
-    dash = f"{prefix}-" if prefix else ""
-    space = _build_space(ws,
-                         _need(args, f"{dash}table", check),
-                         _need(args, f"{dash}partition", check))
-    g_mask = _subset_on(ws, _need(args, f"{dash}group", check), space, "group")
-    rep, cert = verify_rough_group(space, g_mask)
-    if cert is None:
-        label = f"premise-{prefix}-rough-group" if prefix else "premise-rough-group"
-        return None, not_applicable(
-            check, label, rep.first_witness() or "the group axioms fail")
-    return cert, None
+    def on(self, name: str, what: str) -> int:
+        """The mask of the set `name`, which must lie on the universe of
+        the table and partition read last."""
+        uname, u, mask = self.ws.set_ref(name)
+        if u != self.universe:
+            raise InputError(f"{what} {name!r} lives on universe {uname!r}, "
+                             "not the one the table and partition share")
+        return mask
 
+    def subset(self, flag: str, what: str) -> int:
+        return self.on(self.need(flag), what)
 
-def _trg_cert(ws: Workspace, args, check: str, prefix: str = ""):
-    cert, na = _group_cert(ws, args, check, prefix)
-    if cert is None:
-        return None, na
-    dash = f"{prefix}-" if prefix else ""
-    _, top = ws.get("topology", _need(args, f"{dash}topology", check))
-    rep, trg = decide_trg(cert, top, codomain_topology=args.codomain_topology)
-    if trg is None:
-        label = f"premise-{prefix}-trg" if prefix else "premise-trg"
-        return None, not_applicable(
-            check, label, rep.first_witness() or "the continuity conditions fail")
-    return trg, None
+    def premise(self, label: str, report: VerificationReport, fallback: str):
+        raise _NotApplicable(not_applicable(
+            self.name, label, report.first_witness() or fallback))
+
+    def space(self, dash: str = "") -> ApproxSpace:
+        table_name = self.need(f"{dash}table")
+        partition_name = self.need(f"{dash}partition")
+        t_uname, table = self.ws.get("table", table_name)
+        p_uname, partition = self.ws.get("partition", partition_name)
+        if t_uname != p_uname:
+            raise InputError(f"table {table_name!r} is on universe {t_uname!r} but "
+                             f"partition {partition_name!r} is on {p_uname!r}")
+        self.universe = table.universe
+        return ApproxSpace(table.universe, partition, table)
+
+    def group(self, dash: str = ""):
+        """The rough group of --table/--partition/--group, or of their
+        `src-`/`tgt-` forms; failing axioms are a failed premise."""
+        space = self.space(dash)
+        rep, cert = verify_rough_group(space, self.subset(f"{dash}group", "group"))
+        if cert is None:
+            self.premise(f"premise-{dash}rough-group", rep, "the group axioms fail")
+        return cert
+
+    def trg(self, dash: str = ""):
+        """The TRG of that rough group and --topology (or its form)."""
+        cert = self.group(dash)
+        rep, trg = decide_trg(cert, self.get("topology", f"{dash}topology"),
+                              codomain_topology=self.args.codomain_topology)
+        if trg is None:
+            self.premise(f"premise-{dash}trg", rep, "the continuity conditions fail")
+        return trg
+
+    def rough_space(self) -> RoughSpace:
+        x_uname, xu, x_mask = self.ws.set_ref(self.need("x-subset"))
+        pname = self.need("x-partition")
+        _, partition = self.ws.get("partition", pname)
+        if partition.universe != xu:
+            raise InputError(f"partition {pname!r} is not on the universe of {x_uname!r}")
+        space = ApproxSpace(xu, partition, None)
+        return RoughSpace.make(space, x_mask, self.get("topology", "x-topology"))
 
 
 def _with_kernel_info(report: VerificationReport, hom) -> VerificationReport:
@@ -236,197 +249,147 @@ def _with_kernel_info(report: VerificationReport, hom) -> VerificationReport:
     return combine(report.check, list(report.clauses) + extra, stats=stats)
 
 
-def _rough_space(ws: Workspace, args, check: str) -> RoughSpace:
-    x_uname, xu, x_mask = ws.set_ref(_need(args, "x-subset", check))
-    pname = _need(args, "x-partition", check)
-    _, partition = ws.get("partition", pname)
-    if partition.universe != xu:
+def _items(u, masks: list[int]) -> list[Clause]:
+    return [Clause(f"item-{i}", INFO, u.set_str(mask)) for i, mask in enumerate(masks)]
+
+
+def _rough_hom(r: _Run) -> VerificationReport:
+    return _with_kernel_info(*verify_rough_homomorphism(
+        r.group("src-"), r.group("tgt-"), r.get("map", "map"), strict=r.args.strict_hom))
+
+
+def _trg_hom(r: _Run):
+    return verify_trg_homomorphism(r.trg("src-"), r.trg("tgt-"), r.get("map", "map"),
+                                   strict=r.args.strict_hom)
+
+
+def _trg_hom_kernel(r: _Run) -> VerificationReport:
+    rep, hom = _trg_hom(r)
+    return _with_kernel_info(rep, hom.algebra if hom else None)
+
+
+def _trg_homeo(r: _Run) -> VerificationReport:
+    rep, hom = _trg_hom(r)
+    if hom is None:
+        r.premise("premise-trg-homomorphism", rep,
+                  "the map is not a continuous homomorphism")
+    return verify_trg_homeomorphism(hom)
+
+
+def _homogeneous(r: _Run) -> VerificationReport:
+    rspace = r.rough_space()
+    ok, wit = is_rough_homogeneous(rspace)
+    return combine(r.name, [Clause("orbit-transitivity", PASS if ok else FAIL, wit)],
+                   stats=[("points", popcount(rspace.upper_x))])
+
+
+def _base_translation(r: _Run) -> VerificationReport:
+    cert = r.trg()
+    if not r.args.base_member:
+        raise InputError(f"{r.name} requires at least one --base-member")
+    return check_base_translation(
+        cert, [r.on(m, "base member") for m in r.args.base_member])
+
+
+def _enumerate_subgroups(r: _Run) -> VerificationReport:
+    cert = r.group()
+    found = enumerate_rough_subgroups(cert, cap=r.args.cap)
+    return combine(r.name, _items(r.universe, found),
+                   stats=[("count", len(found))])
+
+
+def _enumerate_topologies(r: _Run) -> VerificationReport:
+    cert = r.group()
+    n = popcount(cert.upper)
+    if n > r.args.max_size:
         raise InputError(
-            f"partition {pname!r} is not on the universe of {x_uname!r}"
+            f"the upper approximation has {n} points, exceeding "
+            f"--max-size {r.args.max_size}"
         )
-    _, tau_x = ws.get("topology", _need(args, "x-topology", check))
-    space = ApproxSpace(xu, partition, None)
-    return RoughSpace.make(space, x_mask, tau_x)
+    u = r.universe
+    # at most 2^n distinct opens occur, so each is formatted once
+    set_str = cache(u.set_str)
+    tops = enumerate_topologies(u, cert.upper)
+    trg_opens = {t.opens for t in trg_topologies(cert, r.args.codomain_topology)}
+    clauses = []
+    for i, top in enumerate(tops):
+        verdict = PASS if top.opens in trg_opens else FAIL
+        opens = " ".join(map(set_str, top.opens))
+        clauses.append(Clause(f"topology-{i}", INFO, f"trg={verdict} opens: {opens}"))
+    return combine(r.name, clauses,
+                   stats=[("count", len(tops)), ("trg-pass", len(trg_opens))])
 
 
-def _run_check(ws: Workspace, args) -> VerificationReport:
-    kind = args.kind
-    if kind == "rough-group":
-        space = _build_space(ws, _need(args, "table", kind),
-                             _need(args, "partition", kind))
-        g_mask = _subset_on(ws, _need(args, "group", kind), space, "group")
-        rep, _ = verify_rough_group(space, g_mask)
-        return rep
-    if kind == "subgroup":
-        cert, na = _group_cert(ws, args, "rough-subgroup")
-        if cert is None:
-            return na
-        h = _subset_on(ws, _need(args, "subgroup", kind), cert.space, "subgroup")
-        return verify_rough_subgroup(cert, h)
-    if kind == "normal":
-        cert, na = _group_cert(ws, args, "rough-normal")
-        if cert is None:
-            return na
-        n = _subset_on(ws, _need(args, "subgroup", kind), cert.space, "subgroup")
-        return is_rough_normal(cert, n)
-    if kind == "hom":
-        src, na = _group_cert(ws, args, "rough-homomorphism", prefix="src")
-        if src is None:
-            return na
-        tgt, na = _group_cert(ws, args, "rough-homomorphism", prefix="tgt")
-        if tgt is None:
-            return na
-        _, _, fmap = ws.get("map", _need(args, "map", kind))
-        rep, hom = verify_rough_homomorphism(src, tgt, fmap,
-                                             strict=args.strict_hom)
-        return _with_kernel_info(rep, hom)
-    if kind == "trg":
-        cert, na = _group_cert(ws, args, "trg")
-        if cert is None:
-            return na
-        _, top = ws.get("topology", _need(args, "topology", kind))
-        rep, _ = verify_trg(cert, top, codomain_topology=args.codomain_topology)
-        return rep
-    if kind in ("trg-hom", "trg-homeo"):
-        check = "trg-homomorphism" if kind == "trg-hom" else "trg-homeomorphism"
-        src, na = _trg_cert(ws, args, check, prefix="src")
-        if src is None:
-            return na
-        tgt, na = _trg_cert(ws, args, check, prefix="tgt")
-        if tgt is None:
-            return na
-        _, _, fmap = ws.get("map", _need(args, "map", kind))
-        rep, hom = verify_trg_homomorphism(src, tgt, fmap,
-                                           strict=args.strict_hom)
-        if kind == "trg-hom":
-            return _with_kernel_info(rep, hom.algebra if hom else None)
-        if hom is None:
-            return not_applicable(
-                check, "premise-trg-homomorphism",
-                rep.first_witness() or "the map is not a continuous homomorphism")
-        return verify_trg_homeomorphism(hom)
-    if kind == "action":
-        cert, na = _trg_cert(ws, args, "rough-action")
-        if cert is None:
-            return na
-        rspace = _rough_space(ws, args, kind)
-        _, _, mu = ws.get("map", _need(args, "map", kind))
-        rep, _ = verify_rough_action(cert, rspace, mu, side=args.side)
-        return rep
-    if kind == "homogeneous":
-        rspace = _rough_space(ws, args, kind)
-        ok, wit = is_rough_homogeneous(rspace)
-        clause = Clause("orbit-transitivity", PASS if ok else FAIL, wit)
-        return combine("homogeneous", [clause],
-                       stats=[("points", popcount(rspace.upper_x))])
-    if kind == "prop":
-        return _run_prop(ws, args)
-    raise InputError(f"unknown check kind {kind!r}")
+def _enumerate_witness(r: _Run) -> VerificationReport:
+    cert = r.trg()
+    found = list(symmetric_square_nbhds(cert, r.subset("w", "W")))
+    return combine(r.name, [INVERSE_CONVENTION] + _items(r.universe, found),
+                   stats=[("count", len(found))])
 
 
-def _run_prop(ws: Workspace, args) -> VerificationReport:
-    name = args.prop
-    if name is None:
-        raise InputError(
-            "check prop requires a proposition name: " + ", ".join(_PROP_NAMES)
-        )
-    if name not in _PROP_NAMES:
-        raise InputError(f"unknown proposition {name!r}; expected one of: "
-                         + ", ".join(_PROP_NAMES))
-    check = f"prop-{name}"
-    cert, na = _trg_cert(ws, args, check)
-    if cert is None:
-        return na
-    u = cert.universe
-    if name == "g-inverse":
-        return check_G_equals_G_inverse(cert)
-    if name == "open-inverse":
-        return check_open_iff_inverse_open(cert)
-    if name == "translations":
-        tok = _need(args, "element", check)
-        return check_translations(cert, u.index(tok))
-    if name == "symmetric-square":
-        w = _subset_on(ws, _need(args, "w", check), cert.group.space, "W")
-        _, rep = find_symmetric_square_nbhd(cert, w)
-        return rep
-    if name == "topological-group":
-        return check_topological_group(cert)
-    if name == "closure-symmetric":
-        a = _subset_on(ws, _need(args, "subset", check), cert.group.space, "A")
-        return check_closure_symmetric(cert, a)
-    if name == "closure-subgroup":
-        h = _subset_on(ws, _need(args, "subgroup", check), cert.group.space, "H")
-        return check_closure_subgroup(cert, h)
-    if name == "au-open":
-        a = _subset_on(ws, _need(args, "subset", check), cert.group.space, "A")
-        uopen = _subset_on(ws, _need(args, "open", check), cert.group.space, "U")
-        return check_AU_open(cert, a, uopen)
-    if name == "subgroup-open":
-        h = _subset_on(ws, _need(args, "subgroup", check), cert.group.space, "H")
-        w = _subset_on(ws, _need(args, "w", check), cert.group.space, "W")
-        return check_subgroup_open(cert, h, w)
-    if name == "base-translation":
-        if not args.base_member:
-            raise InputError(f"{check} requires at least one --base-member")
-        members = [
-            _subset_on(ws, m, cert.group.space, "base member")
-            for m in args.base_member
-        ]
-        return check_base_translation(cert, members)
-    raise InputError(f"unknown proposition {name!r}")
+# The command table: the positional words of a command line, with each
+# proposition a row of its own, give the name of the command's report
+# and the function that runs it.  The argparse choices and the list of
+# propositions are read off its keys.  Library functions are reached
+# through this module's globals when a row runs, never stored here, so
+# a wrapper installed over such a global sees every call.
+_COMMANDS = {
+    ("check", "rough-group"): ("rough-group", lambda r: verify_rough_group(
+        r.space(), r.subset("group", "group"))[0]),
+    ("check", "subgroup"): ("rough-subgroup", lambda r: verify_rough_subgroup(
+        r.group(), r.subset("subgroup", "subgroup"))),
+    ("check", "normal"): ("rough-normal", lambda r: is_rough_normal(
+        r.group(), r.subset("subgroup", "subgroup"))),
+    ("check", "hom"): ("rough-homomorphism", _rough_hom),
+    ("check", "trg"): ("trg", lambda r: verify_trg(
+        r.group(), r.get("topology", "topology"),
+        codomain_topology=r.args.codomain_topology)[0]),
+    ("check", "trg-hom"): ("trg-homomorphism", _trg_hom_kernel),
+    ("check", "trg-homeo"): ("trg-homeomorphism", _trg_homeo),
+    ("check", "action"): ("rough-action", lambda r: verify_rough_action(
+        r.trg(), r.rough_space(), r.get("map", "map"), side=r.args.side)[0]),
+    ("check", "homogeneous"): ("homogeneous", _homogeneous),
+    ("check", "prop", "g-inverse"): (
+        "prop-g-inverse", lambda r: check_G_equals_G_inverse(r.trg())),
+    ("check", "prop", "open-inverse"): (
+        "prop-open-inverse", lambda r: check_open_iff_inverse_open(r.trg())),
+    ("check", "prop", "translations"): (
+        "prop-translations",
+        lambda r: check_translations(r.trg(), r.universe.index(r.need("element")))),
+    ("check", "prop", "symmetric-square"): (
+        "prop-symmetric-square",
+        lambda r: find_symmetric_square_nbhd(r.trg(), r.subset("w", "W"))[1]),
+    ("check", "prop", "topological-group"): (
+        "prop-topological-group", lambda r: check_topological_group(r.trg())),
+    ("check", "prop", "closure-symmetric"): (
+        "prop-closure-symmetric",
+        lambda r: check_closure_symmetric(r.trg(), r.subset("subset", "A"))),
+    ("check", "prop", "closure-subgroup"): (
+        "prop-closure-subgroup",
+        lambda r: check_closure_subgroup(r.trg(), r.subset("subgroup", "H"))),
+    ("check", "prop", "au-open"): ("prop-au-open", lambda r: check_AU_open(
+        r.trg(), r.subset("subset", "A"), r.subset("open", "U"))),
+    ("check", "prop", "subgroup-open"): (
+        "prop-subgroup-open", lambda r: check_subgroup_open(
+            r.trg(), r.subset("subgroup", "H"), r.subset("w", "W"))),
+    ("check", "prop", "base-translation"): ("prop-base-translation", _base_translation),
+    ("enumerate", "subgroups"): ("enumerate-subgroups", _enumerate_subgroups),
+    ("enumerate", "topologies"): ("enumerate-topologies", _enumerate_topologies),
+    ("enumerate", "witness"): ("enumerate-witness", _enumerate_witness),
+}
 
 
-def _run_enumerate(ws: Workspace, args) -> VerificationReport:
-    what = args.what
-    if what == "subgroups":
-        cert, na = _group_cert(ws, args, "enumerate-subgroups")
-        if cert is None:
-            return na
-        found = enumerate_rough_subgroups(cert, cap=args.cap)
-        u = cert.space.universe
-        clauses = [
-            Clause(f"item-{i}", INFO, u.set_str(mask))
-            for i, mask in enumerate(found)
-        ]
-        return combine("enumerate-subgroups", clauses,
-                       stats=[("count", len(found))])
-    if what == "topologies":
-        cert, na = _group_cert(ws, args, "enumerate-topologies")
-        if cert is None:
-            return na
-        n = popcount(cert.upper)
-        if n > args.max_size:
-            raise InputError(
-                f"the upper approximation has {n} points, exceeding "
-                f"--max-size {args.max_size}"
-            )
-        u = cert.space.universe
-        # at most 2^n distinct opens occur, so each is formatted once
-        set_str = cache(u.set_str)
-        tops = enumerate_topologies(u, cert.upper)
-        trg_opens = {t.opens for t in trg_topologies(cert, args.codomain_topology)}
-        clauses = []
-        for i, top in enumerate(tops):
-            verdict = PASS if top.opens in trg_opens else FAIL
-            opens = " ".join(map(set_str, top.opens))
-            clauses.append(Clause(f"topology-{i}", INFO,
-                                  f"trg={verdict} opens: {opens}"))
-        return combine("enumerate-topologies", clauses,
-                       stats=[("count", len(tops)), ("trg-pass", len(trg_opens))])
-    if what == "witness":
-        cert, na = _trg_cert(ws, args, "enumerate-witness")
-        if cert is None:
-            return na
-        w = _subset_on(ws, _need(args, "w", "enumerate witness"),
-                       cert.group.space, "W")
-        found = list(symmetric_square_nbhds(cert, w))
-        clauses = [INVERSE_CONVENTION] + [
-            Clause(f"item-{i}", INFO, cert.universe.set_str(v))
-            for i, v in enumerate(found)
-        ]
-        return combine("enumerate-witness", clauses,
-                       stats=[("count", len(found))])
-    raise InputError(f"unknown enumeration {what!r}")
+def _next_words(*prefix: str) -> tuple[str, ...]:
+    """The words that follow `prefix` in the table's keys, in table order."""
+    n = len(prefix)
+    return tuple(dict.fromkeys(key[n] for key in _COMMANDS if key[:n] == prefix))
+
+
+def _unknown_prop(r: _Run) -> VerificationReport:
+    names = ", ".join(_next_words("check", "prop"))
+    if r.args.prop is None:
+        raise InputError("check prop requires a proposition name: " + names)
+    raise InputError(f"unknown proposition {r.args.prop!r}; expected one of: " + names)
 
 
 def _decode(data: bytes) -> str:
@@ -474,17 +437,18 @@ def main(argv: list[str] | None = None) -> int:
     except ParseError as e:
         print(f"{source}:{e.line}:{e.column}: {e}", file=sys.stderr)
         return 3
-    check_label = (f"prop-{args.prop}" if getattr(args, "kind", None) == "prop"
-                   and args.prop else None)
+    if args.command == "enumerate":
+        words = (args.command, args.what)
+    else:
+        words = (args.command, args.kind) + ((args.prop,) if args.kind == "prop" else ())
+    name, run = _COMMANDS.get(words) or (
+        f"prop-{args.prop}" if args.prop else "prop", _unknown_prop)
     try:
-        if args.command == "check":
-            report = _run_check(ws, args)
-        else:
-            report = _run_enumerate(ws, args)
+        report = run(_Run(ws, args, name))
     except InputError as e:
-        label = check_label or getattr(args, "kind", None) or getattr(
-            args, "what", "command")
-        report = error_report(label, str(e))
+        report = error_report(name, str(e))
+    except _NotApplicable as e:
+        report = e.report
     sys.stdout.write(serialize_report(report, "json" if args.json else "text"))
     return exit_code(report)
 

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import roughtop
+import roughtop.cli as cli
 from conftest import FIXDIR, run_cli
 
 # Recorded stdout, stderr and exit code of every MATRIX row, in text and
@@ -239,64 +240,49 @@ _TRG_PAIR = _PAIR + " --src-topology tauA --tgt-topology tauA"
 _X = "--x-partition PA --x-subset GA --x-topology tauA"
 
 
-def _named(flags: str, name: str) -> dict:
-    return {tok[2:]: name for tok in flags.split()[::2]}
-
-
-# Every command with flags it runs on, the name of its error report, and
-# the name each flag's `requires` message gives where it differs.
+# Every command with flags it runs on, and the name of its report, which
+# its error report and every `requires --flag` message carry too.
 MISSING_FLAG = [
-    ("check rough-group", "zmod3.rg", _GROUP, "rough-group", {}),
-    ("check subgroup", "zmod3.rg", _GROUP + " --subgroup GA", "subgroup",
-     _named(_GROUP, "rough-subgroup")),
-    ("check normal", "zmod3.rg", _GROUP + " --subgroup GA", "normal",
-     _named(_GROUP, "rough-normal")),
-    ("check hom", "zmod3.rg", _PAIR + " --map neg", "hom",
-     _named(_PAIR, "rough-homomorphism")),
-    ("check trg", "zmod3.rg", _TRG, "trg", {}),
-    ("check trg-hom", "zmod3.rg", _TRG_PAIR + " --map neg", "trg-hom",
-     _named(_TRG_PAIR, "trg-homomorphism")),
-    ("check trg-homeo", "zmod3.rg", _TRG_PAIR + " --map neg", "trg-homeo",
-     _named(_TRG_PAIR, "trg-homeomorphism")),
+    ("check rough-group", "zmod3.rg", _GROUP, "rough-group"),
+    ("check subgroup", "zmod3.rg", _GROUP + " --subgroup GA", "rough-subgroup"),
+    ("check normal", "zmod3.rg", _GROUP + " --subgroup GA", "rough-normal"),
+    ("check hom", "zmod3.rg", _PAIR + " --map neg", "rough-homomorphism"),
+    ("check trg", "zmod3.rg", _TRG, "trg"),
+    ("check trg-hom", "zmod3.rg", _TRG_PAIR + " --map neg", "trg-homomorphism"),
+    ("check trg-homeo", "zmod3.rg", _TRG_PAIR + " --map neg", "trg-homeomorphism"),
     ("check action", "zmod3_selfaction.rg",
      _GROUP + " --topology tauD --x-partition PA --x-subset GA --x-topology tauD --map mu",
-     "action", _named(_TRG, "rough-action")),
-    ("check homogeneous", "zmod3.rg", _X, "homogeneous", {}),
-    ("check prop g-inverse", "zmod3.rg", _TRG, "prop-g-inverse", {}),
-    ("check prop open-inverse", "zmod3.rg", _TRG, "prop-open-inverse", {}),
-    ("check prop translations", "zmod3.rg", _TRG + " --element 1",
-     "prop-translations", {}),
+     "rough-action"),
+    ("check homogeneous", "zmod3.rg", _X, "homogeneous"),
+    ("check prop g-inverse", "zmod3.rg", _TRG, "prop-g-inverse"),
+    ("check prop open-inverse", "zmod3.rg", _TRG, "prop-open-inverse"),
+    ("check prop translations", "zmod3.rg", _TRG + " --element 1", "prop-translations"),
     ("check prop symmetric-square", "zmod3.rg", _TRG + " --w GbarA",
-     "prop-symmetric-square", {}),
-    ("check prop topological-group", "zmod3.rg", _TRG, "prop-topological-group", {}),
+     "prop-symmetric-square"),
+    ("check prop topological-group", "zmod3.rg", _TRG, "prop-topological-group"),
     ("check prop closure-symmetric", "zmod3.rg", _TRG + " --subset GA",
-     "prop-closure-symmetric", {}),
+     "prop-closure-symmetric"),
     ("check prop closure-subgroup", "zmod3.rg", _TRG + " --subgroup GA",
-     "prop-closure-subgroup", {}),
-    ("check prop au-open", "zmod3.rg", _TRG + " --subset HA --open GA",
-     "prop-au-open", {}),
+     "prop-closure-subgroup"),
+    ("check prop au-open", "zmod3.rg", _TRG + " --subset HA --open GA", "prop-au-open"),
     ("check prop subgroup-open", "zmod3.rg", _TRG + " --subgroup GA --w GbarA",
-     "prop-subgroup-open", {}),
+     "prop-subgroup-open"),
     ("check prop base-translation", "zmod3.rg", _TRG + " --base-member GA",
-     "prop-base-translation", {}),
-    ("enumerate subgroups", "zmod3.rg", _GROUP, "subgroups",
-     _named(_GROUP, "enumerate-subgroups")),
-    ("enumerate topologies", "zmod3.rg", _GROUP, "topologies",
-     _named(_GROUP, "enumerate-topologies")),
-    ("enumerate witness", "zmod3.rg", _TRG + " --w GbarA", "witness",
-     dict(_named(_TRG, "enumerate-witness"), w="enumerate witness")),
+     "prop-base-translation"),
+    ("enumerate subgroups", "zmod3.rg", _GROUP, "enumerate-subgroups"),
+    ("enumerate topologies", "zmod3.rg", _GROUP, "enumerate-topologies"),
+    ("enumerate witness", "zmod3.rg", _TRG + " --w GbarA", "enumerate-witness"),
 ]
 
 
 def _missing_flag_cases():
-    for words, fixture, flags, label, names in MISSING_FLAG:
+    for words, fixture, flags, name in MISSING_FLAG:
         pairs = [flags.split()[i:i + 2] for i in range(0, len(flags.split()), 2)]
         for i, (flag, _) in enumerate(pairs):
             rest = [tok for pair in pairs[:i] + pairs[i + 1:] for tok in pair]
             need = "at least one " if flag == "--base-member" else ""
-            message = f"{names.get(flag[2:], label)} requires {need}{flag}"
-            yield pytest.param(words.split() + rest, fixture, label, message,
-                               id=f"{words} {flag}")
+            yield pytest.param(words.split() + rest, fixture, name,
+                               f"{name} requires {need}{flag}", id=f"{words} {flag}")
 
 
 @pytest.mark.parametrize("argv, fixture, label, message", _missing_flag_cases())
@@ -310,6 +296,24 @@ def test_missing_flag_report(argv, fixture, label, message):
 def test_missing_flag_rows_run_with_every_flag(words, fixture, flags):
     code, out, _ = run_cli(words.split() + flags.split(), fixture=fixture)
     assert code < 3, out
+
+
+def test_missing_flag_rows_are_the_command_table():
+    assert {tuple(row[0].split()): row[3] for row in MISSING_FLAG} == {
+        words: name for words, (name, _) in cli._COMMANDS.items()}
+
+
+def test_choices_and_proposition_names_are_the_table_keys():
+    sub = next(a for a in cli._build_parser()._actions if a.dest == "command")
+    choices = {command: next(a.choices for a in parser._actions if a.dest in ("kind", "what"))
+               for command, parser in sub.choices.items()}
+    keys = list(cli._COMMANDS)
+    assert choices == {
+        "check": tuple(dict.fromkeys(k[1] for k in keys if k[0] == "check")),
+        "enumerate": tuple(k[1] for k in keys if k[0] == "enumerate")}
+    _, out, _ = run_cli(["check", "prop"], fixture="zmod3.rg")
+    names = out.splitlines()[1].split("requires a proposition name: ")[1]
+    assert names.split(", ") == [k[2] for k in keys if k[1] == "prop"]
 
 
 def test_prop_requires_name():
