@@ -50,7 +50,7 @@ from roughtop.groups import (
 )
 from roughtop.homs import verify_trg_homomorphism
 from roughtop.parser import parse_spec, serialize_workspace
-from roughtop.topology import FiniteTopology, generate_topology
+from roughtop.topology import generate_topology
 from roughtop.trg import (
     check_G_equals_G_inverse,
     check_open_iff_inverse_open,

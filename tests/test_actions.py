@@ -17,7 +17,7 @@ from roughtop.groups import CayleyTable, verify_rough_group
 from roughtop.topology import FiniteMap, FiniteTopology, generate_topology
 from roughtop.trg import verify_trg
 
-from conftest import cert_of, space_of, trg_of
+from conftest import cert_of, space_of
 
 
 @pytest.fixture(scope="module")

@@ -1,4 +1,5 @@
-"""Every module of the package uses every name it imports.
+"""Every module of the package, the tests and the scripts uses every
+name it imports.
 
 No linter ships with the package, so this stands in for an
 unused-import check: a name bound by an import must be read somewhere
@@ -10,8 +11,12 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "roughtop"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "roughtop"
 MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
+# a package module by its file name, any other file by its path from the root
+IMPORTERS = {name: SRC / name for name in MODULES} | {
+    f"{d}/{p.name}": p for d in ("tests", "scripts") for p in sorted((ROOT / d).glob("*.py"))}
 
 
 def _annotations(tree):
@@ -27,9 +32,9 @@ def _annotations(tree):
             yield node.annotation
 
 
-@pytest.mark.parametrize("name", MODULES)
+@pytest.mark.parametrize("name", IMPORTERS)
 def test_module_uses_every_import(name):
-    tree = ast.parse((SRC / name).read_text(encoding="utf-8"))
+    tree = ast.parse(IMPORTERS[name].read_text(encoding="utf-8"))
     imported = {}
     for node in ast.walk(tree):
         if isinstance(node, (ast.Import, ast.ImportFrom)):

@@ -1,7 +1,5 @@
 """The structure-description text format: parsing, errors, serialization."""
 
-from pathlib import Path
-
 import pytest
 
 from roughtop.errors import ParseError

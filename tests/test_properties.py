@@ -27,7 +27,6 @@ from roughtop.groups import (
 )
 from roughtop.topology import (
     FiniteMap,
-    FiniteTopology,
     closure,
     enumerate_topologies,
     generate_topology,

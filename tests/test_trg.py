@@ -25,7 +25,7 @@ from roughtop.trg import (
     verify_trg,
 )
 
-from conftest import cert_of, space_of, trg_of
+from conftest import cert_of, trg_of
 
 
 @pytest.fixture(scope="module")
