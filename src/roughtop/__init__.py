@@ -10,6 +10,7 @@ objects, and enumerates all structures of a kind at desk scale.
 
 from .approx import (
     ApproxSpace,
+    CayleyTable,
     Partition,
     RoughSet,
     Universe,
@@ -28,7 +29,6 @@ from .errors import (
     ParseError,
 )
 from .groups import (
-    CayleyTable,
     RoughGroupCert,
     RoughHom,
     enumerate_rough_subgroups,

@@ -1,4 +1,5 @@
-"""Approximation spaces: finite universes, partitions, rough approximations.
+"""Approximation spaces: finite universes, partitions, Cayley tables,
+rough approximations.
 
 Subsets are integer bitmasks over the canonical element order of their
 universe: bit i stands for ``elements[i]``.  Since masks impose a total
@@ -119,6 +120,37 @@ class Partition(Record):
         return self.blocks[self._block_of[i]]
 
 
+class CayleyTable(Record):
+    """Total binary operation on a universe, stored as an index matrix."""
+
+    _fields = ("universe", "rows")
+
+    def __init__(self, universe: Universe, rows: tuple[tuple[int, ...], ...]):
+        n = universe.size
+        if len(rows) != n:
+            raise InputError(f"table has {len(rows)} rows, expected {n}")
+        for i, row in enumerate(rows):
+            if len(row) != n:
+                raise InputError(
+                    f"table row for {universe.elements[i]} has {len(row)} "
+                    f"entries, expected {n}"
+                )
+            for v in row:
+                if not 0 <= v < n:
+                    raise InputError("table entry is not a universe element")
+        self._set(universe=universe, rows=rows)
+
+    @classmethod
+    def from_names(cls, universe: Universe, name_rows) -> "CayleyTable":
+        rows = tuple(
+            tuple(universe.index(name) for name in row) for row in name_rows
+        )
+        return cls(universe, rows)
+
+    def mul(self, i: int, j: int) -> int:
+        return self.rows[i][j]
+
+
 class ApproxSpace(Record):
     """A universe with an equivalence partition and an optional operation."""
 
@@ -214,6 +246,3 @@ def product_space(s1: ApproxSpace, s2: ApproxSpace, cap: int = DEFAULT_UNIVERSE_
         op = CayleyTable(universe, tuple(rows))
     return ApproxSpace(universe, partition, op)
 
-
-# groups imports this module, so its table type comes in last
-from .groups import CayleyTable  # noqa: E402

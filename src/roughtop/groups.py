@@ -1,4 +1,4 @@
-"""Cayley tables and the rough-group layer.
+"""The rough-group layer.
 
 A rough group is a subset G of an approximation-space universe whose
 products stay inside the upper approximation of G, with associativity
@@ -15,7 +15,7 @@ from __future__ import annotations
 from .approx import (
     DEFAULT_UNIVERSE_CAP,
     ApproxSpace,
-    Universe,
+    CayleyTable,
     bit_indices,
     popcount,
     product_mask,
@@ -37,37 +37,6 @@ from .report import (
 from .topology import FiniteMap
 
 DEFAULT_SUBGROUP_ENUM_CAP = 20
-
-
-class CayleyTable(Record):
-    """Total binary operation on a universe, stored as an index matrix."""
-
-    _fields = ("universe", "rows")
-
-    def __init__(self, universe: Universe, rows: tuple[tuple[int, ...], ...]):
-        n = universe.size
-        if len(rows) != n:
-            raise InputError(f"table has {len(rows)} rows, expected {n}")
-        for i, row in enumerate(rows):
-            if len(row) != n:
-                raise InputError(
-                    f"table row for {universe.elements[i]} has {len(row)} "
-                    f"entries, expected {n}"
-                )
-            for v in row:
-                if not 0 <= v < n:
-                    raise InputError("table entry is not a universe element")
-        self._set(universe=universe, rows=rows)
-
-    @classmethod
-    def from_names(cls, universe: Universe, name_rows) -> "CayleyTable":
-        rows = tuple(
-            tuple(universe.index(name) for name in row) for row in name_rows
-        )
-        return cls(universe, rows)
-
-    def mul(self, i: int, j: int) -> int:
-        return self.rows[i][j]
 
 
 def set_product(table: CayleyTable, m1: int, m2: int) -> int:

@@ -27,9 +27,8 @@ from __future__ import annotations
 import re
 from itertools import islice
 
-from .approx import Partition, Universe
+from .approx import CayleyTable, Partition, Universe
 from .errors import InputError, ParseError
-from .groups import CayleyTable
 from .record import Record
 from .topology import FiniteMap, FiniteTopology
 
