@@ -314,6 +314,28 @@ def test_choices_and_proposition_names_are_the_table_keys():
     _, out, _ = run_cli(["check", "prop"], fixture="zmod3.rg")
     names = out.splitlines()[1].split("requires a proposition name: ")[1]
     assert names.split(", ") == [k[2] for k in keys if k[1] == "prop"]
+    # the order argparse shows in --help and in its usage errors
+    assert choices["check"] == ("rough-group", "subgroup", "normal", "hom", "trg",
+                                "trg-hom", "trg-homeo", "action", "homogeneous", "prop")
+    assert choices["enumerate"] == ("subgroups", "topologies", "witness")
+
+
+def test_readme_tables_name_every_command_and_its_report():
+    """The README's tables of check kinds, propositions and enumerations
+    give the command table's rows and report names, in its order."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Command line\n")[1].split("\n## ")[0]
+    heads = {"kind": ("check",), "proposition": ("check", "prop"), "what": ("enumerate",)}
+    documented, words = [], None
+    for line in section.splitlines():
+        cells = [cell.strip().strip("`") for cell in line.strip("|").split("|")]
+        if not line.startswith("|") or cells[0].startswith("---"):
+            continue
+        if cells[0] in heads:
+            words = heads[cells[0]]
+        else:
+            documented.append((words + (cells[0],), cells[1]))
+    assert documented == [(key, name) for key, (name, _) in cli._COMMANDS.items()]
 
 
 def test_prop_requires_name():
