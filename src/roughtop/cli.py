@@ -151,8 +151,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 class _NotApplicable(Exception):
-    """A premise of the command failed; `report` is the command's
-    not-applicable report naming that premise."""
+    """A premise failed; `report` is the command's not-applicable report."""
 
     def __init__(self, report: VerificationReport):
         self.report = report
@@ -190,6 +189,7 @@ class _Run:
         return self.on(self.need(flag), what)
 
     def premise(self, label: str, report: VerificationReport, fallback: str):
+        """Stop the command: its premise `label` failed, as `report` shows."""
         raise _NotApplicable(not_applicable(
             self.name, label, report.first_witness() or fallback))
 
