@@ -31,15 +31,7 @@ from .groups import (
     verify_rough_subgroup,
 )
 from .record import Record
-from .report import (
-    FAIL,
-    PASS,
-    Clause,
-    VerificationReport,
-    combine,
-    not_applicable,
-    premise,
-)
+from .report import PASS, VerificationReport, combine, law, premise
 from .topology import (
     FiniteMap,
     FiniteTopology,
@@ -156,16 +148,16 @@ def verify_rough_action(
     table = cert.table
     wit = escape_witness(table, cert.upper, cert.upper,
                          "leaves the upper approximation of G")
+    clauses = [premise("premise-upper-closed", wit)]
     if wit is not None:
-        return not_applicable("rough-action", "premise-upper-closed", wit), None
-    clauses = [Clause("premise-upper-closed", PASS)]
+        return combine("rough-action", clauses), None
 
     rows = {a: {b: mu.apply(a * n2 + b) for b in bit_indices(b_mask)}
             for a in bit_indices(a_mask)}
     v = first_discontinuity(rows, left, right, rspace.tau_x)
     wit = None if v is None else (f"open {xu.set_str(v)} has preimage "
                                   f"{pu.set_str(mu.preimage(v))}, which is not open")
-    clauses.append(Clause("action-continuity", FAIL if wit else PASS, wit))
+    clauses.append(law("action-continuity", wit))
 
     action = RoughAction(cert, rspace, mu, side, evidence=None)
     g_elems = tuple(bit_indices(cert.upper))
@@ -178,12 +170,12 @@ def verify_rough_action(
         order = (f"{outer}({inner} {x})" if side == "left"
                  else f"(({x} {inner}) {outer})")
         wit = f"{order} = {lhs} but the combined element gives {rhs}"
-    clauses.append(Clause("compatibility", FAIL if wit else PASS, wit))
+    clauses.append(law("compatibility", wit))
 
     moved = _moved_by_identity(action)
     wit = (f"identity {gu.elements[cert.e]} moves {moved[0]} to {moved[1]}"
            if moved else None)
-    clauses.append(Clause("identity", FAIL if wit else PASS, wit))
+    clauses.append(law("identity", wit))
 
     report = combine(
         "rough-action", clauses,
@@ -266,11 +258,11 @@ def translation_map(
         outer, inner, x, lhs, rhs = found
         wit = (f"translating by {inner} then {outer} sends {x} to {lhs}, "
                f"but the combined element sends it to {rhs}")
-    clauses.append(Clause("composition-law", FAIL if wit else PASS, wit))
+    clauses.append(law("composition-law", wit))
 
     moved = _moved_by_identity(action)
     wit = f"identity translation moves {moved[0]} to {moved[1]}" if moved else None
-    clauses.append(Clause("identity-translation", FAIL if wit else PASS, wit))
+    clauses.append(law("identity-translation", wit))
     return fmap, combine("translation", clauses)
 
 
@@ -312,20 +304,20 @@ def check_AU_open(cert: TRGCert, a_mask: int, u_mask: int) -> VerificationReport
     if not cert.tau.is_open(u_mask):
         raise InputError(f"U = {gu.set_str(u_mask)} is not open in the topology")
     why = group_axioms_witness(cert.table, cert.upper)
+    clauses = [premise("premise-upper-group", None if why is None
+                       else f"the upper approximation is not a group: {why}")]
     if why is not None:
-        return not_applicable("AU-open", "premise-upper-group",
-                              f"the upper approximation is not a group: {why}")
-    clauses = [Clause("premise-upper-group", PASS)]
+        return combine("AU-open", clauses)
     au = set_product(cert.table, a_mask, u_mask)
     ua = set_product(cert.table, u_mask, a_mask)
     wit = None
     if not cert.tau.is_open(au):
         wit = f"A*U = {gu.set_str(au)} is not open"
-    clauses.append(Clause("AU-open", FAIL if wit else PASS, wit))
+    clauses.append(law("AU-open", wit))
     wit = None
     if not cert.tau.is_open(ua):
         wit = f"U*A = {gu.set_str(ua)} is not open"
-    clauses.append(Clause("UA-open", FAIL if wit else PASS, wit))
+    clauses.append(law("UA-open", wit))
     return combine("AU-open", clauses)
 
 
@@ -368,11 +360,11 @@ def check_subgroup_open(
     if union != upper_h:
         wit = (f"the union of translates is {gu.set_str(union)}, not "
                f"upper(H) = {gu.set_str(upper_h)}")
-    clauses.append(Clause("union-is-upper-H", FAIL if wit else PASS, wit))
+    clauses.append(law("union-is-upper-H", wit))
     wit = None
     if not cert.tau.is_open(upper_h):
         wit = f"upper(H) = {gu.set_str(upper_h)} is not open in tau"
-    clauses.append(Clause("upper-H-open", FAIL if wit else PASS, wit))
+    clauses.append(law("upper-H-open", wit))
     sub_top = subspace_topology(cert.tau, upper_h)
     wit = None
     for h in bit_indices(h_mask):
@@ -381,6 +373,5 @@ def check_subgroup_open(
             wit = (f"h = {gu.elements[h]}: h*W = {gu.set_str(hw)} is not open "
                    "in the subspace on upper(H)")
             break
-    clauses.append(Clause("translates-open-in-upper-H",
-                          FAIL if wit else PASS, wit))
+    clauses.append(law("translates-open-in-upper-H", wit))
     return combine("subgroup-open", clauses)

@@ -26,10 +26,6 @@ def bit_indices(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def popcount(mask: int) -> int:
-    return mask.bit_count()
-
-
 class Universe(Record):
     """Ordered finite set of distinct, opaque element names."""
 

@@ -25,7 +25,7 @@ from .actions import (
     is_rough_homogeneous,
     verify_rough_action,
 )
-from .approx import ApproxSpace, popcount
+from .approx import ApproxSpace
 from .errors import InputError, ParseError
 from .groups import (
     DEFAULT_SUBGROUP_ENUM_CAP,
@@ -47,7 +47,8 @@ from .report import (
     combine,
     error_report,
     exit_code,
-    not_applicable,
+    law,
+    premise,
     serialize_report,
 )
 from .topology import enumerate_topologies
@@ -190,8 +191,8 @@ class _Run:
 
     def premise(self, label: str, report: VerificationReport, fallback: str):
         """Stop the command: its premise `label` failed, as `report` shows."""
-        raise _NotApplicable(not_applicable(
-            self.name, label, report.first_witness() or fallback))
+        raise _NotApplicable(combine(
+            self.name, [premise(label, report.first_witness() or fallback)]))
 
     def space(self, dash: str = "") -> ApproxSpace:
         table_name = self.need(f"{dash}table")
@@ -245,7 +246,7 @@ def _with_kernel_info(report: VerificationReport, hom) -> VerificationReport:
         wit = krep.first_witness()
         extra.append(Clause("kernel-normal", INFO,
                             krep.verdict + (f": {wit}" if wit else "")))
-    stats = list(report.stats) + [("kernel-size", popcount(kernel))]
+    stats = list(report.stats) + [("kernel-size", kernel.bit_count())]
     return combine(report.check, list(report.clauses) + extra, stats=stats)
 
 
@@ -278,9 +279,9 @@ def _trg_homeo(r: _Run) -> VerificationReport:
 
 def _homogeneous(r: _Run) -> VerificationReport:
     rspace = r.rough_space()
-    ok, wit = is_rough_homogeneous(rspace)
-    return combine(r.name, [Clause("orbit-transitivity", PASS if ok else FAIL, wit)],
-                   stats=[("points", popcount(rspace.upper_x))])
+    _, wit = is_rough_homogeneous(rspace)
+    return combine(r.name, [law("orbit-transitivity", wit)],
+                   stats=[("points", rspace.upper_x.bit_count())])
 
 
 def _base_translation(r: _Run) -> VerificationReport:
@@ -300,7 +301,7 @@ def _enumerate_subgroups(r: _Run) -> VerificationReport:
 
 def _enumerate_topologies(r: _Run) -> VerificationReport:
     cert = r.group()
-    n = popcount(cert.upper)
+    n = cert.upper.bit_count()
     if n > r.args.max_size:
         raise InputError(
             f"the upper approximation has {n} points, exceeding "
@@ -350,29 +351,29 @@ _COMMANDS = {
         r.trg(), r.rough_space(), r.get("map", "map"), side=r.args.side)[0]),
     ("check", "homogeneous"): ("homogeneous", _homogeneous),
     ("check", "prop", "g-inverse"): (
-        "prop-g-inverse", lambda r: check_G_equals_G_inverse(r.trg())),
+        "G-inverse", lambda r: check_G_equals_G_inverse(r.trg())),
     ("check", "prop", "open-inverse"): (
-        "prop-open-inverse", lambda r: check_open_iff_inverse_open(r.trg())),
+        "open-inverse", lambda r: check_open_iff_inverse_open(r.trg())),
     ("check", "prop", "translations"): (
-        "prop-translations",
+        "translations",
         lambda r: check_translations(r.trg(), r.universe.index(r.need("element")))),
     ("check", "prop", "symmetric-square"): (
-        "prop-symmetric-square",
+        "symmetric-square",
         lambda r: find_symmetric_square_nbhd(r.trg(), r.subset("w", "W"))[1]),
     ("check", "prop", "topological-group"): (
-        "prop-topological-group", lambda r: check_topological_group(r.trg())),
+        "topological-group", lambda r: check_topological_group(r.trg())),
     ("check", "prop", "closure-symmetric"): (
-        "prop-closure-symmetric",
+        "closure-symmetric",
         lambda r: check_closure_symmetric(r.trg(), r.subset("subset", "A"))),
     ("check", "prop", "closure-subgroup"): (
-        "prop-closure-subgroup",
+        "closure-subgroup",
         lambda r: check_closure_subgroup(r.trg(), r.subset("subgroup", "H"))),
-    ("check", "prop", "au-open"): ("prop-au-open", lambda r: check_AU_open(
+    ("check", "prop", "au-open"): ("AU-open", lambda r: check_AU_open(
         r.trg(), r.subset("subset", "A"), r.subset("open", "U"))),
     ("check", "prop", "subgroup-open"): (
-        "prop-subgroup-open", lambda r: check_subgroup_open(
+        "subgroup-open", lambda r: check_subgroup_open(
             r.trg(), r.subset("subgroup", "H"), r.subset("w", "W"))),
-    ("check", "prop", "base-translation"): ("prop-base-translation", _base_translation),
+    ("check", "prop", "base-translation"): ("base-translation", _base_translation),
     ("enumerate", "subgroups"): ("enumerate-subgroups", _enumerate_subgroups),
     ("enumerate", "topologies"): ("enumerate-topologies", _enumerate_topologies),
     ("enumerate", "witness"): ("enumerate-witness", _enumerate_witness),
@@ -420,8 +421,12 @@ def _read_input(path: str | None) -> str:
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
+    parser = _build_parser()
     try:
-        args = _build_parser().parse_args(_shim_argv(list(argv)))
+        args = parser.parse_args(_shim_argv(list(argv)))
+        # the optional proposition word belongs to `check prop` alone
+        if args.command == "check" and args.kind != "prop" and args.prop is not None:
+            parser.error(f"unrecognized arguments: {args.prop}")
     except SystemExit as exc:
         # argparse has printed its usage error; a malformed command
         # line is bad input (3), while 2 means a failed premise

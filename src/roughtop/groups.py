@@ -17,7 +17,6 @@ from .approx import (
     ApproxSpace,
     CayleyTable,
     bit_indices,
-    popcount,
     product_mask,
     product_space,
     upper_approx,
@@ -25,14 +24,13 @@ from .approx import (
 from .errors import AmbiguousInverseError, CapExceededError, InputError
 from .record import Record
 from .report import (
-    FAIL,
     INFO,
-    NOT_APPLICABLE,
     PASS,
     Clause,
     VerificationReport,
     combine,
-    not_applicable,
+    law,
+    premise,
 )
 from .topology import FiniteMap
 
@@ -193,9 +191,9 @@ def verify_rough_group(
 
     wit = escape_witness(table, g_mask, upper,
                          "escapes the upper approximation")
-    clauses.append(Clause("products-in-upper", FAIL if wit else PASS, wit))
+    clauses.append(law("products-in-upper", wit))
     wit = associativity_witness(table, upper)
-    clauses.append(Clause("associativity-on-upper", FAIL if wit else PASS, wit))
+    clauses.append(law("associativity-on-upper", wit))
 
     identities = tuple(
         c for c in up_elems
@@ -212,8 +210,8 @@ def verify_rough_group(
         ))
     else:
         e = None
-        clauses.append(Clause(
-            "identity-exists", FAIL,
+        clauses.append(law(
+            "identity-exists",
             "no element of the upper approximation is a two-sided identity "
             "for all of G",
         ))
@@ -232,8 +230,7 @@ def verify_rough_group(
 
     inverse_sets = []
     if e is None:
-        clauses.append(Clause("inverses-exist", NOT_APPLICABLE,
-                              "skipped: no identity"))
+        clauses.append(premise("inverses-exist", "skipped: no identity"))
     else:
         wit = None
         for x in g_elems:
@@ -242,11 +239,11 @@ def verify_rough_group(
                 wit = (f"{u.elements[x]} has no inverse in G with respect to "
                        f"identity {u.elements[e]}")
             inverse_sets.append((x, inv))
-        clauses.append(Clause("inverses-exist", FAIL if wit else PASS, wit))
+        clauses.append(law("inverses-exist", wit))
 
     report = combine("rough-group", clauses,
                      stats=[("identity-candidates", len(identities)),
-                            ("upper-size", popcount(upper))])
+                            ("upper-size", upper.bit_count())])
     if not report.passed:
         return report, None
     cert = RoughGroupCert(space, g_mask, upper, identities, e, tuple(inverse_sets))
@@ -269,15 +266,15 @@ def verify_rough_subgroup(parent: RoughGroupCert, h_mask: int) -> VerificationRe
     e = parent.designated_e
     wit = escape_witness(table, h_mask, upper_h,
                          "escapes the upper approximation of H")
-    clauses = [Clause("products-in-upper", FAIL if wit else PASS, wit)]
+    clauses = [law("products-in-upper", wit)]
     x = next((x for x in bit_indices(h_mask)
               if not inverses_in(table, x, h_mask, e)), None)
     wit = None if x is None else (
         f"{u.elements[x]} has no inverse inside H with respect to "
         f"identity {u.elements[e]}")
-    clauses.append(Clause("inverses-in-H", FAIL if wit else PASS, wit))
+    clauses.append(law("inverses-in-H", wit))
     return combine("rough-subgroup", clauses,
-                   stats=[("upper-size", popcount(upper_h))])
+                   stats=[("upper-size", upper_h.bit_count())])
 
 
 def is_rough_normal(parent: RoughGroupCert, n_mask: int) -> VerificationReport:
@@ -287,12 +284,12 @@ def is_rough_normal(parent: RoughGroupCert, n_mask: int) -> VerificationReport:
     not-applicable rather than fail, carrying the subgroup witness.
     """
     sub = verify_rough_subgroup(parent, n_mask)
-    if not sub.passed:
-        return not_applicable("rough-normal", "premise-rough-subgroup",
-                              sub.first_witness() or "N is not a rough subgroup")
+    wit = None if sub.passed else sub.first_witness() or "N is not a rough subgroup"
+    clauses = [premise("premise-rough-subgroup", wit)]
+    if wit is not None:
+        return combine("rough-normal", clauses)
     u = parent.space.universe
     table = parent.table
-    clauses = [Clause("premise-rough-subgroup", PASS)]
     wit = None
     for x in bit_indices(parent.g_mask):
         xn = set_product(table, 1 << x, n_mask)
@@ -301,7 +298,7 @@ def is_rough_normal(parent: RoughGroupCert, n_mask: int) -> VerificationReport:
             wit = (f"x = {u.elements[x]}: x*N = {u.set_str(xn)} but "
                    f"N*x = {u.set_str(nx)}")
             break
-    clauses.append(Clause("cosets-match", FAIL if wit else PASS, wit))
+    clauses.append(law("cosets-match", wit))
     return combine("rough-normal", clauses)
 
 
@@ -309,7 +306,7 @@ def enumerate_rough_subgroups(
     parent: RoughGroupCert, cap: int = DEFAULT_SUBGROUP_ENUM_CAP
 ) -> tuple[int, ...]:
     """All nonempty rough subgroups of G, as masks in ascending order."""
-    n = popcount(parent.g_mask)
+    n = parent.g_mask.bit_count()
     if n > cap:
         raise CapExceededError(
             f"subgroup enumeration supports at most {cap} elements, got {n}"
@@ -385,11 +382,11 @@ def verify_rough_homomorphism(
                 wit = (f"map({su.elements[x]} * {su.elements[y]}) = "
                        f"{tu.elements[lhs]} but map({su.elements[x]}) * "
                        f"map({su.elements[y]}) = {tu.elements[rhs]}")
-    clauses = [Clause("compatibility", FAIL if wit else PASS, wit)]
+    clauses = [law("compatibility", wit)]
     if strict:
         escape = escape_witness(s_table, src.upper, src.upper,
                                 "leaves the source upper approximation")
-        clauses.append(Clause("upper-closed", FAIL if escape else PASS, escape))
+        clauses.append(law("upper-closed", escape))
     injective = fmap.is_injective()
     surjective = fmap.image_mask() == tgt.upper
     if injective and surjective:
@@ -423,8 +420,8 @@ def rough_kernel(hom: RoughHom) -> tuple[int, VerificationReport]:
     u = src.space.universe
     clauses = [Clause("kernel-elements", INFO, u.set_str(kernel))]
     if kernel == 0:
-        clauses.append(Clause(
-            "kernel-nonempty", NOT_APPLICABLE,
+        clauses.append(premise(
+            "kernel-nonempty",
             "empty kernel: no member of G maps to the target identity",
         ))
         return kernel, combine("rough-kernel", clauses,
@@ -434,10 +431,10 @@ def rough_kernel(hom: RoughHom) -> tuple[int, VerificationReport]:
     if sub.passed:
         clauses.append(is_rough_normal(src, kernel).as_clause("kernel-normal"))
     else:
-        clauses.append(Clause("kernel-normal", NOT_APPLICABLE,
-                              "skipped: kernel is not a rough subgroup"))
+        clauses.append(premise("kernel-normal",
+                               "skipped: kernel is not a rough subgroup"))
     return kernel, combine("rough-kernel", clauses,
-                           stats=[("kernel-size", popcount(kernel))])
+                           stats=[("kernel-size", kernel.bit_count())])
 
 
 def product_rough_group(

@@ -15,14 +15,7 @@ from collections import namedtuple
 
 from .approx import bit_indices
 from .groups import verify_rough_homomorphism
-from .report import (
-    FAIL,
-    INFO,
-    PASS,
-    Clause,
-    VerificationReport,
-    combine,
-)
+from .report import INFO, Clause, VerificationReport, combine, law
 from .topology import FiniteMap, is_continuous
 from .trg import TRGCert
 
@@ -81,11 +74,12 @@ def verify_trg_homeomorphism(hom: TRGHom) -> VerificationReport:
     """
     fmap = hom.fmap
     tu = hom.tgt.universe
-    if not fmap.is_bijective():
-        wit = ("map is not injective" if not fmap.is_injective()
-               else "map is not onto the target upper approximation")
-        return combine("trg-homeomorphism", [Clause("bijective", FAIL, wit)])
-    clauses = [Clause("bijective", PASS)]
+    wit = (None if fmap.is_bijective()
+           else "map is not injective" if not fmap.is_injective()
+           else "map is not onto the target upper approximation")
+    clauses = [law("bijective", wit)]
+    if wit is not None:
+        return combine("trg-homeomorphism", clauses)
     inverse = fmap.inverse()
     inv_rep, _ = verify_trg_homomorphism(hom.tgt, hom.src, inverse)
     clauses.append(inv_rep.as_clause("inverse-homomorphism"))
@@ -96,8 +90,7 @@ def verify_trg_homeomorphism(hom: TRGHom) -> VerificationReport:
         ("target-upper", inverse, fmap, hom.tgt.upper),
     ):
         wit = _composite_moves(first, then, mask)
-        clauses.append(Clause(f"composite-identity-on-{name}",
-                              FAIL if wit else PASS, wit))
+        clauses.append(law(f"composite-identity-on-{name}", wit))
     g_image = fmap.image_mask(hom.src.g_mask)
     clauses.append(Clause(
         "G-image", INFO,

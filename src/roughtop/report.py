@@ -3,10 +3,11 @@
 Every check in the package returns a :class:`VerificationReport`: an
 overall verdict, an ordered list of named clauses (each with its own
 verdict and, where relevant, a witness or counterexample string), and a
-few integer counters.  The overall verdict follows from the clauses
-(`combine`): a failed premise makes a check not-applicable rather than
-failed.  Reports are pure values; serializing the same report twice
-yields byte-identical output.
+few integer counters.  A clause's verdict follows from its witness
+(`law`, `premise`), and the report's from its clauses (`combine`): a
+failed premise makes a check not-applicable rather than failed.
+Reports are pure values; serializing the same report twice yields
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -74,17 +75,17 @@ def combine(check: str, clauses, stats=None) -> VerificationReport:
     return VerificationReport(check, verdict, clauses, tuple(stats or ()))
 
 
+def law(name: str, witness: str | None) -> Clause:
+    """A law clause: fail with the witness that breaks it, or pass when
+    there is none.  Under `combine` a failed law fails the check."""
+    return Clause(name, FAIL if witness else PASS, witness)
+
+
 def premise(name: str, witness: str | None) -> Clause:
     """A premise clause: not-applicable with the witness that breaks
     it, or pass when there is none.  Under `combine` a failed premise
     makes the check not-applicable, never failed."""
     return Clause(name, NOT_APPLICABLE if witness else PASS, witness)
-
-
-def not_applicable(check: str, name: str, witness: str) -> VerificationReport:
-    """The report of a check whose premise `name` fails, with that
-    premise as its one clause; `combine` makes it not-applicable."""
-    return combine(check, [Clause(name, NOT_APPLICABLE, witness)])
 
 
 def error_report(check: str, message: str) -> VerificationReport:

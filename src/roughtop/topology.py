@@ -44,17 +44,13 @@ from operator import itemgetter
 from .approx import Universe, bit_indices, product_mask, product_universe
 from .errors import CapExceededError, InputError
 from .record import Record
-from .report import FAIL, NOT_APPLICABLE, PASS, Clause, VerificationReport, combine
+from .report import PASS, Clause, VerificationReport, combine, law, premise
 
 ENUMERATION_MAX_POINTS = 6
 
 
 def canonical_family(members) -> tuple[int, ...]:
     return tuple(sorted(set(members)))
-
-
-def family_str(universe: Universe, members) -> str:
-    return " ".join(universe.set_str(m) for m in members)
 
 
 def _nbhds(size: int, carrier: int, family) -> tuple[int, ...]:
@@ -253,20 +249,19 @@ def verify_topology(universe: Universe, carrier: int, family) -> VerificationRep
             m | n in members for n in nbhds for m in fam):
         return combine("topology", [Clause(c, PASS) for c in _TOPOLOGY_CLAUSES],
                        stats=stats)
-    clauses = []
-    ok = 0 in members
-    clauses.append(Clause("empty-set-member", PASS if ok else FAIL,
-                          None if ok else "the empty set is missing from the family"))
-    ok = carrier in members
-    clauses.append(Clause("carrier-member", PASS if ok else FAIL,
-                          None if ok else f"the carrier {universe.set_str(carrier)} is missing"))
+    clauses = [
+        law("empty-set-member",
+            None if 0 in members else "the empty set is missing from the family"),
+        law("carrier-member", None if carrier in members
+            else f"the carrier {universe.set_str(carrier)} is missing"),
+    ]
     for word, op in (("union", int.__or__), ("intersection", int.__and__)):
         a, b = next(((a, b) for i, a in enumerate(fam) for b in fam[i + 1:]
                      if op(a, b) not in members), (None, None))
         wit = None if a is None else (
             f"{word} of {universe.set_str(a)} and {universe.set_str(b)} = "
             f"{universe.set_str(op(a, b))} is not in the family")
-        clauses.append(Clause(f"{word}-closure", FAIL if wit else PASS, wit))
+        clauses.append(law(f"{word}-closure", wit))
     return combine("topology", clauses, stats=stats)
 
 
@@ -417,7 +412,7 @@ def is_continuous(fmap: FiniteMap, dom_top: FiniteTopology,
             wit = (f"open {cod_top.universe.set_str(o)} has preimage "
                    f"{dom_top.universe.set_str(fmap.preimage(o))}, which is not open")
             break
-    return combine("continuity", [Clause("preimage-openness", FAIL if wit else PASS, wit)])
+    return combine("continuity", [law("preimage-openness", wit)])
 
 
 def first_discontinuity(rows, left: FiniteTopology, right: FiniteTopology,
@@ -461,13 +456,12 @@ def first_discontinuity(rows, left: FiniteTopology, right: FiniteTopology,
 def is_homeomorphism(fmap: FiniteMap, dom_top: FiniteTopology,
                      cod_top: FiniteTopology) -> VerificationReport:
     """Bijective plus continuous both ways; stops at the first failure."""
-    clauses = []
-    if not fmap.is_bijective():
-        wit = ("map is not injective" if not fmap.is_injective()
-               else "map is not onto its codomain")
-        clauses.append(Clause("bijective", FAIL, wit))
+    wit = (None if fmap.is_bijective()
+           else "map is not injective" if not fmap.is_injective()
+           else "map is not onto its codomain")
+    clauses = [law("bijective", wit)]
+    if wit is not None:
         return combine("homeomorphism", clauses)
-    clauses.append(Clause("bijective", PASS))
     fwd = is_continuous(fmap, dom_top, cod_top)
     clauses.append(fwd.as_clause("forward-continuity"))
     if fwd.verdict != PASS:
@@ -480,7 +474,6 @@ def is_homeomorphism(fmap: FiniteMap, dom_top: FiniteTopology,
 def verify_base(top: FiniteTopology, members) -> VerificationReport:
     """A base: open members whose unions recover every open set."""
     fam = canonical_family(members)
-    clauses = []
     wit = None
     for m in fam:
         if m < 0 or m & ~top.carrier:
@@ -488,8 +481,8 @@ def verify_base(top: FiniteTopology, members) -> VerificationReport:
         if not top.is_open(m):
             wit = f"member {top.universe.set_str(m)} is not open"
             break
-    clauses.append(Clause("members-open", FAIL if wit else PASS, wit))
-    if clauses[0].verdict == PASS:
+    clauses = [law("members-open", wit)]
+    if wit is None:
         def inside(o: int) -> int:
             u = 0
             for m in fam:
@@ -502,9 +495,9 @@ def verify_base(top: FiniteTopology, members) -> VerificationReport:
         if o is not None:
             wit = (f"open {top.universe.set_str(o)} is not a union of members; "
                    f"members inside it cover only {top.universe.set_str(inside(o))}")
-        clauses.append(Clause("covers-all-opens", FAIL if wit else PASS, wit))
+        clauses.append(law("covers-all-opens", wit))
     else:
-        clauses.append(Clause("covers-all-opens", NOT_APPLICABLE, "skipped: non-open member"))
+        clauses.append(premise("covers-all-opens", "skipped: non-open member"))
     return combine("base", clauses, stats=[("members", len(fam))])
 
 

@@ -31,14 +31,12 @@ from .groups import (
     verify_rough_subgroup,
 )
 from .report import (
-    FAIL,
     INFO,
-    NOT_APPLICABLE,
     PASS,
     Clause,
     VerificationReport,
     combine,
-    not_applicable,
+    law,
     premise,
 )
 from .topology import (
@@ -106,14 +104,14 @@ def _product_map_clause(
     table = group.table
     v = first_discontinuity(table.rows, factor, factor, cod)
     if v is None:
-        return Clause("product-map-continuity", PASS)
+        return law("product-map-continuity", None)
     u = group.space.universe
     g_elems = tuple(bit_indices(group.g_mask))
     pre = ",".join(pair_name(u.elements[x], u.elements[y])
                    for x in g_elems for y in g_elems if v >> table.rows[x][y] & 1)
-    return Clause("product-map-continuity", FAIL,
-                  f"open {u.set_str(v)} pulls back to {{{pre}}}, which is not "
-                  "open in the product topology on G x G")
+    return law("product-map-continuity",
+               f"open {u.set_str(v)} pulls back to {{{pre}}}, which is not "
+               "open in the product topology on G x G")
 
 
 def _check_mode(codomain_topology: str) -> None:
@@ -279,7 +277,7 @@ def check_translations(cert: TRGCert, a: int) -> VerificationReport:
                            f"translate to {u.elements[y]}")
                     break
                 seen[y] = x
-        clauses.append(Clause(f"{label}-injective", FAIL if wit else PASS, wit))
+        clauses.append(law(f"{label}-injective", wit))
         cont = is_continuous(fmap, cert.tau_G, cert.tau)
         clauses.append(cont.as_clause(f"{label}-continuity"))
     homeo = is_homeomorphism(cert.inverse_map, cert.tau_G, cert.tau_G)
@@ -295,8 +293,7 @@ def check_G_equals_G_inverse(cert: TRGCert) -> VerificationReport:
     wit = None
     if inv != cert.g_mask:
         wit = f"G^-1 = {u.set_str(inv)} differs from G = {u.set_str(cert.g_mask)}"
-    return combine("G-inverse",
-                   [Clause("G-equals-G-inverse", FAIL if wit else PASS, wit)])
+    return combine("G-inverse", [law("G-equals-G-inverse", wit)])
 
 
 def check_open_iff_inverse_open(cert: TRGCert) -> VerificationReport:
@@ -312,7 +309,7 @@ def check_open_iff_inverse_open(cert: TRGCert) -> VerificationReport:
     if v is not None:
         wit = (f"V = {u.set_str(v)} is open but V^-1 = "
                f"{u.set_str(inverse_of_set(cert, v))} is not")
-    clauses = [Clause("open-sets", FAIL if wit else PASS, wit)]
+    clauses = [law("open-sets", wit)]
     v = first_failing_open(
         top, lambda v: not top.is_closed(inverse_of_set(cert, cert.g_mask & ~v)))
     wit = None
@@ -320,7 +317,7 @@ def check_open_iff_inverse_open(cert: TRGCert) -> VerificationReport:
         c = cert.g_mask & ~v
         wit = (f"C = {u.set_str(c)} is closed but C^-1 = "
                f"{u.set_str(inverse_of_set(cert, c))} is not")
-    clauses.append(Clause("closed-sets", FAIL if wit else PASS, wit))
+    clauses.append(law("closed-sets", wit))
     return combine("open-inverse", clauses)
 
 
@@ -347,8 +344,8 @@ def find_symmetric_square_nbhd(
     """The first open V of `symmetric_square_nbhds`, or None."""
     found = next(symmetric_square_nbhds(cert, w_mask), None)
     if found is None:
-        clause = Clause(
-            "witness-found", FAIL,
+        clause = law(
+            "witness-found",
             "no open V with the identity in V, V = V^-1, and V*V inside W",
         )
     else:
@@ -361,14 +358,14 @@ def check_topological_group(cert: TRGCert) -> VerificationReport:
     """When G equals its upper approximation, the structure must be a
     classical topological group; otherwise the check does not apply."""
     u = cert.universe
-    if cert.g_mask != cert.upper:
-        return not_applicable(
-            "topological-group", "premise-G-equals-upper",
-            f"G = {u.set_str(cert.g_mask)} differs from its upper "
-            f"approximation {u.set_str(cert.upper)}")
-    clauses = [Clause("premise-G-equals-upper", PASS)]
+    wit = None if cert.g_mask == cert.upper else (
+        f"G = {u.set_str(cert.g_mask)} differs from its upper "
+        f"approximation {u.set_str(cert.upper)}")
+    clauses = [premise("premise-G-equals-upper", wit)]
+    if wit is not None:
+        return combine("topological-group", clauses)
     wit = group_axioms_witness(cert.table, cert.g_mask)
-    clauses.append(Clause("group-axioms", FAIL if wit else PASS, wit))
+    clauses.append(law("group-axioms", wit))
     clauses.append(_product_map_clause(cert.group, cert.tau, cert.tau))
     inv_rep = is_continuous(cert.inverse_map, cert.tau_G, cert.tau_G)
     clauses.append(inv_rep.as_clause("inversion-continuity"))
@@ -388,14 +385,14 @@ def check_closure_symmetric(cert: TRGCert, a_mask: int) -> VerificationReport:
         )
     cl = closure(cert.tau, a_mask)
     if cl & ~cert.g_mask:
-        return not_applicable("closure-symmetric", "closure-inside-G",
-                              f"closure escapes G: cl(A) = {u.set_str(cl)}")
+        return combine("closure-symmetric", [premise(
+            "closure-inside-G", f"closure escapes G: cl(A) = {u.set_str(cl)}")])
     clauses = [Clause("closure-inside-G", PASS, f"cl(A) = {u.set_str(cl)}")]
     inv = inverse_of_set(cert, cl)
     wit = None
     if inv != cl:
         wit = f"cl(A) = {u.set_str(cl)} but cl(A)^-1 = {u.set_str(inv)}"
-    clauses.append(Clause("closure-symmetric", FAIL if wit else PASS, wit))
+    clauses.append(law("closure-symmetric", wit))
     return combine("closure-symmetric", clauses)
 
 
@@ -404,14 +401,14 @@ def check_closure_subgroup(cert: TRGCert, h_mask: int) -> VerificationReport:
     provided it stays inside G."""
     u = cert.universe
     sub = verify_rough_subgroup(cert.group, h_mask)
-    if not sub.passed:
-        return not_applicable("closure-subgroup", "premise-rough-subgroup",
-                              sub.first_witness() or "H is not a rough subgroup")
-    clauses = [Clause("premise-rough-subgroup", PASS)]
+    wit = None if sub.passed else sub.first_witness() or "H is not a rough subgroup"
+    clauses = [premise("premise-rough-subgroup", wit)]
+    if wit is not None:
+        return combine("closure-subgroup", clauses)
     cl = closure(cert.tau, h_mask)
     if cl & ~cert.g_mask:
-        clauses.append(Clause("closure-inside-G", NOT_APPLICABLE,
-                              f"closure escapes G: cl(H) = {u.set_str(cl)}"))
+        clauses.append(premise("closure-inside-G",
+                               f"closure escapes G: cl(H) = {u.set_str(cl)}"))
         return combine("closure-subgroup", clauses)
     clauses.append(Clause("closure-inside-G", PASS, f"cl(H) = {u.set_str(cl)}"))
     clauses.append(verify_rough_subgroup(cert.group, cl)
@@ -476,7 +473,6 @@ def check_base_translation(cert: TRGCert, members) -> VerificationReport:
         if wit is None and not any(go & ~w == 0 for go in translated):
             wit = (f"open {u.set_str(w)} contains {u.elements[g]} but "
                    "no translated member fits inside it")
-        clauses.append(Clause(f"base-at-{u.elements[g]}",
-                              FAIL if wit else PASS, wit))
+        clauses.append(law(f"base-at-{u.elements[g]}", wit))
     return combine("base-translation", clauses,
                    stats=[("base-members-at-identity", len(b_e))])

@@ -120,6 +120,35 @@ def test_matrix_matches_golden(golden, fixture, tail, mode):
         golden[_golden_key(fixture, tail, mode)]
 
 
+def _unmet_clauses(out: str, mode: str) -> list[tuple[str, str | None]]:
+    """(name, witness) of each failed, not-applicable or error clause of
+    a printed report."""
+    if mode == "json":
+        clauses = [(c["name"], c["verdict"], c["witness"])
+                   for c in json.loads(out)["clauses"]]
+    else:
+        clauses = []
+        for line in out.splitlines()[1:]:
+            if not line.startswith("  stat "):
+                name, _, rest = line.strip().partition(": ")
+                verdict, _, witness = rest.partition("  witness: ")
+                clauses.append((name, verdict, witness or None))
+    return [(name, witness) for name, verdict, witness in clauses
+            if verdict in ("fail", "not-applicable", "error")]
+
+
+def test_matrix_unmet_clauses_name_their_witness():
+    """Every failed, not-applicable or error clause of every MATRIX
+    report carries a witness, in text and in JSON alike."""
+    unmet = {"text": [], "json": []}
+    for fixture, tail, _ in MATRIX:
+        for mode, extra in (("text", []), ("json", ["--json"])):
+            _, out, _ = run_cli(tail.split() + extra, fixture=fixture)
+            unmet[mode] += [(tail, clause) for clause in _unmet_clauses(out, mode)]
+    assert unmet["text"] and unmet["text"] == unmet["json"]
+    assert [entry for entry in unmet["text"] if not entry[1][1]] == []
+
+
 def test_trg_report_text():
     _, out, _ = run_cli(
         "check trg --table TB --partition PB --group GB --topology tauB".split(),
@@ -227,8 +256,8 @@ def test_au_open_requires_open():
         "check prop au-open --subset HA --table TA --partition PA --group GA "
         "--topology tauA".split(), fixture="zmod3.rg")
     assert code == 3
-    assert out == ("ERROR prop-au-open\n"
-                   "  input: error  witness: prop-au-open requires --open\n")
+    assert out == ("ERROR AU-open\n"
+                   "  input: error  witness: AU-open requires --open\n")
     assert err == ""
 
 
@@ -254,21 +283,21 @@ MISSING_FLAG = [
      _GROUP + " --topology tauD --x-partition PA --x-subset GA --x-topology tauD --map mu",
      "rough-action"),
     ("check homogeneous", "zmod3.rg", _X, "homogeneous"),
-    ("check prop g-inverse", "zmod3.rg", _TRG, "prop-g-inverse"),
-    ("check prop open-inverse", "zmod3.rg", _TRG, "prop-open-inverse"),
-    ("check prop translations", "zmod3.rg", _TRG + " --element 1", "prop-translations"),
+    ("check prop g-inverse", "zmod3.rg", _TRG, "G-inverse"),
+    ("check prop open-inverse", "zmod3.rg", _TRG, "open-inverse"),
+    ("check prop translations", "zmod3.rg", _TRG + " --element 1", "translations"),
     ("check prop symmetric-square", "zmod3.rg", _TRG + " --w GbarA",
-     "prop-symmetric-square"),
-    ("check prop topological-group", "zmod3.rg", _TRG, "prop-topological-group"),
+     "symmetric-square"),
+    ("check prop topological-group", "zmod3.rg", _TRG, "topological-group"),
     ("check prop closure-symmetric", "zmod3.rg", _TRG + " --subset GA",
-     "prop-closure-symmetric"),
+     "closure-symmetric"),
     ("check prop closure-subgroup", "zmod3.rg", _TRG + " --subgroup GA",
-     "prop-closure-subgroup"),
-    ("check prop au-open", "zmod3.rg", _TRG + " --subset HA --open GA", "prop-au-open"),
+     "closure-subgroup"),
+    ("check prop au-open", "zmod3.rg", _TRG + " --subset HA --open GA", "AU-open"),
     ("check prop subgroup-open", "zmod3.rg", _TRG + " --subgroup GA --w GbarA",
-     "prop-subgroup-open"),
+     "subgroup-open"),
     ("check prop base-translation", "zmod3.rg", _TRG + " --base-member GA",
-     "prop-base-translation"),
+     "base-translation"),
     ("enumerate subgroups", "zmod3.rg", _GROUP, "enumerate-subgroups"),
     ("enumerate topologies", "zmod3.rg", _GROUP, "enumerate-topologies"),
     ("enumerate witness", "zmod3.rg", _TRG + " --w GbarA", "enumerate-witness"),
@@ -292,10 +321,11 @@ def test_missing_flag_report(argv, fixture, label, message):
     assert out == f"ERROR {label}\n  input: error  witness: {message}\n"
 
 
-@pytest.mark.parametrize("words, fixture, flags", [row[:3] for row in MISSING_FLAG])
-def test_missing_flag_rows_run_with_every_flag(words, fixture, flags):
+@pytest.mark.parametrize("words, fixture, flags, name", MISSING_FLAG)
+def test_missing_flag_rows_run_with_every_flag(words, fixture, flags, name):
     code, out, _ = run_cli(words.split() + flags.split(), fixture=fixture)
     assert code < 3, out
+    assert out.split("\n", 1)[0].split(" ", 1)[1] == name
 
 
 def test_missing_flag_rows_are_the_command_table():
@@ -439,6 +469,7 @@ def test_enumerate_witness_refuses_W_without_the_identity():
 @pytest.mark.parametrize("argv, message", [
     (["check", "nope"], "roughtop check: error: argument kind: invalid choice: 'nope'"),
     (["check", "trg", "--bogus"], "roughtop: error: unrecognized arguments: --bogus"),
+    (["check", "trg", "nope"], "roughtop: error: unrecognized arguments: nope"),
     (["enumerate", "subgroups", "--cap", "-1"],
      "roughtop enumerate: error: argument --cap: expected a non-negative integer, got '-1'"),
     (["enumerate", "topologies", "--max-size", "-1"],

@@ -1,5 +1,5 @@
 """Every module of the package, the tests and the scripts uses every
-name it imports.
+name it imports, and only `report.py` decides a clause's verdict.
 
 No linter ships with the package, so this stands in for an
 unused-import check: a name bound by an import must be read somewhere
@@ -88,3 +88,19 @@ def test_module_private_helpers_are_read(name):
     unread = [(line, bound) for line, bound in _private_definitions(TREES[name])
               if bound not in READS]
     assert unread == [], f"{name} defines private names nothing reads: {unread}"
+
+
+# Verdict constants a package module other than report.py may name:
+# every other clause verdict comes from `report.law`, `report.premise`
+# or `report.combine`.  cli.py marks each listed topology `trg=pass` or
+# `trg=fail`, which are words of an info clause, not verdicts.
+VERDICT_NAMERS = {"NOT_APPLICABLE": (), "FAIL": ("cli.py",)}
+
+
+@pytest.mark.parametrize("name", sorted(set(TREES) - {"report.py"}))
+def test_only_report_names_fail_and_not_applicable(name):
+    names = set(_reads(TREES[name])) | {
+        n.id for n in ast.walk(TREES[name]) if isinstance(n, ast.Name)}
+    named = sorted(word for word, allowed in VERDICT_NAMERS.items()
+                   if word in names and name not in allowed)
+    assert named == [], f"{name} names verdicts that report.py decides: {named}"

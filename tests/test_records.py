@@ -35,7 +35,7 @@ from roughtop.report import (
     PASS,
     combine,
     exit_code,
-    not_applicable,
+    law,
     premise,
 )
 from roughtop.topology import generate_topology
@@ -157,11 +157,18 @@ def test_combine_derives_the_verdict_from_the_clauses(verdicts):
 def test_premise_helpers():
     assert premise("p", None) == Clause("p", PASS)
     assert premise("p", "why") == Clause("p", NOT_APPLICABLE, "why")
-    rep = not_applicable("x", "p", "why")
+    rep = combine("x", [premise("p", "why")])
     assert rep.clauses == (Clause("p", NOT_APPLICABLE, "why"),)
     assert exit_code(rep) == 2 and rep.first_witness() == "why"
     assert rep.as_clause("sub") == Clause("sub", NOT_APPLICABLE, "why")
     assert combine("y", [Clause("c", PASS)]).as_clause("sub") == Clause("sub", PASS)
+
+
+def test_law_helper():
+    assert law("l", None) == Clause("l", PASS)
+    assert law("l", "why") == Clause("l", FAIL, "why")
+    rep = combine("x", [premise("p", None), law("l", "why")])
+    assert exit_code(rep) == 1 and rep.first_witness() == "why"
 
 
 def test_topology_from_opens_equals_from_nbhd():

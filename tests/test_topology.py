@@ -15,7 +15,6 @@ from roughtop.topology import (
     canonical_family,
     closure,
     enumerate_topologies,
-    family_str,
     generate_topology,
     interior,
     is_continuous,
@@ -135,7 +134,7 @@ def test_subspace_topology(topA, u3, ws_s4):
     uB = ws_s4.universes["UB"]
     w = uB.mask_of(["1", "(12)", "(123)", "(132)"])
     subB = subspace_topology(topB, w)
-    assert family_str(uB, subB.opens) == (
+    assert " ".join(uB.set_str(m) for m in subB.opens) == (
         "{} {(12)} {1,(123),(132)} {1,(12),(123),(132)}")
     assert subspace_topology(topA, topA.carrier) == topA
 

@@ -7,7 +7,7 @@ from roughtop import ApproxSpace, Partition, Universe
 from roughtop.actions import check_AU_open, check_subgroup_open
 from roughtop.errors import AmbiguousInverseError, CapExceededError, InputError
 from roughtop.groups import CayleyTable, verify_rough_group
-from roughtop.topology import family_str, generate_topology
+from roughtop.topology import enumerate_topologies, generate_topology
 from roughtop.trg import (
     check_G_equals_G_inverse,
     check_base_translation,
@@ -52,7 +52,7 @@ def test_fixa_trg_passes(ws_zmod3, fixa_cert):
     assert rep.stats == (
         ("product-opens", 16), ("tau-G-opens", 4), ("tau-opens", 5))
     u = ws_zmod3.universes["UA"]
-    assert family_str(u, tcert.tau_G.opens) == "{} {1} {2} {1,2}"
+    assert " ".join(u.set_str(m) for m in tcert.tau_G.opens) == "{} {1} {2} {1,2}"
     assert tcert.codomain_mode == "upper"
 
 
@@ -62,7 +62,7 @@ def test_fixb_trg_passes(ws_s4, fixb_cert):
     assert rep.stats == (
         ("product-opens", 16), ("tau-G-opens", 4), ("tau-opens", 5))
     u = ws_s4.universes["UB"]
-    assert family_str(u, tcert.tau_G.opens) == (
+    assert " ".join(u.set_str(m) for m in tcert.tau_G.opens) == (
         "{} {(12)} {(123),(132)} {(12),(123),(132)}")
 
 
@@ -91,6 +91,19 @@ def test_trg_fails_on_asymmetric_topology(ws_zmod3, fixa_cert):
         "open {0} pulls back to {(1,2),(2,1)}, which is not open in the "
         "product topology on G x G")
     assert rep.clause("inverse-map-continuity").verdict == "pass"
+
+
+@pytest.mark.parametrize("mode", ["upper", "relative"])
+def test_trg_unmet_clauses_name_their_witness(ws_zmod3, fixa_cert, mode):
+    """On every topology of Z_3's upper approximation, each clause of
+    the TRG report that is not met carries a witness."""
+    tops = enumerate_topologies(ws_zmod3.universes["UA"], fixa_cert.upper)
+    assert len(tops) == 29
+    reports = [verify_trg(fixa_cert, tau, codomain_topology=mode)[0] for tau in tops]
+    assert any(not rep.passed for rep in reports)
+    unwitnessed = [(i, c.name) for i, rep in enumerate(reports) for c in rep.clauses
+                   if c.verdict in ("fail", "not-applicable", "error") and not c.witness]
+    assert unwitnessed == []
 
 
 def test_trg_relative_mode(ws_s4, fixb_cert):
