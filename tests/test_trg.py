@@ -7,6 +7,7 @@ from roughtop import ApproxSpace, Partition, Universe
 from roughtop.actions import check_AU_open, check_subgroup_open
 from roughtop.errors import AmbiguousInverseError, CapExceededError, InputError
 from roughtop.groups import CayleyTable, verify_rough_group
+from roughtop.report import serialize_report
 from roughtop.topology import enumerate_topologies, generate_topology
 from roughtop.trg import (
     check_G_equals_G_inverse,
@@ -212,6 +213,24 @@ def test_derived_symmetry_checks(fixa_trg, fixb_trg):
         rep = check_open_iff_inverse_open(tcert)
         assert rep.verdict == "pass"
         assert [c.name for c in rep.clauses] == ["open-sets", "closed-sets"]
+
+
+def test_open_inverse_names_failing_witnesses():
+    """A certificate whose tau_G is not inversion-invariant: the first
+    open V with V^-1 not open, and its complement C, are the witnesses."""
+    u = Universe(("0", "1", "2"))
+    table = CayleyTable.from_names(
+        u, [[str((x + y) % 3) for y in range(3)] for x in range(3)])
+    _, cert = verify_rough_group(
+        ApproxSpace(u, Partition.singletons(u), table), u.all_mask)
+    _, tcert = verify_trg(cert, generate_topology(u, u.all_mask, (0, u.all_mask)))
+    doctored = tcert._replace(
+        tau_G=generate_topology(u, u.all_mask, (u.mask_of(["1"]),)))
+    rep = check_open_iff_inverse_open(doctored)
+    assert serialize_report(rep) == (
+        "FAIL open-inverse\n"
+        "  open-sets: fail  witness: V = {1} is open but V^-1 = {2} is not\n"
+        "  closed-sets: fail  witness: C = {0,2} is closed but C^-1 = {0,1} is not\n")
 
 
 def test_symmetric_square_whole_upper(fixa_trg):
