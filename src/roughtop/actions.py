@@ -7,10 +7,11 @@ approximations, so closure of upper(G) under the operation is an
 explicit premise: without it the compatibility law is not even
 well-posed, and the verdict is "not applicable" rather than a failure.
 
-Right actions are mirrored onto the same code path: the map takes its
-arguments in the other order and the compatibility law composes the
-group elements in the other order.  Continuity of the action map is
-decided like the TRG product map, by monotonicity in each argument
+Right actions are mirrored onto the same code path: `RoughAction`
+reads the map into one table g -> x -> g.x whichever order it takes
+its arguments in, and the compatibility law composes the group
+elements in the other order.  Continuity is decided on that table like
+the TRG product map, by monotonicity in each argument
 (`topology.first_discontinuity`), so no product topology is built.
 """
 
@@ -31,7 +32,7 @@ from .groups import (
     verify_rough_subgroup,
 )
 from .record import Record
-from .report import PASS, VerificationReport, combine, law, premise
+from .report import PASS, Clause, VerificationReport, combine, law, premise
 from .topology import (
     FiniteMap,
     FiniteTopology,
@@ -45,47 +46,38 @@ SIDES = ("left", "right")
 
 
 class RoughSpace(Record):
-    """A rough set with a topology on its upper approximation."""
+    """A rough set with a topology on its (derived) upper approximation."""
 
-    _fields = ("space", "x_mask", "upper_x", "tau_x")
+    _fields = ("space", "x_mask", "tau_x")
 
-    def __init__(self, space: ApproxSpace, x_mask: int, upper_x: int,
-                 tau_x: FiniteTopology):
-        if upper_approx(space, x_mask) != upper_x:
-            raise InputError(
-                "upper_x is not the upper approximation of X in this space"
-            )
+    def __init__(self, space: ApproxSpace, x_mask: int, tau_x: FiniteTopology):
+        upper_x = upper_approx(space, x_mask)
         if tau_x.universe != space.universe:
             raise InputError("topology is defined over a different universe")
         if tau_x.carrier != upper_x:
-            raise InputError(
-                "topology carrier is not the upper approximation of X"
-            )
+            raise InputError("topology carrier is not the upper approximation of X")
         self._set(space=space, x_mask=x_mask, upper_x=upper_x, tau_x=tau_x)
-
-    @classmethod
-    def make(cls, space: ApproxSpace, x_mask: int,
-             tau_x: FiniteTopology) -> "RoughSpace":
-        return cls(space, x_mask, upper_approx(space, x_mask), tau_x)
 
 
 class RoughAction(Record):
-    """A verified action, with the evidence report attached."""
+    """A verified action, with the evidence report attached; `table[g][x]`
+    is g.x for g in upper(G) and x in upper(X)."""
 
     _fields = ("cert", "rspace", "mu", "side", "evidence")
 
     def __init__(self, cert: TRGCert, rspace: RoughSpace, mu: FiniteMap, side: str,
                  evidence: VerificationReport | None):
-        ng = cert.universe.size
-        nx = rspace.space.universe.size
+        ng, nx = cert.universe.size, rspace.space.universe.size
+        pair = (lambda g, x: g * nx + x) if side == "left" else (lambda g, x: x * ng + g)
+        x_elems = tuple(bit_indices(rspace.upper_x))
+        table = {g: {x: mu.apply(pair(g, x)) for x in x_elems}
+                 for g in bit_indices(cert.upper)}
         self._set(cert=cert, rspace=rspace, mu=mu, side=side, evidence=evidence,
-                  _second_size=nx if side == "left" else ng)
+                  table=table)
 
     def act(self, g: int, x: int) -> int:
-        """mu applied to (g, x), regardless of argument order on disk."""
-        if self.side == "left":
-            return self.mu.apply(g * self._second_size + x)
-        return self.mu.apply(x * self._second_size + g)
+        """g.x, read from the action table."""
+        return self.table[g][x]
 
 
 def _first_incompatible(action: RoughAction, laws):
@@ -133,12 +125,11 @@ def verify_rough_action(
         raise InputError(f"unknown action side {side!r}")
     gu = cert.universe
     xu = rspace.space.universe
-    g_side, x_side = (cert.tau, cert.upper), (rspace.tau_x, rspace.upper_x)
+    g_side, x_side = (gu, cert.upper), (xu, rspace.upper_x)
     (left, a_mask), (right, b_mask) = ((g_side, x_side) if side == "left"
                                        else (x_side, g_side))
-    pu = product_universe(left.universe, right.universe)
-    n2 = right.universe.size
-    if mu.domain_universe != pu or mu.domain != product_mask(a_mask, b_mask, n2):
+    pu = product_universe(left, right)
+    if mu.domain_universe != pu or mu.domain != product_mask(a_mask, b_mask, right.size):
         raise InputError(
             "action map domain is not upper(G) x upper(X) in the stated order"
         )
@@ -152,14 +143,12 @@ def verify_rough_action(
     if wit is not None:
         return combine("rough-action", clauses), None
 
-    rows = {a: {b: mu.apply(a * n2 + b) for b in bit_indices(b_mask)}
-            for a in bit_indices(a_mask)}
-    v = first_discontinuity(rows, left, right, rspace.tau_x)
+    action = RoughAction(cert, rspace, mu, side, evidence=None)
+    v = first_discontinuity(action.table, cert.tau, rspace.tau_x, rspace.tau_x)
     wit = None if v is None else (f"open {xu.set_str(v)} has preimage "
                                   f"{pu.set_str(mu.preimage(v))}, which is not open")
     clauses.append(law("action-continuity", wit))
 
-    action = RoughAction(cert, rspace, mu, side, evidence=None)
     g_elems = tuple(bit_indices(cert.upper))
     found = _first_incompatible(action, (
         (g, gp, table.rows[g][gp]) if side == "left" else (gp, g, table.rows[g][gp])
@@ -295,6 +284,13 @@ def is_rough_homogeneous(rspace: RoughSpace) -> tuple[bool, str | None]:
     return True, None
 
 
+def _upper_group_premise(cert: TRGCert) -> Clause:
+    """The premise that the upper approximation of G is a group."""
+    why = group_axioms_witness(cert.table, cert.upper)
+    return premise("premise-upper-group", None if why is None
+                   else f"the upper approximation is not a group: {why}")
+
+
 def check_AU_open(cert: TRGCert, a_mask: int, u_mask: int) -> VerificationReport:
     """Products of a subset with an open set stay open, on both sides,
     when the upper approximation is a group."""
@@ -303,10 +299,8 @@ def check_AU_open(cert: TRGCert, a_mask: int, u_mask: int) -> VerificationReport
         raise InputError("A is not a subset of the upper approximation")
     if not cert.tau.is_open(u_mask):
         raise InputError(f"U = {gu.set_str(u_mask)} is not open in the topology")
-    why = group_axioms_witness(cert.table, cert.upper)
-    clauses = [premise("premise-upper-group", None if why is None
-                       else f"the upper approximation is not a group: {why}")]
-    if why is not None:
+    clauses = [_upper_group_premise(cert)]
+    if clauses[0].verdict != PASS:
         return combine("AU-open", clauses)
     au = set_product(cert.table, a_mask, u_mask)
     ua = set_product(cert.table, u_mask, a_mask)
@@ -333,13 +327,11 @@ def check_subgroup_open(
     tau_G, contains the identity, and sits inside H.
     """
     gu = cert.universe
-    why = group_axioms_witness(cert.table, cert.upper)
     # the subgroup check validates H, so it runs before upper(H) is taken
     not_sub = verify_rough_subgroup(cert.group, h_mask).first_witness()
     upper_h = upper_approx(cert.group.space, h_mask)
     premises = [
-        premise("premise-upper-group", None if why is None
-                else f"the upper approximation is not a group: {why}"),
+        _upper_group_premise(cert),
         premise("premise-rough-subgroup", not_sub),
         premise("premise-upper-H-closed",
                 escape_witness(cert.table, upper_h, upper_h,

@@ -189,10 +189,9 @@ class _Run:
     def subset(self, flag: str, what: str) -> int:
         return self.on(self.need(flag), what)
 
-    def premise(self, label: str, report: VerificationReport, fallback: str):
+    def premise(self, label: str, report: VerificationReport):
         """Stop the command: its premise `label` failed, as `report` shows."""
-        raise _NotApplicable(combine(
-            self.name, [premise(label, report.first_witness() or fallback)]))
+        raise _NotApplicable(combine(self.name, [premise(label, report.first_witness())]))
 
     def space(self, dash: str = "") -> ApproxSpace:
         table_name = self.need(f"{dash}table")
@@ -211,7 +210,7 @@ class _Run:
         space = self.space(dash)
         rep, cert = verify_rough_group(space, self.subset(f"{dash}group", "group"))
         if cert is None:
-            self.premise(f"premise-{dash}rough-group", rep, "the group axioms fail")
+            self.premise(f"premise-{dash}rough-group", rep)
         return cert
 
     def trg(self, dash: str = ""):
@@ -220,7 +219,7 @@ class _Run:
         rep, trg = decide_trg(cert, self.get("topology", f"{dash}topology"),
                               codomain_topology=self.args.codomain_topology)
         if trg is None:
-            self.premise(f"premise-{dash}trg", rep, "the continuity conditions fail")
+            self.premise(f"premise-{dash}trg", rep)
         return trg
 
     def rough_space(self) -> RoughSpace:
@@ -230,7 +229,7 @@ class _Run:
         if partition.universe != xu:
             raise InputError(f"partition {pname!r} is not on the universe of {x_uname!r}")
         space = ApproxSpace(xu, partition, None)
-        return RoughSpace.make(space, x_mask, self.get("topology", "x-topology"))
+        return RoughSpace(space, x_mask, self.get("topology", "x-topology"))
 
 
 def _with_kernel_info(report: VerificationReport, hom) -> VerificationReport:
@@ -239,13 +238,9 @@ def _with_kernel_info(report: VerificationReport, hom) -> VerificationReport:
         return report
     kernel, krep = rough_kernel(hom)
     u = hom.source.space.universe
-    extra = [Clause("kernel-elements", INFO, u.set_str(kernel))]
-    if krep.verdict == PASS:
-        extra.append(Clause("kernel-normal", INFO, "pass"))
-    else:
-        wit = krep.first_witness()
-        extra.append(Clause("kernel-normal", INFO,
-                            krep.verdict + (f": {wit}" if wit else "")))
+    wit = krep.first_witness()
+    extra = [Clause("kernel-elements", INFO, u.set_str(kernel)),
+             Clause("kernel-normal", INFO, krep.verdict + (f": {wit}" if wit else ""))]
     stats = list(report.stats) + [("kernel-size", kernel.bit_count())]
     return combine(report.check, list(report.clauses) + extra, stats=stats)
 
@@ -272,8 +267,7 @@ def _trg_hom_kernel(r: _Run) -> VerificationReport:
 def _trg_homeo(r: _Run) -> VerificationReport:
     rep, hom = _trg_hom(r)
     if hom is None:
-        r.premise("premise-trg-homomorphism", rep,
-                  "the map is not a continuous homomorphism")
+        r.premise("premise-trg-homomorphism", rep)
     return verify_trg_homeomorphism(hom)
 
 

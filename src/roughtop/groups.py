@@ -283,8 +283,7 @@ def is_rough_normal(parent: RoughGroupCert, n_mask: int) -> VerificationReport:
     Being a rough subgroup is a premise: when it fails, the verdict is
     not-applicable rather than fail, carrying the subgroup witness.
     """
-    sub = verify_rough_subgroup(parent, n_mask)
-    wit = None if sub.passed else sub.first_witness() or "N is not a rough subgroup"
+    wit = verify_rough_subgroup(parent, n_mask).first_witness()
     clauses = [premise("premise-rough-subgroup", wit)]
     if wit is not None:
         return combine("rough-normal", clauses)

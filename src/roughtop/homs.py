@@ -43,11 +43,9 @@ def verify_trg_homomorphism(
     clauses = [algebra_rep.as_clause("rough-homomorphism")]
     cont = is_continuous(fmap, src.tau, tgt.tau)
     clauses.append(cont.as_clause("continuity"))
-    cls_clause = algebra_rep.clause("classification")
-    classification = cls_clause.witness if cls_clause else "homomorphism-only"
-    clauses.append(Clause("classification", INFO, classification))
+    clauses.append(algebra_rep.clause("classification"))
     report = combine("trg-homomorphism", clauses, stats=algebra_rep.stats)
-    if not report.passed or algebra is None:
+    if not report.passed:
         return report, None
     return report, TRGHom(src, tgt, fmap, algebra, cont)
 

@@ -424,7 +424,7 @@ def fixb_trg(ws_s4) -> TRGCert:
 def fixa_rspace(ws_zmod3) -> RoughSpace:
     space = space_of(ws_zmod3, "TA", "PA")
     _, tau = ws_zmod3.topologies["tauA"]
-    return RoughSpace.make(space, ws_zmod3.subsets["GA"][1], tau)
+    return RoughSpace(space, ws_zmod3.subsets["GA"][1], tau)
 
 
 # ---------------------------------------------------------------------------

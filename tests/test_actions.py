@@ -43,18 +43,16 @@ def test_rough_space_validation(ws_zmod3):
     space = space_of(ws_zmod3, "TA", "PA")
     u = ws_zmod3.universes["UA"]
     tau = ws_zmod3.topologies["tauA"][1]
-    rs = RoughSpace.make(space, ws_zmod3.subsets["GA"][1], tau)
+    rs = RoughSpace(space, ws_zmod3.subsets["GA"][1], tau)
     assert rs.upper_x == u.all_mask
-    with pytest.raises(InputError, match=r"not the upper approximation of X"):
-        RoughSpace(space, ws_zmod3.subsets["GA"][1], u.mask_of(["1", "2"]), tau)
     shrunk = generate_topology(u, u.mask_of(["1", "2"]), (0, u.mask_of(["1", "2"])))
     with pytest.raises(InputError, match=r"carrier is not the upper"):
-        RoughSpace.make(space, ws_zmod3.subsets["GA"][1], shrunk)
+        RoughSpace(space, ws_zmod3.subsets["GA"][1], shrunk)
 
 
 def test_self_action_under_discrete_topology(sa):
-    rs = RoughSpace.make(sa["space"], sa["u"].all_mask,
-                         sa["ws"].topologies["tauD"][1])
+    rs = RoughSpace(sa["space"], sa["u"].all_mask,
+                    sa["ws"].topologies["tauD"][1])
     rep, action = verify_rough_action(sa["tc_disc"], rs, sa["mu"])
     assert rep.verdict == "pass"
     assert [c.name for c in rep.clauses] == [
@@ -67,7 +65,7 @@ def test_self_action_under_discrete_topology(sa):
 
 def test_translation_map_laws(sa):
     u = sa["u"]
-    rs = RoughSpace.make(sa["space"], u.all_mask, sa["ws"].topologies["tauD"][1])
+    rs = RoughSpace(sa["space"], u.all_mask, sa["ws"].topologies["tauD"][1])
     _, action = verify_rough_action(sa["tc_disc"], rs, sa["mu"])
     tmap, rep = translation_map(action, u.index("1"))
     assert [u.elements[tmap.apply(u.index(s))] for s in ("0", "1", "2")] == [
@@ -80,8 +78,8 @@ def test_translation_map_laws(sa):
 def test_action_continuity_failure(sa):
     """The addition action is not continuous against the asymmetric
     topology carried by the fixture."""
-    rs = RoughSpace.make(sa["space"], sa["u"].all_mask,
-                         sa["ws"].topologies["tauA"][1])
+    rs = RoughSpace(sa["space"], sa["u"].all_mask,
+                    sa["ws"].topologies["tauA"][1])
     rep, action = verify_rough_action(sa["tc_given"], rs, sa["mu"])
     assert rep.verdict == "fail"
     assert action is None
@@ -94,8 +92,8 @@ def test_action_continuity_failure(sa):
 def test_trivial_action(sa):
     """Projection onto the point factor: continuous and lawful, but neither
     effective nor transitive, with canonical first witnesses."""
-    rs = RoughSpace.make(sa["space"], sa["u"].all_mask,
-                         sa["ws"].topologies["tauA"][1])
+    rs = RoughSpace(sa["space"], sa["u"].all_mask,
+                    sa["ws"].topologies["tauA"][1])
     rep, action = verify_rough_action(sa["tc_given"], rs, sa["mut"])
     assert rep.verdict == "pass"
     assert is_effective(action) == (
@@ -106,7 +104,7 @@ def test_trivial_action(sa):
 
 def test_action_shape_errors(sa):
     u = sa["u"]
-    rs = RoughSpace.make(sa["space"], u.all_mask, sa["ws"].topologies["tauD"][1])
+    rs = RoughSpace(sa["space"], u.all_mask, sa["ws"].topologies["tauD"][1])
     with pytest.raises(InputError, match=r"domain is not upper\(G\) x upper\(X\)"):
         verify_rough_action(sa["tc_disc"], rs, FiniteMap.identity(u, u.all_mask))
     with pytest.raises(InputError, match=r"unknown action side 'up'"):
@@ -116,7 +114,7 @@ def test_action_shape_errors(sa):
 def test_action_right_side(sa):
     """Addition is abelian, so the transposed map acts on the right."""
     u = sa["u"]
-    rs = RoughSpace.make(sa["space"], u.all_mask, sa["ws"].topologies["tauD"][1])
+    rs = RoughSpace(sa["space"], u.all_mask, sa["ws"].topologies["tauD"][1])
     pu = product_universe(u, u)
     pairs = {}
     for x in range(3):
@@ -136,7 +134,7 @@ def test_action_premise_not_applicable(sa):
     u = sa["u"]
     doc_group = sa["tc_disc"].group._replace(upper=u.mask_of(["1", "2"]))
     doc = sa["tc_disc"]._replace(group=doc_group)
-    rs = RoughSpace.make(sa["space"], u.all_mask, sa["ws"].topologies["tauD"][1])
+    rs = RoughSpace(sa["space"], u.all_mask, sa["ws"].topologies["tauD"][1])
     pu = product_universe(u, u)
     dom = product_mask(doc_group.upper, u.all_mask, u.size)
     pairs = {}
@@ -162,7 +160,7 @@ def test_monoid_action_translation_refusal():
     assert u.elements[cert.designated_e] == "0"
     discrete = generate_topology(u, 0b11, (0, 1, 2, 3))
     _, tcert = verify_trg(cert, discrete)
-    rs = RoughSpace.make(space, 0b11, discrete)
+    rs = RoughSpace(space, 0b11, discrete)
     pu = product_universe(u, u)
     pairs = {}
     for a in range(2):
@@ -184,30 +182,30 @@ def test_monoid_action_translation_refusal():
 
 def test_homogeneity(sa, ws_zmod3):
     u = sa["u"]
-    rs_given = RoughSpace.make(sa["space"], u.all_mask,
-                               sa["ws"].topologies["tauA"][1])
+    rs_given = RoughSpace(sa["space"], u.all_mask,
+                          sa["ws"].topologies["tauA"][1])
     assert is_rough_homogeneous(rs_given) == (
         False, "no self-homeomorphism carries 0 to 1")
-    rs_disc = RoughSpace.make(sa["space"], u.all_mask,
-                              sa["ws"].topologies["tauD"][1])
+    rs_disc = RoughSpace(sa["space"], u.all_mask,
+                         sa["ws"].topologies["tauD"][1])
     assert is_rough_homogeneous(rs_disc) == (True, None)
 
 
 def test_homogeneity_two_points():
     u = Universe(("a", "b"))
     space = ApproxSpace(u, Partition.one_block(u))
-    asym = RoughSpace.make(space, 0b11, generate_topology(u, 0b11, (0, 0b01, 0b11)))
+    asym = RoughSpace(space, 0b11, generate_topology(u, 0b11, (0, 0b01, 0b11)))
     assert is_rough_homogeneous(asym) == (
         False, "no self-homeomorphism carries a to b")
-    sym = RoughSpace.make(space, 0b11, generate_topology(u, 0b11, (0, 0b11)))
+    sym = RoughSpace(space, 0b11, generate_topology(u, 0b11, (0, 0b11)))
     assert is_rough_homogeneous(sym) == (True, None)
 
 
 def _space_of_nbhds(nbhd) -> RoughSpace:
     u = Universe(tuple(str(p) for p in range(len(nbhd))))
     carrier = u.all_mask
-    return RoughSpace.make(ApproxSpace(u, Partition.one_block(u)), carrier,
-                           FiniteTopology(u, carrier, nbhd))
+    return RoughSpace(ApproxSpace(u, Partition.one_block(u)), carrier,
+                      FiniteTopology(u, carrier, nbhd))
 
 
 def test_homogeneity_has_no_size_cap():

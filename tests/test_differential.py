@@ -278,7 +278,7 @@ def test_homogeneity_matches_oracle_on_every_small_topology():
         carrier = (1 << n) - 1
         space = ApproxSpace(u, Partition.singletons(u))
         for fam in _topologies_on(u, carrier):
-            rs = RoughSpace.make(space, carrier, generate_topology(u, carrier, fam))
+            rs = RoughSpace(space, carrier, generate_topology(u, carrier, fam))
             assert is_rough_homogeneous(rs) == oracle_is_rough_homogeneous(u, carrier, fam)
             checked += 1
     assert checked == 1 + 1 + 4 + 29 + 355
@@ -306,7 +306,7 @@ def test_homogeneity_matches_oracle_orbits_on_random_topologies():
         space = ApproxSpace(u, Partition.singletons(u))
         for _ in range(samples):
             fam = _random_topology(rng, n)
-            rs = RoughSpace.make(space, carrier, generate_topology(u, carrier, fam))
+            rs = RoughSpace(space, carrier, generate_topology(u, carrier, fam))
             ok, wit = is_rough_homogeneous(rs)
             orbits = oracle_homogeneity_orbits(carrier, fam)
             assert ok == all(o == carrier for o in orbits.values())
@@ -399,8 +399,8 @@ def test_action_continuity_matches_oracle_on_every_small_topology(side):
         for g_fam, x_fam in itertools.product(_topologies_on(gu, gu.all_mask),
                                               _topologies_on(xu, xu.all_mask)):
             cert = cert0._replace(tau=generate_topology(gu, gu.all_mask, g_fam))
-            rspace = RoughSpace.make(xspace, xu.all_mask,
-                                     generate_topology(xu, xu.all_mask, x_fam))
+            rspace = RoughSpace(xspace, xu.all_mask,
+                                generate_topology(xu, xu.all_mask, x_fam))
             f1, f2 = (g_fam, x_fam) if side == "left" else (x_fam, g_fam)
             prod = oracle_product_opens(f1, first.all_mask, f2, second.all_mask,
                                         second.size)

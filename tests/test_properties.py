@@ -25,6 +25,7 @@ from roughtop.groups import (
     verify_rough_group,
     verify_rough_homomorphism,
 )
+from roughtop.report import INFO, Clause, combine, law, premise
 from roughtop.topology import (
     FiniteMap,
     closure,
@@ -302,3 +303,27 @@ def test_kernels_of_constant_maps_on_abelian_groups(n, seed):
     assert krep.verdict in ("pass", "not-applicable")
     if krep.verdict == "pass":
         assert krep.clause("kernel-normal").verdict == "pass"
+
+
+_WITNESSES = st.one_of(st.none(), st.text(max_size=3))
+_CLAUSES = st.recursive(
+    st.one_of(
+        st.builds(law, st.sampled_from("ab"), _WITNESSES),
+        st.builds(premise, st.sampled_from("ab"), _WITNESSES),
+        st.builds(Clause, st.sampled_from("ab"), st.just(INFO), _WITNESSES),
+    ),
+    lambda children: st.builds(
+        lambda name, clauses: combine("nested", clauses).as_clause(name),
+        st.sampled_from("ab"), st.lists(children, max_size=4)),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=200)
+@given(st.lists(_CLAUSES, max_size=5))
+def test_report_names_a_witness_exactly_when_it_does_not_pass(clauses):
+    """Built by `law`, `premise`, info clauses and nested reports under
+    `combine`, a report has a first witness if and only if it does not
+    pass, so no caller needs a fallback witness."""
+    rep = combine("top", clauses)
+    assert (rep.first_witness() is None) == rep.passed

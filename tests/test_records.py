@@ -54,7 +54,7 @@ def build() -> dict:
     neg = ws.maps["neg"][2]
     _, hom = verify_rough_homomorphism(group, group, neg)
     _, trg_hom = verify_trg_homomorphism(trg, trg, neg)
-    rspace = RoughSpace.make(space, u.all_mask, tau)
+    rspace = RoughSpace(space, u.all_mask, tau)
     _, action = verify_rough_action(trg, rspace, ws.maps["mu"][2])
     records = {
         "Universe": u,
