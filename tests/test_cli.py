@@ -541,6 +541,28 @@ def test_help_still_exits_0():
     assert exc.value.code == 0
 
 
+def test_many_main_calls_in_one_process(golden):
+    """Calls of `main` in one process do not leak into each other: the
+    `--base-member` list starts empty on every call, and neither a
+    usage error nor `--help` changes the next report."""
+    fixture, tail, _ = next(row for row in MATRIX if "base-translation" in row[1])
+    words = tail.split()
+    bare = [w for i, w in enumerate(words)
+            if "--base-member" not in (w, words[i - 1])]
+    assert len(bare) == len(words) - 6
+    first = run_cli(words, fixture=fixture)
+    assert first[1] == golden[_golden_key(fixture, tail, "text")]["stdout"]
+    code, out, _ = run_cli(bare, fixture=fixture)
+    assert code == 3
+    assert out.endswith("base-translation requires at least one --base-member\n")
+    assert run_cli(words, fixture=fixture) == first
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["--help"])
+    assert exc.value.code == 0
+    assert run_cli("check trg nope".split() + _TRG.split(), fixture="zmod3.rg")[0] == 3
+    assert run_cli(words, fixture=fixture) == first
+
+
 def test_reads_stdin_when_no_file():
     source = (FIXDIR / "zmod3.rg").read_text()
     code, out, _ = run_cli(

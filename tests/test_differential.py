@@ -15,7 +15,7 @@ import pytest
 from roughtop import ApproxSpace, Partition, RoughSpace, Universe
 from roughtop.actions import is_rough_homogeneous, verify_rough_action
 from roughtop.approx import product_mask, product_universe
-from roughtop.groups import CayleyTable, verify_rough_group
+from roughtop.groups import CayleyTable, inverses_in, set_product, verify_rough_group
 from roughtop.topology import (
     FiniteMap,
     enumerate_topologies,
@@ -374,6 +374,50 @@ def test_symmetric_square_nbhds_match_brute_force_on_every_zmod3_topology(fixa_t
             via_cli += 1
     assert 0 < found < cases
     assert via_cli > 0
+
+
+def _product_opens_and_symmetric_squares(cert):
+    """Check one TRG: `product-opens` against the count on the built
+    product of tau_G with itself, and, for every open W holding the
+    identity, `symmetric_square_nbhds` against a filter that takes the
+    rough inverse of each point with `inverses_in`.  Returns the
+    number of W tried."""
+    report, _ = verify_trg(cert.group, cert.tau)
+    assert dict(report.stats)["product-opens"] == (
+        product_topology(cert.tau_G, cert.tau_G).count_opens())
+    table, upper, e = cert.table, cert.upper, cert.e
+
+    def rough_inverse(v: int) -> int:
+        acc = 0
+        for x in range(upper.bit_length()):
+            if v >> x & 1:
+                acc |= inverses_in(table, x, upper, e)
+        return acc
+
+    tried = 0
+    for w in cert.tau.opens:
+        if w >> e & 1:
+            want = [v for v in cert.tau.opens
+                    if v >> e & 1 and rough_inverse(v) == v
+                    and set_product(table, v, v) & ~w == 0]
+            assert list(symmetric_square_nbhds(cert, w)) == want, (cert.tau.nbhd, w)
+            tried += 1
+    return tried
+
+
+def test_trg_tables_match_per_point_scans_on_every_trg_of_z2_to_z4(fixb_trg):
+    """Every TRG topology that `trg_topologies` lists for the rough
+    groups of Z_2..Z_4 in upper mode, and the S4 fixture (GB, tauB)."""
+    trgs = tried = 0
+    for n in (2, 3, 4):
+        for group in _cyclic_rough_groups(n):
+            for tau in trg_topologies(group):
+                cert = decide_trg(group, tau)[1]
+                tried += _product_opens_and_symmetric_squares(cert)
+                trgs += 1
+    assert trgs == 2940
+    assert tried > trgs
+    assert _product_opens_and_symmetric_squares(fixb_trg) > 0
 
 
 @pytest.mark.parametrize("side", ["left", "right"])
