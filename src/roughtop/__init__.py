@@ -12,10 +12,8 @@ from .approx import (
     ApproxSpace,
     CayleyTable,
     Partition,
-    RoughSet,
     Universe,
     lower_approx,
-    make_rough_set,
     pair_name,
     product_mask,
     product_space,
@@ -85,7 +83,6 @@ from .actions import (
     is_effective,
     is_rough_homogeneous,
     is_transitive,
-    translation_map,
     verify_rough_action,
 )
 from .homs import TRGHom, verify_trg_homeomorphism, verify_trg_homomorphism

@@ -37,7 +37,6 @@ from .topology import (
     FiniteMap,
     FiniteTopology,
     first_discontinuity,
-    is_homeomorphism,
     subspace_topology,
 )
 from .trg import TRGCert
@@ -204,55 +203,6 @@ def is_transitive(action: RoughAction) -> tuple[bool, str | None]:
             return False, (f"no group element carries {xu.elements[x]} to "
                            f"{xu.elements[y]}")
     return True, None
-
-
-def translation_map(
-    action: RoughAction, g: int
-) -> tuple[FiniteMap, VerificationReport]:
-    """The self-map x -> g.x of upper(X), verified to be a
-    homeomorphism and to satisfy the composition and identity laws.
-
-    Members of G always qualify; other elements of upper(G) qualify
-    only when upper(G) is a group in the classical sense, which is what
-    makes the inverse translation available.
-    """
-    cert = action.cert
-    gu = cert.universe
-    xu = action.rspace.space.universe
-    if (cert.upper >> g) & 1 == 0:
-        raise InputError(
-            f"{gu.elements[g]} is not a member of the upper approximation of G"
-        )
-    if (cert.g_mask >> g) & 1 == 0:
-        why = group_axioms_witness(cert.table, cert.upper)
-        if why is not None:
-            raise InputError(
-                f"{gu.elements[g]} lies outside G and the upper approximation "
-                f"is not a group ({why}), so its translation need not invert"
-            )
-    x_elems = tuple(bit_indices(action.rspace.upper_x))
-    fmap = FiniteMap(
-        xu, xu, action.rspace.upper_x, action.rspace.upper_x,
-        tuple((x, action.act(g, x)) for x in x_elems),
-    )
-    homeo = is_homeomorphism(fmap, action.rspace.tau_x, action.rspace.tau_x)
-    clauses = [homeo.as_clause("homeomorphism")]
-
-    rows = cert.table.rows
-    found = _first_incompatible(action, (
-        (g, gp, rows[g][gp] if action.side == "left" else rows[gp][g])
-        for gp in bit_indices(cert.upper)))
-    wit = None
-    if found:
-        outer, inner, x, lhs, rhs = found
-        wit = (f"translating by {inner} then {outer} sends {x} to {lhs}, "
-               f"but the combined element sends it to {rhs}")
-    clauses.append(law("composition-law", wit))
-
-    moved = _moved_by_identity(action)
-    wit = f"identity translation moves {moved[0]} to {moved[1]}" if moved else None
-    clauses.append(law("identity-translation", wit))
-    return fmap, combine("translation", clauses)
 
 
 def is_rough_homogeneous(rspace: RoughSpace) -> tuple[bool, str | None]:

@@ -9,7 +9,6 @@ out in a canonical order for free, which keeps reports byte-stable.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from collections.abc import Iterable, Iterator
 
 from .errors import CapExceededError, InputError
@@ -109,9 +108,6 @@ class Partition(Record):
     def one_block(cls, universe: Universe) -> "Partition":
         return cls(universe, (universe.all_mask,))
 
-    def block_index_of(self, i: int) -> int:
-        return self._block_of[i]
-
     def block_mask_of(self, i: int) -> int:
         return self.blocks[self._block_of[i]]
 
@@ -161,12 +157,6 @@ class ApproxSpace(Record):
         self._set(universe=universe, partition=partition, op=op)
 
 
-class RoughSet(namedtuple("RoughSet", "space subset lower upper")):
-    """A subset together with its lower and upper approximations."""
-
-    __slots__ = ()
-
-
 def lower_approx(space: ApproxSpace, x_mask: int) -> int:
     """Union of the blocks contained in X."""
     space.universe.check_subset(x_mask, "X")
@@ -185,10 +175,6 @@ def upper_approx(space: ApproxSpace, x_mask: int) -> int:
         if b & x_mask:
             acc |= b
     return acc
-
-
-def make_rough_set(space: ApproxSpace, x_mask: int) -> RoughSet:
-    return RoughSet(space, x_mask, lower_approx(space, x_mask), upper_approx(space, x_mask))
 
 
 def pair_name(a: str, b: str) -> str:

@@ -143,9 +143,6 @@ class RoughGroupCert(Record):
     def inverses_of(self, x: int) -> int:
         return self._inv[x]
 
-    def has_unique_inverses(self) -> bool:
-        return all(m.bit_count() == 1 for _, m in self.inverse_sets)
-
     def unique_inverse_map(self) -> FiniteMap:
         """The inverse assignment as a function G -> G.
 

@@ -206,9 +206,6 @@ class FiniteTopology(Record):
                 return False
         return True
 
-    def is_closed(self, mask: int) -> bool:
-        return mask & ~self.carrier == 0 and self.is_open(self.carrier & ~mask)
-
 
 def first_failing_open(top: FiniteTopology, fails) -> int | None:
     """The first open of `top`, in canonical order, on which `fails`

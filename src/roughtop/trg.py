@@ -18,6 +18,8 @@ from __future__ import annotations
 
 from collections import defaultdict, namedtuple
 from collections.abc import Iterator
+from functools import reduce
+from operator import or_
 
 from .approx import DEFAULT_UNIVERSE_CAP, Universe, bit_indices, pair_name
 from .errors import InputError
@@ -211,12 +213,15 @@ def verify_trg(
 ) -> tuple[VerificationReport, TRGCert | None]:
     """`decide_trg`, with the report's stats counting the opens of tau,
     of tau_G and of the product topology on G x G.  The count needs no
-    names, so the product is taken over numbered points: element names
-    such as `a,b` and `c` could give two pairs one name."""
+    names, so the product is taken over a copy of tau_G on G's own k
+    points, numbered 0..k-1: element names such as `a,b` and `c` could
+    give two pairs one name."""
     report, cert = decide_trg(group, tau, codomain_topology)
     tau_G = cert.tau_G if cert else subspace_topology(tau, group.g_mask)
-    numbers = Universe(tuple(map(str, range(tau_G.universe.size))))
-    numbered = tau_G._replace(universe=numbers)
+    bit = {p: 1 << i for i, p in enumerate(bit_indices(group.g_mask))}
+    numbered = FiniteTopology(Universe(tuple(map(str, range(len(bit))))),
+                              (1 << len(bit)) - 1,
+                              (sum(map(bit.get, bit_indices(tau_G.nbhd[p]))) for p in bit))
     return combine(
         "trg", report.clauses,
         stats=[("tau-opens", tau.count_opens()),
@@ -231,25 +236,6 @@ def inverse_of_set(cert: TRGCert, v_mask: int) -> int:
     if v_mask < 0 or v_mask & ~cert.g_mask:
         raise InputError(f"V = {u.set_str(v_mask)} is not a subset of G")
     return cert.inverse_map.image_mask(v_mask)
-
-
-def upper_inverse_set(cert: TRGCert, v_mask: int) -> int:
-    """Rough inverse of a subset of the upper approximation: every
-    element of the upper approximation that inverts some member of V
-    with respect to the designated identity.
-
-    Members of G have their usual inverses; elements outside G may
-    have none, which makes sets containing them asymmetric.
-    """
-    u = cert.universe
-    if v_mask < 0 or v_mask & ~cert.upper:
-        raise InputError(
-            f"V = {u.set_str(v_mask)} is not a subset of the upper approximation"
-        )
-    acc = 0
-    for x in bit_indices(v_mask):
-        acc |= inverses_in(cert.table, x, cert.upper, cert.e)
-    return acc
 
 
 def is_rough_symmetric(cert: TRGCert, v_mask: int) -> bool:
@@ -323,8 +309,11 @@ def check_open_iff_inverse_open(cert: TRGCert) -> VerificationReport:
 
 def symmetric_square_nbhds(cert: TRGCert, w_mask: int) -> Iterator[int]:
     """The opens V of tau, in canonical order, with the identity in V,
-    V = V^-1 and V*V inside W.  W must be open and hold the identity;
-    that is checked at once, the opens are scanned as they are drawn."""
+    V = V^-1 and V*V inside W.  V^-1 is the rough inverse: every element
+    of the upper approximation that inverts some member of V with
+    respect to the designated identity, so members outside G may have
+    none.  W must be open and hold the identity; that is checked at
+    once, the opens are scanned as they are drawn."""
     u = cert.universe
     if not cert.tau.is_open(w_mask):
         raise InputError(f"W = {u.set_str(w_mask)} is not open in the topology")
@@ -332,9 +321,11 @@ def symmetric_square_nbhds(cert: TRGCert, w_mask: int) -> Iterator[int]:
         raise InputError(
             f"the designated identity {u.elements[cert.e]} is not a member of W"
         )
+    inverses = {x: inverses_in(cert.table, x, cert.upper, cert.e)
+                for x in bit_indices(cert.upper)}
     return (v for v in cert.tau.opens
             if (v >> cert.e) & 1
-            and upper_inverse_set(cert, v) == v
+            and reduce(or_, map(inverses.get, bit_indices(v)), 0) == v
             and set_product(cert.table, v, v) & ~w_mask == 0)
 
 

@@ -39,7 +39,8 @@ from roughtop.approx import (
     ApproxSpace,
     Partition,
     Universe,
-    make_rough_set,
+    lower_approx,
+    upper_approx,
 )
 from roughtop.groups import (
     CayleyTable,
@@ -71,9 +72,8 @@ def test_criterion_1_two_block_mod3_fixture():
     g_mask = ws.subsets["GA"][1]
     u = space.universe
 
-    rs = make_rough_set(space, g_mask)
-    assert u.names_of(rs.lower) == ("1",)
-    assert u.names_of(rs.upper) == ("0", "1", "2")
+    assert u.names_of(lower_approx(space, g_mask)) == ("1",)
+    assert u.names_of(upper_approx(space, g_mask)) == ("0", "1", "2")
 
     tc = trg_of(ws, "TA", "PA", "GA", "tauA")
     families = {u.set_str(m) for m in tc.tau_G.opens}
@@ -103,9 +103,8 @@ def test_criterion_2_permutation_fixture():
     identity_block = space.partition.block_mask_of(u.index("1"))
     assert bin(identity_block).count("1") == 7
 
-    rs = make_rough_set(space, g_mask)
-    assert rs.lower == 0
-    assert bin(rs.upper).count("1") == 15
+    assert lower_approx(space, g_mask) == 0
+    assert bin(upper_approx(space, g_mask)).count("1") == 15
 
     rep, tcert = verify_trg(cert_of(ws, "TB", "PB", "GB"),
                             ws.topologies["tauB"][1])
@@ -320,11 +319,12 @@ def test_criterion_6_oracle_equivalence():
         mask = rng.randrange(1 << n)
         space = ApproxSpace(u, part, CayleyTable.from_names(
             u, [[names[0]] * n] * n))
-        rs = make_rough_set(space, mask)
         oracle_blocks = [frozenset(b) for b in blocks.values()]
         xs = frozenset(u.names_of(mask))
-        assert frozenset(u.names_of(rs.lower)) == oracle_lower(oracle_blocks, xs)
-        assert frozenset(u.names_of(rs.upper)) == oracle_upper(oracle_blocks, xs)
+        assert frozenset(u.names_of(lower_approx(space, mask))) == (
+            oracle_lower(oracle_blocks, xs))
+        assert frozenset(u.names_of(upper_approx(space, mask))) == (
+            oracle_upper(oracle_blocks, xs))
         approx_checked += 1
 
     elapsed = time.perf_counter() - t0

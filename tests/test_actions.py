@@ -8,13 +8,17 @@ from roughtop.actions import (
     is_effective,
     is_rough_homogeneous,
     is_transitive,
-    translation_map,
     verify_rough_action,
 )
 from roughtop.approx import pair_name, product_mask, product_universe
 from roughtop.errors import InputError
 from roughtop.groups import CayleyTable, verify_rough_group
-from roughtop.topology import FiniteMap, FiniteTopology, generate_topology
+from roughtop.topology import (
+    FiniteMap,
+    FiniteTopology,
+    generate_topology,
+    is_homeomorphism,
+)
 from roughtop.trg import verify_trg
 
 from conftest import cert_of, space_of
@@ -63,16 +67,17 @@ def test_self_action_under_discrete_topology(sa):
     assert is_transitive(action) == (True, None)
 
 
-def test_translation_map_laws(sa):
+def test_translation_is_a_homeomorphism(sa):
+    """x -> g.x of a verified action, for every g of upper(G), is a
+    homeomorphism of upper(X)."""
     u = sa["u"]
     rs = RoughSpace(sa["space"], u.all_mask, sa["ws"].topologies["tauD"][1])
     _, action = verify_rough_action(sa["tc_disc"], rs, sa["mu"])
-    tmap, rep = translation_map(action, u.index("1"))
-    assert [u.elements[tmap.apply(u.index(s))] for s in ("0", "1", "2")] == [
-        "1", "2", "0"]
-    assert rep.verdict == "pass"
-    assert [c.name for c in rep.clauses] == [
-        "homeomorphism", "composition-law", "identity-translation"]
+    for g in range(3):
+        tmap = FiniteMap(u, u, u.all_mask, u.all_mask,
+                         tuple((x, action.act(g, x)) for x in range(3)))
+        assert [tmap.apply(x) for x in range(3)] == [(g + x) % 3 for x in range(3)]
+        assert is_homeomorphism(tmap, rs.tau_x, rs.tau_x).verdict == "pass"
 
 
 def test_action_continuity_failure(sa):
@@ -150,9 +155,9 @@ def test_action_premise_not_applicable(sa):
         "1 * 2 = 0 leaves the upper approximation of G")
 
 
-def test_monoid_action_translation_refusal():
+def test_monoid_action_passes():
     """Acting by an element with no inverse in sight: the verifier accepts
-    the action but refuses to certify that translation inverts."""
+    the action."""
     u = Universe(("0", "1"))
     table = CayleyTable.from_names(u, [["0", "1"], ["1", "1"]])
     space = ApproxSpace(u, Partition.one_block(u), table)
@@ -169,15 +174,8 @@ def test_monoid_action_translation_refusal():
             pairs[pu.index(name)] = a | b
     mu = FiniteMap.from_dict(pu, u, pu.all_mask, 0b11, pairs)
     rep, action = verify_rough_action(tcert, rs, mu)
-    assert rep.verdict == "pass"
+    assert rep.verdict == "pass" and action is not None
     assert rep.stats == (("compatibility-triples", 8),)
-    _, rep0 = translation_map(action, 0)
-    assert rep0.verdict == "pass"
-    with pytest.raises(InputError) as exc:
-        translation_map(action, 1)
-    assert str(exc.value) == (
-        "1 lies outside G and the upper approximation is not a group "
-        "(1 has no inverse in the set), so its translation need not invert")
 
 
 def test_homogeneity(sa, ws_zmod3):

@@ -7,7 +7,6 @@ from roughtop import (
     Partition,
     Universe,
     lower_approx,
-    make_rough_set,
     pair_name,
     product_space,
     product_universe,
@@ -86,14 +85,15 @@ def test_fixa_against_oracle(ws_zmod3):
             oracle_upper(blocks, mask_to_set(mask)))
 
 
-def test_make_rough_set_invariants(ws_zmod3):
+def test_rough_set_invariants(ws_zmod3):
     u = ws_zmod3.universes["UA"]
     space = ApproxSpace(u, ws_zmod3.partitions["PA"][1])
-    rs = make_rough_set(space, ws_zmod3.subsets["GA"][1])
-    assert rs.lower == u.mask_of(["1"])
-    assert rs.upper == u.all_mask
-    assert rs.lower & ~rs.subset == 0
-    assert rs.subset & ~rs.upper == 0
+    subset = ws_zmod3.subsets["GA"][1]
+    lower, upper = lower_approx(space, subset), upper_approx(space, subset)
+    assert lower == u.mask_of(["1"])
+    assert upper == u.all_mask
+    assert lower & ~subset == 0
+    assert subset & ~upper == 0
 
 
 def test_singleton_and_one_block_partitions():

@@ -1,5 +1,7 @@
 """Every module of the package, the tests and the scripts uses every
-name it imports, and only `report.py` decides a clause's verdict.
+name it imports, only `report.py` decides a clause's verdict, and every
+name the package exports is read by a package module, a script or a
+bench file, or is listed with the reason it stays.
 
 No linter ships with the package, so this stands in for an
 unused-import check: a name bound by an import must be read somewhere
@@ -104,3 +106,26 @@ def test_only_report_names_fail_and_not_applicable(name):
     named = sorted(word for word, allowed in VERDICT_NAMERS.items()
                    if word in names and name not in allowed)
     assert named == [], f"{name} names verdicts that report.py decides: {named}"
+
+
+# Names `roughtop` exports that no package module, script or bench file
+# reads, each with the reason it stays exported.
+UNREACHED_EXPORTS = {
+    "lower_approx": "the paper's lower approximation; no command prints a rough set",
+    "interior": "the dual of `closure`, which the closure propositions read",
+    "product_trg": "the paper's product of TRGs, until a command checks a product",
+    "is_effective": "a property of rough actions, until a command checks it",
+    "is_transitive": "a property of rough actions, until a command checks it",
+    "serialize_workspace": "the inverse of `parse_spec`, for round trips",
+}
+
+
+def test_every_export_is_reached_or_listed():
+    init = TREES["__init__.py"]
+    exported = [alias.asname or alias.name for node in init.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names]
+    readers = [TREES[name] for name in MODULES] + [
+        ast.parse(p.read_text(encoding="utf-8"))
+        for d in ("scripts", "bench") for p in sorted((ROOT / d).glob("*.py"))]
+    reached = {bound for tree in readers for bound in _reads(tree)}
+    assert sorted(set(exported) - reached) == sorted(UNREACHED_EXPORTS)

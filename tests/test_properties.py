@@ -15,7 +15,6 @@ from roughtop import (
     Partition,
     Universe,
     lower_approx,
-    make_rough_set,
     upper_approx,
 )
 from roughtop.groups import (
@@ -126,8 +125,7 @@ def test_singleton_partition_is_identity(n, data):
     u = Universe(tuple(str(i) for i in range(n)))
     space = ApproxSpace(u, Partition.singletons(u))
     mask = data.draw(st.integers(0, (1 << n) - 1))
-    rs = make_rough_set(space, mask)
-    assert rs.lower == mask == rs.upper
+    assert lower_approx(space, mask) == mask == upper_approx(space, mask)
 
 
 @st.composite

