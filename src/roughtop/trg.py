@@ -218,10 +218,11 @@ def verify_trg(
     give two pairs one name."""
     report, cert = decide_trg(group, tau, codomain_topology)
     tau_G = cert.tau_G if cert else subspace_topology(tau, group.g_mask)
+    # the i-th point p of G is bit[p] = 1 << i of the copy
     bit = {p: 1 << i for i, p in enumerate(bit_indices(group.g_mask))}
-    numbered = FiniteTopology(Universe(tuple(map(str, range(len(bit))))),
-                              (1 << len(bit)) - 1,
-                              (sum(map(bit.get, bit_indices(tau_G.nbhd[p]))) for p in bit))
+    numbered = FiniteTopology(
+        Universe(tuple(map(str, range(len(bit))))), (1 << len(bit)) - 1,
+        [sum(map(bit.get, bit_indices(tau_G.nbhd[p]))) for p in bit])
     return combine(
         "trg", report.clauses,
         stats=[("tau-opens", tau.count_opens()),
