@@ -1,7 +1,9 @@
 """Command-line behavior: exit codes, report texts, JSON, error paths."""
 
+import contextlib
 import importlib
 import inspect
+import io
 import json
 import os
 import pkgutil
@@ -466,7 +468,7 @@ def test_enumerate_witness_refuses_W_without_the_identity():
         assert err == ""
 
 
-@pytest.mark.parametrize("argv, message", [
+USAGE_ERRORS = [
     (["check", "nope"], "roughtop check: error: argument kind: invalid choice: 'nope'"),
     (["check", "trg", "--bogus"], "roughtop: error: unrecognized arguments: --bogus"),
     (["check", "trg", "nope"], "roughtop: error: unrecognized arguments: nope"),
@@ -477,7 +479,10 @@ def test_enumerate_witness_refuses_W_without_the_identity():
      "integer, got '-1'"),
     (["enumerate", "topologies", "--max-size", "three"],
      "argument --max-size: expected a non-negative integer, got 'three'"),
-])
+]
+
+
+@pytest.mark.parametrize("argv, message", USAGE_ERRORS)
 def test_usage_error_exits_3(argv, message):
     code, out, err = run_cli(argv)
     assert code == 3
@@ -539,6 +544,35 @@ def test_help_still_exits_0():
     with pytest.raises(SystemExit) as exc:
         run_cli(["--help"])
     assert exc.value.code == 0
+
+
+# Recorded stdout, stderr and exit code of each help text and usage
+# error, at a terminal 80 columns wide; `--record` regenerates it too.
+USAGE_GOLDEN = GOLDEN.parent / "usage.json"
+USAGE_RUNS = ([["--help"], ["check", "--help"], ["enumerate", "--help"]]
+              + [argv for argv, _ in USAGE_ERRORS] + [["check"], ["enumerate"], []])
+
+
+def _usage_key(argv: list[str]) -> str:
+    return " ".join(["roughtop"] + argv)
+
+
+def _usage_run(argv: list[str]) -> dict:
+    """Like `run_cli`, but `--help` leaves `main` through SystemExit."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return {"exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
+@pytest.mark.parametrize("argv", USAGE_RUNS, ids=_usage_key)
+def test_help_and_usage_text_match_golden(monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    golden = json.loads(USAGE_GOLDEN.read_text(encoding="utf-8"))
+    assert _usage_run(argv) == golden[_usage_key(argv)]
 
 
 def test_many_main_calls_in_one_process(golden):
@@ -611,3 +645,6 @@ if __name__ == "__main__" and sys.argv[1:] == ["--record"]:
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(dict(_matrix_runs()), indent=1,
                                  ensure_ascii=False) + "\n", encoding="utf-8")
+    os.environ["COLUMNS"] = "80"
+    USAGE_GOLDEN.write_text(json.dumps({_usage_key(argv): _usage_run(argv) for argv in USAGE_RUNS},
+                                       indent=1, ensure_ascii=False) + "\n", encoding="utf-8")
