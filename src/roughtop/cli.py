@@ -95,59 +95,59 @@ def _non_negative_int(text: str) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # the options of both subcommands, which take them as a parent
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--file", help="input document (default: stdin)")
+    common.add_argument("--json", action="store_true",
+                        help="emit the report as JSON")
+    common.add_argument("--cap", type=_non_negative_int, default=DEFAULT_SUBGROUP_ENUM_CAP,
+                        help="size cap for enumerating subgroups")
+    common.add_argument("--strict-hom", action="store_true",
+                        help="also require the source upper approximation to "
+                             "be closed under the operation")
+    common.add_argument("--codomain-topology", choices=("upper", "relative"),
+                        default="upper",
+                        help="topology the product map is checked into")
+    common.add_argument("--table")
+    common.add_argument("--partition")
+    common.add_argument("--group")
+    common.add_argument("--subgroup")
+    common.add_argument("--topology")
+    common.add_argument("--map")
+    common.add_argument("--src-table")
+    common.add_argument("--src-partition")
+    common.add_argument("--src-group")
+    common.add_argument("--src-topology")
+    common.add_argument("--tgt-table")
+    common.add_argument("--tgt-partition")
+    common.add_argument("--tgt-group")
+    common.add_argument("--tgt-topology")
+    common.add_argument("--x-partition")
+    common.add_argument("--x-subset")
+    common.add_argument("--x-topology")
+    common.add_argument("--side", choices=("left", "right"), default="left")
+    common.add_argument("--element")
+    common.add_argument("--w")
+    common.add_argument("--open")
+    common.add_argument("--subset")
+    common.add_argument("--base-member", action="append", default=[])
+    common.add_argument("--max-size", type=_non_negative_int, default=3)
+
     p = argparse.ArgumentParser(
         prog="roughtop",
         description="Verify and explore finite rough algebraic-topological "
                     "structures described in a declaration file.",
     )
     sub = p.add_subparsers(dest="command", required=True)
-
-    def add_common(sp):
-        sp.add_argument("--file", help="input document (default: stdin)")
-        sp.add_argument("--json", action="store_true",
-                        help="emit the report as JSON")
-        sp.add_argument("--cap", type=_non_negative_int, default=DEFAULT_SUBGROUP_ENUM_CAP,
-                        help="size cap for enumerating subgroups")
-        sp.add_argument("--strict-hom", action="store_true",
-                        help="also require the source upper approximation to "
-                             "be closed under the operation")
-        sp.add_argument("--codomain-topology", choices=("upper", "relative"),
-                        default="upper",
-                        help="topology the product map is checked into")
-        sp.add_argument("--table")
-        sp.add_argument("--partition")
-        sp.add_argument("--group")
-        sp.add_argument("--subgroup")
-        sp.add_argument("--topology")
-        sp.add_argument("--map")
-        sp.add_argument("--src-table")
-        sp.add_argument("--src-partition")
-        sp.add_argument("--src-group")
-        sp.add_argument("--src-topology")
-        sp.add_argument("--tgt-table")
-        sp.add_argument("--tgt-partition")
-        sp.add_argument("--tgt-group")
-        sp.add_argument("--tgt-topology")
-        sp.add_argument("--x-partition")
-        sp.add_argument("--x-subset")
-        sp.add_argument("--x-topology")
-        sp.add_argument("--side", choices=("left", "right"), default="left")
-        sp.add_argument("--element")
-        sp.add_argument("--w")
-        sp.add_argument("--open")
-        sp.add_argument("--subset")
-        sp.add_argument("--base-member", action="append", default=[])
-        sp.add_argument("--max-size", type=_non_negative_int, default=3)
-
-    cp = sub.add_parser("check", help="verify one structure or theorem instance")
+    cp = sub.add_parser("check", parents=[common],
+                        help="verify one structure or theorem instance")
     cp.add_argument("kind", choices=_next_words("check"))
     cp.add_argument("prop", nargs="?", default=None,
                     help="proposition name when kind is 'prop'")
-    add_common(cp)
 
-    ep = sub.add_parser("enumerate", help="list structures of a given kind")
+    ep = sub.add_parser("enumerate", parents=[common],
+                        help="list structures of a given kind")
     ep.add_argument("what", choices=_next_words("enumerate"))
-    add_common(ep)
     return p
 
 

@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, report texts, JSON, error paths."""
 
+import argparse
 import contextlib
 import importlib
 import inspect
@@ -538,6 +539,19 @@ def test_every_annotation_in_the_package_resolves():
                     typing.get_type_hints(member)
                     checked += 1
     assert checked > 100
+
+
+def test_subcommands_take_the_same_options_declared_once():
+    """`check` and `enumerate` take the same optional arguments in the
+    same order, and each one but `-h` is one Action object that both
+    subparsers hold."""
+    subparsers = next(a for a in cli._build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    check, enum = ([a for a in subparsers.choices[word]._actions if a.option_strings]
+                   for word in ("check", "enumerate"))
+    assert [(a.option_strings, a.default, a.type, a.choices) for a in check] == \
+        [(a.option_strings, a.default, a.type, a.choices) for a in enum]
+    assert [a.dest for a, b in zip(check, enum) if a is not b] == ["help"]
 
 
 def test_help_still_exits_0():
