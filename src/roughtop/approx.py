@@ -90,11 +90,7 @@ class Partition(Record):
         if union != universe.all_mask:
             missing = universe.set_str(universe.all_mask & ~union)
             raise InputError(f"partition does not cover the universe; missing {missing}")
-        arr = [-1] * universe.size
-        for bi, b in enumerate(blocks):
-            for i in bit_indices(b):
-                arr[i] = bi
-        self._set(universe=universe, blocks=blocks, _block_of=tuple(arr))
+        self._set(universe=universe, blocks=blocks)
 
     @classmethod
     def from_names(cls, universe: Universe, named_blocks) -> "Partition":
@@ -109,7 +105,7 @@ class Partition(Record):
         return cls(universe, (universe.all_mask,))
 
     def block_mask_of(self, i: int) -> int:
-        return self.blocks[self._block_of[i]]
+        return next(b for b in self.blocks if b >> i & 1)
 
 
 class CayleyTable(Record):

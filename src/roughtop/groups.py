@@ -133,15 +133,14 @@ class RoughGroupCert(Record):
                  identities: tuple[int, ...], designated_e: int,
                  inverse_sets: tuple[tuple[int, int], ...]):
         self._set(space=space, g_mask=g_mask, upper=upper, identities=identities,
-                  designated_e=designated_e, inverse_sets=inverse_sets,
-                  _inv=dict(inverse_sets))
+                  designated_e=designated_e, inverse_sets=inverse_sets)
 
     @property
     def table(self) -> CayleyTable:
         return self.space.op
 
     def inverses_of(self, x: int) -> int:
-        return self._inv[x]
+        return dict(self.inverse_sets)[x]
 
     def unique_inverse_map(self) -> FiniteMap:
         """The inverse assignment as a function G -> G.
