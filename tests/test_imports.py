@@ -1,7 +1,8 @@
 """Every module of the package, the tests and the scripts uses every
 name it imports, only `report.py` decides a clause's verdict, and every
-name the package exports is read by a package module, a script or a
-bench file, or is listed with the reason it stays.
+name the package exports and every public method of a record class is
+read by a package module, a script or a bench file, or is listed with
+the reason it stays.
 
 No linter ships with the package, so this stands in for an
 unused-import check: a name bound by an import must be read somewhere
@@ -108,6 +109,12 @@ def test_only_report_names_fail_and_not_applicable(name):
     assert named == [], f"{name} names verdicts that report.py decides: {named}"
 
 
+# Every name a package module, a script or a bench file reads.
+REACHED = {bound for tree in [TREES[name] for name in MODULES] + [
+    ast.parse(p.read_text(encoding="utf-8"))
+    for d in ("scripts", "bench") for p in sorted((ROOT / d).glob("*.py"))]
+    for bound in _reads(tree)}
+
 # Names `roughtop` exports that no package module, script or bench file
 # reads, each with the reason it stays exported.
 UNREACHED_EXPORTS = {
@@ -124,8 +131,33 @@ def test_every_export_is_reached_or_listed():
     init = TREES["__init__.py"]
     exported = [alias.asname or alias.name for node in init.body
                 if isinstance(node, ast.ImportFrom) for alias in node.names]
-    readers = [TREES[name] for name in MODULES] + [
-        ast.parse(p.read_text(encoding="utf-8"))
-        for d in ("scripts", "bench") for p in sorted((ROOT / d).glob("*.py"))]
-    reached = {bound for tree in readers for bound in _reads(tree)}
-    assert sorted(set(exported) - reached) == sorted(UNREACHED_EXPORTS)
+    assert sorted(set(exported) - REACHED) == sorted(UNREACHED_EXPORTS)
+
+
+def _record_methods():
+    """`Class.method` for every method, classmethod and property without
+    a leading underscore of a class whose base is `Record`."""
+    return [f"{c.name}.{f.name}" for tree in TREES.values() for c in ast.walk(tree)
+            if isinstance(c, ast.ClassDef) and any(
+                isinstance(b, ast.Name) and b.id == "Record" for b in c.bases)
+            for f in c.body if isinstance(f, ast.FunctionDef) and not f.name.startswith("_")]
+
+
+# Record methods that no package module, script or bench file reads,
+# each with the reason it stays.
+UNREACHED_METHODS = {
+    "Partition.one_block": "the coarsest partition, where every proper subset is rough; "
+                           "the dual of `singletons`",
+    "Partition.block_mask_of": "the block [x] of one element, the unit of both approximations",
+    "RoughGroupCert.inverses_of": "the inverses of one member of G, as the certificate "
+                                  "records them",
+    "FiniteMap.from_dict": "a map built from a dict of element indices, for library callers",
+    "FiniteMap.identity": "the identity map of a subset, for library callers",
+}
+
+
+def test_every_record_method_is_reached_or_listed():
+    methods = _record_methods()
+    assert len(methods) > 30
+    unreached = [m for m in methods if m.partition(".")[2] not in REACHED]
+    assert sorted(unreached) == sorted(UNREACHED_METHODS)
