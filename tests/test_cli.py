@@ -582,11 +582,15 @@ def _usage_run(argv: list[str]) -> dict:
     return {"exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
 
 
+@pytest.fixture(scope="module")
+def usage_golden():
+    return json.loads(USAGE_GOLDEN.read_text(encoding="utf-8"))
+
+
 @pytest.mark.parametrize("argv", USAGE_RUNS, ids=_usage_key)
-def test_help_and_usage_text_match_golden(monkeypatch, argv):
+def test_help_and_usage_text_match_golden(monkeypatch, usage_golden, argv):
     monkeypatch.setenv("COLUMNS", "80")
-    golden = json.loads(USAGE_GOLDEN.read_text(encoding="utf-8"))
-    assert _usage_run(argv) == golden[_usage_key(argv)]
+    assert _usage_run(argv) == usage_golden[_usage_key(argv)]
 
 
 def test_many_main_calls_in_one_process(golden):
