@@ -146,7 +146,7 @@ def _record_methods():
 # Record methods that no package module, script or bench file reads,
 # each with the reason it stays.
 UNREACHED_METHODS = {
-    "Partition.one_block": "the coarsest partition, where every proper subset is rough; "
+    "Partition.one_block": "the coarsest partition, where every nonempty proper subset is rough; "
                            "the dual of `singletons`",
     "Partition.block_mask_of": "the block [x] of one element, the unit of both approximations",
     "RoughGroupCert.inverses_of": "the inverses of one member of G, as the certificate "
