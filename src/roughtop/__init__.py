@@ -21,7 +21,6 @@ from .approx import (
     upper_approx,
 )
 from .errors import (
-    AmbiguousInverseError,
     CapExceededError,
     InputError,
     ParseError,

@@ -59,20 +59,18 @@ class RoughSpace(Record):
 
 
 class RoughAction(Record):
-    """A verified action, with the evidence report attached; `table[g][x]`
-    is g.x for g in upper(G) and x in upper(X)."""
+    """An action map read into one table: `table[g][x]` is g.x for g in
+    upper(G) and x in upper(X)."""
 
-    _fields = ("cert", "rspace", "mu", "side", "evidence")
+    _fields = ("cert", "rspace", "mu", "side")
 
-    def __init__(self, cert: TRGCert, rspace: RoughSpace, mu: FiniteMap, side: str,
-                 evidence: VerificationReport | None):
+    def __init__(self, cert: TRGCert, rspace: RoughSpace, mu: FiniteMap, side: str):
         ng, nx = cert.universe.size, rspace.space.universe.size
         pair = (lambda g, x: g * nx + x) if side == "left" else (lambda g, x: x * ng + g)
         x_elems = tuple(bit_indices(rspace.upper_x))
         table = {g: {x: mu.apply(pair(g, x)) for x in x_elems}
                  for g in bit_indices(cert.upper)}
-        self._set(cert=cert, rspace=rspace, mu=mu, side=side, evidence=evidence,
-                  table=table)
+        self._set(cert=cert, rspace=rspace, mu=mu, side=side, table=table)
 
     def act(self, g: int, x: int) -> int:
         """g.x, read from the action table."""
@@ -142,7 +140,7 @@ def verify_rough_action(
     if wit is not None:
         return combine("rough-action", clauses), None
 
-    action = RoughAction(cert, rspace, mu, side, evidence=None)
+    action = RoughAction(cert, rspace, mu, side)
     v = first_discontinuity(action.table, cert.tau, rspace.tau_x, rspace.tau_x)
     wit = None if v is None else (f"open {xu.set_str(v)} has preimage "
                                   f"{pu.set_str(mu.preimage(v))}, which is not open")
@@ -172,24 +170,26 @@ def verify_rough_action(
     )
     if not report.passed:
         return report, None
-    return report, RoughAction(cert, rspace, mu, side, report)
+    return report, action
 
 
-def is_effective(action: RoughAction) -> tuple[bool, str | None]:
-    """Distinct elements of upper(G) act differently on some point."""
+def is_effective(action: RoughAction) -> str | None:
+    """Distinct elements of upper(G) act differently on some point: the
+    first pair that acts identically on every point, or None."""
     gu = action.cert.universe
     g_elems = tuple(bit_indices(action.cert.upper))
     x_elems = tuple(bit_indices(action.rspace.upper_x))
     for i, g in enumerate(g_elems):
         for gp in g_elems[i + 1:]:
             if all(action.act(g, x) == action.act(gp, x) for x in x_elems):
-                return False, (f"{gu.elements[g]} and {gu.elements[gp]} "
-                               "act identically on every point")
-    return True, None
+                return (f"{gu.elements[g]} and {gu.elements[gp]} "
+                        "act identically on every point")
+    return None
 
 
-def is_transitive(action: RoughAction) -> tuple[bool, str | None]:
-    """Every point reaches every other under some element of upper(G)."""
+def is_transitive(action: RoughAction) -> str | None:
+    """Every point reaches every other under some element of upper(G):
+    the first point and a point it cannot reach, or None."""
     xu = action.rspace.space.universe
     g_elems = tuple(bit_indices(action.cert.upper))
     x_elems = tuple(bit_indices(action.rspace.upper_x))
@@ -200,14 +200,14 @@ def is_transitive(action: RoughAction) -> tuple[bool, str | None]:
         missing = action.rspace.upper_x & ~reached
         if missing:
             y = (missing & -missing).bit_length() - 1
-            return False, (f"no group element carries {xu.elements[x]} to "
-                           f"{xu.elements[y]}")
-    return True, None
+            return (f"no group element carries {xu.elements[x]} to "
+                    f"{xu.elements[y]}")
+    return None
 
 
-def is_rough_homogeneous(rspace: RoughSpace) -> tuple[bool, str | None]:
+def is_rough_homogeneous(rspace: RoughSpace) -> str | None:
     """Every ordered pair of points of upper(X) is connected by some
-    self-homeomorphism.
+    self-homeomorphism: a pair that is not, or None.
 
     Rule: give each point p the key (|N(p)|, |closure of {p}|); the
     space is homogeneous iff all keys are equal.  A homeomorphism of a
@@ -229,9 +229,9 @@ def is_rough_homogeneous(rspace: RoughSpace) -> tuple[bool, str | None]:
     key = [(nbhd[p].bit_count(), up[p].bit_count()) for p in points]
     for q, k in zip(points, key):
         if k != key[0]:
-            return False, (f"no self-homeomorphism carries "
-                           f"{xu.elements[points[0]]} to {xu.elements[q]}")
-    return True, None
+            return (f"no self-homeomorphism carries "
+                    f"{xu.elements[points[0]]} to {xu.elements[q]}")
+    return None
 
 
 def _upper_group_premise(cert: TRGCert) -> Clause:

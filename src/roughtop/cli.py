@@ -237,9 +237,8 @@ def _with_kernel_info(report: VerificationReport, hom) -> VerificationReport:
     if hom is None:
         return report
     kernel, krep = rough_kernel(hom)
-    u = hom.source.space.universe
     wit = krep.first_witness()
-    extra = [Clause("kernel-elements", INFO, u.set_str(kernel)),
+    extra = [krep.clause("kernel-elements"),
              Clause("kernel-normal", INFO, krep.verdict + (f": {wit}" if wit else ""))]
     stats = list(report.stats) + [("kernel-size", kernel.bit_count())]
     return combine(report.check, list(report.clauses) + extra, stats=stats)
@@ -273,7 +272,7 @@ def _trg_homeo(r: _Run) -> VerificationReport:
 
 def _homogeneous(r: _Run) -> VerificationReport:
     rspace = r.rough_space()
-    _, wit = is_rough_homogeneous(rspace)
+    wit = is_rough_homogeneous(rspace)
     return combine(r.name, [law("orbit-transitivity", wit)],
                    stats=[("points", rspace.upper_x.bit_count())])
 

@@ -14,10 +14,6 @@ class CapExceededError(InputError):
     """A construction or enumeration would exceed its configured size cap."""
 
 
-class AmbiguousInverseError(InputError):
-    """An element has several rough inverses where a unique one is required."""
-
-
 class ParseError(InputError):
     """Malformed structure-description text."""
 

@@ -21,7 +21,7 @@ from .approx import (
     product_space,
     upper_approx,
 )
-from .errors import AmbiguousInverseError, CapExceededError, InputError
+from .errors import CapExceededError, InputError
 from .record import Record
 from .report import (
     INFO,
@@ -120,46 +120,24 @@ def group_axioms_witness(table: CayleyTable, mask: int) -> str | None:
 class RoughGroupCert(Record):
     """Evidence that (space, G) passed the rough-group axioms.
 
-    `identities` holds every element of the upper approximation acting
-    as a two-sided identity on G; `designated_e` is the first of them
-    in canonical order, and `inverse_sets` records, for each member of
-    G, every inverse in G with respect to that designated identity.
+    `designated_e` is the first element of the upper approximation, in
+    canonical order, that acts as a two-sided identity on all of G, and
+    `inverse` maps each member of G to its inverse in G with respect to
+    that identity.  The inverse is unique, so one map holds it: if
+    x*y = y*x = e and x*y' = y'*x = e for y, y' in G, associativity on
+    the upper approximation gives y = y*(x*y') = (y*x)*y' = y'.
     """
 
-    _fields = ("space", "g_mask", "upper", "identities", "designated_e",
-               "inverse_sets")
+    _fields = ("space", "g_mask", "upper", "designated_e", "inverse")
 
     def __init__(self, space: ApproxSpace, g_mask: int, upper: int,
-                 identities: tuple[int, ...], designated_e: int,
-                 inverse_sets: tuple[tuple[int, int], ...]):
-        self._set(space=space, g_mask=g_mask, upper=upper, identities=identities,
-                  designated_e=designated_e, inverse_sets=inverse_sets)
+                 designated_e: int, inverse: FiniteMap):
+        self._set(space=space, g_mask=g_mask, upper=upper,
+                  designated_e=designated_e, inverse=inverse)
 
     @property
     def table(self) -> CayleyTable:
         return self.space.op
-
-    def inverses_of(self, x: int) -> int:
-        return dict(self.inverse_sets)[x]
-
-    def unique_inverse_map(self) -> FiniteMap:
-        """The inverse assignment as a function G -> G.
-
-        The common-identity reading actually forces uniqueness (if
-        x*y = y*x = e = x*y' = y'*x then y = y*(x*y') = (y*x)*y' = y'),
-        so this is a defensive guard against hand-built certificates.
-        """
-        pairs = []
-        for x, m in self.inverse_sets:
-            if m.bit_count() != 1:
-                e_name = self.space.universe.elements[self.designated_e]
-                raise AmbiguousInverseError(
-                    f"{self.space.universe.elements[x]} has "
-                    f"{m.bit_count()} inverses under identity {e_name}"
-                )
-            pairs.append((x, m.bit_length() - 1))
-        return FiniteMap(self.space.universe, self.space.universe,
-                         self.g_mask, self.g_mask, tuple(pairs))
 
 
 def verify_rough_group(
@@ -224,17 +202,18 @@ def verify_rough_group(
                 "element serves all of G",
             ))
 
-    inverse_sets = []
+    inverse = []
     if e is None:
         clauses.append(premise("inverses-exist", "skipped: no identity"))
     else:
         wit = None
         for x in g_elems:
             inv = inverses_in(table, x, g_mask, e)
-            if inv == 0 and wit is None:
+            if inv == 0:
                 wit = (f"{u.elements[x]} has no inverse in G with respect to "
                        f"identity {u.elements[e]}")
-            inverse_sets.append((x, inv))
+                break
+            inverse.append((x, inv.bit_length() - 1))
         clauses.append(law("inverses-exist", wit))
 
     report = combine("rough-group", clauses,
@@ -242,8 +221,8 @@ def verify_rough_group(
                             ("upper-size", upper.bit_count())])
     if not report.passed:
         return report, None
-    cert = RoughGroupCert(space, g_mask, upper, identities, e, tuple(inverse_sets))
-    return report, cert
+    return report, RoughGroupCert(space, g_mask, upper, e,
+                                  FiniteMap(u, u, g_mask, g_mask, tuple(inverse)))
 
 
 def verify_rough_subgroup(parent: RoughGroupCert, h_mask: int) -> VerificationReport:

@@ -20,7 +20,7 @@ from .topology import FiniteMap, is_continuous
 from .trg import TRGCert
 
 
-class TRGHom(namedtuple("TRGHom", "src tgt fmap algebra continuity")):
+class TRGHom(namedtuple("TRGHom", "src tgt fmap algebra")):
     """A verified continuous rough homomorphism between certificates."""
 
     __slots__ = ()
@@ -47,7 +47,7 @@ def verify_trg_homomorphism(
     report = combine("trg-homomorphism", clauses, stats=algebra_rep.stats)
     if not report.passed:
         return report, None
-    return report, TRGHom(src, tgt, fmap, algebra, cont)
+    return report, TRGHom(src, tgt, fmap, algebra)
 
 
 def _composite_moves(first: FiniteMap, then: FiniteMap,

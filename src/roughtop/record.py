@@ -3,9 +3,9 @@
 A subclass names its fields in ``_fields`` and stores them, together
 with any derived private state, through ``_set``.  It then compares and
 hashes by those fields (only against its own class), and assigning or
-deleting an attribute raises AttributeError.  ``_replace`` copies a
-record through ``__init__``, so validation, normalisation and derived
-state are redone for the copy.
+deleting an attribute raises AttributeError.  There is no copy with
+changed fields: every record is built through ``__init__``, so its
+validation, normalisation and derived state always hold.
 """
 
 from __future__ import annotations
@@ -20,9 +20,6 @@ class Record:
     def _values(self) -> tuple:
         d = self.__dict__
         return tuple([d[f] for f in self._fields])
-
-    def _replace(self, **changes):
-        return type(self)(**dict(zip(self._fields, self._values()), **changes))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

@@ -65,9 +65,10 @@ INVERSE_CONVENTION = Clause(
 )
 
 
-class TRGCert(namedtuple("TRGCert", "group tau tau_G inverse_map codomain_mode "
-                                    "evidence")):
-    """A rough group certificate with verified continuity evidence."""
+class TRGCert(namedtuple("TRGCert", "group tau tau_G")):
+    """A rough group certificate with a topology tau on its upper
+    approximation, and the subspace topology tau_G on G, under which
+    both continuity conditions hold."""
 
     __slots__ = ()
 
@@ -131,10 +132,8 @@ def decide_trg(
 ) -> tuple[VerificationReport, TRGCert | None]:
     """Check the two continuity conditions over a verified rough group.
 
-    Requires tau to live on the upper approximation and every member of
-    G to have a unique inverse (the inverse map must be a function; an
-    ambiguous certificate raises rather than picking silently).  The
-    report carries no stats; `verify_trg` adds the open counts.
+    Requires tau to live on the upper approximation.  The report
+    carries no stats; `verify_trg` adds the open counts.
     """
     _check_mode(codomain_topology)
     u = group.space.universe
@@ -145,17 +144,16 @@ def decide_trg(
             f"topology carrier {u.set_str(tau.carrier)} is not the upper "
             f"approximation {u.set_str(group.upper)}"
         )
-    inverse_map = group.unique_inverse_map()
     tau_G = subspace_topology(tau, group.g_mask)
     clauses = [Clause("codomain-topology", INFO, codomain_topology)]
     cod = tau if codomain_topology == "upper" else tau_G
     clauses.append(_product_map_clause(group, tau_G, cod))
-    inv_rep = is_continuous(inverse_map, tau_G, tau_G)
+    inv_rep = is_continuous(group.inverse, tau_G, tau_G)
     clauses.append(inv_rep.as_clause("inverse-map-continuity"))
     report = combine("trg", clauses)
     if not report.passed:
         return report, None
-    return report, TRGCert(group, tau, tau_G, inverse_map, codomain_topology, report)
+    return report, TRGCert(group, tau, tau_G)
 
 
 def trg_topologies(group: RoughGroupCert,
@@ -172,11 +170,10 @@ def trg_topologies(group: RoughGroupCert,
     argument, as `first_discontinuity` decides it).  In relative mode
     a product outside G sets no rule, and below a product inside G
     must lie a point of G: when x*y lies in G and a*y does not, a <= x
-    is forbidden outright.  An ambiguous inverse raises, as in
-    `decide_trg`, and the carrier cap is `enumerate_topologies`'s.
+    is forbidden outright.  The carrier cap is `enumerate_topologies`'s.
     """
     _check_mode(codomain_topology)
-    inverse = group.unique_inverse_map().apply
+    inverse = group.inverse.apply
     g_mask, rows = group.g_mask, group.table.rows
     points = tuple(bit_indices(group.upper))
     local = {p: i for i, p in enumerate(points)}
@@ -236,7 +233,7 @@ def inverse_of_set(cert: TRGCert, v_mask: int) -> int:
     u = cert.universe
     if v_mask < 0 or v_mask & ~cert.g_mask:
         raise InputError(f"V = {u.set_str(v_mask)} is not a subset of G")
-    return cert.inverse_map.image_mask(v_mask)
+    return cert.group.inverse.image_mask(v_mask)
 
 
 def is_rough_symmetric(cert: TRGCert, v_mask: int) -> bool:
@@ -271,7 +268,7 @@ def check_translations(cert: TRGCert, a: int) -> VerificationReport:
         clauses.append(law(f"{label}-injective", wit))
         cont = is_continuous(fmap, cert.tau_G, cert.tau)
         clauses.append(cont.as_clause(f"{label}-continuity"))
-    homeo = is_homeomorphism(cert.inverse_map, cert.tau_G, cert.tau_G)
+    homeo = is_homeomorphism(cert.group.inverse, cert.tau_G, cert.tau_G)
     clauses.append(homeo.as_clause("inverse-homeomorphism"))
     return combine("translations", clauses)
 
@@ -359,7 +356,7 @@ def check_topological_group(cert: TRGCert) -> VerificationReport:
     wit = group_axioms_witness(cert.table, cert.g_mask)
     clauses.append(law("group-axioms", wit))
     clauses.append(_product_map_clause(cert.group, cert.tau, cert.tau))
-    inv_rep = is_continuous(cert.inverse_map, cert.tau_G, cert.tau_G)
+    inv_rep = is_continuous(cert.group.inverse, cert.tau_G, cert.tau_G)
     clauses.append(inv_rep.as_clause("inversion-continuity"))
     return combine("topological-group", clauses)
 

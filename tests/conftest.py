@@ -256,7 +256,7 @@ def oracle_verify_trg(group, tau_opens, mode: str = "upper"):
     cod = tau if mode == "upper" else tau_g
     clauses = [Clause("codomain-topology", INFO, mode),
                oracle_product_map_clause(group, product_universe(u, u), prod, u, cod)]
-    inv = oracle_is_continuous(group.unique_inverse_map(), u, tau_g, u, tau_g)
+    inv = oracle_is_continuous(group.inverse, u, tau_g, u, tau_g)
     clauses.append(Clause("inverse-map-continuity", inv.verdict, inv.first_witness()))
     return combine("trg", clauses, stats=[("tau-opens", len(tau)),
                                           ("tau-G-opens", len(tau_g)),
@@ -280,16 +280,16 @@ def oracle_homogeneity_orbits(carrier: int, opens, cap: int = 8) -> dict:
 
 
 def oracle_is_rough_homogeneous(universe, carrier: int, opens, cap: int = 8):
-    """The verdict, and for the first point p whose orbit misses a point,
-    the first such point q."""
+    """A witness naming the first point p whose orbit misses a point and
+    the first point q it misses; None when every orbit is the carrier."""
     reach = oracle_homogeneity_orbits(carrier, opens, cap)
     for p in bit_indices(carrier):
         missing = carrier & ~reach[p]
         if missing:
             q = (missing & -missing).bit_length() - 1
-            return False, (f"no self-homeomorphism carries {universe.elements[p]} "
-                           f"to {universe.elements[q]}")
-    return True, None
+            return (f"no self-homeomorphism carries {universe.elements[p]} "
+                    f"to {universe.elements[q]}")
+    return None
 
 
 # ---------------------------------------------------------------------------

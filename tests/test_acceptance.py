@@ -156,7 +156,7 @@ def test_criterion_3_product_structure():
     for (x, y), want in expected_products.items():
         assert prod(x, y) == want, (x, y, prod(x, y))
 
-    assert u.names_of(cert_c.inverses_of(u.index("(2,1)"))) == ("(1,2)",)
+    assert u.elements[cert_c.inverse.apply(u.index("(2,1)"))] == "(1,2)"
 
     trep, _ = verify_trg(cert_c, wp.topologies["tauP"][1])
     assert trep.verdict == "pass"

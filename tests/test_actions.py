@@ -12,14 +12,14 @@ from roughtop.actions import (
 )
 from roughtop.approx import pair_name, product_mask, product_universe
 from roughtop.errors import InputError
-from roughtop.groups import CayleyTable, verify_rough_group
+from roughtop.groups import CayleyTable, RoughGroupCert, verify_rough_group
 from roughtop.topology import (
     FiniteMap,
     FiniteTopology,
     generate_topology,
     is_homeomorphism,
 )
-from roughtop.trg import verify_trg
+from roughtop.trg import TRGCert, verify_trg
 
 from conftest import cert_of, space_of
 
@@ -63,8 +63,8 @@ def test_self_action_under_discrete_topology(sa):
         "premise-upper-closed", "action-continuity", "compatibility",
         "identity"]
     assert rep.stats == (("compatibility-triples", 27),)
-    assert is_effective(action) == (True, None)
-    assert is_transitive(action) == (True, None)
+    assert is_effective(action) is None
+    assert is_transitive(action) is None
 
 
 def test_translation_is_a_homeomorphism(sa):
@@ -101,10 +101,8 @@ def test_trivial_action(sa):
                     sa["ws"].topologies["tauA"][1])
     rep, action = verify_rough_action(sa["tc_given"], rs, sa["mut"])
     assert rep.verdict == "pass"
-    assert is_effective(action) == (
-        False, "0 and 1 act identically on every point")
-    assert is_transitive(action) == (
-        False, "no group element carries 0 to 1")
+    assert is_effective(action) == "0 and 1 act identically on every point"
+    assert is_transitive(action) == "no group element carries 0 to 1"
 
 
 def test_action_shape_errors(sa):
@@ -137,8 +135,10 @@ def test_action_premise_not_applicable(sa):
     """A certificate doctored so upper(G) is not closed under the table
     short-circuits to a not-applicable verdict before continuity."""
     u = sa["u"]
-    doc_group = sa["tc_disc"].group._replace(upper=u.mask_of(["1", "2"]))
-    doc = sa["tc_disc"]._replace(group=doc_group)
+    tc = sa["tc_disc"]
+    doc_group = RoughGroupCert(tc.group.space, tc.g_mask, u.mask_of(["1", "2"]),
+                               tc.e, tc.group.inverse)
+    doc = TRGCert(doc_group, tc.tau, tc.tau_G)
     rs = RoughSpace(sa["space"], u.all_mask, sa["ws"].topologies["tauD"][1])
     pu = product_universe(u, u)
     dom = product_mask(doc_group.upper, u.all_mask, u.size)
@@ -182,21 +182,19 @@ def test_homogeneity(sa, ws_zmod3):
     u = sa["u"]
     rs_given = RoughSpace(sa["space"], u.all_mask,
                           sa["ws"].topologies["tauA"][1])
-    assert is_rough_homogeneous(rs_given) == (
-        False, "no self-homeomorphism carries 0 to 1")
+    assert is_rough_homogeneous(rs_given) == "no self-homeomorphism carries 0 to 1"
     rs_disc = RoughSpace(sa["space"], u.all_mask,
                          sa["ws"].topologies["tauD"][1])
-    assert is_rough_homogeneous(rs_disc) == (True, None)
+    assert is_rough_homogeneous(rs_disc) is None
 
 
 def test_homogeneity_two_points():
     u = Universe(("a", "b"))
     space = ApproxSpace(u, Partition.one_block(u))
     asym = RoughSpace(space, 0b11, generate_topology(u, 0b11, (0, 0b01, 0b11)))
-    assert is_rough_homogeneous(asym) == (
-        False, "no self-homeomorphism carries a to b")
+    assert is_rough_homogeneous(asym) == "no self-homeomorphism carries a to b"
     sym = RoughSpace(space, 0b11, generate_topology(u, 0b11, (0, 0b11)))
-    assert is_rough_homogeneous(sym) == (True, None)
+    assert is_rough_homogeneous(sym) is None
 
 
 def _space_of_nbhds(nbhd) -> RoughSpace:
@@ -209,9 +207,9 @@ def _space_of_nbhds(nbhd) -> RoughSpace:
 def test_homogeneity_has_no_size_cap():
     # 32 open two-point classes {2k, 2k+1}: homogeneous at 64 points
     pairs = [0b11 << (p & ~1) for p in range(64)]
-    assert is_rough_homogeneous(_space_of_nbhds(pairs)) == (True, None)
+    assert is_rough_homogeneous(_space_of_nbhds(pairs)) is None
     # the last two points form a chain with 63 below 62: |N(62)| = 2, as
     # for every pair point, so only the closure size of 62 tells it apart
     chain = pairs[:62] + [0b11 << 62, 1 << 63]
     assert is_rough_homogeneous(_space_of_nbhds(chain)) == (
-        False, "no self-homeomorphism carries 0 to 62")
+        "no self-homeomorphism carries 0 to 62")

@@ -26,6 +26,7 @@ from roughtop.topology import (
     verify_topology,
 )
 from roughtop.trg import (
+    TRGCert,
     decide_trg,
     find_symmetric_square_nbhd,
     symmetric_square_nbhds,
@@ -307,7 +308,8 @@ def test_homogeneity_matches_oracle_orbits_on_random_topologies():
         for _ in range(samples):
             fam = _random_topology(rng, n)
             rs = RoughSpace(space, carrier, generate_topology(u, carrier, fam))
-            ok, wit = is_rough_homogeneous(rs)
+            wit = is_rough_homogeneous(rs)
+            ok = wit is None
             orbits = oracle_homogeneity_orbits(carrier, fam)
             assert ok == all(o == carrier for o in orbits.values())
             verdicts.add(ok)
@@ -347,8 +349,7 @@ def test_symmetric_square_nbhds_match_brute_force_on_every_zmod3_topology(fixa_t
     cases = found = via_cli = 0
     for fam in families:
         tau = generate_topology(u, group.upper, fam)
-        cert = fixa_trg._replace(tau=tau,
-                                 tau_G=subspace_topology(tau, group.g_mask))
+        cert = TRGCert(group, tau, subspace_topology(tau, group.g_mask))
         is_trg = decide_trg(group, tau)[0].passed
         for w in fam:
             if not w >> e & 1:
@@ -420,6 +421,19 @@ def test_trg_tables_match_per_point_scans_on_every_trg_of_z2_to_z4(fixb_trg):
     assert _product_opens_and_symmetric_squares(fixb_trg) > 0
 
 
+def test_inverse_map_names_the_only_inverse_on_every_rough_group_of_z2_to_z4(fixb_cert):
+    """For every rough group of Z_2..Z_4 and the S4 fixture (GB), each
+    member g of G has exactly one inverse in G for the designated
+    identity, the one the certificate's inverse map gives."""
+    certs = [c for n in (2, 3, 4) for c in _cyclic_rough_groups(n)] + [fixb_cert]
+    assert len(certs) == 94
+    for cert in certs:
+        assert cert.inverse.domain == cert.inverse.codomain == cert.g_mask
+        for g in mask_to_set(cert.g_mask):
+            assert inverses_in(cert.table, g, cert.g_mask, cert.designated_e) == (
+                1 << cert.inverse.apply(g))
+
+
 @pytest.mark.parametrize("side", ["left", "right"])
 def test_action_continuity_matches_oracle_on_every_small_topology(side):
     """The `action-continuity` clause against a preimage scan over the
@@ -442,7 +456,8 @@ def test_action_continuity_matches_oracle_on_every_small_topology(side):
         x_of = [p % m if side == "left" else p // n for p in range(n * m)]
         for g_fam, x_fam in itertools.product(_topologies_on(gu, gu.all_mask),
                                               _topologies_on(xu, xu.all_mask)):
-            cert = cert0._replace(tau=generate_topology(gu, gu.all_mask, g_fam))
+            cert = TRGCert(cert0.group, generate_topology(gu, gu.all_mask, g_fam),
+                           cert0.tau_G)
             rspace = RoughSpace(xspace, xu.all_mask,
                                 generate_topology(xu, xu.all_mask, x_fam))
             f1, f2 = (g_fam, x_fam) if side == "left" else (x_fam, g_fam)

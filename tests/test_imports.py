@@ -1,8 +1,8 @@
 """Every module of the package, the tests and the scripts uses every
 name it imports, only `report.py` decides a clause's verdict, and every
-name the package exports and every public method of a record class is
-read by a package module, a script or a bench file, or is listed with
-the reason it stays.
+name the package exports, every public method of a record class and
+every field of a record is read by a package module, a script or a
+bench file, or is listed with the reason it stays.
 
 No linter ships with the package, so this stands in for an
 unused-import check: a name bound by an import must be read somewhere
@@ -10,6 +10,7 @@ in the module, in code or in a quoted annotation.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -109,11 +110,16 @@ def test_only_report_names_fail_and_not_applicable(name):
     assert named == [], f"{name} names verdicts that report.py decides: {named}"
 
 
-# Every name a package module, a script or a bench file reads.
-REACHED = {bound for tree in [TREES[name] for name in MODULES] + [
+# The package modules other than `__init__.py`, the scripts and the bench files.
+READERS = [TREES[name] for name in MODULES] + [
     ast.parse(p.read_text(encoding="utf-8"))
     for d in ("scripts", "bench") for p in sorted((ROOT / d).glob("*.py"))]
-    for bound in _reads(tree)}
+# Every name they read, bare or as an attribute.
+REACHED = {bound for tree in READERS for bound in _reads(tree)}
+# Every name they read as an attribute: a method or a field is reached
+# only this way, and a local variable of the same name does not reach it.
+ATTRIBUTES_READ = {n.attr for tree in READERS for n in ast.walk(tree)
+                   if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
 
 # Names `roughtop` exports that no package module, script or bench file
 # reads, each with the reason it stays exported.
@@ -143,14 +149,22 @@ def _record_methods():
             for f in c.body if isinstance(f, ast.FunctionDef) and not f.name.startswith("_")]
 
 
+def _record_fields():
+    """`Class.field` for every name in the `_fields` of a class of the
+    package: a `Record` subclass or a named tuple."""
+    return [f"{c.name}.{field}" for name in MODULES for c in TREES[name].body
+            if isinstance(c, ast.ClassDef)
+            for field in getattr(getattr(importlib.import_module(f"roughtop.{name[:-3]}"),
+                                         c.name), "_fields", ())]
+
+
 # Record methods that no package module, script or bench file reads,
 # each with the reason it stays.
 UNREACHED_METHODS = {
     "Partition.one_block": "the coarsest partition, where every nonempty proper subset is rough; "
                            "the dual of `singletons`",
     "Partition.block_mask_of": "the block [x] of one element, the unit of both approximations",
-    "RoughGroupCert.inverses_of": "the inverses of one member of G, as the certificate "
-                                  "records them",
+    "FiniteMap.then": "the composite of two maps, for library callers",
     "FiniteMap.from_dict": "a map built from a dict of element indices, for library callers",
     "FiniteMap.identity": "the identity map of a subset, for library callers",
 }
@@ -159,5 +173,22 @@ UNREACHED_METHODS = {
 def test_every_record_method_is_reached_or_listed():
     methods = _record_methods()
     assert len(methods) > 30
-    unreached = [m for m in methods if m.partition(".")[2] not in REACHED]
+    unreached = [m for m in methods if m.partition(".")[2] not in ATTRIBUTES_READ]
     assert sorted(unreached) == sorted(UNREACHED_METHODS)
+
+
+# Record fields that no package module, script or bench file reads as
+# an attribute, each with the reason it stays.
+UNREAD_FIELDS = {
+    "RoughSpace.x_mask": "the rough set X whose upper approximation carries the "
+                         "topology; the space is defined by it",
+    "RoughAction.mu": "the action map, from which the action table is read once",
+}
+
+
+def test_every_record_field_is_read_or_listed():
+    fields = _record_fields()
+    assert {"Clause.witness", "TRGCert.tau_G", "TRGHom.algebra",
+            "RoughGroupCert.inverse"} <= set(fields)
+    unread = [f for f in fields if f.partition(".")[2] not in ATTRIBUTES_READ]
+    assert sorted(unread) == sorted(UNREAD_FIELDS)

@@ -5,11 +5,12 @@ import pytest
 
 from roughtop import ApproxSpace, Partition, Universe
 from roughtop.actions import check_AU_open, check_subgroup_open
-from roughtop.errors import AmbiguousInverseError, CapExceededError, InputError
-from roughtop.groups import CayleyTable, verify_rough_group
+from roughtop.errors import CapExceededError, InputError
+from roughtop.groups import CayleyTable, RoughGroupCert, verify_rough_group
 from roughtop.report import serialize_report
-from roughtop.topology import enumerate_topologies, generate_topology
+from roughtop.topology import FiniteMap, enumerate_topologies, generate_topology
 from roughtop.trg import (
+    TRGCert,
     check_G_equals_G_inverse,
     check_base_translation,
     check_closure_subgroup,
@@ -17,6 +18,7 @@ from roughtop.trg import (
     check_open_iff_inverse_open,
     check_topological_group,
     check_translations,
+    decide_trg,
     find_symmetric_square_nbhd,
     inverse_of_set,
     is_rough_symmetric,
@@ -53,7 +55,6 @@ def test_fixa_trg_passes(ws_zmod3, fixa_cert):
         ("product-opens", 16), ("tau-G-opens", 4), ("tau-opens", 5))
     u = ws_zmod3.universes["UA"]
     assert " ".join(u.set_str(m) for m in tcert.tau_G.opens) == "{} {1} {2} {1,2}"
-    assert tcert.codomain_mode == "upper"
 
 
 def test_fixb_trg_passes(ws_s4, fixb_cert):
@@ -131,22 +132,43 @@ def test_trg_input_errors(ws_zmod3, fixa_cert):
             codomain_topology="weird")
 
 
-def test_ambiguous_inverse_guard(ws_zmod3, fixa_cert):
-    u = ws_zmod3.universes["UA"]
-    doctored = fixa_cert._replace(
-        inverse_sets=((u.index("1"), 0b110), (u.index("2"), 0b010)))
-    with pytest.raises(AmbiguousInverseError,
-                       match=r"1 has 2 inverses under identity 0"):
-        verify_trg(doctored, ws_zmod3.topologies["tauA"][1])
+def _with_identity_inverse(cert):
+    """The certificate's fields, with the identity map of G standing in
+    for its inverse map."""
+    u = cert.space.universe
+    return RoughGroupCert(cert.space, cert.g_mask, cert.upper, cert.designated_e,
+                          FiniteMap.identity(u, cert.g_mask))
 
 
-def test_trg_topologies_guard_like_decide_trg(ws_zmod3, fixa_cert):
+def test_decide_trg_reads_the_certificate_inverse(ws_zmod3, fixa_cert):
+    """On tau_G = {} {1} {1,2}, swapping 1 and 2 is not continuous; with
+    the identity map in its place the inverse-map clause passes."""
     u = ws_zmod3.universes["UA"]
-    doctored = fixa_cert._replace(
-        inverse_sets=((u.index("1"), 0b110), (u.index("2"), 0b010)))
-    with pytest.raises(AmbiguousInverseError,
-                       match=r"1 has 2 inverses under identity 0"):
-        trg_topologies(doctored)
+    tau = generate_topology(u, u.all_mask, (u.mask_of(["1"]),))
+    rep, _ = decide_trg(fixa_cert, tau)
+    assert rep.clause("inverse-map-continuity").witness == (
+        "open {1} has preimage {2}, which is not open")
+    rep, _ = decide_trg(_with_identity_inverse(fixa_cert), tau)
+    assert rep.clause("inverse-map-continuity").verdict == "pass"
+
+
+def test_trg_topologies_read_the_certificate_inverse(ws_zmod4):
+    """`trg_topologies` lists the topologies that `decide_trg` passes
+    when both read the inverse map from the certificate: with the
+    identity map in place of 1 <-> 3, the rough group G4 gains two."""
+    cert = cert_of(ws_zmod4, "T4", "P4", "G4")
+    u = cert.space.universe
+    listed = []
+    for c in (cert, _with_identity_inverse(cert)):
+        got = [t.opens for t in trg_topologies(c)]
+        assert got == [t.opens for t in enumerate_topologies(u, c.upper)
+                       if decide_trg(c, t)[0].passed]
+        listed.append(got)
+    assert (len(listed[0]), len(listed[1])) == (20, 22)
+    assert set(listed[0]) < set(listed[1])
+
+
+def test_trg_topologies_guard_like_decide_trg(fixa_cert):
     with pytest.raises(InputError, match=r"unknown codomain topology mode 'weird'"):
         trg_topologies(fixa_cert, "weird")
 
@@ -221,8 +243,8 @@ def test_open_inverse_names_failing_witnesses():
     _, cert = verify_rough_group(
         ApproxSpace(u, Partition.singletons(u), table), u.all_mask)
     _, tcert = verify_trg(cert, generate_topology(u, u.all_mask, (0, u.all_mask)))
-    doctored = tcert._replace(
-        tau_G=generate_topology(u, u.all_mask, (u.mask_of(["1"]),)))
+    doctored = TRGCert(tcert.group, tcert.tau,
+                       generate_topology(u, u.all_mask, (u.mask_of(["1"]),)))
     rep = check_open_iff_inverse_open(doctored)
     assert serialize_report(rep) == (
         "FAIL open-inverse\n"
@@ -260,7 +282,7 @@ def test_symmetric_square_no_witness(fixa_trg):
     """With the open sets thinned out no symmetric square fits inside W."""
     u = fixa_trg.group.space.universe
     thin = generate_topology(u, 0b111, (0, 0b011, 0b111))
-    doctored = fixa_trg._replace(tau=thin)
+    doctored = TRGCert(fixa_trg.group, thin, fixa_trg.tau_G)
     v, rep = find_symmetric_square_nbhd(doctored, 0b011)
     assert v is None
     assert rep.verdict == "fail"
@@ -334,7 +356,7 @@ def test_product_trg(fixa_trg, fixb_trg):
     assert prod.group.space.universe.size == 9
     assert len(prod.tau.opens) == 48
     assert len(prod.tau_G.opens) == 16
-    assert prod.evidence.verdict == "pass"
+    assert verify_trg(prod.group, prod.tau)[0].verdict == "pass"
     with pytest.raises(CapExceededError,
                        match=r"72 elements, exceeding the cap of 64"):
         product_trg(fixa_trg, fixb_trg)
