@@ -95,6 +95,18 @@ def inverses_in(table: CayleyTable, x: int, mask: int, e: int) -> int:
     return acc
 
 
+def _identities(table: CayleyTable, candidates: int, members: int) -> int:
+    """The candidates c with x*c = c*x = x for every x in members, as a mask."""
+    rows = table.rows
+    elems = tuple(bit_indices(members))
+    acc = 0
+    for c in bit_indices(candidates):
+        row_c = rows[c]
+        if all(rows[x][c] == x and row_c[x] == x for x in elems):
+            acc |= 1 << c
+    return acc
+
+
 def group_axioms_witness(table: CayleyTable, mask: int) -> str | None:
     """First classical group-axiom violation on a subset, or None.
 
@@ -105,13 +117,11 @@ def group_axioms_witness(table: CayleyTable, mask: int) -> str | None:
            or associativity_witness(table, mask))
     if wit:
         return wit
-    elems = tuple(bit_indices(mask))
-    e = next((c for c in elems
-              if all(table.rows[x][c] == x and table.rows[c][x] == x
-                     for x in elems)), None)
-    if e is None:
+    identities = _identities(table, mask, mask)
+    if not identities:
         return "no identity element in the set"
-    for x in elems:
+    e = (identities & -identities).bit_length() - 1
+    for x in bit_indices(mask):
         if not inverses_in(table, x, mask, e):
             return f"{table.universe.elements[x]} has no inverse in the set"
     return None
@@ -160,7 +170,6 @@ def verify_rough_group(
     table = space.op
     upper = upper_approx(space, g_mask)
     g_elems = tuple(bit_indices(g_mask))
-    up_elems = tuple(bit_indices(upper))
     clauses = []
 
     wit = escape_witness(table, g_mask, upper,
@@ -169,18 +178,12 @@ def verify_rough_group(
     wit = associativity_witness(table, upper)
     clauses.append(law("associativity-on-upper", wit))
 
-    identities = tuple(
-        c for c in up_elems
-        if all(table.rows[x][c] == x and table.rows[c][x] == x for x in g_elems)
-    )
+    identities = _identities(table, upper, g_mask)
     if identities:
-        e = identities[0]
-        cand = 0
-        for c in identities:
-            cand |= 1 << c
+        e = (identities & -identities).bit_length() - 1
         clauses.append(Clause(
             "identity-exists", PASS,
-            f"designated identity {u.elements[e]}; candidates {u.set_str(cand)}",
+            f"designated identity {u.elements[e]}; candidates {u.set_str(identities)}",
         ))
     else:
         e = None
@@ -191,11 +194,7 @@ def verify_rough_group(
         ))
         # the definition quantifies per element; note when that weaker
         # reading would have been satisfiable
-        per_element = all(
-            any(table.rows[x][c] == x and table.rows[c][x] == x for c in up_elems)
-            for x in g_elems
-        )
-        if per_element:
+        if all(_identities(table, upper, 1 << x) for x in g_elems):
             clauses.append(Clause(
                 "per-element-identities", INFO,
                 "each member of G has some identity of its own, but no single "
@@ -217,7 +216,7 @@ def verify_rough_group(
         clauses.append(law("inverses-exist", wit))
 
     report = combine("rough-group", clauses,
-                     stats=[("identity-candidates", len(identities)),
+                     stats=[("identity-candidates", identities.bit_count()),
                             ("upper-size", upper.bit_count())])
     if not report.passed:
         return report, None
@@ -298,21 +297,13 @@ def enumerate_rough_subgroups(
     return tuple(found)
 
 
-_CLASSIFICATIONS = ("homomorphism-only", "monomorphism", "epimorphism",
-                    "isomorphism")
-
-
 class RoughHom(Record):
     """A verified structure-compatible map between two rough groups."""
 
-    _fields = ("source", "target", "fmap", "classification")
+    _fields = ("source", "target", "fmap")
 
-    def __init__(self, source: RoughGroupCert, target: RoughGroupCert,
-                 fmap: FiniteMap, classification: str):
-        if classification not in _CLASSIFICATIONS:
-            raise InputError(f"unknown classification {classification!r}")
-        self._set(source=source, target=target, fmap=fmap,
-                  classification=classification)
+    def __init__(self, source: RoughGroupCert, target: RoughGroupCert, fmap: FiniteMap):
+        self._set(source=source, target=target, fmap=fmap)
 
 
 def verify_rough_homomorphism(
@@ -379,7 +370,7 @@ def verify_rough_homomorphism(
     )
     if not report.passed:
         return report, None
-    return report, RoughHom(src, tgt, fmap, classification)
+    return report, RoughHom(src, tgt, fmap)
 
 
 def rough_kernel(hom: RoughHom) -> tuple[int, VerificationReport]:
@@ -400,13 +391,11 @@ def rough_kernel(hom: RoughHom) -> tuple[int, VerificationReport]:
         ))
         return kernel, combine("rough-kernel", clauses,
                                stats=[("kernel-size", 0)])
-    sub = verify_rough_subgroup(src, kernel)
-    clauses.append(sub.as_clause("kernel-subgroup"))
-    if sub.passed:
-        clauses.append(is_rough_normal(src, kernel).as_clause("kernel-normal"))
-    else:
-        clauses.append(premise("kernel-normal",
-                               "skipped: kernel is not a rough subgroup"))
+    normal = is_rough_normal(src, kernel)
+    wit = normal.clause("premise-rough-subgroup").witness
+    clauses += [law("kernel-subgroup", wit),
+                premise("kernel-normal", "skipped: kernel is not a rough subgroup")
+                if wit else normal.as_clause("kernel-normal")]
     return kernel, combine("rough-kernel", clauses,
                            stats=[("kernel-size", kernel.bit_count())])
 

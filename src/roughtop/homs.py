@@ -25,10 +25,6 @@ class TRGHom(namedtuple("TRGHom", "src tgt fmap algebra")):
 
     __slots__ = ()
 
-    @property
-    def classification(self) -> str:
-        return self.algebra.classification
-
 
 def verify_trg_homomorphism(
     src: TRGCert,

@@ -30,7 +30,7 @@ from itertools import islice
 from .approx import CayleyTable, Partition, Universe
 from .errors import InputError, ParseError
 from .record import Record
-from .topology import FiniteMap, FiniteTopology
+from .topology import FiniteMap, verify_topology
 
 _BRACE_RE = re.compile(r"\{([^{}]*)\}")
 _TOKEN_RE = re.compile(r"\S+")
@@ -147,7 +147,10 @@ def _build_topology(name, refs, tail, off, lineno, lines):
                 f"carrier {u.set_str(carrier)}: {tok!r} lies outside it",
                 lineno, col)
         family.append(mask)
-    return cname, FiniteTopology.from_family(u, carrier, family)
+    rep, top = verify_topology(u, carrier, family)
+    if top is None:
+        raise InputError(f"family is not a topology: {rep.first_witness()}")
+    return cname, top
 
 
 def _build_map(name, refs, tail, off, lineno, lines):

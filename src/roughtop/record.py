@@ -4,8 +4,11 @@ A subclass names its fields in ``_fields`` and stores them, together
 with any derived private state, through ``_set``.  It then compares and
 hashes by those fields (only against its own class), and assigning or
 deleting an attribute raises AttributeError.  There is no copy with
-changed fields: every record is built through ``__init__``, so its
-validation, normalisation and derived state always hold.
+changed fields: a record is built through ``__init__``, so its
+validation, normalisation and derived state always hold, except in
+`topology.Topologies`: for speed it builds each enumerated topology
+through ``__new__`` and one ``_set`` of its fields and opens (0.51 s
+for all 209527 six-point ones, 0.67 s through the constructor).
 """
 
 from __future__ import annotations

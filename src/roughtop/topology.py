@@ -73,34 +73,14 @@ class FiniteTopology(Record):
 
     `FiniteTopology(universe, carrier, nbhd)` takes the neighbourhoods
     (any iterable) and assumes they form a preorder.  A family of
-    opens goes through `from_family`, which validates it with
-    `verify_topology`, and a subbasis through `generate_topology`.
+    opens goes through `verify_topology`, which returns the topology it
+    validates, and a subbasis through `generate_topology`.
     """
 
     _fields = ("universe", "carrier", "nbhd")
 
     def __init__(self, universe: Universe, carrier: int, nbhd):
         self._set(universe=universe, carrier=carrier, nbhd=tuple(nbhd))
-
-    @classmethod
-    def from_family(cls, universe: Universe, carrier: int, family) -> "FiniteTopology":
-        """Validate the family with `verify_topology`, then read N(p) off
-        it as the first member, in canonical order, that holds p: every
-        open holding p contains N(p), which is a member, so its mask is
-        no smaller.  One cheap pass, where `_nbhds` intersects every
-        member with every point."""
-        fam = canonical_family(family)
-        rep = verify_topology(universe, carrier, fam)
-        if rep.verdict != PASS:
-            raise InputError(f"family is not a topology: {rep.first_witness()}")
-        nbhd = [0] * universe.size
-        seen = 0
-        for m in fam:
-            if m & ~seen:
-                for p in bit_indices(m & ~seen):
-                    nbhd[p] = m
-                seen |= m
-        return cls(universe, carrier, nbhd)
 
     @cached_property
     def up(self) -> tuple[int, ...]:
@@ -221,15 +201,18 @@ _TOPOLOGY_CLAUSES = ("empty-set-member", "carrier-member", "union-closure",
                      "intersection-closure")
 
 
-def verify_topology(universe: Universe, carrier: int, family) -> VerificationReport:
-    """Check the finite topology axioms on a raw family of subsets.
+def verify_topology(universe: Universe, carrier: int, family
+                    ) -> tuple[VerificationReport, FiniteTopology | None]:
+    """Check the finite topology axioms on a raw family of subsets, and
+    return the topology it is, or None.
 
     Every member is open in the topology that the family's own
     neighbourhoods generate, and every open there is a union of
     neighbourhoods.  So the family is a topology exactly when it holds
     the empty set and the carrier and m | N(p) is a member for every
-    member m and point p: O(|family| * n).  Only a failing family gets
-    the pairwise scan, which names the first offending pair.
+    member m and point p: O(|family| * n).  Those N(p) are then the
+    topology's.  Only a failing family gets the pairwise scan, which
+    names the first offending pair.
     """
     universe.check_subset(carrier, "carrier")
     fam = canonical_family(family)
@@ -241,11 +224,11 @@ def verify_topology(universe: Universe, carrier: int, family) -> VerificationRep
             )
     stats = [("members", len(fam))]
     members = frozenset(fam)
-    nbhds = set(_nbhds(universe.size, carrier, fam)) - {0}
+    nbhd = _nbhds(universe.size, carrier, fam)
     if 0 in members and carrier in members and all(
-            m | n in members for n in nbhds for m in fam):
-        return combine("topology", [Clause(c, PASS) for c in _TOPOLOGY_CLAUSES],
-                       stats=stats)
+            m | n in members for n in set(nbhd) - {0} for m in fam):
+        rep = combine("topology", [Clause(c, PASS) for c in _TOPOLOGY_CLAUSES], stats=stats)
+        return rep, FiniteTopology(universe, carrier, nbhd)
     clauses = [
         law("empty-set-member",
             None if 0 in members else "the empty set is missing from the family"),
@@ -259,7 +242,7 @@ def verify_topology(universe: Universe, carrier: int, family) -> VerificationRep
             f"{word} of {universe.set_str(a)} and {universe.set_str(b)} = "
             f"{universe.set_str(op(a, b))} is not in the family")
         clauses.append(law(f"{word}-closure", wit))
-    return combine("topology", clauses, stats=stats)
+    return combine("topology", clauses, stats=stats), None
 
 
 def generate_topology(universe: Universe, carrier: int, subbasis) -> FiniteTopology:

@@ -244,6 +244,45 @@ def test_homogeneous_text():
         "  stat points=3\n")
 
 
+_ACTION_RIGHT = ("check action --table TA --partition PA --group GA --topology tauD "
+                 "--x-partition PA --x-subset GA --x-topology tauD --side right --map")
+
+
+def test_right_action_reads_the_group_element_second():
+    code, out, _ = run_cli(_ACTION_RIGHT.split() + ["mu"], fixture="zmod3_selfaction.rg")
+    assert code == 0 and out.startswith("PASS rough-action\n")
+    code, out, _ = run_cli(_ACTION_RIGHT.split() + ["mut"], fixture="zmod3_selfaction.rg")
+    assert code == 1
+    assert ("  compatibility: fail  witness: ((0 1) 0) = 0 but the combined "
+            "element gives 1\n") in out
+    assert "  identity: fail  witness: identity 0 moves 1 to 0\n" in out
+
+
+_STRICT_HOM = ("check hom --src-table {t} --src-partition {p} --src-group {g} "
+               "--tgt-table {t} --tgt-partition {p} --tgt-group {g} --map {m} --strict-hom")
+
+
+def test_strict_hom_passes_an_upper_closed_source():
+    code, out, _ = run_cli(
+        _STRICT_HOM.format(t="TA", p="PA", g="GA", m="neg").split(), fixture="zmod3.rg")
+    assert code == 0
+    assert "  upper-closed: pass\n" in out
+
+
+def test_strict_hom_names_the_product_that_leaves_the_upper_approximation(tmp_path):
+    text = (FIXDIR / "s4.rg").read_text(encoding="utf-8")
+    upper = next(line for line in text.splitlines()
+                 if line.startswith("subset GbarB ")).split(":")[1].split()
+    path = tmp_path / "s4_identity.rg"
+    path.write_text(text + "map idB from GbarB to GbarB: "
+                    + " ".join(f"{x}->{x}" for x in upper) + "\n", encoding="utf-8")
+    code, out, _ = run_cli(_STRICT_HOM.format(t="TB", p="PB", g="GB", m="idB").split()
+                           + ["--file", str(path)])
+    assert code == 1
+    assert ("  upper-closed: fail  witness: (12) * (34) = (12)(34) leaves the "
+            "source upper approximation\n") in out
+
+
 def test_missing_flag_is_error_report():
     code, out, err = run_cli(
         "check trg --table TA --partition PA --group GA".split(),

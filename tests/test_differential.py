@@ -15,7 +15,17 @@ import pytest
 from roughtop import ApproxSpace, Partition, RoughSpace, Universe
 from roughtop.actions import is_rough_homogeneous, verify_rough_action
 from roughtop.approx import product_mask, product_universe
-from roughtop.groups import CayleyTable, inverses_in, set_product, verify_rough_group
+from roughtop.groups import (
+    CayleyTable,
+    RoughHom,
+    inverses_in,
+    is_rough_normal,
+    rough_kernel,
+    set_product,
+    verify_rough_group,
+    verify_rough_subgroup,
+)
+from roughtop.report import premise
 from roughtop.topology import (
     FiniteMap,
     enumerate_topologies,
@@ -246,8 +256,12 @@ def test_verify_topology_matches_oracle_on_random_families():
         n = rng.randint(0, 6)
         u = Universe(tuple(str(i) for i in range(n)))
         carrier, fam = _random_family(rng, n)
-        got = verify_topology(u, carrier, fam)
+        got, top = verify_topology(u, carrier, fam)
         assert got == oracle_verify_topology(u, carrier, fam), (n, fam)
+        if got.passed:
+            assert top.opens == tuple(sorted(set(fam))), (n, fam)
+        else:
+            assert top is None, (n, fam)
         verdicts.add(got.verdict)
     assert verdicts == {"pass", "fail"}
 
@@ -432,6 +446,32 @@ def test_inverse_map_names_the_only_inverse_on_every_rough_group_of_z2_to_z4(fix
         for g in mask_to_set(cert.g_mask):
             assert inverses_in(cert.table, g, cert.g_mask, cert.designated_e) == (
                 1 << cert.inverse.apply(g))
+
+
+def test_rough_kernel_matches_checking_its_kernel_directly(fixb_cert):
+    """For every rough group of Z_2..Z_4 and the S4 fixture (GB), and
+    every nonempty subset K of G, a map sending exactly K to the
+    identity has kernel K, and `rough_kernel` reports on K what
+    `verify_rough_subgroup` and then `is_rough_normal` report.  The
+    kernel reads only the map, so the map need not be a homomorphism."""
+    certs = [c for n in (2, 3, 4) for c in _cyclic_rough_groups(n)] + [fixb_cert]
+    verdicts = set()
+    for cert in certs:
+        u, e, g = cert.space.universe, cert.designated_e, cert.g_mask
+        other = next((x for x in mask_to_set(cert.upper) if x != e), e)
+        sub = 0
+        while sub := (sub - g) & g:
+            fmap = FiniteMap(u, u, cert.upper, cert.upper, tuple(
+                (x, e if sub >> x & 1 else other) for x in mask_to_set(cert.upper)))
+            kernel, krep = rough_kernel(RoughHom(cert, cert, fmap))
+            assert kernel == sub
+            want = verify_rough_subgroup(cert, sub).as_clause("kernel-subgroup")
+            assert krep.clause("kernel-subgroup") == want
+            assert krep.clause("kernel-normal") == (
+                is_rough_normal(cert, sub).as_clause("kernel-normal") if want.verdict == "pass"
+                else premise("kernel-normal", "skipped: kernel is not a rough subgroup"))
+            verdicts.add(krep.verdict)
+    assert verdicts == {"pass", "fail"}
 
 
 @pytest.mark.parametrize("side", ["left", "right"])

@@ -2,6 +2,7 @@
 
 import pytest
 
+import roughtop.groups as groups
 from roughtop import ApproxSpace, Partition, Universe
 from roughtop.errors import CapExceededError, InputError
 from roughtop.groups import (
@@ -233,7 +234,6 @@ def test_hom_constant_map(fixa_cert, fixb_cert, ws_hom):
     tgt = fixb_cert
     rep, hom = verify_rough_homomorphism(src, tgt, ws_hom.maps["Phi"][2])
     assert rep.verdict == "pass"
-    assert hom.classification == "homomorphism-only"
     assert rep.clause("classification").witness == "homomorphism-only"
     assert rep.stats == (("constrained-pairs", 9), ("unconstrained-pairs", 0))
     kernel, krep = rough_kernel(hom)
@@ -260,7 +260,7 @@ def test_hom_embedding_is_mono(fixa_cert, fixb_cert, ws_hom):
     tgt = fixb_cert
     rep, hom = verify_rough_homomorphism(src, tgt, ws_hom.maps["emb"][2])
     assert rep.verdict == "pass"
-    assert hom.classification == "monomorphism"
+    assert rep.clause("classification").witness == "monomorphism"
 
 
 def test_hom_identity_is_iso_with_empty_kernel(fixa_cert):
@@ -269,7 +269,7 @@ def test_hom_identity_is_iso_with_empty_kernel(fixa_cert):
     ident = FiniteMap.identity(u, cert.upper)
     rep, hom = verify_rough_homomorphism(cert, cert, ident)
     assert rep.verdict == "pass"
-    assert hom.classification == "isomorphism"
+    assert rep.clause("classification").witness == "isomorphism"
     kernel, krep = rough_kernel(hom)
     assert kernel == 0
     assert krep.verdict == "not-applicable"
@@ -282,7 +282,7 @@ def test_hom_negation_is_automorphism(fixa_cert, ws_zmod3):
     cert = fixa_cert
     rep, hom = verify_rough_homomorphism(cert, cert, ws_zmod3.maps["neg"][2])
     assert rep.verdict == "pass"
-    assert hom.classification == "isomorphism"
+    assert rep.clause("classification").witness == "isomorphism"
 
 
 def test_hom_strict_mode(fixb_cert):
@@ -291,8 +291,8 @@ def test_hom_strict_mode(fixb_cert):
     cert = fixb_cert
     ident = FiniteMap.identity(cert.space.universe, cert.upper)
     loose, hom = verify_rough_homomorphism(cert, cert, ident)
-    assert loose.verdict == "pass"
-    assert hom.classification == "isomorphism"
+    assert loose.verdict == "pass" and hom is not None
+    assert loose.clause("classification").witness == "isomorphism"
     assert loose.stats == (("constrained-pairs", 147), ("unconstrained-pairs", 78))
     strict, shom = verify_rough_homomorphism(cert, cert, ident, strict=True)
     assert strict.verdict == "fail"
@@ -315,13 +315,23 @@ def test_kernel_need_not_be_normal(fixa_cert, fixb_cert):
         {i: uA.index("0") for i in range(24) if (src.upper >> i) & 1})
     rep, hom = verify_rough_homomorphism(src, tgt, const)
     assert rep.verdict == "pass"
-    assert hom.classification == "homomorphism-only"
+    assert rep.clause("classification").witness == "homomorphism-only"
     kernel, krep = rough_kernel(hom)
     assert uB.set_str(kernel) == "{(12),(123),(132)}"
     assert krep.verdict == "fail"
     assert krep.clause("kernel-subgroup").verdict == "pass"
     assert krep.clause("kernel-normal").witness == (
         "x = (123): x*N = {1,(13),(132)} but N*x = {1,(23),(132)}")
+
+
+def test_rough_kernel_verifies_the_kernel_once(fixa_cert, fixb_cert, ws_hom, monkeypatch):
+    calls = []
+    sub = groups.verify_rough_subgroup
+    monkeypatch.setattr(groups, "verify_rough_subgroup", lambda *a: calls.append(a) or sub(*a))
+    _, hom = verify_rough_homomorphism(fixa_cert, fixb_cert, ws_hom.maps["Phi"][2])
+    kernel, krep = rough_kernel(hom)
+    assert krep.clause("kernel-normal").verdict == "pass"
+    assert calls == [(fixa_cert, kernel)]
 
 
 def test_hom_domain_mismatch(fixa_cert, fixb_cert):

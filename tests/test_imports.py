@@ -116,10 +116,31 @@ READERS = [TREES[name] for name in MODULES] + [
     for d in ("scripts", "bench") for p in sorted((ROOT / d).glob("*.py"))]
 # Every name they read, bare or as an attribute.
 REACHED = {bound for tree in READERS for bound in _reads(tree)}
+
+
+def _off_args(node) -> bool:
+    """Whether an expression is an argparse namespace: `args` or `r.args`."""
+    return (isinstance(node, ast.Name) and node.id == "args"
+            or isinstance(node, ast.Attribute) and node.attr == "args")
+
+
+def _attribute_reads(node, function=None):
+    """Every name read as an attribute under node, except a read off an
+    argparse namespace and a read of `.x` inside a function named `x`,
+    which forwards the name rather than reaching it."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _attribute_reads(child, child.name)
+            continue
+        if (isinstance(child, ast.Attribute) and isinstance(child.ctx, ast.Load)
+                and child.attr != function and not _off_args(child.value)):
+            yield child.attr
+        yield from _attribute_reads(child, function)
+
+
 # Every name they read as an attribute: a method or a field is reached
 # only this way, and a local variable of the same name does not reach it.
-ATTRIBUTES_READ = {n.attr for tree in READERS for n in ast.walk(tree)
-                   if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+ATTRIBUTES_READ = {bound for tree in READERS for bound in _attribute_reads(tree)}
 
 # Names `roughtop` exports that no package module, script or bench file
 # reads, each with the reason it stays exported.
@@ -140,12 +161,19 @@ def test_every_export_is_reached_or_listed():
     assert sorted(set(exported) - REACHED) == sorted(UNREACHED_EXPORTS)
 
 
+def _is_record_base(base) -> bool:
+    """`Record`, or a `namedtuple(...)` call."""
+    return (isinstance(base, ast.Name) and base.id == "Record"
+            or isinstance(base, ast.Call) and isinstance(base.func, ast.Name)
+            and base.func.id == "namedtuple")
+
+
 def _record_methods():
     """`Class.method` for every method, classmethod and property without
-    a leading underscore of a class whose base is `Record`."""
+    a leading underscore of a class whose base is `Record` or a named
+    tuple."""
     return [f"{c.name}.{f.name}" for tree in TREES.values() for c in ast.walk(tree)
-            if isinstance(c, ast.ClassDef) and any(
-                isinstance(b, ast.Name) and b.id == "Record" for b in c.bases)
+            if isinstance(c, ast.ClassDef) and any(map(_is_record_base, c.bases))
             for f in c.body if isinstance(f, ast.FunctionDef) and not f.name.startswith("_")]
 
 
@@ -172,7 +200,7 @@ UNREACHED_METHODS = {
 
 def test_every_record_method_is_reached_or_listed():
     methods = _record_methods()
-    assert len(methods) > 30
+    assert len(methods) > 30 and "TRGCert.upper" in methods
     unreached = [m for m in methods if m.partition(".")[2] not in ATTRIBUTES_READ]
     assert sorted(unreached) == sorted(UNREACHED_METHODS)
 
@@ -183,6 +211,9 @@ UNREAD_FIELDS = {
     "RoughSpace.x_mask": "the rough set X whose upper approximation carries the "
                          "topology; the space is defined by it",
     "RoughAction.mu": "the action map, from which the action table is read once",
+    "RoughAction.side": "which argument of the map the group element is; without it a "
+                        "left and a right reading of one map, whose tables differ, "
+                        "would compare equal",
 }
 
 

@@ -146,7 +146,8 @@ def test_generated_topology_matches_fixpoint_oracle(sub):
     u, carrier, members = sub
     top = generate_topology(u, carrier, members)
     assert set(top.opens) == set(oracle_close_family(carrier, members))
-    assert verify_topology(u, carrier, top.opens).verdict == "pass"
+    rep, again = verify_topology(u, carrier, top.opens)
+    assert rep.verdict == "pass" and again == top
 
 
 @given(small_subbasis(), st.data())

@@ -26,7 +26,7 @@ from roughtop import (
 )
 from roughtop.actions import verify_rough_action
 from roughtop.errors import InputError
-from roughtop.groups import RoughHom, verify_rough_homomorphism
+from roughtop.groups import verify_rough_homomorphism
 from roughtop.homs import verify_trg_homomorphism
 from roughtop.report import (
     FAIL,
@@ -191,8 +191,6 @@ def test_validation_messages_are_kept():
         CayleyTable(u, ((0, 1),))
     with pytest.raises(InputError, match=r"map is not total: missing \{b\}"):
         FiniteMap(u, u, 0b11, 0b11, ((0, 0),))
-    with pytest.raises(InputError, match=r"unknown classification 'x'"):
-        RoughHom(FIRST["RoughGroupCert"], FIRST["RoughGroupCert"], FIRST["FiniteMap"], "x")
 
 
 def test_constructors_derive_private_state():

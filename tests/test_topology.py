@@ -5,7 +5,7 @@ import random
 import pytest
 
 import roughtop.topology as topology
-from roughtop import Universe
+from roughtop import Universe, parse_spec
 from roughtop.errors import CapExceededError, InputError
 from roughtop.report import serialize_report
 from roughtop.topology import (
@@ -42,18 +42,19 @@ def test_verify_topology_passes_fixture(ws_s4):
     u = ws_s4.universes["UB"]
     top = ws_s4.topologies["tauB"][1]
     assert len(top.opens) == 5
-    rep = verify_topology(u, top.carrier, top.opens)
+    rep, got = verify_topology(u, top.carrier, top.opens)
     assert rep.verdict == "pass"
     assert all(c.verdict == "pass" for c in rep.clauses)
     assert rep.stats == (("members", 5),)
+    assert got == top
 
 
 def test_verify_topology_union_witness(ws_s4):
     u = ws_s4.universes["UB"]
     top = ws_s4.topologies["tauB"][1]
     drop = u.mask_of(["1", "(12)", "(123)", "(132)"])
-    rep = verify_topology(u, top.carrier, [m for m in top.opens if m != drop])
-    assert rep.verdict == "fail"
+    rep, got = verify_topology(u, top.carrier, [m for m in top.opens if m != drop])
+    assert rep.verdict == "fail" and got is None
     assert rep.clause("union-closure").witness == (
         "union of {(12)} and {1,(123),(132)} = {1,(12),(123),(132)} "
         "is not in the family")
@@ -63,8 +64,8 @@ def test_verify_topology_union_witness(ws_s4):
 def test_verify_topology_missing_empty_set(ws_s4):
     u = ws_s4.universes["UB"]
     top = ws_s4.topologies["tauB"][1]
-    rep = verify_topology(u, top.carrier, [m for m in top.opens if m != 0])
-    assert rep.verdict == "fail"
+    rep, got = verify_topology(u, top.carrier, [m for m in top.opens if m != 0])
+    assert rep.verdict == "fail" and got is None
     assert rep.clause("empty-set-member").witness == (
         "the empty set is missing from the family")
     assert rep.clause("intersection-closure").witness == (
@@ -73,9 +74,9 @@ def test_verify_topology_missing_empty_set(ws_s4):
 
 def test_verify_topology_intersection_witness():
     u = Universe(("a", "b", "c"))
-    rep = verify_topology(
+    rep, got = verify_topology(
         u, 0b111, [0, u.mask_of(["a", "b"]), u.mask_of(["b", "c"]), 0b111])
-    assert rep.verdict == "fail"
+    assert rep.verdict == "fail" and got is None
     assert rep.clause("intersection-closure").witness == (
         "intersection of {a,b} and {b,c} = {b} is not in the family")
 
@@ -363,27 +364,27 @@ def test_enumerate_topologies_cap():
         enumerate_topologies(u, 0b1111111)
 
 
-def test_from_family_computes_the_neighbourhoods_once(u3, monkeypatch):
+def test_a_declared_topology_computes_the_neighbourhoods_once(monkeypatch):
     calls = []
     nbhds = topology._nbhds
     monkeypatch.setattr(topology, "_nbhds", lambda *a: calls.append(a) or nbhds(*a))
-    top = FiniteTopology.from_family(u3, 0b111, (0b111, 0, 0b010, 0b110, 0b100))
-    assert top.nbhd == (0b111, 0b010, 0b100)
+    ws = parse_spec("universe U: 0 1 2\ntopology tau on U: {0 1 2} {} {1} {1 2} {2}\n")
+    assert ws.topologies["tau"][1].nbhd == (0b111, 0b010, 0b100)
     assert len(calls) == 1
 
 
-def test_from_family_reads_the_neighbourhoods_of_every_small_topology():
+def test_verify_topology_reads_the_neighbourhoods_of_every_small_topology():
     u = Universe(tuple(str(i) for i in range(6)))
     for carrier in (0b1111, 0b101101):
         for top in enumerate_topologies(u, carrier):
-            got = FiniteTopology.from_family(u, carrier, reversed(top.opens))
-            assert got.nbhd == top.nbhd
+            rep, got = verify_topology(u, carrier, reversed(top.opens))
+            assert rep.passed and got.nbhd == top.nbhd
 
 
-def test_from_family_checks_the_carrier_first(u3):
+def test_verify_topology_checks_the_carrier_first(u3):
     for carrier in (-1, 0b1000):
         with pytest.raises(InputError, match=r"carrier is not a subset of the universe"):
-            FiniteTopology.from_family(u3, carrier, (0, 0b1000))
+            verify_topology(u3, carrier, (0, 0b1000))
 
 
 def test_finite_topology_canonicalizes_and_validates(u3):
@@ -391,13 +392,14 @@ def test_finite_topology_canonicalizes_and_validates(u3):
     assert top.opens == (0, 0b010, 0b100, 0b110, 0b111)
     assert top.is_open(0b110) and not top.is_open(0b001)
     with pytest.raises(InputError, match=r"not a subset of the carrier"):
-        FiniteTopology.from_family(u3, 0b011, (0, 0b011, 0b100))
-    with pytest.raises(InputError, match=r"family is not a topology: union of"):
-        FiniteTopology.from_family(u3, 0b111, (0, 0b010, 0b100, 0b111))
+        verify_topology(u3, 0b011, (0, 0b011, 0b100))
+    rep, got = verify_topology(u3, 0b111, (0, 0b010, 0b100, 0b111))
+    assert got is None
+    assert rep.first_witness().startswith("union of")
 
 
 def test_report_serialization_shape(topA, u3):
-    rep = verify_topology(u3, 0b111, topA.opens)
+    rep, _ = verify_topology(u3, 0b111, topA.opens)
     text = serialize_report(rep)
     assert text.splitlines()[0] == "PASS topology"
     assert text.endswith("stat members=5\n")
