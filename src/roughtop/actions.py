@@ -217,21 +217,27 @@ def is_rough_homogeneous(rspace: RoughSpace) -> str | None:
     N(a) inside N(b) of the same size, hence N(a) = N(b): the preorder
     is an equivalence whose classes are the neighbourhoods, all open
     and of one size, and a bijection carrying classes to classes joins
-    any two points.
+    any two points.  So the sizes |N(p)| decide, and the closures,
+    taken once per class of the class table, only name the witness.
 
     Witness: p is the first point and q the first point whose key
     differs from p's; no self-homeomorphism carries p to q.
     """
     xu = rspace.space.universe
-    top = rspace.tau_x
-    nbhd, up = top.nbhd, top.up
-    points = tuple(bit_indices(rspace.upper_x))
-    key = [(nbhd[p].bit_count(), up[p].bit_count()) for p in points]
-    for q, k in zip(points, key):
-        if k != key[0]:
-            return (f"no self-homeomorphism carries "
-                    f"{xu.elements[points[0]]} to {xu.elements[q]}")
-    return None
+    classes = rspace.tau_x.classes
+    if len({n.bit_count() for n, _, _ in classes}) < 2:
+        return None
+    closed = [0] * len(classes)  # the closure of each class's points
+    for _, points, below in classes:
+        for i in bit_indices(below):
+            closed[i] |= points
+    key = {points: (n.bit_count(), c.bit_count())
+           for (n, points, _), c in zip(classes, closed)}
+    p = rspace.upper_x & -rspace.upper_x
+    first = next(k for points, k in key.items() if points & p)
+    q = sum(points for points, k in key.items() if k != first)
+    return (f"no self-homeomorphism carries {xu.elements[p.bit_length() - 1]} "
+            f"to {xu.elements[(q & -q).bit_length() - 1]}")
 
 
 def _upper_group_premise(cert: TRGCert) -> Clause:

@@ -401,10 +401,10 @@ def _decode(data: bytes) -> str:
 
 
 def _read_input(path: str | None) -> str:
-    """The document from the file, or else from stdin.  Stdin is decoded
-    from its bytes like a file; a text-only stream (no `buffer`, as an
-    in-memory StringIO) is read as text."""
-    if path:
+    """The document from the file, even at an empty path, or else from
+    stdin.  Stdin is decoded from its bytes like a file; a text-only
+    stream (no `buffer`, as an in-memory StringIO) is read as text."""
+    if path is not None:
         with open(path, "rb") as fh:
             return _decode(fh.read())
     buf = getattr(sys.stdin, "buffer", None)
@@ -426,7 +426,7 @@ def main(argv: list[str] | None = None) -> int:
         if exc.code != 2:
             raise
         return 3
-    source = args.file or "<stdin>"
+    source = "<stdin>" if args.file is None else args.file
     try:
         ws = parse_spec(_read_input(args.file))
     except OSError as e:

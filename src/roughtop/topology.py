@@ -10,9 +10,11 @@ meets A, the interior is the set of points whose N(p) lies inside A, a
 subspace on A has N(p) & A, a product has N((x, y)) = N(x) x N(y), and
 a map f is continuous iff f(N(p)) lies inside N(f(p)) for every p
 (Barmak, *Algebraic Topology of Finite Topological Spaces and
-Applications*, LNM 2032, 2011).  The list of opens is derived on first
-use, only for callers that print or walk every open, and
-`count_opens` counts them without listing them.
+Applications*, LNM 2032, 2011).  Points with one N(p) form a class,
+and the opens are the down-sets of the classes ordered by inclusion.
+One class table per topology, built on first use, gives the distinct
+neighbourhoods, the opens (listed only for callers that print or walk
+them all) and their count, whose counter also counts G x G.
 
 Enumeration is the one place that carries the opens instead.  Each
 preorder on n points is built once from one on n - 1 points, and its
@@ -83,99 +85,41 @@ class FiniteTopology(Record):
         self._set(universe=universe, carrier=carrier, nbhd=tuple(nbhd))
 
     @cached_property
-    def up(self) -> tuple[int, ...]:
-        """up[p]: the points whose neighbourhood contains p, which is
-        the closure of {p}.  The points q sharing one neighbourhood all
-        lie in it, so one walk of N(q) finds them and adds them to
-        up[p] together; a dense topology has few distinct
-        neighbourhoods, however many points it has.  q's own bit in
-        up[q] marks its class as done."""
+    def classes(self) -> tuple[tuple[int, int, int], ...]:
+        """One (N, points, below) per distinct N(p), in canonical order:
+        the points with that N, and the mask of the classes (by index)
+        inside N, its own too.  Those classes sort before N, so one walk
+        of N from its highest point takes each one's N and mask whole."""
         nbhd = self.nbhd
-        up = [0] * len(nbhd)
-        for q in bit_indices(self.carrier):
-            if up[q] >> q & 1:
-                continue
-            n = rest = nbhd[q]
-            same = 0
-            points = []
+        table: dict[int, tuple[int, int, int]] = {}
+        for n in sorted(set(nbhd) - {0}):
+            same = below = 0
+            rest = n
             while rest:
-                low = rest & -rest
-                p = low.bit_length() - 1
-                if p == q or nbhd[p] == n:
-                    same |= low
-                points.append(p)
-                rest ^= low
-            for p in points:
-                up[p] |= same
-        return tuple(up)
-
-    @cached_property
-    def minimal_opens(self) -> tuple[int, ...]:
-        """The distinct neighbourhoods N(p), in canonical order."""
-        return canonical_family(self.nbhd[p] for p in bit_indices(self.carrier))
+                p = rest.bit_length() - 1
+                rest ^= 1 << p
+                m = nbhd[p]
+                if m == n:
+                    same |= 1 << p
+                else:
+                    below |= table[m][2]
+                    rest &= ~m
+            table[n] = n, same, below | 1 << len(table)
+        return tuple(table.values())
 
     @cached_property
     def opens(self) -> tuple[int, ...]:
-        """Every open set in canonical order, listed on first use.
-
-        Neighbourhoods taken by size form a linear extension of the
-        preorder; the point class sharing N(p) can join an open set
-        once every other point of N(p) is already in it.
-        """
+        """Every open set in canonical order, listed on first use.  The
+        class order extends inclusion, so a class can join an open set
+        once every other point of its N is already in it."""
         opens = [0]
-        for n in sorted(self.minimal_opens, key=lambda m: (m.bit_count(), m)):
-            same = 0
-            for p in bit_indices(n):
-                if self.nbhd[p] == n:
-                    same |= 1 << p
-            below = n & ~same
-            opens += [o | same for o in opens if below & ~o == 0]
+        for n, points, _ in self.classes:
+            opens += [o | points for o in opens if o & n == n ^ points]
         return tuple(sorted(opens))
 
     def count_opens(self) -> int:
-        """Number of open sets, without listing them: the product over
-        the connected components of the preorder of the memoised count
-        D(P) = D(P minus every p with x in N(p)) + D(P minus N(x)),
-        which splits on whether the pivot x is left out or put in."""
-        nbhd, up = self.nbhd, self.up
-        adj = [n | u for n, u in zip(nbhd, up)]
-        memo: dict[int, int] = {}
-
-        def pivot(comp: int) -> int:
-            """The point whose two branches remove the most points in
-            the worse case; it keeps chains logarithmically deep."""
-            best = best_p = -1
-            left = comp
-            while left:
-                low = left & -left
-                left ^= low
-                p = low.bit_length() - 1
-                k = min((up[p] & comp).bit_count(), (nbhd[p] & comp).bit_count())
-                if k > best:
-                    best, best_p = k, p
-            return best_p
-
-        def count(rest: int) -> int:
-            total = 1
-            while rest:
-                comp = frontier = rest & -rest
-                while frontier:
-                    low = frontier & -frontier
-                    frontier ^= low
-                    new = adj[low.bit_length() - 1] & rest & ~comp
-                    comp |= new
-                    frontier |= new
-                rest ^= comp
-                if comp & (comp - 1) == 0:
-                    total *= 2
-                    continue
-                if comp not in memo:
-                    x = pivot(comp)
-                    memo[comp] = count(comp & ~up[x]) + count(comp & ~nbhd[x])
-                total *= memo[comp]
-            return total
-
-        return count(self.carrier)
+        """Number of open sets, counted as down-sets of the classes."""
+        return _count_down_sets([below for _, _, below in self.classes])
 
     def is_open(self, mask: int) -> bool:
         if mask < 0 or mask & ~self.carrier:
@@ -187,11 +131,62 @@ class FiniteTopology(Record):
         return True
 
 
+def _count_down_sets(below) -> int:
+    """Number of down-sets of an order on range(len(below)), where
+    below[i] masks the elements at or below i: the product over the
+    connected components of the memoised count D(P) = D(P - above(x))
+    + D(P - below[x]), which leaves the pivot x out or puts it in."""
+    above = [1 << i for i in range(len(below))]
+    for i, b in enumerate(below):
+        for j in bit_indices(b ^ 1 << i):
+            above[j] |= 1 << i
+    adj = [a | b for a, b in zip(above, below)]
+    memo: dict[int, int] = {}
+
+    def pivot(comp: int) -> int:
+        """The element whose two branches remove the most elements in
+        the worse case; it keeps chains logarithmically deep."""
+        best = best_x = -1
+        left = comp
+        while left:
+            low = left & -left
+            left ^= low
+            x = low.bit_length() - 1
+            k = min((above[x] & comp).bit_count(), (below[x] & comp).bit_count())
+            if k > best:
+                best, best_x = k, x
+        return best_x
+
+    def count(rest: int) -> int:
+        total = 1
+        while rest:
+            comp = frontier = rest & -rest
+            while frontier:
+                low = frontier & -frontier
+                frontier ^= low
+                new = adj[low.bit_length() - 1] & rest & ~comp
+                comp |= new
+                frontier |= new
+            rest ^= comp
+            if comp & (comp - 1) == 0:
+                total *= 2
+                continue
+            if comp not in memo:
+                x = pivot(comp)
+                memo[comp] = count(comp & ~above[x]) + count(comp & ~below[x])
+            total *= memo[comp]
+        return total
+
+    # the elements comparable to no other, each a component of two down-sets
+    lone = sum(1 << x for x, a in enumerate(adj) if a & (a - 1) == 0)
+    return count((1 << len(below)) - 1 & ~lone) << lone.bit_count()
+
+
 def first_failing_open(top: FiniteTopology, fails) -> int | None:
     """The first open of `top`, in canonical order, on which `fails`
     holds, for a condition that fails on an open only if it fails on
     some neighbourhood inside it (see the module docstring)."""
-    for o in top.minimal_opens:
+    for o, _, _ in top.classes:
         if fails(o):
             return o
     return None
@@ -565,9 +560,9 @@ class Topologies(Sequence):
     through one table, which keeps mask order.  A caller that walks the
     sequence holds one topology object at a time, not 209527 of them at
     6 points.  Unlike a tuple, two sequences do not compare equal by
-    value, and each read builds a new object whose cached properties
-    (`up`, `minimal_opens`) start empty; take `tuple(...)` of it to
-    compare listings or to keep the objects."""
+    value, and each read builds a new object whose class table starts
+    empty; take `tuple(...)` of it to compare listings or to keep the
+    objects."""
 
     __slots__ = ("_keys", "_build")
 

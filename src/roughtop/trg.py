@@ -21,7 +21,7 @@ from collections.abc import Iterator
 from functools import reduce
 from operator import or_
 
-from .approx import DEFAULT_UNIVERSE_CAP, Universe, bit_indices, pair_name
+from .approx import DEFAULT_UNIVERSE_CAP, bit_indices, pair_name, product_mask
 from .errors import InputError
 from .groups import (
     RoughGroupCert,
@@ -45,6 +45,7 @@ from .topology import (
     FiniteMap,
     FiniteTopology,
     Topologies,
+    _count_down_sets,
     base_at,
     closure,
     enumerate_topologies,
@@ -209,22 +210,19 @@ def verify_trg(
     codomain_topology: str = "upper",
 ) -> tuple[VerificationReport, TRGCert | None]:
     """`decide_trg`, with the report's stats counting the opens of tau,
-    of tau_G and of the product topology on G x G.  The count needs no
-    names, so the product is taken over a copy of tau_G on G's own k
-    points, numbered 0..k-1: element names such as `a,b` and `c` could
-    give two pairs one name."""
+    of tau_G and of the product topology on G x G.  The last count is
+    taken on pairs of tau_G's classes, and no product is built:
+    N((x, y)) = N(x) x N(y), so pair (i, j) lies below pair (k, l)
+    exactly when class i lies below k and j below l."""
     report, cert = decide_trg(group, tau, codomain_topology)
     tau_G = cert.tau_G if cert else subspace_topology(tau, group.g_mask)
-    # the i-th point p of G is bit[p] = 1 << i of the copy
-    bit = {p: 1 << i for i, p in enumerate(bit_indices(group.g_mask))}
-    numbered = FiniteTopology(
-        Universe(tuple(map(str, range(len(bit))))), (1 << len(bit)) - 1,
-        [sum(map(bit.get, bit_indices(tau_G.nbhd[p]))) for p in bit])
+    below = [b for _, _, b in tau_G.classes]
+    pairs = [product_mask(i, j, len(below)) for i in below for j in below]
     return combine(
         "trg", report.clauses,
         stats=[("tau-opens", tau.count_opens()),
                ("tau-G-opens", tau_G.count_opens()),
-               ("product-opens", product_topology(numbered, numbered).count_opens())],
+               ("product-opens", _count_down_sets(pairs))],
     ), cert
 
 

@@ -663,6 +663,16 @@ def test_reads_stdin_when_no_file():
     assert out.splitlines()[0] == "PASS rough-group"
 
 
+@pytest.mark.parametrize("path", ["", "no-such-file.rg"])
+def test_missing_file_is_a_diagnostic_and_stdin_is_not_read(path):
+    """An empty path is a path, not a request for stdin."""
+    source = (FIXDIR / "zmod3.rg").read_text()
+    code, out, err = run_cli(
+        "check rough-group --table TA --partition PA --group GA --file".split() + [path],
+        stdin=source)
+    assert (code, out, err) == (3, "", f"{path}: No such file or directory\n")
+
+
 _COMMA_NAMES = """\
 universe U: a a,b c b,c
 table T on U:

@@ -8,6 +8,7 @@ fails here.
 
 import itertools
 import json
+import math
 import random
 
 import pytest
@@ -392,14 +393,14 @@ def test_symmetric_square_nbhds_match_brute_force_on_every_zmod3_topology(fixa_t
 
 
 def _product_opens_and_symmetric_squares(cert):
-    """Check one TRG: `product-opens` against the count on the built
-    product of tau_G with itself, and, for every open W holding the
-    identity, `symmetric_square_nbhds` against a filter that takes the
-    rough inverse of each point with `inverses_in`.  Returns the
+    """Check one TRG: `product-opens` against the listed opens of the
+    built product of tau_G with itself, and, for every open W holding
+    the identity, `symmetric_square_nbhds` against a filter that takes
+    the rough inverse of each point with `inverses_in`.  Returns the
     number of W tried."""
     report, _ = verify_trg(cert.group, cert.tau)
-    assert dict(report.stats)["product-opens"] == (
-        product_topology(cert.tau_G, cert.tau_G).count_opens())
+    assert dict(report.stats)["product-opens"] == len(
+        product_topology(cert.tau_G, cert.tau_G).opens)
     table, upper, e = cert.table, cert.upper, cert.e
 
     def rough_inverse(v: int) -> int:
@@ -433,6 +434,32 @@ def test_trg_tables_match_per_point_scans_on_every_trg_of_z2_to_z4(fixb_trg):
     assert trgs == 2940
     assert tried > trgs
     assert _product_opens_and_symmetric_squares(fixb_trg) > 0
+
+
+def test_product_opens_of_chains_are_central_binomials():
+    """The chain {} {0} {0,1} ... Z_n makes G x G the n x n grid, whose
+    down-sets are the C(2n, n) lattice paths; the TRG check fails, but
+    the stats are counted all the same."""
+    for n in range(2, 7):
+        cert = _cyclic_cert(n, (1 << n) - 1, [1 << i for i in range(n)])
+        u = cert.space.universe
+        tau = generate_topology(u, u.all_mask, [(1 << k) - 1 for k in range(n + 1)])
+        report, _ = verify_trg(cert, tau)
+        assert dict(report.stats) == {
+            "tau-opens": n + 1, "tau-G-opens": n + 1,
+            "product-opens": math.comb(2 * n, n)}
+
+
+def test_product_opens_count_classes_of_several_points():
+    """tau_G not T0: on Z_4 the class {0,1} lies below the class {2,3},
+    so the pairs of classes form a 2 x 2 grid, with 6 down-sets."""
+    cert = _cyclic_cert(4, 0b1111, [0b1, 0b10, 0b100, 0b1000])
+    tau = generate_topology(cert.space.universe, 0b1111, [0b11])
+    assert tau.classes == ((0b11, 0b11, 0b01), (0b1111, 0b1100, 0b11))
+    report, _ = verify_trg(cert, tau)
+    want = oracle_product_opens(tau.opens, 0b1111, tau.opens, 0b1111, 4)
+    assert len(want) == 6
+    assert dict(report.stats) == {"tau-opens": 3, "tau-G-opens": 3, "product-opens": 6}
 
 
 def test_inverse_map_names_the_only_inverse_on_every_rough_group_of_z2_to_z4(fixb_cert):

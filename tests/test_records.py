@@ -178,7 +178,9 @@ def test_topology_from_opens_equals_from_nbhd():
     assert top.nbhd == (0b0001, 0b0011, 0b0100, 0b1111)
     assert top == same and hash(top) == hash(same)
     assert same.opens == opens
-    assert top.up == same.up
+    assert top.classes == same.classes == (
+        (0b0001, 0b0001, 0b0001), (0b0011, 0b0010, 0b0011),
+        (0b0100, 0b0100, 0b0100), (0b1111, 0b1000, 0b1111))
 
 
 def test_validation_messages_are_kept():

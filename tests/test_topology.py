@@ -299,15 +299,20 @@ def test_preorder_keys_with_rules_drop_exactly_the_preorders_that_break_one():
             assert topology._preorder_keys(n, rules) == want
 
 
-def test_up_matches_the_per_point_definition_on_every_small_topology():
+def test_class_table_matches_the_per_point_definition_on_every_small_topology():
+    """Each entry is a distinct N(p) in ascending order, the points whose
+    neighbourhood it is, and the classes whose N lies inside it."""
     u = Universe(tuple("abcdefg"))
     checked = 0
     for carrier in (0, 0b1, 0b101, 0b1011, 0b100_1011, 0b1_1111, 0b101_1011):
         for top in enumerate_topologies(u, carrier):
-            want = tuple(sum(1 << q for q in range(u.size)
-                             if carrier >> q & 1 and top.nbhd[q] >> p & 1)
-                         for p in range(u.size))
-            assert top.up == want
+            points = [p for p in range(u.size) if carrier >> p & 1]
+            distinct = sorted({top.nbhd[p] for p in points})
+            want = tuple(
+                (n, sum(1 << p for p in points if top.nbhd[p] == n),
+                 sum(1 << j for j, m in enumerate(distinct) if m & ~n == 0))
+                for n in distinct)
+            assert top.classes == want
             checked += 1
     assert checked == 1 + 1 + 4 + 29 + 355 + 6942 + 6942
 

@@ -3,6 +3,10 @@ derived symmetry facts, and the openness propositions."""
 
 import pytest
 
+import roughtop.approx
+import roughtop.cli
+import roughtop.topology
+import roughtop.trg
 from roughtop import ApproxSpace, Partition, Universe
 from roughtop.actions import check_AU_open, check_subgroup_open
 from roughtop.errors import CapExceededError, InputError
@@ -27,7 +31,7 @@ from roughtop.trg import (
     verify_trg,
 )
 
-from conftest import cert_of, trg_of
+from conftest import cert_of, load_fixture, run_cli, trg_of
 
 
 @pytest.fixture(scope="module")
@@ -438,3 +442,28 @@ def test_subgroup_open_w_not_open(z4_indiscrete_trg, ws_zmod4):
     assert rep.verdict == "not-applicable"
     assert rep.clause("premise-W-open").witness == (
         "W = {0} is not open in tau_G")
+
+
+@pytest.mark.parametrize("fixture, argv", [
+    ("s4.rg", "check trg --table TB --partition PB --group GB --topology tauB"),
+    ("zmod4_discrete.rg", "check trg --table T4 --partition P4 --group G4 --topology tau4"),
+])
+def test_check_trg_builds_no_product_space(monkeypatch, fixture, argv):
+    """`product-opens` is counted on pairs of tau_G's classes: with the
+    document parsed beforehand, `check trg` prints the same report when
+    building a universe or a product topology raises."""
+    want = run_cli(argv.split(), fixture)
+    assert want[0] == 0 and "product-opens" in want[1]
+    ws = load_fixture(fixture)
+    monkeypatch.setattr(roughtop.cli, "parse_spec", lambda text: ws)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("check trg built a universe or a product")
+
+    for module, name in ((roughtop.topology, "product_topology"),
+                         (roughtop.trg, "product_topology"),
+                         (roughtop.approx, "product_universe"),
+                         (roughtop.topology, "product_universe")):
+        monkeypatch.setattr(module, name, refuse)
+    monkeypatch.setattr(Universe, "__init__", refuse)
+    assert run_cli(argv.split(), fixture) == want
