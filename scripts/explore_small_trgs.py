@@ -17,9 +17,10 @@ Usage:
 
 Moduli 2..N are swept (default 3).  Every 4-point upper approximation
 carries 355 topologies, every 5-point one 6942 and every 6-point one
-209527.  On a 2-core shared VM, --max-n 5 takes about 0.4 s (296 rough
-groups, 82703 TRG instances) and --max-n 6 about 23 s (1756 rough
-groups, 9578226 TRG instances).
+209527.  On a 2-core shared VM (AMD EPYC), --max-n 5 takes about 0.23 s
+(296 rough groups, 82703 TRG instances in all) and --max-n 6 about
+17 s (2052 rough groups, 9660929 TRG instances in all; modulus 6 alone
+has 1756 and 9578226).
 """
 
 from __future__ import annotations

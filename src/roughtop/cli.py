@@ -15,8 +15,9 @@ Both spellings of the command word work: `check trg ...` and
 from __future__ import annotations
 
 import argparse
+import shutil
 import sys
-from functools import cache
+from functools import cache, partial
 
 from .actions import (
     RoughSpace,
@@ -95,8 +96,11 @@ def _non_negative_int(text: str) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # every HelpFormatter would ask the terminal for its width; ask once,
+    # and wrap exactly as HelpFormatter does when given no width
+    fmt = partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
     # the options of both subcommands, which take them as a parent
-    common = argparse.ArgumentParser(add_help=False)
+    common = argparse.ArgumentParser(add_help=False, formatter_class=fmt)
     common.add_argument("--file", help="input document (default: stdin)")
     common.add_argument("--json", action="store_true",
                         help="emit the report as JSON")
@@ -137,15 +141,16 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="roughtop",
         description="Verify and explore finite rough algebraic-topological "
                     "structures described in a declaration file.",
+        formatter_class=fmt,
     )
     sub = p.add_subparsers(dest="command", required=True)
-    cp = sub.add_parser("check", parents=[common],
+    cp = sub.add_parser("check", parents=[common], formatter_class=fmt,
                         help="verify one structure or theorem instance")
     cp.add_argument("kind", choices=_next_words("check"))
     cp.add_argument("prop", nargs="?", default=None,
                     help="proposition name when kind is 'prop'")
 
-    ep = sub.add_parser("enumerate", parents=[common],
+    ep = sub.add_parser("enumerate", parents=[common], formatter_class=fmt,
                         help="list structures of a given kind")
     ep.add_argument("what", choices=_next_words("enumerate"))
     return p

@@ -8,6 +8,7 @@ import io
 import json
 import os
 import pkgutil
+import shutil
 import subprocess
 import sys
 import typing
@@ -652,6 +653,43 @@ def test_many_main_calls_in_one_process(golden):
     assert exc.value.code == 0
     assert run_cli("check trg nope".split() + _TRG.split(), fixture="zmod3.rg")[0] == 3
     assert run_cli(words, fixture=fixture) == first
+
+
+def test_one_terminal_query_per_call(monkeypatch):
+    """`main` asks the terminal for its width once, not once per
+    argparse formatter, on a verdict, a usage error and `--help` alike."""
+    queries = []
+    real = shutil.get_terminal_size
+
+    def counted(*args, **kwargs):
+        queries.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(shutil, "get_terminal_size", counted)
+    fixture, tail, _ = MATRIX[0]
+    assert run_cli(tail.split(), fixture=fixture)[0] == 0
+    assert len(queries) == 1
+    assert run_cli(["check", "nope"])[0] == 3
+    assert len(queries) == 2
+    assert _usage_run(["check", "--help"])["exit"] == 0
+    assert len(queries) == 3
+
+
+def test_help_wraps_to_the_width_of_each_call(monkeypatch, usage_golden):
+    """The width is read on every call, not once per process.  A line
+    runs past it only when it is one word argparse cannot break, such
+    as the list of kinds."""
+    texts = {}
+    for columns in (60, 132):
+        monkeypatch.setenv("COLUMNS", str(columns))
+        run = _usage_run(["check", "--help"])
+        assert run["exit"] == 0
+        texts[columns] = run["stdout"]
+        assert [line for line in texts[columns].splitlines()
+                if len(line) > columns and len(line.split()) > 1] == []
+    assert texts[60] != texts[132]
+    monkeypatch.setenv("COLUMNS", "80")
+    assert _usage_run(["check", "--help"]) == usage_golden["roughtop check --help"]
 
 
 def test_reads_stdin_when_no_file():
