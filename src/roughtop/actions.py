@@ -11,8 +11,9 @@ Right actions are mirrored onto the same code path: `RoughAction`
 reads the map into one table g -> x -> g.x whichever order it takes
 its arguments in, and the compatibility law composes the group
 elements in the other order.  Continuity is decided on that table like
-the TRG product map, by monotonicity in each argument
-(`topology.first_discontinuity`), so no product topology is built.
+the TRG product map, by the relations of monotonicity in each argument
+(`topology.table_needs`), with the least N(d) over the unmet pairs as
+witness, so no product topology is built.
 """
 
 from __future__ import annotations
@@ -36,8 +37,9 @@ from .report import PASS, Clause, VerificationReport, combine, law, premise
 from .topology import (
     FiniteMap,
     FiniteTopology,
-    first_discontinuity,
+    first_unmet,
     subspace_topology,
+    table_needs,
 )
 from .trg import TRGCert
 
@@ -141,7 +143,8 @@ def verify_rough_action(
         return combine("rough-action", clauses), None
 
     action = RoughAction(cert, rspace, mu, side)
-    v = first_discontinuity(action.table, cert.tau, rspace.tau_x, rspace.tau_x)
+    v = first_unmet(rspace.tau_x, table_needs(
+        action.table, cert.tau.below_lists, rspace.tau_x.below_lists))
     wit = None if v is None else (f"open {xu.set_str(v)} has preimage "
                                   f"{pu.set_str(mu.preimage(v))}, which is not open")
     clauses.append(law("action-continuity", wit))

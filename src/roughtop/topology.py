@@ -8,13 +8,21 @@ N(p)" they are its specialization preorder.  Every check here is
 decided from them: the closure of A is the set of points whose N(p)
 meets A, the interior is the set of points whose N(p) lies inside A, a
 subspace on A has N(p) & A, a product has N((x, y)) = N(x) x N(y), and
-a map f is continuous iff f(N(p)) lies inside N(f(p)) for every p
-(Barmak, *Algebraic Topology of Finite Topological Spaces and
-Applications*, LNM 2032, 2011).  Points with one N(p) form a class,
-and the opens are the down-sets of the classes ordered by inclusion.
-One class table per topology, built on first use, gives the distinct
-neighbourhoods, the opens (listed only for callers that print or walk
-them all) and their count, whose counter also counts G x G.
+a map is continuous iff it preserves the preorder (Barmak, *Algebraic
+Topology of Finite Topological Spaces and Applications*, LNM 2032,
+2011).  Points with one N(p) form a class, and the opens are the
+down-sets of the classes ordered by inclusion.  One class table per
+topology, built on first use, gives the distinct neighbourhoods, the
+opens (listed only for callers that print or walk them all) and their
+count, whose counter also counts G x G.
+
+Continuity is decided from the relations each map requires, as pairs
+(d, mask), "mask lies inside N(d)" (`map_needs`, `table_needs`); a d
+outside the codomain's carrier requires nothing.  `first_unmet` names
+a failure by the first open, in canonical (ascending mask) order, whose
+preimage is not open: the least N(d) over the unmet pairs, not the N(d)
+of the first one, since each such open holds the d of an unmet pair
+and so contains its N(d), whose preimage is not open either.
 
 Enumeration is the one place that carries the opens instead.  Each
 preorder on n points is built once from one on n - 1 points, and its
@@ -25,13 +33,6 @@ canonical order, so one sort of the keys orders every topology.  The
 generator can also drop, level by level, the preorders that break given
 implications between relations; `trg.trg_topologies` lists the TRG
 topologies of a rough group that way.
-
-Witness rule: several checks name the first open, in canonical
-(ascending mask) order, on which some condition fails.  Each of those
-conditions fails on an open O only if it already fails on some N(z)
-inside O, and a subset's mask is never larger than its superset's, so
-the first failing open is the first failing neighbourhood and only the
-distinct neighbourhoods need to be tried (`first_failing_open`).
 
 Bases are represented as plain tuples of open masks; `verify_base` and
 `base_at` operate on those directly.
@@ -74,15 +75,32 @@ class FiniteTopology(Record):
     N(p) for every point p of the carrier (0 for the other elements).
 
     `FiniteTopology(universe, carrier, nbhd)` takes the neighbourhoods
-    (any iterable) and assumes they form a preorder.  A family of
-    opens goes through `verify_topology`, which returns the topology it
-    validates, and a subbasis through `generate_topology`.
+    (any iterable) and raises InputError unless they form a preorder on
+    the carrier.  A family of opens goes through `verify_topology`,
+    which returns the topology it validates, and a subbasis through
+    `generate_topology`.
     """
 
     _fields = ("universe", "carrier", "nbhd")
 
     def __init__(self, universe: Universe, carrier: int, nbhd):
-        self._set(universe=universe, carrier=carrier, nbhd=tuple(nbhd))
+        nbhd = tuple(nbhd)
+        name = universe.elements
+        checked = set()  # each distinct N(p) is checked once
+        for p in bit_indices(carrier):
+            n = nbhd[p]
+            if not n >> p & 1:
+                raise InputError(f"N({name[p]}) does not contain {name[p]}")
+            if n in checked:
+                continue
+            if n & ~carrier:
+                raise InputError(f"N({name[p]}) is not a subset of the carrier")
+            for q in bit_indices(n):
+                if nbhd[q] & ~n:
+                    raise InputError(f"N({name[p]}) contains {name[q]} "
+                                     f"but not all of N({name[q]})")
+            checked.add(n)
+        self._set(universe=universe, carrier=carrier, nbhd=nbhd)
 
     @cached_property
     def classes(self) -> tuple[tuple[int, int, int], ...]:
@@ -106,6 +124,14 @@ class FiniteTopology(Record):
                     rest &= ~m
             table[n] = n, same, below | 1 << len(table)
         return tuple(table.values())
+
+    @cached_property
+    def below_lists(self) -> dict[int, tuple[int, ...]]:
+        """The strict below-lists: x -> the points of N(x) other than x,
+        for every point x of the carrier."""
+        nbhd = self.nbhd
+        return {x: tuple(bit_indices(nbhd[x] & ~(1 << x)))
+                for x in bit_indices(self.carrier)}
 
     @cached_property
     def opens(self) -> tuple[int, ...]:
@@ -182,14 +208,40 @@ def _count_down_sets(below) -> int:
     return count((1 << len(below)) - 1 & ~lone) << lone.bit_count()
 
 
-def first_failing_open(top: FiniteTopology, fails) -> int | None:
-    """The first open of `top`, in canonical order, on which `fails`
-    holds, for a condition that fails on an open only if it fails on
-    some neighbourhood inside it (see the module docstring)."""
-    for o, _, _ in top.classes:
-        if fails(o):
-            return o
-    return None
+def map_needs(fmap: FiniteMap, below) -> Iterator[tuple[int, int]]:
+    """The required relations of a map f, a table with one row: for
+    each point p with points below it, (f(p), the mask of their images)."""
+    return table_needs({0: fmap._table}, {0: ()}, below)
+
+
+def table_needs(rows, below_x, below_y) -> Iterator[tuple[int, int]]:
+    """The required relations of (x, y) -> rows[x][y] out of a product
+    whose factors' points key `below_x` and `below_y`, by monotonicity
+    in each argument: with z = rows[x][y], rows[a][y] (a below x) and
+    rows[x][b] (b below y) lie in N(z), so rows[a][b] lies in N(z) too."""
+    for x, lows in below_x.items():
+        row, low_rows = rows[x], [rows[a] for a in lows]
+        for y, lows_y in below_y.items():
+            if low_rows or lows_y:
+                mask = 0
+                for r in low_rows:
+                    mask |= 1 << r[y]
+                for b in lows_y:
+                    mask |= 1 << row[b]
+                yield row[y], mask
+
+
+def first_unmet(cod: FiniteTopology, needs) -> int | None:
+    """None if every (d, mask) of `needs` with d in the carrier has
+    mask inside N(d), else the least N(d) over the pairs that fail."""
+    nbhd, carrier = cod.nbhd, cod.carrier
+    bad = 0
+    for d, mask in needs:
+        if mask & ~nbhd[d] and carrier >> d & 1:
+            bad |= 1 << d
+    if not bad:
+        return None
+    return next(n for n, points, _ in cod.classes if points & bad)
 
 
 _TOPOLOGY_CLAUSES = ("empty-set-member", "carrier-member", "union-closure",
@@ -379,53 +431,11 @@ def is_continuous(fmap: FiniteMap, dom_top: FiniteTopology,
         raise InputError("map domain differs from the domain-topology carrier")
     if fmap.codomain != cod_top.carrier:
         raise InputError("map codomain differs from the codomain-topology carrier")
-    wit = None
-    for p in bit_indices(dom_top.carrier):
-        if fmap.image_mask(dom_top.nbhd[p]) & ~cod_top.nbhd[fmap.apply(p)]:
-            o = first_failing_open(
-                cod_top, lambda o: not dom_top.is_open(fmap.preimage(o)))
-            wit = (f"open {cod_top.universe.set_str(o)} has preimage "
-                   f"{dom_top.universe.set_str(fmap.preimage(o))}, which is not open")
-            break
+    o = first_unmet(cod_top, map_needs(fmap, dom_top.below_lists))
+    wit = None if o is None else (
+        f"open {cod_top.universe.set_str(o)} has preimage "
+        f"{dom_top.universe.set_str(fmap.preimage(o))}, which is not open")
     return combine("continuity", [law("preimage-openness", wit)])
-
-
-def first_discontinuity(rows, left: FiniteTopology, right: FiniteTopology,
-                        cod: FiniteTopology) -> int | None:
-    """None if the map (x, y) -> rows[x][y] from the product of `left`
-    and `right` into `cod` is continuous, else the first open of `cod`
-    whose preimage is not open.  Separate monotonicity decides it: with
-    z = rows[x][y], each rows[a][y] (a in N(x)) and rows[x][b] (b in
-    N(y)) lies in N(z); then rows[a][b] lies in N(rows[a][y]), inside
-    N(z).  A value outside cod's carrier lies in no preimage.  The
-    failing open is the first neighbourhood on which some pair of its
-    preimage fails the same test."""
-    xs = tuple(bit_indices(left.carrier))
-    ys = tuple(bit_indices(right.carrier))
-    # N(p) without p itself, for each point p
-    below_x = [[a for a in bit_indices(left.nbhd[x]) if a != x] for x in xs]
-    below_y = {y: [b for b in bit_indices(right.nbhd[y]) if b != y] for y in ys}
-    cod_nbhd = cod.nbhd
-
-    def fails(v: int) -> bool:
-        """Some pair with its value in v fails the test against v, or,
-        for v = 0 (no neighbourhood is empty), against its own N(z)."""
-        for x, below in zip(xs, below_x):
-            row = rows[x]
-            for y in ys:
-                z = row[y]
-                w = v or cod_nbhd[z]
-                if not w >> z & 1:
-                    continue
-                for a in below:
-                    if not w >> rows[a][y] & 1:
-                        return True
-                for b in below_y[y]:
-                    if not w >> row[b] & 1:
-                        return True
-        return False
-
-    return first_failing_open(cod, fails) if fails(0) else None
 
 
 def is_homeomorphism(fmap: FiniteMap, dom_top: FiniteTopology,
@@ -465,7 +475,9 @@ def verify_base(top: FiniteTopology, members) -> VerificationReport:
                     u |= m
             return u
 
-        o = first_failing_open(top, lambda o: inside(o) != o)
+        # an open O fails when some z in O lies in no member inside O;
+        # then N(z), inside O, fails too, so the first failing open is an N
+        o = next((n for n, _, _ in top.classes if inside(n) != n), None)
         wit = None
         if o is not None:
             wit = (f"open {top.universe.set_str(o)} is not a union of members; "

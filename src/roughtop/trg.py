@@ -8,10 +8,12 @@ product map's codomain is the upper approximation; its continuity is
 checked against tau by default, with a strict mode that instead pulls
 back only the opens of the subspace topology on G (the two readings
 genuinely disagree on some inputs, so every report names the mode).
-Both modes decide it by one rule, monotonicity in each argument
-(`topology.first_discontinuity`), without building G x G.  Read on the
-specialization preorder, the same rules let `trg_topologies` list every
-TRG topology of a rough group straight from the preorder generator.
+Both maps are decided by the relations they require
+(`topology.first_unmet`, whose witness is the least N(d) over the unmet
+pairs), the product map's by monotonicity in each argument, without
+building G x G.  Fed one candidate relation at a time, the same
+producers give `trg_topologies` the rules to list TRG topologies
+straight from the preorder generator.
 """
 
 from __future__ import annotations
@@ -49,12 +51,13 @@ from .topology import (
     base_at,
     closure,
     enumerate_topologies,
-    first_discontinuity,
-    first_failing_open,
+    first_unmet,
     is_continuous,
     is_homeomorphism,
+    map_needs,
     product_topology,
     subspace_topology,
+    table_needs,
     verify_base,
 )
 
@@ -100,13 +103,14 @@ def _product_map_clause(
     cod: FiniteTopology,
 ) -> Clause:
     """Continuity of (x, y) -> x*y out of G x G, where G carries
-    `factor`, into `cod`, by separate monotonicity
-    (`first_discontinuity`); the product space is never built.  A
+    `factor`, into `cod`, by monotonicity in each argument
+    (`table_needs`); the product space is never built.  A
     failure is named by the first open of `cod` whose preimage is not
     open in the product topology on G x G.
     """
     table = group.table
-    v = first_discontinuity(table.rows, factor, factor, cod)
+    below = factor.below_lists
+    v = first_unmet(cod, table_needs(table.rows, below, below))
     if v is None:
         return law("product-map-continuity", None)
     u = group.space.universe
@@ -164,40 +168,39 @@ def trg_topologies(group: RoughGroupCert,
     of them: the preorder generator drops each preorder that breaks a
     continuity rule as soon as the rule's points are placed.
 
-    Read as relations of the specialization preorder (a <= x iff a is
-    in N(x)), the two conditions are implications over points of G:
-    a <= x gives a^-1 <= x^-1 (the inverse map), and a*y <= x*y and
-    y*a <= y*x for every y in G (the product map, monotone in each
-    argument, as `first_discontinuity` decides it).  In relative mode
-    a product outside G sets no rule, and below a product inside G
-    must lie a point of G: when x*y lies in G and a*y does not, a <= x
-    is forbidden outright.  The carrier cap is `enumerate_topologies`'s.
+    The rules come from the producers `decide_trg` reads.  Fed one
+    candidate relation a <= x of points of G (a in N(x)) as the only
+    below-list, they give the relations c <= d that it requires: a^-1
+    <= x^-1 from the inverse map, and a*y <= x*y and y*a <= y*x for
+    every y in G from the product map (none when a = x).  A d outside
+    the codomain's carrier requires nothing; in relative mode, a c
+    outside G under a d inside G can never hold, so a <= x is forbidden
+    outright.  The carrier cap is `enumerate_topologies`'.
     """
     _check_mode(codomain_topology)
-    inverse = group.inverse.apply
     g_mask, rows = group.g_mask, group.table.rows
+    cod = g_mask if codomain_topology == "relative" else group.upper
     points = tuple(bit_indices(group.upper))
     local = {p: i for i, p in enumerate(points)}
     g_elems = tuple(p for p in points if g_mask >> p & 1)
-    relative = codomain_topology == "relative"
     never = 1 << 8 * len(points)  # a relation no preorder holds
     then = defaultdict(int)
+    below = dict.fromkeys(g_elems, ())
     for x in g_elems:
         for a in g_elems:
-            if a == x:
-                continue
-            below = [(inverse(a), inverse(x))]
-            for y in g_elems:
-                below += [(rows[a][y], rows[x][y]), (rows[y][a], rows[y][x])]
-            for c, d in below:
-                if c == d or relative and not g_mask >> d & 1:
+            below[x] = (a,)
+            for d, mask in [*table_needs(rows, below, below),
+                            *map_needs(group.inverse, below)]:
+                if not cod >> d & 1:
                     continue
-                if relative and not g_mask >> c & 1:
-                    level, bit = max(local[a], local[x]), never
-                else:
-                    level = max(local[a], local[x], local[c], local[d])
-                    bit = 1 << 8 * local[d] + local[c]
-                then[level, 8 * local[x] + local[a]] |= bit
+                for c in bit_indices(mask & ~(1 << d)):
+                    if cod >> c & 1:
+                        level = max(local[a], local[x], local[c], local[d])
+                        bit = 1 << 8 * local[d] + local[c]
+                    else:
+                        level, bit = max(local[a], local[x]), never
+                    then[level, 8 * local[x] + local[a]] |= bit
+        below[x] = ()
     rules = [[] for _ in points]
     for (level, if_bit), mask in sorted(then.items()):
         rules[level].append((if_bit, mask))
@@ -285,13 +288,12 @@ def check_G_equals_G_inverse(cert: TRGCert) -> VerificationReport:
 def check_open_iff_inverse_open(cert: TRGCert) -> VerificationReport:
     """The inverse map carries opens of tau_G to opens and closeds to
     closeds (both subsets of G, complements taken inside G).  The inverse
-    map is an involution of G, so (G - V)^-1 = G - V^-1: C = G - V has
-    C^-1 closed exactly when V^-1 is open, and one scan decides both.
-    A condition that fails on an open fails on a neighbourhood inside
-    it, so the first failing open is found among the neighbourhoods."""
+    map is an involution of G, so V^-1 is V's preimage and (G - V)^-1 =
+    G - V^-1: C = G - V has C^-1 closed exactly when V^-1 is open, and
+    the continuity of the inverse map decides both (`first_unmet`)."""
     u = cert.universe
     top = cert.tau_G
-    v = first_failing_open(top, lambda v: not top.is_open(inverse_of_set(cert, v)))
+    v = first_unmet(top, map_needs(cert.group.inverse, top.below_lists))
     open_wit = closed_wit = None
     if v is not None:
         c = cert.g_mask & ~v

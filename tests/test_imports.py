@@ -2,7 +2,8 @@
 name it imports, only `report.py` decides a clause's verdict, and every
 name the package exports, every public method of a record class and
 every field of a record is read by a package module, a script or a
-bench file, or is listed with the reason it stays.
+bench file, or is listed with the reason it stays.  Every function the
+traced bench run wraps exists under the name it wraps.
 
 No linter ships with the package, so this stands in for an
 unused-import check: a name bound by an import must be read somewhere
@@ -11,6 +12,8 @@ in the module, in code or in a quoted annotation.
 
 import ast
 import importlib
+import importlib.util
+import inspect
 from pathlib import Path
 
 import pytest
@@ -223,3 +226,17 @@ def test_every_record_field_is_read_or_listed():
             "RoughGroupCert.inverse"} <= set(fields)
     unread = [f for f in fields if f.partition(".")[2] not in ATTRIBUTES_READ]
     assert sorted(unread) == sorted(UNREAD_FIELDS)
+
+
+def test_every_traced_name_is_a_function_of_its_layer():
+    """`bench/tracing.py` wraps each (layer, name) of its TRACED table
+    through getattr on roughtop.<layer>, so a traced function that is
+    renamed or deleted would otherwise break only the traced run."""
+    spec = importlib.util.spec_from_file_location("tracing", ROOT / "bench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = [f"{layer}.{name}" for layer, names in tracing.TRACED.items()
+               for name in names if not inspect.isfunction(
+                   getattr(importlib.import_module(f"roughtop.{layer}"), name, None))]
+    assert sum(map(len, tracing.TRACED.values())) > 0
+    assert missing == []

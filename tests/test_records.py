@@ -203,7 +203,7 @@ def test_constructors_derive_private_state():
     assert action.act(1, 2) == action.mu.apply(2 * 3 + 1)
     tau = FIRST["FiniteTopology"]
     assert FiniteTopology(tau.universe, tau.carrier, tau.nbhd) == tau
-    assert FiniteTopology(tau.universe, tau.carrier, tau.nbhd[::-1]) != tau
+    assert FiniteTopology(tau.universe, tau.carrier, [tau.carrier] * 3) != tau
 
 
 def test_workspace_is_a_mutable_value():

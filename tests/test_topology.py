@@ -15,6 +15,7 @@ from roughtop.topology import (
     canonical_family,
     closure,
     enumerate_topologies,
+    first_unmet,
     generate_topology,
     interior,
     is_continuous,
@@ -213,6 +214,48 @@ def test_is_continuous(topA, u3):
     half = FiniteMap.from_dict(u3, u3, 0b011, 0b111, {0: 0, 1: 1})
     with pytest.raises(InputError, match=r"domain differs"):
         is_continuous(half, topA, topA)
+
+
+@pytest.mark.parametrize("carrier, nbhd, why", [
+    # 0 is not in its own neighbourhood
+    (0b011, (0b010, 0b011, 0), r"N\(0\) does not contain 0"),
+    # N(0) holds 2, outside the carrier
+    (0b011, (0b101, 0b010, 0), r"N\(0\) is not a subset of the carrier"),
+    # 1 lies in N(0), but 2 lies in N(1) and not in N(0)
+    (0b111, (0b011, 0b110, 0b100), r"N\(0\) contains 1 but not all of N\(1\)"),
+])
+def test_finite_topology_rejects_neighbourhoods_of_no_preorder(u3, carrier, nbhd, why):
+    with pytest.raises(InputError, match=why):
+        FiniteTopology(u3, carrier, nbhd)
+
+
+@pytest.fixture
+def two_chains():
+    """0 < 1 and 2 < 3: N = {0}, {0,1}, {2}, {2,3}, in class order."""
+    u = Universe(("0", "1", "2", "3"))
+    return FiniteTopology(u, 0b1111, (0b0001, 0b0011, 0b0100, 0b1100))
+
+
+def test_first_unmet_names_the_least_failing_neighbourhood(two_chains):
+    # the first unmet pair streamed has the larger N(d): 0 is not in
+    # N(3) = {2,3}; then 2 is not in N(1) = {0,1}, the witness
+    needs = [(1, 0b0001), (3, 0b0001), (3, 0b0100), (1, 0b0100)]
+    assert first_unmet(two_chains, needs) == 0b0011
+    assert first_unmet(two_chains, needs[:3]) == 0b1100
+    assert first_unmet(two_chains, [needs[0], needs[2]]) is None
+
+
+def test_first_unmet_reads_only_points_of_the_carrier(two_chains):
+    sub = subspace_topology(two_chains, 0b0111)
+    # 3 lies outside the carrier: it requires nothing
+    assert first_unmet(sub, [(3, 0b0111)]) is None
+    # a value outside the carrier under one inside never holds
+    assert first_unmet(sub, [(3, 0b0111), (2, 0b1000)]) == 0b0100
+
+
+def test_first_unmet_of_no_pairs_is_none(two_chains):
+    assert first_unmet(two_chains, []) is None
+    assert first_unmet(two_chains, iter(())) is None
 
 
 def test_is_homeomorphism(topA, u3):
