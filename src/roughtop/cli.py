@@ -95,48 +95,50 @@ def _non_negative_int(text: str) -> int:
     return value
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _add_common(sp: argparse.ArgumentParser) -> None:
+    """The options that `check` and `enumerate` both take."""
+    sp.add_argument("--file", help="input document (default: stdin)")
+    sp.add_argument("--json", action="store_true",
+                    help="emit the report as JSON")
+    sp.add_argument("--cap", type=_non_negative_int, default=DEFAULT_SUBGROUP_ENUM_CAP,
+                    help="size cap for enumerating subgroups")
+    sp.add_argument("--strict-hom", action="store_true",
+                    help="also require the source upper approximation to "
+                         "be closed under the operation")
+    sp.add_argument("--codomain-topology", choices=("upper", "relative"),
+                    default="upper",
+                    help="topology the product map is checked into")
+    sp.add_argument("--table")
+    sp.add_argument("--partition")
+    sp.add_argument("--group")
+    sp.add_argument("--subgroup")
+    sp.add_argument("--topology")
+    sp.add_argument("--map")
+    sp.add_argument("--src-table")
+    sp.add_argument("--src-partition")
+    sp.add_argument("--src-group")
+    sp.add_argument("--src-topology")
+    sp.add_argument("--tgt-table")
+    sp.add_argument("--tgt-partition")
+    sp.add_argument("--tgt-group")
+    sp.add_argument("--tgt-topology")
+    sp.add_argument("--x-partition")
+    sp.add_argument("--x-subset")
+    sp.add_argument("--x-topology")
+    sp.add_argument("--side", choices=("left", "right"), default="left")
+    sp.add_argument("--element")
+    sp.add_argument("--w")
+    sp.add_argument("--open")
+    sp.add_argument("--subset")
+    sp.add_argument("--base-member", action="append", default=[])
+    sp.add_argument("--max-size", type=_non_negative_int, default=3)
+
+
+def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
+    """The parser for `argv`, with options only on the subcommand it names."""
     # every HelpFormatter would ask the terminal for its width; ask once,
     # and wrap exactly as HelpFormatter does when given no width
     fmt = partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
-    # the options of both subcommands, which take them as a parent
-    common = argparse.ArgumentParser(add_help=False, formatter_class=fmt)
-    common.add_argument("--file", help="input document (default: stdin)")
-    common.add_argument("--json", action="store_true",
-                        help="emit the report as JSON")
-    common.add_argument("--cap", type=_non_negative_int, default=DEFAULT_SUBGROUP_ENUM_CAP,
-                        help="size cap for enumerating subgroups")
-    common.add_argument("--strict-hom", action="store_true",
-                        help="also require the source upper approximation to "
-                             "be closed under the operation")
-    common.add_argument("--codomain-topology", choices=("upper", "relative"),
-                        default="upper",
-                        help="topology the product map is checked into")
-    common.add_argument("--table")
-    common.add_argument("--partition")
-    common.add_argument("--group")
-    common.add_argument("--subgroup")
-    common.add_argument("--topology")
-    common.add_argument("--map")
-    common.add_argument("--src-table")
-    common.add_argument("--src-partition")
-    common.add_argument("--src-group")
-    common.add_argument("--src-topology")
-    common.add_argument("--tgt-table")
-    common.add_argument("--tgt-partition")
-    common.add_argument("--tgt-group")
-    common.add_argument("--tgt-topology")
-    common.add_argument("--x-partition")
-    common.add_argument("--x-subset")
-    common.add_argument("--x-topology")
-    common.add_argument("--side", choices=("left", "right"), default="left")
-    common.add_argument("--element")
-    common.add_argument("--w")
-    common.add_argument("--open")
-    common.add_argument("--subset")
-    common.add_argument("--base-member", action="append", default=[])
-    common.add_argument("--max-size", type=_non_negative_int, default=3)
-
     p = argparse.ArgumentParser(
         prog="roughtop",
         description="Verify and explore finite rough algebraic-topological "
@@ -144,15 +146,23 @@ def _build_parser() -> argparse.ArgumentParser:
         formatter_class=fmt,
     )
     sub = p.add_subparsers(dest="command", required=True)
-    cp = sub.add_parser("check", parents=[common], formatter_class=fmt,
+    cp = sub.add_parser("check", formatter_class=fmt,
                         help="verify one structure or theorem instance")
-    cp.add_argument("kind", choices=_next_words("check"))
-    cp.add_argument("prop", nargs="?", default=None,
-                    help="proposition name when kind is 'prop'")
-
-    ep = sub.add_parser("enumerate", parents=[common], formatter_class=fmt,
+    ep = sub.add_parser("enumerate", formatter_class=fmt,
                         help="list structures of a given kind")
-    ep.add_argument("what", choices=_next_words("enumerate"))
+    # The top parser takes no option with a value, so argparse dispatches
+    # on the first token it reads as a positional: this word, or else a
+    # token starting with "-", which names no subcommand and ends the
+    # parse at the top level.  Only the named subcommand needs arguments.
+    word = next((tok for tok in argv if not tok.startswith("-")), None)
+    if word == "check":
+        _add_common(cp)
+        cp.add_argument("kind", choices=_next_words("check"))
+        cp.add_argument("prop", nargs="?", default=None,
+                        help="proposition name when kind is 'prop'")
+    elif word == "enumerate":
+        _add_common(ep)
+        ep.add_argument("what", choices=_next_words("enumerate"))
     return p
 
 
@@ -417,11 +427,10 @@ def _read_input(path: str | None) -> str:
 
 
 def main(argv: list[str] | None = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    parser = _build_parser()
+    argv = _shim_argv(sys.argv[1:] if argv is None else argv)
+    parser = _build_parser(argv)
     try:
-        args = parser.parse_args(_shim_argv(list(argv)))
+        args = parser.parse_args(argv)
         # the optional proposition word belongs to `check prop` alone
         if args.command == "check" and args.kind != "prop" and args.prop is not None:
             parser.error(f"unrecognized arguments: {args.prop}")

@@ -75,8 +75,9 @@ class FiniteTopology(Record):
     N(p) for every point p of the carrier (0 for the other elements).
 
     `FiniteTopology(universe, carrier, nbhd)` takes the neighbourhoods
-    (any iterable) and raises InputError unless they form a preorder on
-    the carrier.  A family of opens goes through `verify_topology`,
+    (any iterable, one per element of the universe) and raises
+    InputError unless they form a preorder on the carrier and are empty
+    off it.  A family of opens goes through `verify_topology`,
     which returns the topology it validates, and a subbasis through
     `generate_topology`.
     """
@@ -86,6 +87,10 @@ class FiniteTopology(Record):
     def __init__(self, universe: Universe, carrier: int, nbhd):
         nbhd = tuple(nbhd)
         name = universe.elements
+        universe.check_subset(carrier, "carrier")
+        if len(nbhd) != universe.size:
+            raise InputError(f"{len(nbhd)} neighbourhoods given for the "
+                             f"{universe.size} elements of the universe")
         checked = set()  # each distinct N(p) is checked once
         for p in bit_indices(carrier):
             n = nbhd[p]
@@ -100,6 +105,12 @@ class FiniteTopology(Record):
                     raise InputError(f"N({name[p]}) contains {name[q]} "
                                      f"but not all of N({name[q]})")
             checked.add(n)
+        # every N(p) on the carrier holds p, so any further nonempty one
+        # belongs to a point outside it
+        if len(nbhd) - nbhd.count(0) > carrier.bit_count():
+            p = next(p for p, n in enumerate(nbhd) if n and not carrier >> p & 1)
+            raise InputError(f"{name[p]} lies outside the carrier, "
+                             f"but N({name[p]}) is not empty")
         self._set(universe=universe, carrier=carrier, nbhd=nbhd)
 
     @cached_property

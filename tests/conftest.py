@@ -9,14 +9,17 @@ meaningful evidence rather than the same code run twice.
 
 from __future__ import annotations
 
+import argparse
 import io
 import contextlib
 import itertools
+import shutil
+from functools import partial
 from pathlib import Path
 
 import pytest
 
-from roughtop.cli import main as cli_main
+from roughtop.cli import _next_words, _non_negative_int, main as cli_main
 from roughtop.parser import Workspace, parse_spec
 from roughtop import (
     ApproxSpace,
@@ -29,6 +32,7 @@ from roughtop import (
 )
 from roughtop.approx import bit_indices, product_mask, product_universe
 from roughtop.errors import CapExceededError, InputError
+from roughtop.groups import DEFAULT_SUBGROUP_ENUM_CAP
 from roughtop.report import FAIL, INFO, PASS, Clause, combine
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -425,6 +429,73 @@ def fixa_rspace(ws_zmod3) -> RoughSpace:
     space = space_of(ws_zmod3, "TA", "PA")
     _, tau = ws_zmod3.topologies["tauA"]
     return RoughSpace(space, ws_zmod3.subsets["GA"][1], tau)
+
+
+# ---------------------------------------------------------------------------
+# oracle: the argparse parser with both subcommands built in full, their
+# shared options copied from a parent parser, whatever the command line
+
+
+def oracle_build_parser() -> argparse.ArgumentParser:
+    # every HelpFormatter would ask the terminal for its width; ask once,
+    # and wrap exactly as HelpFormatter does when given no width
+    fmt = partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
+    # the options of both subcommands, which take them as a parent
+    common = argparse.ArgumentParser(add_help=False, formatter_class=fmt)
+    common.add_argument("--file", help="input document (default: stdin)")
+    common.add_argument("--json", action="store_true",
+                        help="emit the report as JSON")
+    common.add_argument("--cap", type=_non_negative_int, default=DEFAULT_SUBGROUP_ENUM_CAP,
+                        help="size cap for enumerating subgroups")
+    common.add_argument("--strict-hom", action="store_true",
+                        help="also require the source upper approximation to "
+                             "be closed under the operation")
+    common.add_argument("--codomain-topology", choices=("upper", "relative"),
+                        default="upper",
+                        help="topology the product map is checked into")
+    common.add_argument("--table")
+    common.add_argument("--partition")
+    common.add_argument("--group")
+    common.add_argument("--subgroup")
+    common.add_argument("--topology")
+    common.add_argument("--map")
+    common.add_argument("--src-table")
+    common.add_argument("--src-partition")
+    common.add_argument("--src-group")
+    common.add_argument("--src-topology")
+    common.add_argument("--tgt-table")
+    common.add_argument("--tgt-partition")
+    common.add_argument("--tgt-group")
+    common.add_argument("--tgt-topology")
+    common.add_argument("--x-partition")
+    common.add_argument("--x-subset")
+    common.add_argument("--x-topology")
+    common.add_argument("--side", choices=("left", "right"), default="left")
+    common.add_argument("--element")
+    common.add_argument("--w")
+    common.add_argument("--open")
+    common.add_argument("--subset")
+    common.add_argument("--base-member", action="append", default=[])
+    common.add_argument("--max-size", type=_non_negative_int, default=3)
+
+    p = argparse.ArgumentParser(
+        prog="roughtop",
+        description="Verify and explore finite rough algebraic-topological "
+                    "structures described in a declaration file.",
+        formatter_class=fmt,
+    )
+    sub = p.add_subparsers(dest="command", required=True)
+    cp = sub.add_parser("check", parents=[common], formatter_class=fmt,
+                        help="verify one structure or theorem instance")
+    cp.add_argument("kind", choices=_next_words("check"))
+    cp.add_argument("prop", nargs="?", default=None,
+                    help="proposition name when kind is 'prop'")
+
+    ep = sub.add_parser("enumerate", parents=[common], formatter_class=fmt,
+                        help="list structures of a given kind")
+    ep.add_argument("what", choices=_next_words("enumerate"))
+    return p
+
 
 
 # ---------------------------------------------------------------------------

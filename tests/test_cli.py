@@ -18,7 +18,7 @@ import pytest
 
 import roughtop
 import roughtop.cli as cli
-from conftest import FIXDIR, run_cli
+from conftest import FIXDIR, oracle_build_parser, run_cli
 
 # Recorded stdout, stderr and exit code of every MATRIX row, in text and
 # in --json mode. Regenerate after a deliberate output change with
@@ -376,10 +376,16 @@ def test_missing_flag_rows_are_the_command_table():
         words: name for words, (name, _) in cli._COMMANDS.items()}
 
 
+def _subparsers(argv: list[str]) -> dict[str, argparse.ArgumentParser]:
+    """Subcommand -> its subparser, in the parser built for `argv`."""
+    return next(a for a in cli._build_parser(argv)._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
 def test_choices_and_proposition_names_are_the_table_keys():
-    sub = next(a for a in cli._build_parser()._actions if a.dest == "command")
-    choices = {command: next(a.choices for a in parser._actions if a.dest in ("kind", "what"))
-               for command, parser in sub.choices.items()}
+    choices = {command: next(a.choices for a in _subparsers([command])[command]._actions
+                             if a.dest in ("kind", "what"))
+               for command in _subparsers([])}
     keys = list(cli._COMMANDS)
     assert choices == {
         "check": tuple(dict.fromkeys(k[1] for k in keys if k[0] == "check")),
@@ -583,15 +589,17 @@ def test_every_annotation_in_the_package_resolves():
 
 def test_subcommands_take_the_same_options_declared_once():
     """`check` and `enumerate` take the same optional arguments in the
-    same order, and each one but `-h` is one Action object that both
-    subparsers hold."""
-    subparsers = next(a for a in cli._build_parser()._actions
-                      if isinstance(a, argparse._SubParsersAction))
-    check, enum = ([a for a in subparsers.choices[word]._actions if a.option_strings]
-                   for word in ("check", "enumerate"))
-    assert [(a.option_strings, a.default, a.type, a.choices) for a in check] == \
-        [(a.option_strings, a.default, a.type, a.choices) for a in enum]
-    assert [a.dest for a, b in zip(check, enum) if a is not b] == ["help"]
+    same order, and a parser built for one subcommand gives the other
+    nothing but `-h`."""
+    fields = ("option_strings", "dest", "default", "type", "choices", "nargs", "help")
+    optionals = {}
+    for word, other in (("check", "enumerate"), ("enumerate", "check")):
+        subparsers = _subparsers([word])
+        optionals[word] = [tuple(getattr(a, f) for f in fields)
+                           for a in subparsers[word]._actions if a.option_strings]
+        assert [a.dest for a in subparsers[other]._actions] == ["help"]
+    assert optionals["check"] == optionals["enumerate"]
+    assert len(optionals["check"]) == 30  # -h and the 29 shared options
 
 
 def test_help_still_exits_0():
@@ -690,6 +698,87 @@ def test_help_wraps_to_the_width_of_each_call(monkeypatch, usage_golden):
     assert texts[60] != texts[132]
     monkeypatch.setenv("COLUMNS", "80")
     assert _usage_run(["check", "--help"]) == usage_golden["roughtop check --help"]
+
+
+def _parser_run(argv: list[str], fixture: str | None = None):
+    if fixture is None:
+        return pytest.param(argv, id=" ".join(argv))
+    return pytest.param(argv + ["--file", str(FIXDIR / fixture)],
+                        id=" ".join(argv + ["--file", fixture]))
+
+
+# Command lines whose first word is not the subcommand, or that name
+# both, or an option's value that is a subcommand's name.
+_ODD_ARGVS = ["--", "-1", "-", "-h check", "--he check", "--json check trg",
+              "check -- trg", "-x check trg", "--check --enumerate", "enumerate check",
+              "check enumerate", "check --file enumerate trg"]
+PARSER_RUNS = (
+    [_parser_run(tail.split(), fixture) for fixture, tail, _ in MATRIX]
+    + [_parser_run(argv) for argv in USAGE_RUNS]
+    + [_parser_run((words + " " + flags).split(), fixture)
+       for words, fixture, flags, _ in MISSING_FLAG]
+    + [_parser_run(argv.split()) for argv in _ODD_ARGVS]
+    + [_parser_run(argv.split(), "zmod3.rg") for argv in (
+        "enumerate --max-size=2 topologies " + _GROUP,
+        "enumerate topologies --max-size 3 " + _GROUP,
+        "--enumerate topologies " + _GROUP,
+        "--check trg " + _TRG,
+        "--check prop g-inverse " + _TRG,
+        "check --enumerate " + _GROUP)])
+
+
+def _main_with(monkeypatch, builder, argv: list[str]):
+    """The stdout, stderr and exit or SystemExit code of one `main` call
+    on an empty stdin, with `builder(argv)` as its parser, and the
+    namespaces that parser's `parse_args` returned."""
+    namespaces = []
+
+    def build(args):
+        parser = builder(args)
+        parse = parser.parse_args
+
+        def parse_args(*a, **kw):
+            ns = parse(*a, **kw)
+            namespaces.append(vars(ns))
+            return ns
+
+        parser.parse_args = parse_args
+        return parser
+
+    monkeypatch.setattr(cli, "_build_parser", build)
+    monkeypatch.setattr(sys, "stdin", io.StringIO())
+    return _usage_run(argv), namespaces
+
+
+@pytest.mark.parametrize("argv", PARSER_RUNS)
+def test_parser_of_the_named_subcommand_matches_the_full_parser(monkeypatch, argv):
+    """Building only the subcommand the command line names changes no
+    output, exit code or parsed namespace of the parser that built both."""
+    monkeypatch.setenv("COLUMNS", "80")
+    new = _main_with(monkeypatch, cli._build_parser, argv)
+    assert new == _main_with(monkeypatch, lambda _: oracle_build_parser(), argv)
+
+
+@pytest.mark.parametrize("row, adds", [
+    (next(row for row in MATRIX if row[1].startswith("check trg ")), 34),
+    (next(row for row in MATRIX if row[1].startswith("enumerate topologies ")), 33),
+])
+def test_one_main_call_declares_one_subcommand(monkeypatch, row, adds):
+    """A `main` call makes the top parser and two subparsers, copies no
+    parent parser's actions, and declares three `-h` options plus the
+    29 shared options and the positionals of the one subcommand it runs."""
+    counts = dict.fromkeys(("__init__", "_add_container_actions", "add_argument"), 0)
+    for name in counts:
+        real = getattr(argparse.ArgumentParser, name)
+
+        def counted(self, *a, _name=name, _real=real, **kw):
+            counts[_name] += 1
+            return _real(self, *a, **kw)
+
+        monkeypatch.setattr(argparse.ArgumentParser, name, counted)
+    fixture, tail, code = row
+    assert run_cli(tail.split(), fixture=fixture)[0] == code
+    assert counts == {"__init__": 3, "_add_container_actions": 0, "add_argument": adds}
 
 
 def test_reads_stdin_when_no_file():

@@ -229,6 +229,20 @@ def test_finite_topology_rejects_neighbourhoods_of_no_preorder(u3, carrier, nbhd
         FiniteTopology(u3, carrier, nbhd)
 
 
+@pytest.mark.parametrize("carrier, nbhd, why", [
+    # one neighbourhood short of the universe
+    (0b011, (0b001, 0b010), r"2 neighbourhoods given for the 3 elements"),
+    (0b011, (0b001, 0b010, 0, 0), r"4 neighbourhoods given for the 3 elements"),
+    # 1 lies outside the carrier {0}, yet N(1) = {1}
+    (0b001, (0b001, 0b010, 0), r"1 lies outside the carrier, but N\(1\) is not empty"),
+    # the carrier holds a fourth point the universe lacks
+    (0b1001, (0b001, 0, 0), r"carrier is not a subset of the universe"),
+])
+def test_finite_topology_rejects_neighbourhoods_off_the_carrier(u3, carrier, nbhd, why):
+    with pytest.raises(InputError, match=why):
+        FiniteTopology(u3, carrier, nbhd)
+
+
 @pytest.fixture
 def two_chains():
     """0 < 1 and 2 < 3: N = {0}, {0,1}, {2}, {2,3}, in class order."""
