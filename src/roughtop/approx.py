@@ -31,12 +31,12 @@ class Universe(Record):
     _fields = ("elements",)
 
     def __init__(self, elements: tuple[str, ...]):
-        index: dict[str, int] = {}
+        bit: dict[str, int] = {}  # name -> the mask of that one element
         for i, name in enumerate(elements):
-            if name in index:
+            if name in bit:
                 raise InputError(f"duplicate element name {name!r} in universe")
-            index[name] = i
-        self._set(elements=elements, _index=index)
+            bit[name] = 1 << i
+        self._set(elements=elements, _bit=bit)
 
     @property
     def size(self) -> int:
@@ -48,14 +48,18 @@ class Universe(Record):
 
     def index(self, name: str) -> int:
         try:
-            return self._index[name]
+            return self._bit[name].bit_length() - 1
         except KeyError:
             raise InputError(f"unknown element {name!r}") from None
 
     def mask_of(self, names: Iterable[str]) -> int:
+        bit = self._bit
         mask = 0
-        for name in names:
-            mask |= 1 << self.index(name)
+        try:
+            for name in names:
+                mask |= bit[name]
+        except KeyError:
+            raise InputError(f"unknown element {name!r}") from None
         return mask
 
     def names_of(self, mask: int) -> tuple[str, ...]:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import argparse
 import shutil
 import sys
-from functools import cache, partial
+from functools import partial
 
 from .actions import (
     RoughSpace,
@@ -316,15 +316,18 @@ def _enumerate_topologies(r: _Run) -> VerificationReport:
             f"--max-size {r.args.max_size}"
         )
     u = r.universe
-    # at most 2^n distinct opens occur, so each is formatted once
-    set_str = cache(u.set_str)
+    # both listings come from one carrier, so a topology's opens, as
+    # bytes of local masks, name it in either; each of the 2^n local
+    # masks is formatted once, and no topology object is built
     tops = enumerate_topologies(u, cert.upper)
-    trg_opens = {t.opens for t in trg_topologies(cert, r.args.codomain_topology)}
+    listed, table = tops.local_opens()
+    trg_opens = set(trg_topologies(cert, r.args.codomain_topology).local_opens()[0])
+    set_str = [u.set_str(m) for m in table].__getitem__
     clauses = []
-    for i, top in enumerate(tops):
-        verdict = PASS if top.opens in trg_opens else FAIL
-        opens = " ".join(map(set_str, top.opens))
-        clauses.append(Clause(f"topology-{i}", INFO, f"trg={verdict} opens: {opens}"))
+    for i, opens in enumerate(listed):
+        verdict = PASS if opens in trg_opens else FAIL
+        clauses.append(Clause(f"topology-{i}", INFO,
+                              f"trg={verdict} opens: " + " ".join(map(set_str, opens))))
     return combine(r.name, clauses,
                    stats=[("count", len(tops)), ("trg-pass", len(trg_opens))])
 

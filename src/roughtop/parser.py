@@ -25,7 +25,9 @@ its body, and `parse_spec` checks every header the same way from it.
 from __future__ import annotations
 
 import re
+from functools import reduce
 from itertools import islice
+from operator import or_
 
 from .approx import CayleyTable, Partition, Universe
 from .errors import InputError, ParseError
@@ -33,6 +35,7 @@ from .record import Record
 from .topology import FiniteMap, verify_topology
 
 _BRACE_RE = re.compile(r"\{([^{}]*)\}")
+_BRACE_LIST_RE = re.compile(r"\s*(?:\{[^{}]*\}\s*)*")
 _TOKEN_RE = re.compile(r"\S+")
 
 
@@ -88,6 +91,42 @@ def _brace_groups(tail: str, offset: int, lineno: int) -> list[tuple[str, int]]:
     return [(m.group(1), offset + m.start(1)) for m in groups]
 
 
+def _brace_masks(universe: Universe, uname: str, tail: str, offset: int,
+                 lineno: int, carrier: int) -> list[int]:
+    """The set each pair of braces of a line fragment names, as a
+    bitmask, every one inside `carrier`.  Columns are worked out only to
+    name an error: on any miss the fragment is read again, brace by
+    brace and token by token (`_brace_masks_at`), which raises there."""
+    if _BRACE_LIST_RE.fullmatch(tail):
+        try:
+            masks = [universe.mask_of(group.split())
+                     for group in _BRACE_RE.findall(tail)]
+        except InputError:
+            pass
+        else:
+            if not reduce(or_, masks, 0) & ~carrier:
+                return masks
+    return _brace_masks_at(universe, uname, tail, offset, lineno, carrier)
+
+
+def _brace_masks_at(universe: Universe, uname: str, tail: str, offset: int,
+                    lineno: int, carrier: int) -> list[int]:
+    """`_brace_masks` read with the column of every brace and token, so
+    that it raises ParseError at the first error on the line."""
+    masks = []
+    for group, at in _brace_groups(tail, offset, lineno):
+        mask = _mask(universe, uname, group, at, lineno)
+        if mask & ~carrier:
+            tok, col = next((tok, col) for tok, col in _tokens(group, at)
+                            if not carrier >> universe.index(tok) & 1)
+            raise ParseError(
+                f"family member {universe.set_str(mask)} is not a subset of the "
+                f"carrier {universe.set_str(carrier)}: {tok!r} lies outside it",
+                lineno, col)
+        masks.append(mask)
+    return masks
+
+
 def _word_col(head: str, at: int) -> int:
     """Column of the header word at index `at`."""
     return _tokens(head, 0)[at][1]
@@ -124,8 +163,7 @@ def _build_table(name, refs, tail, off, lineno, lines):
 
 def _build_partition(name, refs, tail, off, lineno, lines):
     ((uname, _, u, _),) = refs
-    blocks = [_mask(u, uname, group, at, lineno)
-              for group, at in _brace_groups(tail, off, lineno)]
+    blocks = _brace_masks(u, uname, tail, off, lineno, u.all_mask)
     return uname, Partition(u, tuple(blocks))
 
 
@@ -136,17 +174,7 @@ def _build_subset(name, refs, tail, off, lineno, lines):
 
 def _build_topology(name, refs, tail, off, lineno, lines):
     ((cname, uname, u, carrier),) = refs
-    family = []
-    for group, at in _brace_groups(tail, off, lineno):
-        mask = _mask(u, uname, group, at, lineno)
-        if mask & ~carrier:
-            tok, col = next((tok, col) for tok, col in _tokens(group, at)
-                            if not carrier >> u.index(tok) & 1)
-            raise ParseError(
-                f"family member {u.set_str(mask)} is not a subset of the "
-                f"carrier {u.set_str(carrier)}: {tok!r} lies outside it",
-                lineno, col)
-        family.append(mask)
+    family = _brace_masks(u, uname, tail, off, lineno, carrier)
     rep, top = verify_topology(u, carrier, family)
     if top is None:
         raise InputError(f"family is not a topology: {rep.first_witness()}")

@@ -40,6 +40,7 @@ Bases are represented as plain tuples of open masks; `verify_base` and
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Iterator, Sequence
 from functools import cached_property
 from operator import itemgetter
@@ -154,9 +155,10 @@ class FiniteTopology(Record):
             opens += [o | points for o in opens if o & n == n ^ points]
         return tuple(sorted(opens))
 
-    def count_opens(self) -> int:
-        """Number of open sets, counted as down-sets of the classes."""
-        return _count_down_sets([below for _, _, below in self.classes])
+    def count_opens(self, limit: int | None = None) -> int:
+        """Number of open sets, counted as down-sets of the classes; with
+        a `limit`, limit + 1 once the count is past it."""
+        return _count_down_sets([below for _, _, below in self.classes], limit)
 
     def is_open(self, mask: int) -> bool:
         if mask < 0 or mask & ~self.carrier:
@@ -168,11 +170,25 @@ class FiniteTopology(Record):
         return True
 
 
-def _count_down_sets(below) -> int:
+def _count_down_sets(below, limit: int | None = None) -> int:
     """Number of down-sets of an order on range(len(below)), where
     below[i] masks the elements at or below i: the product over the
     connected components of the memoised count D(P) = D(P - above(x))
-    + D(P - below[x]), which leaves the pivot x out or puts it in."""
+    + D(P - below[x]), which leaves the pivot x out or puts it in.
+
+    With a `limit`, the count stops at the first partial count past it
+    and returns limit + 1.  A partial count counts the down-sets of an
+    induced sub-order, and D -> the down-closure of D is injective, so
+    it never exceeds the full count.  Before any, it takes a lower
+    bound: the elements with equally many elements at or below them are
+    pairwise incomparable, so each nonempty set of them is the set of
+    maximal elements of its own down-closure, and a level of k such
+    elements alone gives 2^k - 1 nonempty down-sets."""
+    if limit is None:
+        limit = float("inf")
+    elif 1 + sum((1 << k) - 1 for k in Counter(
+            b.bit_count() for b in below).values()) > limit:
+        return limit + 1
     above = [1 << i for i in range(len(below))]
     for i, b in enumerate(below):
         for j in bit_indices(b ^ 1 << i):
@@ -207,16 +223,20 @@ def _count_down_sets(below) -> int:
             rest ^= comp
             if comp & (comp - 1) == 0:
                 total *= 2
-                continue
-            if comp not in memo:
-                x = pivot(comp)
-                memo[comp] = count(comp & ~above[x]) + count(comp & ~below[x])
-            total *= memo[comp]
+            else:
+                if comp not in memo:
+                    x = pivot(comp)
+                    out = count(comp & ~above[x])
+                    memo[comp] = out if out > limit else out + count(comp & ~below[x])
+                total *= memo[comp]
+            if total > limit:
+                return total
         return total
 
     # the elements comparable to no other, each a component of two down-sets
     lone = sum(1 << x for x, a in enumerate(adj) if a & (a - 1) == 0)
-    return count((1 << len(below)) - 1 & ~lone) << lone.bit_count()
+    total = count((1 << len(below)) - 1 & ~lone) << lone.bit_count()
+    return min(total, limit + 1)
 
 
 def map_needs(fmap: FiniteMap, below) -> Iterator[tuple[int, int]]:
@@ -264,13 +284,14 @@ def verify_topology(universe: Universe, carrier: int, family
     """Check the finite topology axioms on a raw family of subsets, and
     return the topology it is, or None.
 
-    Every member is open in the topology that the family's own
-    neighbourhoods generate, and every open there is a union of
-    neighbourhoods.  So the family is a topology exactly when it holds
-    the empty set and the carrier and m | N(p) is a member for every
-    member m and point p: O(|family| * n).  Those N(p) are then the
-    topology's.  Only a failing family gets the pairwise scan, which
-    names the first offending pair.
+    Each member m is the union of N(p) over its points p, where the
+    N(p) are the family's own neighbourhoods, so the family lies among
+    the opens of the topology they form.  It holds no member twice, so
+    it is a topology, and those N(p) are its, exactly when it has as
+    many members as that topology has opens.  The opens are counted
+    only up to the family's size, so a family far from a topology fails
+    as fast as one near it.  Only a failing family gets the pairwise
+    scan, which names the first offending pair.
     """
     universe.check_subset(carrier, "carrier")
     fam = canonical_family(family)
@@ -281,24 +302,32 @@ def verify_topology(universe: Universe, carrier: int, family
                 f"of the carrier {universe.set_str(carrier)}"
             )
     stats = [("members", len(fam))]
-    members = frozenset(fam)
-    nbhd = _nbhds(universe.size, carrier, fam)
-    if 0 in members and carrier in members and all(
-            m | n in members for n in set(nbhd) - {0} for m in fam):
+    # the N(p) of any family are a preorder, each the intersection of
+    # the members that hold p, so the constructor's checks are skipped
+    top = FiniteTopology.__new__(FiniteTopology)
+    top._set(universe=universe, carrier=carrier,
+             nbhd=_nbhds(universe.size, carrier, fam))
+    if top.count_opens(limit=len(fam)) == len(fam):
         rep = combine("topology", [Clause(c, PASS) for c in _TOPOLOGY_CLAUSES], stats=stats)
-        return rep, FiniteTopology(universe, carrier, nbhd)
+        return rep, top
+    members = frozenset(fam)
     clauses = [
         law("empty-set-member",
             None if 0 in members else "the empty set is missing from the family"),
         law("carrier-member", None if carrier in members
             else f"the carrier {universe.set_str(carrier)} is missing"),
     ]
-    for word, op in (("union", int.__or__), ("intersection", int.__and__)):
-        a, b = next(((a, b) for i, a in enumerate(fam) for b in fam[i + 1:]
-                     if op(a, b) not in members), (None, None))
-        wit = None if a is None else (
-            f"{word} of {universe.set_str(a)} and {universe.set_str(b)} = "
-            f"{universe.set_str(op(a, b))} is not in the family")
+    for word, op in (("union", "__or__"), ("intersection", "__and__")):
+        wit = None
+        # the pairs (a, b) with a before b, a by a; the set takes each
+        # a's row whole, and only the failing row is read pair by pair
+        for i, a in enumerate(fam):
+            with_a, later = getattr(a, op), fam[i + 1:]
+            if not members.issuperset(map(with_a, later)):
+                b = next(b for b in later if with_a(b) not in members)
+                wit = (f"{word} of {universe.set_str(a)} and {universe.set_str(b)} = "
+                       f"{universe.set_str(with_a(b))} is not in the family")
+                break
         clauses.append(law(f"{word}-closure", wit))
     return combine("topology", clauses, stats=stats), None
 
@@ -585,9 +614,10 @@ class Topologies(Sequence):
     6 points.  Unlike a tuple, two sequences do not compare equal by
     value, and each read builds a new object whose class table starts
     empty; take `tuple(...)` of it to compare listings or to keep the
-    objects."""
+    objects.  A caller that only prints or matches the opens reads them
+    as bytes through `local_opens` and builds no object at all."""
 
-    __slots__ = ("_keys", "_build")
+    __slots__ = ("_keys", "_n", "_table", "_build")
 
     def __init__(self, universe: Universe, carrier: int, keys: list[bytes]):
         points = tuple(bit_indices(carrier))
@@ -595,6 +625,7 @@ class Topologies(Sequence):
         table = [0]
         for p in points:
             table += [m | 1 << p for m in table]
+        table = tuple(table)
         to_mask = table.__getitem__
         # where each universe element's N sits in a key: the i-th
         # point's at -1 - i, the others' at 0, which holds the empty open
@@ -616,8 +647,16 @@ class Topologies(Sequence):
                      opens=key[:len(key) - n])
             return top
 
-        self._keys = keys
+        self._keys, self._n, self._table = keys, n, table
         self._build = build
+
+    def local_opens(self) -> tuple[Iterator[bytes], tuple[int, ...]]:
+        """Each topology's opens in order, as one bytes of local masks
+        (bit i for the i-th point of the carrier), and the table that
+        maps each local mask to its universe mask.  Two listings on one
+        carrier give equal bytes exactly for equal topologies."""
+        n = self._n
+        return (key[:len(key) - n] for key in self._keys), self._table
 
     def __len__(self) -> int:
         return len(self._keys)

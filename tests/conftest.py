@@ -14,7 +14,7 @@ import io
 import contextlib
 import itertools
 import shutil
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 import pytest
@@ -33,7 +33,9 @@ from roughtop import (
 from roughtop.approx import bit_indices, product_mask, product_universe
 from roughtop.errors import CapExceededError, InputError
 from roughtop.groups import DEFAULT_SUBGROUP_ENUM_CAP
-from roughtop.report import FAIL, INFO, PASS, Clause, combine
+from roughtop.report import FAIL, INFO, PASS, Clause, VerificationReport, combine
+from roughtop.topology import enumerate_topologies
+from roughtop.trg import trg_topologies
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXDIR = ROOT / "fixtures"
@@ -496,6 +498,34 @@ def oracle_build_parser() -> argparse.ArgumentParser:
     ep.add_argument("what", choices=_next_words("enumerate"))
     return p
 
+
+
+# ---------------------------------------------------------------------------
+# oracle: `enumerate topologies` listed through one FiniteTopology per
+# topology, its opens matched as tuples and formatted mask by mask
+
+
+def oracle_enumerate_topologies_report(r) -> VerificationReport:
+    """The report of `enumerate topologies` for the command run `r`."""
+    cert = r.group()
+    n = cert.upper.bit_count()
+    if n > r.args.max_size:
+        raise InputError(
+            f"the upper approximation has {n} points, exceeding "
+            f"--max-size {r.args.max_size}"
+        )
+    u = r.universe
+    # at most 2^n distinct opens occur, so each is formatted once
+    set_str = cache(u.set_str)
+    tops = enumerate_topologies(u, cert.upper)
+    trg_opens = {t.opens for t in trg_topologies(cert, r.args.codomain_topology)}
+    clauses = []
+    for i, top in enumerate(tops):
+        verdict = PASS if top.opens in trg_opens else FAIL
+        opens = " ".join(map(set_str, top.opens))
+        clauses.append(Clause(f"topology-{i}", INFO, f"trg={verdict} opens: {opens}"))
+    return combine(r.name, clauses,
+                   stats=[("count", len(tops)), ("trg-pass", len(trg_opens))])
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,12 @@ import pytest
 
 import roughtop
 import roughtop.cli as cli
-from conftest import FIXDIR, oracle_build_parser, run_cli
+from roughtop.parser import parse_spec
+from roughtop.record import Record
+from roughtop.report import serialize_report
+from roughtop.topology import FiniteTopology
+from conftest import (FIXDIR, oracle_build_parser, oracle_enumerate_topologies_report,
+                      run_cli)
 
 # Recorded stdout, stderr and exit code of every MATRIX row, in text and
 # in --json mode. Regenerate after a deliberate output change with
@@ -220,6 +225,42 @@ def test_enumerate_topologies_text():
     assert lines[-2] == "  stat count=29"
     assert lines[-1] == "  stat trg-pass=10"
     assert sum("trg=pass" in l for l in lines) == 10
+
+
+def test_topology_listing_builds_no_topology_object(monkeypatch):
+    """Once the document is parsed, `enumerate topologies` formats and
+    matches every listed topology from its key, without building one
+    FiniteTopology, and prints what the object-based listing prints."""
+    argv = ("enumerate topologies --max-size 4 --table T4 --partition P4 "
+            "--group G4").split()
+    built = []
+    parsed = []
+
+    def parse(text):
+        ws = cli_parse(text)
+        parsed.append(len(built))  # the declared topology tau4
+        built.clear()
+        return ws
+
+    def fill(self, **fields):
+        built.append(fields)
+        Record._set(self, **fields)
+
+    cli_parse = cli.parse_spec
+    monkeypatch.setattr(cli, "parse_spec", parse)
+    # every way of making a FiniteTopology, the constructor and the
+    # builds through __new__ alike, sets its fields through _set
+    monkeypatch.setattr(FiniteTopology, "_set", fill)
+    code, out, err = run_cli(argv, fixture="zmod4_discrete.rg")
+    assert (code, err) == (0, "")
+    assert parsed == [1] and built == []
+    monkeypatch.undo()
+    args = cli._build_parser(argv).parse_args(argv)
+    want = oracle_enumerate_topologies_report(
+        cli._Run(parse_spec((FIXDIR / "zmod4_discrete.rg").read_text()), args,
+                 "enumerate-topologies"))
+    assert out == serialize_report(want)
+    assert "stat count=355" in out
 
 
 def test_normal_premise_text():

@@ -6,14 +6,18 @@ so a fast path that reaches the right verdict with a different witness
 fails here.
 """
 
+import argparse
 import itertools
 import json
 import math
 import random
+import sys
+from collections import Counter
 
 import pytest
 
-from roughtop import ApproxSpace, Partition, RoughSpace, Universe
+import roughtop.cli as cli
+from roughtop import ApproxSpace, Partition, RoughSpace, Universe, topology
 from roughtop.actions import is_rough_homogeneous, verify_rough_action
 from roughtop.approx import product_mask, product_universe
 from roughtop.groups import (
@@ -53,6 +57,7 @@ from conftest import (
     set_to_mask,
     oracle_all_topologies,
     oracle_enumerate_topologies,
+    oracle_enumerate_topologies_report,
     oracle_generate_opens,
     oracle_homogeneity_orbits,
     oracle_is_continuous,
@@ -169,6 +174,31 @@ def _cyclic_rough_groups(n: int) -> list:
     return certs
 
 
+class _GivenGroup:
+    """A command run whose --table, --partition and --group name `cert`."""
+
+    name = "enumerate-topologies"
+
+    def __init__(self, cert, mode: str):
+        self.cert, self.universe = cert, cert.space.universe
+        self.args = argparse.Namespace(max_size=4, codomain_topology=mode)
+
+    def group(self):
+        return self.cert
+
+
+def test_topology_listing_matches_the_object_based_listing():
+    """`enumerate topologies` on every rough group of Z_2 to Z_4, in
+    both codomain modes, reports what listing one FiniteTopology per
+    topology reports."""
+    certs = [c for n in (2, 3, 4) for c in _cyclic_rough_groups(n)]
+    assert len(certs) == 93
+    for cert in certs:
+        for mode in ("upper", "relative"):
+            assert (cli._enumerate_topologies(_GivenGroup(cert, mode))
+                    == oracle_enumerate_topologies_report(_GivenGroup(cert, mode)))
+
+
 @pytest.mark.parametrize("mode, total", [("upper", 2940), ("relative", 3022)])
 def test_trg_topologies_match_decide_trg_on_every_rough_group_of_z2_to_z4(mode, total):
     certs = [c for n in (2, 3, 4) for c in _cyclic_rough_groups(n)]
@@ -265,6 +295,88 @@ def test_verify_topology_matches_oracle_on_random_families():
             assert top is None, (n, fam)
         verdicts.add(got.verdict)
     assert verdicts == {"pass", "fail"}
+
+
+def _check_verify_topology(u, carrier, fam):
+    """verify_topology against the pairwise-scan oracle: the whole
+    report, and on a pass the N(p) of the family, each the intersection
+    of the members that hold p, worked out on frozensets."""
+    rep, top = verify_topology(u, carrier, fam)
+    assert rep == oracle_verify_topology(u, carrier, fam), (carrier, fam)
+    if not rep.passed:
+        assert top is None, (carrier, fam)
+        return rep
+    sets = [mask_to_set(m) for m in fam]
+    want = [0] * u.size
+    for p in mask_to_set(carrier):
+        want[p] = set_to_mask(frozenset.intersection(
+            mask_to_set(carrier), *[s for s in sets if p in s]))
+    assert top.nbhd == tuple(want), (carrier, fam)
+    return rep
+
+
+def _families(carrier: int):
+    """Every family of subsets of the carrier."""
+    subsets = [m for m in range(carrier + 1) if not m & ~carrier]
+    for pick in range(1 << len(subsets)):
+        yield [m for i, m in enumerate(subsets) if pick >> i & 1]
+
+
+def test_verify_topology_matches_oracle_on_every_small_family():
+    """Every family on every carrier of a 3-point universe, and every
+    family on a 4-point carrier of a 5-point universe."""
+    u3 = Universe(("a", "b", "c"))
+    u5 = Universe(("a", "b", "c", "d", "e"))
+    verdicts = Counter()
+    for u, carriers in ((u3, range(8)), (u5, (0b10111,))):
+        for carrier in carriers:
+            for fam in _families(carrier):
+                verdicts[_check_verify_topology(u, carrier, fam).verdict] += 1
+    # A000798: 1 + 3 * 1 + 3 * 4 + 29 topologies on the carriers of
+    # three points, and 355 on four
+    assert verdicts == {"pass": 45 + 355, "fail": 318 + 65536 - 45 - 355}
+
+
+def _lattice_family(sides):
+    """The principal down-sets of the product of chains of the given
+    lengths, as opens of its 64 points, and the empty set.  The opens
+    of the topology they generate number the down-sets of that order:
+    7,828,354 (the Dedekind number M(6)) for six chains of 2."""
+    points = list(itertools.product(*map(range, sides)))
+    u = Universe(tuple("p" + "".join(map(str, x)) for x in points))
+    fam = [0] + [sum(1 << j for j, y in enumerate(points)
+                     if all(a <= b for a, b in zip(y, x))) for x in points]
+    return u, u.all_mask, fam
+
+
+@pytest.mark.parametrize("sides", [(2,) * 6, (4, 4, 4), (4, 4, 2, 2)])
+@pytest.mark.parametrize("unions", [False, True])
+def test_verify_topology_fails_far_from_a_topology_by_a_bounded_count(sides, unions):
+    """A family whose generated topology has far more opens than it has
+    members fails with the pairwise scan's witness, and the count that
+    decides it stops as soon as it passes the family's size."""
+    u, carrier, fam = _lattice_family(sides)
+    if unions:
+        fam = sorted(set(fam) | {a | b for a, b in itertools.combinations(fam, 2)})
+    counts = []
+
+    def watch(frame, event, arg):
+        if event == "return" and frame.f_code is topology._count_down_sets.__code__:
+            # no memo yet when the levels alone pass the limit
+            counts.append((arg, len(frame.f_locals.get("memo", ()))))
+
+    sys.setprofile(watch)
+    try:
+        rep = _check_verify_topology(u, carrier, fam)
+    finally:
+        sys.setprofile(None)
+    assert not rep.passed
+    assert rep.clause("union-closure").verdict == "fail"
+    # one count, stopped at the limit: the full count would memoise
+    # 921 (4x4x4) to 14,207 (B_6) components
+    ((count, memo),) = counts
+    assert count == len(set(fam)) + 1
+    assert memo <= 100
 
 
 def test_generated_and_product_opens_match_oracle():

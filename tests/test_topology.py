@@ -128,6 +128,25 @@ def test_generate_topology_counts_past_the_old_cap():
     assert top.nbhd == tuple(1 << i for i in range(17))
 
 
+def test_a_bounded_count_is_exact_up_to_its_limit():
+    """count_opens(limit) is the count while it is at most the limit,
+    and limit + 1 past it, on every topology of 4 points and on random
+    ones of up to 9 points."""
+    rng = random.Random(24)
+    u = Universe(tuple(str(i) for i in range(9)))
+    tops = list(enumerate_topologies(u, 0b1111))
+    for _ in range(200):
+        n = rng.randint(5, 9)
+        tops.append(generate_topology(u, (1 << n) - 1, [
+            rng.randrange(1 << n) for _ in range(rng.randint(0, 2 * n))]))
+    for top in tops:
+        full = len(top.opens)
+        assert top.count_opens() == full
+        limits = range(full + 2) if full < 40 else rng.sample(range(full + 2), 40)
+        for limit in limits:
+            assert top.count_opens(limit) == min(full, limit + 1), (top.nbhd, limit)
+
+
 def test_subspace_topology(topA, u3, ws_s4):
     sub = subspace_topology(topA, 0b011)
     assert sub.carrier == 0b011
