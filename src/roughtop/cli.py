@@ -83,6 +83,11 @@ def _shim_argv(argv: list[str]) -> list[str]:
     return out
 
 
+# each subcommand and its line in the top parser's help, in help order
+_SUBCOMMANDS = {"check": "verify one structure or theorem instance",
+                "enumerate": "list structures of a given kind"}
+
+
 def _non_negative_int(text: str) -> int:
     """A non-negative integer option value; anything else is a usage error."""
     try:
@@ -145,24 +150,34 @@ def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
                     "structures described in a declaration file.",
         formatter_class=fmt,
     )
-    sub = p.add_subparsers(dest="command", required=True)
-    cp = sub.add_parser("check", formatter_class=fmt,
-                        help="verify one structure or theorem instance")
-    ep = sub.add_parser("enumerate", formatter_class=fmt,
-                        help="list structures of a given kind")
     # The top parser takes no option with a value, so argparse dispatches
     # on the first token it reads as a positional: this word, or else a
     # token starting with "-", which names no subcommand and ends the
     # parse at the top level.  Only the named subcommand needs arguments.
     word = next((tok for tok in argv if not tok.startswith("-")), None)
-    if word == "check":
-        _add_common(cp)
-        cp.add_argument("kind", choices=_next_words("check"))
-        cp.add_argument("prop", nargs="?", default=None,
-                        help="proposition name when kind is 'prop'")
-    elif word == "enumerate":
-        _add_common(ep)
-        ep.add_argument("what", choices=_next_words("enumerate"))
+    if argv[:1] == [word] and word in _SUBCOMMANDS:
+        # The word leads, so the top parser can print no more than its
+        # usage line (on unrecognized arguments), which the metavar keeps
+        # as it was.  Any other command line gets both subcommands and no
+        # metavar: the top parser's help and its "invalid choice" and
+        # "required" errors list or name them.  A given `prog` spares
+        # formatting a usage line to work it out.
+        sub = p.add_subparsers(dest="command", required=True, prog="roughtop",
+                               metavar="{" + ",".join(_SUBCOMMANDS) + "}")
+        words = (word,)
+    else:
+        sub = p.add_subparsers(dest="command", required=True, prog="roughtop")
+        words = tuple(_SUBCOMMANDS)
+    for name in words:
+        sp = sub.add_parser(name, formatter_class=fmt, help=_SUBCOMMANDS[name])
+        if name == "check" == word:
+            _add_common(sp)
+            sp.add_argument("kind", choices=_next_words("check"))
+            sp.add_argument("prop", nargs="?", default=None,
+                            help="proposition name when kind is 'prop'")
+        elif name == "enumerate" == word:
+            _add_common(sp)
+            sp.add_argument("what", choices=_next_words("enumerate"))
     return p
 
 

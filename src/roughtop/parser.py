@@ -35,6 +35,7 @@ from .record import Record
 from .topology import FiniteMap, verify_topology
 
 _BRACE_RE = re.compile(r"\{([^{}]*)\}")
+_STRAY_BRACE_RE = re.compile(r"[{}]")
 _BRACE_LIST_RE = re.compile(r"\s*(?:\{[^{}]*\}\s*)*")
 _TOKEN_RE = re.compile(r"\S+")
 
@@ -78,14 +79,15 @@ def _mask(universe: Universe, uname: str, text: str, offset: int,
 
 
 def _brace_groups(tail: str, offset: int, lineno: int) -> list[tuple[str, int]]:
-    """The text inside each pair of braces and its offset on the line."""
+    """The text inside each pair of braces and its offset on the line.
+    An error names the first brace, or else the first token, left over
+    once every well-formed group is blanked out."""
     groups = list(_BRACE_RE.finditer(tail))
-    if tail.count("{") != len(groups) or tail.count("}") != len(groups):
-        at = tail.find("{")
-        raise ParseError("unbalanced braces", lineno,
-                         offset + at + 1 if at >= 0 else 1)
-    if _BRACE_RE.sub("", tail).split():
-        blanked = _BRACE_RE.sub(lambda m: " " * len(m.group()), tail)
+    blanked = _BRACE_RE.sub(lambda m: " " * len(m.group()), tail)
+    stray = _STRAY_BRACE_RE.search(blanked)
+    if stray:
+        raise ParseError("unbalanced braces", lineno, offset + stray.start() + 1)
+    if blanked.split():
         tok, col = _tokens(blanked, offset)[0]
         raise ParseError(f"unexpected text {tok!r} outside braces", lineno, col)
     return [(m.group(1), offset + m.start(1)) for m in groups]

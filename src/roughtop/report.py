@@ -12,7 +12,6 @@ byte-identical output.
 
 from __future__ import annotations
 
-import json
 from collections import namedtuple
 
 from .record import Record
@@ -99,6 +98,8 @@ def exit_code(report: VerificationReport) -> int:
 def serialize_report(report: VerificationReport, fmt: str = "text") -> str:
     """Render a report as text or JSON.  Output always ends with a newline."""
     if fmt == "json":
+        import json  # only `--json` reads it, so a text report never loads it
+
         payload = {
             "check": report.check,
             "verdict": report.verdict,

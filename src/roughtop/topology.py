@@ -42,7 +42,7 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Iterator, Sequence
-from functools import cached_property
+from functools import cache, cached_property
 from operator import itemgetter
 
 from .approx import Universe, bit_indices, product_mask, product_universe
@@ -541,6 +541,23 @@ def _keeps(rel: int, rules) -> bool:
     return True
 
 
+@cache
+def _level_tables(k: int) -> tuple[tuple[bytes, ...], tuple[bytes, ...], bytes,
+                                   tuple[int, ...]]:
+    """The tables `_preorder_keys` grows level k with, for k < 8: two
+    deletion tables for bytes.translate, the masks that are not inside
+    m and the masks that do not contain m, for each mask m on 0..k-1;
+    the translation that adds k to a mask; and, for each up-set U, k
+    added to N(q) for every q in U, as an int whose byte q is N(q)."""
+    kbit = 1 << k
+    masks = range(kbit)
+    not_inside = tuple(bytes(x for x in masks if x & ~m) for m in masks)
+    not_above = tuple(bytes(x for x in masks if m & ~x) for m in masks)
+    add_k = bytes(x | kbit for x in range(256))
+    raise_u = tuple(sum(kbit << 8 * q for q in bit_indices(u)) for u in masks)
+    return not_inside, not_above, add_k, raise_u
+
+
 def _preorder_keys(n: int, rules=None) -> list[bytes]:
     """Every preorder on range(n) once, as one bytes key: its opens in
     ascending order, then N(n-1), ..., N(0), all as local masks.
@@ -568,14 +585,7 @@ def _preorder_keys(n: int, rules=None) -> list[bytes]:
     keys = [b"\x00"]
     for k in range(n):
         kbit, full = 1 << k, (1 << k) - 1
-        masks = range(kbit)
-        # deletion tables for bytes.translate: the masks that are not
-        # inside m, and the masks that do not contain m
-        not_inside = [bytes(x for x in masks if x & ~m) for m in masks]
-        not_above = [bytes(x for x in masks if m & ~x) for m in masks]
-        add_k = bytes(x | kbit for x in range(256))
-        # k added to N(q) for every q in U, as an int whose byte q is N(q)
-        raise_u = [sum(kbit << 8 * q for q in bit_indices(u)) for u in masks]
+        not_inside, not_above, add_k, raise_u = _level_tables(k)
         children = []
         add = children.append
         for key in keys:

@@ -582,11 +582,12 @@ def test_usage_error_exits_3(argv, message):
 def test_cold_import_loads_every_module_and_no_dataclasses():
     """A fresh `import roughtop.cli` loads every module of the package,
     so no import waits for the first operation, and it needs neither
-    `dataclasses` nor the `inspect` chain behind it."""
+    `dataclasses` nor the `inspect` chain behind it, nor `json`, which
+    only a `--json` report reads."""
     src = Path(__file__).resolve().parent.parent / "src"
     code = ("import sys, roughtop.cli\n"
             "print(*sorted(m for m in sys.modules if m.split('.')[0] in "
-            "('roughtop', 'dataclasses', 'inspect')))")
+            "('roughtop', 'dataclasses', 'inspect', 'json')))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=str(src)), timeout=60)
     assert proc.returncode == 0, proc.stderr
@@ -630,14 +631,18 @@ def test_every_annotation_in_the_package_resolves():
 
 def test_subcommands_take_the_same_options_declared_once():
     """`check` and `enumerate` take the same optional arguments in the
-    same order, and a parser built for one subcommand gives the other
-    nothing but `-h`."""
+    same order.  A parser built for a command line that leads with one
+    subcommand registers no other, and one built where that word does
+    not lead gives the other nothing but `-h`."""
     fields = ("option_strings", "dest", "default", "type", "choices", "nargs", "help")
     optionals = {}
     for word, other in (("check", "enumerate"), ("enumerate", "check")):
         subparsers = _subparsers([word])
+        assert list(subparsers) == [word]
         optionals[word] = [tuple(getattr(a, f) for f in fields)
                            for a in subparsers[word]._actions if a.option_strings]
+        subparsers = _subparsers(["--json", word])
+        assert list(subparsers) == ["check", "enumerate"]
         assert [a.dest for a in subparsers[other]._actions] == ["help"]
     assert optionals["check"] == optionals["enumerate"]
     assert len(optionals["check"]) == 30  # -h and the 29 shared options
@@ -765,7 +770,14 @@ PARSER_RUNS = (
         "--enumerate topologies " + _GROUP,
         "--check trg " + _TRG,
         "--check prop g-inverse " + _TRG,
-        "check --enumerate " + _GROUP)])
+        "check --enumerate " + _GROUP,
+        # the top parser's "unrecognized arguments" on the leading path
+        "check trg nope " + _TRG,
+        "check trg --bogus " + _TRG,
+        "check -h",
+        # an option before the word: the full tree's usage error
+        "--json check trg " + _TRG,
+        "enumerate " + _GROUP)])
 
 
 def _main_with(monkeypatch, builder, argv: list[str]):
@@ -800,14 +812,10 @@ def test_parser_of_the_named_subcommand_matches_the_full_parser(monkeypatch, arg
     assert new == _main_with(monkeypatch, lambda _: oracle_build_parser(), argv)
 
 
-@pytest.mark.parametrize("row, adds", [
-    (next(row for row in MATRIX if row[1].startswith("check trg ")), 34),
-    (next(row for row in MATRIX if row[1].startswith("enumerate topologies ")), 33),
-])
-def test_one_main_call_declares_one_subcommand(monkeypatch, row, adds):
-    """A `main` call makes the top parser and two subparsers, copies no
-    parent parser's actions, and declares three `-h` options plus the
-    29 shared options and the positionals of the one subcommand it runs."""
+def _argparse_work(monkeypatch, argv: list[str], fixture: str) -> tuple[int, dict]:
+    """The exit code of one `main` call, and the `ArgumentParser`s it
+    made, the parent parsers' actions it copied, its `add_argument`
+    calls and its gettext lookups."""
     counts = dict.fromkeys(("__init__", "_add_container_actions", "add_argument"), 0)
     for name in counts:
         real = getattr(argparse.ArgumentParser, name)
@@ -817,9 +825,43 @@ def test_one_main_call_declares_one_subcommand(monkeypatch, row, adds):
             return _real(self, *a, **kw)
 
         monkeypatch.setattr(argparse.ArgumentParser, name, counted)
+    real_gettext = argparse._
+
+    def gettext(message):
+        counts["gettext"] += 1
+        return real_gettext(message)
+
+    counts["gettext"] = 0
+    monkeypatch.setattr(argparse, "_", gettext)
+    return run_cli(argv, fixture=fixture)[0], counts
+
+
+_TRG_ROW = next(row for row in MATRIX if row[1].startswith("check trg "))
+_TOPOLOGIES_ROW = next(row for row in MATRIX if row[1].startswith("enumerate topologies "))
+
+
+@pytest.mark.parametrize("row, adds", [(_TRG_ROW, 33), (_TOPOLOGIES_ROW, 32)])
+def test_one_main_call_declares_one_subcommand(monkeypatch, row, adds):
+    """A `main` call whose command word leads makes the top parser and
+    the one subparser it runs, copies no parent parser's actions, and
+    declares two `-h` options plus the 29 shared options and the
+    positionals of that subcommand, with six gettext lookups in all."""
     fixture, tail, code = row
-    assert run_cli(tail.split(), fixture=fixture)[0] == code
-    assert counts == {"__init__": 3, "_add_container_actions": 0, "add_argument": adds}
+    assert _argparse_work(monkeypatch, tail.split(), fixture) == (
+        code, {"__init__": 2, "_add_container_actions": 0, "add_argument": adds,
+               "gettext": 6})
+
+
+@pytest.mark.parametrize("row, adds", [(_TRG_ROW, 34), (_TOPOLOGIES_ROW, 33)])
+def test_a_main_call_led_by_an_option_declares_both_subcommands(monkeypatch, row, adds):
+    """With an option before the command word, the top parser may list
+    both subcommands, so `main` makes both subparsers and declares the
+    options of the named one alone."""
+    fixture, tail, _ = row
+    code, counts = _argparse_work(monkeypatch, ["--json"] + tail.split(), fixture)
+    del counts["gettext"]  # the usage error looks up its own messages
+    assert (code, counts) == (
+        3, {"__init__": 3, "_add_container_actions": 0, "add_argument": adds})
 
 
 def test_reads_stdin_when_no_file():

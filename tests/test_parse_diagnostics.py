@@ -64,7 +64,7 @@ CASES = [
     ("partition P on U: {a b c}", "11:11: duplicate partition name 'P'"),
     ("partition P2 on W: {a b c}", "11:17: unknown universe 'W'"),
     ("partition P2 on U: {a b} c", "11:26: unexpected text 'c' outside braces"),
-    ("partition P2 on U: {a b} {c", "11:20: unbalanced braces"),
+    ("partition P2 on U: {a b} {c", "11:26: unbalanced braces"),
     ("partition P2 on U: {a q} {b c}", "11:23: unknown element 'q' in universe U"),
     ("partition P2 on U: {a b} {b c}", "11:1: partition blocks overlap"),
     # subset <name> of <universe>
@@ -119,6 +119,17 @@ CASES = [
 def test_diagnostic(declaration, diagnostic):
     with pytest.raises(ParseError) as exc:
         parse_spec(PRELUDE + declaration + "\n")
+    assert f"{exc.value.line}:{exc.value.column}: {exc.value}" == diagnostic
+
+
+@pytest.mark.parametrize("declaration,diagnostic", [
+    ("topology t on S: {} {a} a}", "2:26: unbalanced braces"),
+    ("partition p on S: {a} {b} }", "2:27: unbalanced braces"),
+])
+def test_unbalanced_braces_name_the_brace_left_over(declaration, diagnostic):
+    """The stray `}`, not the first `{` of the line, which is balanced."""
+    with pytest.raises(ParseError) as exc:
+        parse_spec("universe S: a b\n" + declaration + "\n")
     assert f"{exc.value.line}:{exc.value.column}: {exc.value}" == diagnostic
 
 

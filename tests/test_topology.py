@@ -352,6 +352,22 @@ def test_preorder_keys_with_empty_rules_are_the_unruled_keys():
         assert topology._preorder_keys(n, [()] * n) == topology._preorder_keys(n)
 
 
+@pytest.mark.parametrize("k", range(8))
+def test_level_tables_are_built_once_and_read_as_their_definitions(k):
+    tables = topology._level_tables(k)
+    assert topology._level_tables(k) is tables
+    assert tables == topology._level_tables.__wrapped__(k)
+    not_inside, not_above, add_k, raise_u = tables
+    masks = range(1 << k)
+    for m in masks:
+        assert set(not_inside[m]) == {x for x in masks if x | m != m}
+        assert set(not_above[m]) == {x for x in masks if x & m != m}
+    assert list(add_k) == [x | 1 << k for x in range(256)]
+    for u in masks:
+        assert raise_u[u].to_bytes(k, "little") == bytes(
+            1 << k if u >> q & 1 else 0 for q in range(k))
+
+
 def _relations(key: bytes, n: int) -> int:
     """The relations int of a key: byte q of its last n bytes is N(q)."""
     return int.from_bytes(key[len(key) - n:], "big")
