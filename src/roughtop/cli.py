@@ -71,15 +71,14 @@ from .trg import (
 
 def _shim_argv(argv: list[str]) -> list[str]:
     """Accept `--check X` / `--enumerate X` as spellings of the
-    subcommands, by rewriting the flag token in place."""
-    out = []
-    for tok in argv:
-        if tok == "--check":
-            out.append("check")
-        elif tok == "--enumerate":
-            out.append("enumerate")
-        else:
-            out.append(tok)
+    subcommands, by rewriting the flag token in place where it stands
+    for the command word: while every earlier token starts with `-`."""
+    out = list(argv)
+    for i, tok in enumerate(out):
+        if tok in ("--check", "--enumerate"):
+            out[i] = tok[2:]
+        if not out[i].startswith("-"):
+            break
     return out
 
 

@@ -6,12 +6,10 @@ hashes by those fields (only against its own class), and assigning or
 deleting an attribute raises AttributeError.  There is no copy with
 changed fields: a record is built through ``__init__``, so its
 validation, normalisation and derived state always hold, except in
-two places that build a FiniteTopology whose neighbourhoods are a
-preorder by construction, through ``__new__`` and one ``_set``:
-`topology.Topologies`, for each enumerated topology with its opens
-(0.51 s for all 209527 six-point ones, 0.67 s through the
-constructor), and `topology.verify_topology`, whose N(p) are each the
-intersection of the members that hold p.
+`topology.Topologies`, which builds each enumerated topology, a
+preorder by construction, through ``__new__`` and one ``_set`` with its
+opens (0.51 s for all 209527 six-point ones, 0.67 s through the
+constructor).
 """
 
 from __future__ import annotations

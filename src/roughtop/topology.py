@@ -13,8 +13,10 @@ Topology of Finite Topological Spaces and Applications*, LNM 2032,
 2011).  Points with one N(p) form a class, and the opens are the
 down-sets of the classes ordered by inclusion.  One class table per
 topology, built on first use, gives the distinct neighbourhoods, the
-opens (listed only for callers that print or walk them all) and their
-count, whose counter also counts G x G.
+opens and their count.  One class walk lists the opens, for callers
+that print or walk them all, and decides whether a declared family is
+a topology (`verify_topology`); `_count_down_sets` only counts, and
+also counts G x G.
 
 Continuity is decided from the relations each map requires, as pairs
 (d, mask), "mask lies inside N(d)" (`map_needs`, `table_needs`); a d
@@ -40,7 +42,6 @@ Bases are represented as plain tuples of open masks; `verify_base` and
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Iterator, Sequence
 from functools import cache, cached_property
 from operator import itemgetter
@@ -147,18 +148,24 @@ class FiniteTopology(Record):
 
     @cached_property
     def opens(self) -> tuple[int, ...]:
-        """Every open set in canonical order, listed on first use.  The
-        class order extends inclusion, so a class can join an open set
-        once every other point of its N is already in it."""
+        """Every open set in canonical order, listed on first use."""
+        return tuple(sorted(self._walk()))
+
+    def _walk(self, most: float = float("inf")) -> list[int]:
+        """The opens in class order, or a list longer than `most` once
+        the walk passes it.  The class order extends inclusion, so a
+        class can join an open set once every other point of its N is
+        already in it."""
         opens = [0]
         for n, points, _ in self.classes:
+            if len(opens) > most:
+                break
             opens += [o | points for o in opens if o & n == n ^ points]
-        return tuple(sorted(opens))
+        return opens
 
-    def count_opens(self, limit: int | None = None) -> int:
-        """Number of open sets, counted as down-sets of the classes; with
-        a `limit`, limit + 1 once the count is past it."""
-        return _count_down_sets([below for _, _, below in self.classes], limit)
+    def count_opens(self) -> int:
+        """Number of open sets, counted as down-sets of the classes."""
+        return _count_down_sets([below for _, _, below in self.classes])
 
     def is_open(self, mask: int) -> bool:
         if mask < 0 or mask & ~self.carrier:
@@ -170,25 +177,11 @@ class FiniteTopology(Record):
         return True
 
 
-def _count_down_sets(below, limit: int | None = None) -> int:
+def _count_down_sets(below) -> int:
     """Number of down-sets of an order on range(len(below)), where
     below[i] masks the elements at or below i: the product over the
     connected components of the memoised count D(P) = D(P - above(x))
-    + D(P - below[x]), which leaves the pivot x out or puts it in.
-
-    With a `limit`, the count stops at the first partial count past it
-    and returns limit + 1.  A partial count counts the down-sets of an
-    induced sub-order, and D -> the down-closure of D is injective, so
-    it never exceeds the full count.  Before any, it takes a lower
-    bound: the elements with equally many elements at or below them are
-    pairwise incomparable, so each nonempty set of them is the set of
-    maximal elements of its own down-closure, and a level of k such
-    elements alone gives 2^k - 1 nonempty down-sets."""
-    if limit is None:
-        limit = float("inf")
-    elif 1 + sum((1 << k) - 1 for k in Counter(
-            b.bit_count() for b in below).values()) > limit:
-        return limit + 1
+    + D(P - below[x]), which leaves the pivot x out or puts it in."""
     above = [1 << i for i in range(len(below))]
     for i, b in enumerate(below):
         for j in bit_indices(b ^ 1 << i):
@@ -226,17 +219,13 @@ def _count_down_sets(below, limit: int | None = None) -> int:
             else:
                 if comp not in memo:
                     x = pivot(comp)
-                    out = count(comp & ~above[x])
-                    memo[comp] = out if out > limit else out + count(comp & ~below[x])
+                    memo[comp] = count(comp & ~above[x]) + count(comp & ~below[x])
                 total *= memo[comp]
-            if total > limit:
-                return total
         return total
 
     # the elements comparable to no other, each a component of two down-sets
     lone = sum(1 << x for x, a in enumerate(adj) if a & (a - 1) == 0)
-    total = count((1 << len(below)) - 1 & ~lone) << lone.bit_count()
-    return min(total, limit + 1)
+    return count((1 << len(below)) - 1 & ~lone) << lone.bit_count()
 
 
 def map_needs(fmap: FiniteMap, below) -> Iterator[tuple[int, int]]:
@@ -279,6 +268,22 @@ _TOPOLOGY_CLAUSES = ("empty-set-member", "carrier-member", "union-closure",
                      "intersection-closure")
 
 
+def _from_family(universe: Universe, carrier: int, family
+                 ) -> tuple[tuple[int, ...], FiniteTopology]:
+    """The family in canonical order, and the smallest topology on the
+    carrier holding every member; its N(p) (`_nbhds`) are always a
+    preorder, so the constructor never raises here."""
+    universe.check_subset(carrier, "carrier")
+    fam = canonical_family(family)
+    for m in fam:
+        if m < 0 or m & ~carrier:
+            raise InputError(
+                f"family member {universe.set_str(m & universe.all_mask)} is not a subset "
+                f"of the carrier {universe.set_str(carrier)}"
+            )
+    return fam, FiniteTopology(universe, carrier, _nbhds(universe.size, carrier, fam))
+
+
 def verify_topology(universe: Universe, carrier: int, family
                     ) -> tuple[VerificationReport, FiniteTopology | None]:
     """Check the finite topology axioms on a raw family of subsets, and
@@ -288,26 +293,15 @@ def verify_topology(universe: Universe, carrier: int, family
     N(p) are the family's own neighbourhoods, so the family lies among
     the opens of the topology they form.  It holds no member twice, so
     it is a topology, and those N(p) are its, exactly when it has as
-    many members as that topology has opens.  The opens are counted
-    only up to the family's size, so a family far from a topology fails
-    as fast as one near it.  Only a failing family gets the pairwise
-    scan, which names the first offending pair.
+    many members as that topology has opens.  The class walk that lists
+    the opens stops once it holds more of them than the family has
+    members, so a family far from a topology fails as fast as one near
+    it.  Only a failing family gets the pairwise scan, which names the
+    first offending pair.
     """
-    universe.check_subset(carrier, "carrier")
-    fam = canonical_family(family)
-    for m in fam:
-        if m < 0 or m & ~carrier:
-            raise InputError(
-                f"family member {universe.set_str(m & universe.all_mask)} is not a subset "
-                f"of the carrier {universe.set_str(carrier)}"
-            )
+    fam, top = _from_family(universe, carrier, family)
     stats = [("members", len(fam))]
-    # the N(p) of any family are a preorder, each the intersection of
-    # the members that hold p, so the constructor's checks are skipped
-    top = FiniteTopology.__new__(FiniteTopology)
-    top._set(universe=universe, carrier=carrier,
-             nbhd=_nbhds(universe.size, carrier, fam))
-    if top.count_opens(limit=len(fam)) == len(fam):
+    if len(top._walk(len(fam))) == len(fam):
         rep = combine("topology", [Clause(c, PASS) for c in _TOPOLOGY_CLAUSES], stats=stats)
         return rep, top
     members = frozenset(fam)
@@ -333,14 +327,8 @@ def verify_topology(universe: Universe, carrier: int, family
 
 
 def generate_topology(universe: Universe, carrier: int, subbasis) -> FiniteTopology:
-    """Smallest topology on the carrier containing every subbasis member:
-    N(p) is the carrier cut down by every subbasis member containing p."""
-    universe.check_subset(carrier, "carrier")
-    sub = canonical_family(subbasis)
-    for m in sub:
-        if m < 0 or m & ~carrier:
-            raise InputError("subbasis member is not a subset of the carrier")
-    return FiniteTopology(universe, carrier, _nbhds(universe.size, carrier, sub))
+    """Smallest topology on the carrier containing every subbasis member."""
+    return _from_family(universe, carrier, subbasis)[1]
 
 
 def subspace_topology(top: FiniteTopology, a_mask: int) -> FiniteTopology:

@@ -412,6 +412,18 @@ def test_missing_flag_rows_run_with_every_flag(words, fixture, flags, name):
     assert out.split("\n", 1)[0].split(" ", 1)[1] == name
 
 
+@pytest.mark.parametrize("value", ["--check", "--enumerate", "--other"])
+def test_a_spelled_subcommand_after_the_command_word_is_an_option(value):
+    """`--check` and `--enumerate` spell the command word only before
+    it; after it they are options, so one standing as `--group`'s value
+    leaves `--group` without its argument, as any other option does."""
+    code, out, err = run_cli(
+        f"check rough-group --table TA --partition PA --group {value}".split(),
+        fixture="zmod3.rg")
+    assert (code, out) == (3, "")
+    assert err.endswith("roughtop check: error: argument --group: expected one argument\n")
+
+
 def test_missing_flag_rows_are_the_command_table():
     assert {tuple(row[0].split()): row[3] for row in MISSING_FLAG} == {
         words: name for words, (name, _) in cli._COMMANDS.items()}

@@ -351,19 +351,21 @@ def _lattice_family(sides):
 
 @pytest.mark.parametrize("sides", [(2,) * 6, (4, 4, 4), (4, 4, 2, 2)])
 @pytest.mark.parametrize("unions", [False, True])
-def test_verify_topology_fails_far_from_a_topology_by_a_bounded_count(sides, unions):
+def test_verify_topology_fails_far_from_a_topology_by_a_short_walk(sides, unions):
     """A family whose generated topology has far more opens than it has
-    members fails with the pairwise scan's witness, and the count that
-    decides it stops as soon as it passes the family's size."""
+    members fails with the pairwise scan's witness.  Deciding it counts
+    no opens, and the one class walk stops once it holds more opens
+    than the family has members, at most twice as many."""
     u, carrier, fam = _lattice_family(sides)
     if unions:
         fam = sorted(set(fam) | {a | b for a, b in itertools.combinations(fam, 2)})
-    counts = []
+    counts, walks = [], []
 
     def watch(frame, event, arg):
-        if event == "return" and frame.f_code is topology._count_down_sets.__code__:
-            # no memo yet when the levels alone pass the limit
-            counts.append((arg, len(frame.f_locals.get("memo", ()))))
+        if event == "call" and frame.f_code is topology._count_down_sets.__code__:
+            counts.append(event)
+        elif event == "return" and frame.f_code is topology.FiniteTopology._walk.__code__:
+            walks.append(len(arg))
 
     sys.setprofile(watch)
     try:
@@ -372,11 +374,11 @@ def test_verify_topology_fails_far_from_a_topology_by_a_bounded_count(sides, uni
         sys.setprofile(None)
     assert not rep.passed
     assert rep.clause("union-closure").verdict == "fail"
-    # one count, stopped at the limit: the full count would memoise
-    # 921 (4x4x4) to 14,207 (B_6) components
-    ((count, memo),) = counts
-    assert count == len(set(fam)) + 1
-    assert memo <= 100
+    assert counts == []
+    # the whole walk would list 232,848 (4x4x4) to 7,828,354 (B_6)
+    size = len(set(fam))
+    (listed,) = walks
+    assert size < listed <= 2 * (size + 1)
 
 
 def test_generated_and_product_opens_match_oracle():

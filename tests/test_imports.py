@@ -3,7 +3,8 @@ name it imports, only `report.py` decides a clause's verdict, and every
 name the package exports, every public method of a record class and
 every field of a record is read by a package module, a script or a
 bench file, or is listed with the reason it stays.  Every function the
-traced bench run wraps exists under the name it wraps.
+traced bench run wraps exists under the name it wraps, and a record is
+built past its constructor only where `record.py` says so.
 
 No linter ships with the package, so this stands in for an
 unused-import check: a name bound by an import must be read somewhere
@@ -240,3 +241,17 @@ def test_every_traced_name_is_a_function_of_its_layer():
                    getattr(importlib.import_module(f"roughtop.{layer}"), name, None))]
     assert sum(map(len, tracing.TRACED.values())) > 0
     assert missing == []
+
+
+def test_records_are_built_past_the_constructor_only_where_declared():
+    """`record.py` names `topology.Topologies` as the one place that
+    builds a record through `__new__` instead of its constructor; a
+    read of `X.__new__` anywhere else in the package is a bypass that
+    docstring does not declare."""
+    bypasses = [(name, top.name, node.value.id)
+                for name in MODULES for top in TREES[name].body
+                for node in ast.walk(top)
+                if isinstance(node, ast.Attribute) and node.attr == "__new__"
+                and isinstance(node.value, ast.Name)]
+    assert bypasses == [("topology.py", "Topologies", "FiniteTopology")]
+    assert "`topology.Topologies`" in ast.get_docstring(TREES["record.py"])
