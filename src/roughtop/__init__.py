@@ -49,7 +49,6 @@ from .topology import (
     closure,
     enumerate_topologies,
     generate_topology,
-    interior,
     is_continuous,
     is_homeomorphism,
     product_topology,
@@ -85,6 +84,6 @@ from .actions import (
     verify_rough_action,
 )
 from .homs import TRGHom, verify_trg_homeomorphism, verify_trg_homomorphism
-from .parser import Workspace, parse_spec, serialize_workspace
+from .parser import Workspace, parse_spec
 
 __version__ = "0.1.0"

@@ -104,13 +104,6 @@ class Partition(Record):
     def singletons(cls, universe: Universe) -> "Partition":
         return cls(universe, tuple(1 << i for i in range(universe.size)))
 
-    @classmethod
-    def one_block(cls, universe: Universe) -> "Partition":
-        return cls(universe, (universe.all_mask,))
-
-    def block_mask_of(self, i: int) -> int:
-        return next(b for b in self.blocks if b >> i & 1)
-
 
 class CayleyTable(Record):
     """Total binary operation on a universe, stored as an index matrix."""

@@ -1,4 +1,4 @@
-"""Parser and serializer for the structure-description text format.
+"""Parser for the structure-description text format.
 
 The format is line oriented.  `#` starts a comment anywhere on a line;
 blank lines are ignored; tokens never contain whitespace.  Declarations:
@@ -14,8 +14,9 @@ blank lines are ignored; tokens never contain whitespace.  Declarations:
 A <carrier> or map endpoint names a declared subset, or a universe
 (standing for all of its elements).  The empty set is written `{}`, and
 a topology must list its carrier among the opens.  Pair element names
-like `(a,b)` are ordinary tokens.  Every error carries the 1-based line
-and column it was detected at.
+like `(a,b)` are ordinary tokens; a comma outside parentheses is not
+allowed in a name.  Every error carries the 1-based line and column it
+was detected at.
 
 The table `_DECLARATIONS` is the single source of these headers: it
 gives each kind's header, its Workspace namespace and the builder of
@@ -141,6 +142,15 @@ def _word_col(head: str, at: int) -> int:
 
 
 def _build_universe(name, refs, tail, off, lineno, lines):
+    # witnesses join names with ",", and pair names are "(x,y)", so a
+    # comma outside parentheses would make them ambiguous
+    for tok, col in _tokens(tail, off) if "," in tail else ():
+        depth = 0
+        for ch in tok:
+            depth += (ch == "(") - (ch == ")")
+            if ch == "," and depth <= 0:
+                raise ParseError(f"element name {tok!r} has a comma outside "
+                                 "parentheses", lineno, col)
     return Universe(tuple(tail.split()))
 
 
@@ -234,8 +244,8 @@ class Workspace(Record):
 
     A universe is stored as itself, any other declaration as the names
     its header references followed by the built object (a map as
-    (domain, codomain, FiniteMap)), so a workspace serializes back to an
-    equivalent document.  Unlike the other records it is mutable.
+    (domain, codomain, FiniteMap)).  Unlike the other records it is
+    mutable.
     """
 
     _fields = tuple(namespace for _, namespace, _ in _DECLARATIONS)
@@ -313,37 +323,3 @@ def parse_spec(text: str) -> Workspace:
         except InputError as e:
             raise ParseError(str(e), lineno, 1) from None
     return ws
-
-
-def _braces(universe: Universe, masks) -> str:
-    return " ".join("{" + " ".join(universe.names_of(m)) + "}" for m in masks)
-
-
-def serialize_workspace(ws: Workspace) -> str:
-    """Canonical text form: kinds grouped, sets in canonical order.
-
-    Parsing the output yields a workspace equal to the original, and
-    serializing again reproduces the same bytes.
-    """
-    out = []
-    for name, u in ws.universes.items():
-        out.append(f"universe {name}: " + " ".join(u.elements))
-    for name, (uname, t) in ws.tables.items():
-        out.append(f"table {name} on {uname}:")
-        for row in t.rows:
-            out.append(" ".join(t.universe.elements[v] for v in row))
-    for name, (uname, p) in ws.partitions.items():
-        out.append(f"partition {name} on {uname}: {_braces(p.universe, p.blocks)}")
-    for name, (uname, mask) in ws.subsets.items():
-        toks = " ".join(ws.universes[uname].names_of(mask))
-        out.append(f"subset {name} of {uname}:" + (f" {toks}" if toks else ""))
-    for name, (cname, top) in ws.topologies.items():
-        out.append(f"topology {name} on {cname}: {_braces(top.universe, top.opens)}")
-    for name, (aname, bname, m) in ws.maps.items():
-        pairs = " ".join(
-            f"{m.domain_universe.elements[s]}->{m.codomain_universe.elements[d]}"
-            for s, d in m.pairs
-        )
-        out.append(f"map {name} from {aname} to {bname}:" +
-                   (f" {pairs}" if pairs else ""))
-    return "\n".join(out) + "\n"

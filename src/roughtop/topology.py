@@ -6,17 +6,16 @@ open exactly when it contains N(p) for each of its points p, so the
 neighbourhoods determine the topology; read as "q <= p iff q is in
 N(p)" they are its specialization preorder.  Every check here is
 decided from them: the closure of A is the set of points whose N(p)
-meets A, the interior is the set of points whose N(p) lies inside A, a
-subspace on A has N(p) & A, a product has N((x, y)) = N(x) x N(y), and
-a map is continuous iff it preserves the preorder (Barmak, *Algebraic
-Topology of Finite Topological Spaces and Applications*, LNM 2032,
-2011).  Points with one N(p) form a class, and the opens are the
-down-sets of the classes ordered by inclusion.  One class table per
-topology, built on first use, gives the distinct neighbourhoods, the
-opens and their count.  One class walk lists the opens, for callers
-that print or walk them all, and decides whether a declared family is
-a topology (`verify_topology`); `_count_down_sets` only counts, and
-also counts G x G.
+meets A, a subspace on A has N(p) & A, a product has N((x, y)) =
+N(x) x N(y), and a map is continuous iff it preserves the preorder
+(Barmak, *Algebraic Topology of Finite Topological Spaces and
+Applications*, LNM 2032, 2011).  Points with one N(p) form a class,
+and the opens are the down-sets of the classes ordered by inclusion.
+One class table per topology, built on first use, gives the distinct
+neighbourhoods, the opens and their count.  One class walk lists the
+opens, for callers that print or walk them all, and decides whether a
+declared family is a topology (`verify_topology`); `_count_down_sets`
+only counts, and also counts G x G.
 
 Continuity is decided from the relations each map requires, as pairs
 (d, mask), "mask lies inside N(d)" (`map_needs`, `table_needs`); a d
@@ -363,17 +362,6 @@ def closure(top: FiniteTopology, a_mask: int) -> int:
     return acc
 
 
-def interior(top: FiniteTopology, a_mask: int) -> int:
-    """Largest open subset of A: the points whose N(p) lies inside A."""
-    if a_mask < 0 or a_mask & ~top.carrier:
-        raise InputError("A is not a subset of the carrier")
-    acc = 0
-    for p in bit_indices(a_mask):
-        if top.nbhd[p] & ~a_mask == 0:
-            acc |= 1 << p
-    return acc
-
-
 class FiniteMap(Record):
     """Total map between finite subsets, stored by element index."""
 
@@ -399,14 +387,6 @@ class FiniteMap(Record):
         self._set(domain_universe=domain_universe, codomain_universe=codomain_universe,
                   domain=domain, codomain=codomain, pairs=pairs, _table=table)
 
-    @classmethod
-    def from_dict(cls, dom_u, cod_u, domain, codomain, mapping: dict) -> "FiniteMap":
-        return cls(dom_u, cod_u, domain, codomain, tuple(mapping.items()))
-
-    @classmethod
-    def identity(cls, universe: Universe, mask: int) -> "FiniteMap":
-        return cls(universe, universe, mask, mask, tuple((i, i) for i in bit_indices(mask)))
-
     def apply(self, i: int) -> int:
         return self._table[i]
 
@@ -430,15 +410,6 @@ class FiniteMap(Record):
 
     def is_bijective(self) -> bool:
         return self.is_injective() and self.image_mask() == self.codomain
-
-    def then(self, g: "FiniteMap") -> "FiniteMap":
-        """Composite x -> g(f(x)); requires f's codomain to be g's domain."""
-        if self.codomain_universe != g.domain_universe or self.codomain != g.domain:
-            raise InputError("maps do not compose: codomain and domain differ")
-        return FiniteMap(
-            self.domain_universe, g.codomain_universe, self.domain, g.codomain,
-            tuple((src, g.apply(dst)) for src, dst in self.pairs),
-        )
 
     def inverse(self) -> "FiniteMap":
         if not self.is_bijective():
@@ -564,25 +535,29 @@ def _preorder_keys(n: int, rules=None) -> list[bytes]:
     some implications.  The relations of a key are the int of its last
     k + 1 bytes, whose byte q is N(q): "i <= j" (i in N(j)) is bit
     8 * j + i.  `rules[k]` lists (if_bit, then_mask) pairs whose bits
-    name points up to k; once level k is grown, a child with the if_bit
-    set and some bit of then_mask clear is dropped.  Bit 8 * n, which
-    no key holds, in a then_mask forbids the if_bit outright.  A
-    relation between two placed points never changes in a descendant,
-    so the pruning drops exactly the preorders that break a rule.
+    name points up to k; a child of level k whose relations have the
+    if_bit set and some bit of then_mask clear is dropped before its key
+    is built.  Bit 8 * n, which no key holds, in a then_mask forbids the
+    if_bit outright.  A relation between two placed points never changes
+    in a descendant, so the pruning drops exactly the preorders that
+    break a rule.
     """
     keys = [b"\x00"]
     for k in range(n):
         kbit, full = 1 << k, (1 << k) - 1
         not_inside, not_above, add_k, raise_u = _level_tables(k)
+        level = rules[k] if rules else None
         children = []
         add = children.append
         for key in keys:
             cut = len(key) - k
             opens, nbhd = key[:cut], key[cut:]
             nbhd_int = int.from_bytes(nbhd, "big")
-            # the opens that contain D, with k added, then N(k) = D + k
-            above = {d: opens.translate(add_k, not_above[d]) + bytes((d | kbit,))
-                     for d in opens}
+            # the opens that contain D, with k added, then N(k) = D + k;
+            # under rules, only for a D that some kept child takes
+            above = {} if level else {
+                d: opens.translate(add_k, not_above[d]) + bytes((d | kbit,))
+                for d in opens}
             for o in opens:
                 u = full & ~o
                 # D must lie inside every N(u); N(q) is byte k-1-q
@@ -591,14 +566,21 @@ def _preorder_keys(n: int, rules=None) -> list[bytes]:
                     low = rest & -rest
                     bound &= nbhd[k - low.bit_length()]
                     rest ^= low
+                rel = nbhd_int | raise_u[u]
+                ds = opens.translate(None, not_inside[bound])
+                if level:
+                    # each child's relations, tested before its key is built
+                    ds = [d for d in ds if _keeps((d | kbit) << 8 * k | rel, level)]
+                    if not ds:
+                        continue
+                    for d in ds:
+                        if d not in above:
+                            above[d] = (opens.translate(add_k, not_above[d])
+                                        + bytes((d | kbit,)))
                 miss_u = opens.translate(None, not_inside[o])
-                raised = (nbhd_int | raise_u[u]).to_bytes(k, "big")
-                for d in opens.translate(None, not_inside[bound]):
+                raised = rel.to_bytes(k, "big")
+                for d in ds:
                     add(miss_u + above[d] + raised)
-        if rules and rules[k]:
-            level = rules[k]
-            children = [c for c in children
-                        if _keeps(int.from_bytes(c[-1 - k:], "big"), level)]
         keys = children
     return keys
 

@@ -23,6 +23,7 @@ from roughtop.cli import _next_words, _non_negative_int, main as cli_main
 from roughtop.parser import Workspace, parse_spec
 from roughtop import (
     ApproxSpace,
+    FiniteMap,
     FiniteTopology,
     RoughGroupCert,
     RoughSpace,
@@ -30,7 +31,7 @@ from roughtop import (
     verify_rough_group,
     verify_trg,
 )
-from roughtop.approx import bit_indices, product_mask, product_universe
+from roughtop.approx import Universe, bit_indices, product_mask, product_universe
 from roughtop.errors import CapExceededError, InputError
 from roughtop.groups import DEFAULT_SUBGROUP_ENUM_CAP
 from roughtop.report import FAIL, INFO, PASS, Clause, VerificationReport, combine
@@ -343,6 +344,59 @@ def sympy_s4_oracle(names):
         return Permutation(cycles, size=4)
 
     return {n: of_name(n) for n in names}
+
+
+# ---------------------------------------------------------------------------
+# maps built from others
+
+
+def identity_map(universe: Universe, mask: int) -> FiniteMap:
+    """The identity map of a subset."""
+    return FiniteMap(universe, universe, mask, mask, tuple((i, i) for i in bit_indices(mask)))
+
+
+def compose(f: FiniteMap, g: FiniteMap) -> FiniteMap:
+    """x -> g(f(x)), for f's codomain equal to g's domain."""
+    return FiniteMap(f.domain_universe, g.codomain_universe, f.domain, g.codomain,
+                     tuple((src, g.apply(dst)) for src, dst in f.pairs))
+
+
+# ---------------------------------------------------------------------------
+# the serializer: a workspace back to a document, for round trips
+
+
+def _braces(universe: Universe, masks) -> str:
+    return " ".join("{" + " ".join(universe.names_of(m)) + "}" for m in masks)
+
+
+def serialize_workspace(ws: Workspace) -> str:
+    """Canonical text form: kinds grouped, sets in canonical order.
+
+    Parsing the output yields a workspace equal to the original, and
+    serializing again reproduces the same bytes.
+    """
+    out = []
+    for name, u in ws.universes.items():
+        out.append(f"universe {name}: " + " ".join(u.elements))
+    for name, (uname, t) in ws.tables.items():
+        out.append(f"table {name} on {uname}:")
+        for row in t.rows:
+            out.append(" ".join(t.universe.elements[v] for v in row))
+    for name, (uname, p) in ws.partitions.items():
+        out.append(f"partition {name} on {uname}: {_braces(p.universe, p.blocks)}")
+    for name, (uname, mask) in ws.subsets.items():
+        toks = " ".join(ws.universes[uname].names_of(mask))
+        out.append(f"subset {name} of {uname}:" + (f" {toks}" if toks else ""))
+    for name, (cname, top) in ws.topologies.items():
+        out.append(f"topology {name} on {cname}: {_braces(top.universe, top.opens)}")
+    for name, (aname, bname, m) in ws.maps.items():
+        pairs = " ".join(
+            f"{m.domain_universe.elements[s]}->{m.codomain_universe.elements[d]}"
+            for s, d in m.pairs
+        )
+        out.append(f"map {name} from {aname} to {bname}:" +
+                   (f" {pairs}" if pairs else ""))
+    return "\n".join(out) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from roughtop.topology import (
 )
 from roughtop.trg import TRGCert, verify_trg
 
-from conftest import cert_of, space_of
+from conftest import cert_of, identity_map, space_of
 
 
 @pytest.fixture(scope="module")
@@ -109,7 +109,7 @@ def test_action_shape_errors(sa):
     u = sa["u"]
     rs = RoughSpace(sa["space"], u.all_mask, sa["ws"].topologies["tauD"][1])
     with pytest.raises(InputError, match=r"domain is not upper\(G\) x upper\(X\)"):
-        verify_rough_action(sa["tc_disc"], rs, FiniteMap.identity(u, u.all_mask))
+        verify_rough_action(sa["tc_disc"], rs, identity_map(u, u.all_mask))
     with pytest.raises(InputError, match=r"unknown action side 'up'"):
         verify_rough_action(sa["tc_disc"], rs, sa["mu"], side="up")
 
@@ -124,8 +124,8 @@ def test_action_right_side(sa):
         for g in range(3):
             name = pair_name(u.elements[x], u.elements[g])
             pairs[pu.index(name)] = (x + g) % 3
-    mu_r = FiniteMap.from_dict(
-        pu, u, product_mask(u.all_mask, u.all_mask, 3), u.all_mask, pairs)
+    mu_r = FiniteMap(
+        pu, u, product_mask(u.all_mask, u.all_mask, 3), u.all_mask, tuple(pairs.items()))
     rep, action = verify_rough_action(sa["tc_disc"], rs, mu_r, side="right")
     assert rep.verdict == "pass"
     assert action.side == "right"
@@ -147,7 +147,7 @@ def test_action_premise_not_applicable(sa):
         for x in (0, 1, 2):
             name = pair_name(u.elements[g], u.elements[x])
             pairs[pu.index(name)] = (g + x) % 3
-    mu = FiniteMap.from_dict(pu, u, dom, u.all_mask, pairs)
+    mu = FiniteMap(pu, u, dom, u.all_mask, tuple(pairs.items()))
     rep, action = verify_rough_action(doc, rs, mu)
     assert rep.verdict == "not-applicable"
     assert action is None
@@ -160,7 +160,7 @@ def test_monoid_action_passes():
     the action."""
     u = Universe(("0", "1"))
     table = CayleyTable.from_names(u, [["0", "1"], ["1", "1"]])
-    space = ApproxSpace(u, Partition.one_block(u), table)
+    space = ApproxSpace(u, Partition(u, (u.all_mask,)), table)
     _, cert = verify_rough_group(space, 0b01)
     assert u.elements[cert.designated_e] == "0"
     discrete = generate_topology(u, 0b11, (0, 1, 2, 3))
@@ -172,7 +172,7 @@ def test_monoid_action_passes():
         for b in range(2):
             name = pair_name(u.elements[a], u.elements[b])
             pairs[pu.index(name)] = a | b
-    mu = FiniteMap.from_dict(pu, u, pu.all_mask, 0b11, pairs)
+    mu = FiniteMap(pu, u, pu.all_mask, 0b11, tuple(pairs.items()))
     rep, action = verify_rough_action(tcert, rs, mu)
     assert rep.verdict == "pass" and action is not None
     assert rep.stats == (("compatibility-triples", 8),)
@@ -190,7 +190,7 @@ def test_homogeneity(sa, ws_zmod3):
 
 def test_homogeneity_two_points():
     u = Universe(("a", "b"))
-    space = ApproxSpace(u, Partition.one_block(u))
+    space = ApproxSpace(u, Partition(u, (u.all_mask,)))
     asym = RoughSpace(space, 0b11, generate_topology(u, 0b11, (0, 0b01, 0b11)))
     assert is_rough_homogeneous(asym) == "no self-homeomorphism carries a to b"
     sym = RoughSpace(space, 0b11, generate_topology(u, 0b11, (0, 0b11)))
@@ -200,7 +200,7 @@ def test_homogeneity_two_points():
 def _space_of_nbhds(nbhd) -> RoughSpace:
     u = Universe(tuple(str(p) for p in range(len(nbhd))))
     carrier = u.all_mask
-    return RoughSpace(ApproxSpace(u, Partition.one_block(u)), carrier,
+    return RoughSpace(ApproxSpace(u, Partition(u, (u.all_mask,))), carrier,
                       FiniteTopology(u, carrier, nbhd))
 
 

@@ -43,8 +43,7 @@ def test_universe_rejects_duplicates_and_unknowns():
 def test_partition_validation():
     u = Universe(("a", "b", "c"))
     p = Partition.from_names(u, [["a", "c"], ["b"]])
-    assert p.block_mask_of(u.index("a")) == 0b101
-    assert p.block_mask_of(u.index("b")) == 0b010
+    assert p.blocks == (0b010, 0b101)
     with pytest.raises(InputError):
         Partition.from_names(u, [["a"], ["b"]])  # not covering
     with pytest.raises(InputError):
@@ -99,7 +98,7 @@ def test_rough_set_invariants(ws_zmod3):
 def test_singleton_and_one_block_partitions():
     u = Universe(("a", "b", "c"))
     sing = ApproxSpace(u, Partition.singletons(u))
-    coarse = ApproxSpace(u, Partition.one_block(u))
+    coarse = ApproxSpace(u, Partition(u, (u.all_mask,)))
     for mask in range(8):
         assert lower_approx(sing, mask) == mask == upper_approx(sing, mask)
     assert lower_approx(coarse, 0b011) == 0
@@ -176,7 +175,7 @@ def test_product_approximations_componentwise():
     u1 = Universe(("a", "b", "c"))
     u2 = Universe(("x", "y"))
     s1 = ApproxSpace(u1, Partition.from_names(u1, [["a", "b"], ["c"]]))
-    s2 = ApproxSpace(u2, Partition.one_block(u2))
+    s2 = ApproxSpace(u2, Partition(u2, (u2.all_mask,)))
     prod = product_space(s1, s2)
     for m1 in range(1 << 3):
         for m2 in range(1 << 2):

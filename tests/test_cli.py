@@ -895,32 +895,6 @@ def test_missing_file_is_a_diagnostic_and_stdin_is_not_read(path):
     assert (code, out, err) == (3, "", f"{path}: No such file or directory\n")
 
 
-_COMMA_NAMES = """\
-universe U: a a,b c b,c
-table T on U:
-  a a,b c b,c
-  a,b c b,c a
-  c b,c a a,b
-  b,c a a,b c
-partition P on U: {a} {a,b} {c} {b,c}
-subset G of U: a a,b c b,c
-topology tau on G: {} {a a,b c b,c}
-topology cosets on G: {} {a c} {a,b b,c} {a a,b c b,c}
-"""
-
-
-@pytest.mark.parametrize("topology", ["tau", "cosets"])
-def test_trg_stats_ignore_commas_in_element_names(topology):
-    """Names `a,b` and `c` would name two pairs of G x G `(a,b,c)`; the
-    open counts do not depend on the names."""
-    argv = f"check trg --table T --partition P --group G --topology {topology}".split()
-    plain = _COMMA_NAMES.replace("a,b", "x").replace("b,c", "y")
-    code, out, err = run_cli(argv, stdin=_COMMA_NAMES)
-    assert (code, err) == (0, "")
-    assert out.splitlines()[0] == "PASS trg"
-    assert out == run_cli(argv, stdin=plain)[1]
-
-
 def test_output_is_deterministic():
     tail = ("check trg --table TB --partition PB --group GB "
             "--topology tauB").split()

@@ -19,7 +19,7 @@ from roughtop.groups import (
 )
 from roughtop.topology import FiniteMap
 
-from conftest import space_of, sympy_s4_oracle
+from conftest import identity_map, space_of, sympy_s4_oracle
 
 
 def test_cayley_table_validation():
@@ -120,7 +120,7 @@ def test_per_element_identities_info():
     """
     u = Universe(("0", "1"))
     tab = CayleyTable.from_names(u, [["0", "1"], ["0", "1"]])
-    space = ApproxSpace(u, Partition.one_block(u), tab)
+    space = ApproxSpace(u, Partition(u, (u.all_mask,)), tab)
     rep, cert = verify_rough_group(space, 0b11)
     assert rep.verdict == "fail"
     assert cert is None
@@ -266,7 +266,7 @@ def test_hom_embedding_is_mono(fixa_cert, fixb_cert, ws_hom):
 def test_hom_identity_is_iso_with_empty_kernel(fixa_cert):
     cert = fixa_cert
     u = cert.space.universe
-    ident = FiniteMap.identity(u, cert.upper)
+    ident = identity_map(u, cert.upper)
     rep, hom = verify_rough_homomorphism(cert, cert, ident)
     assert rep.verdict == "pass"
     assert rep.clause("classification").witness == "isomorphism"
@@ -289,7 +289,7 @@ def test_hom_strict_mode(fixb_cert):
     """Identity on a source whose upper approximation is not product-closed:
     fine normally, rejected when the upper-closed clause is requested."""
     cert = fixb_cert
-    ident = FiniteMap.identity(cert.space.universe, cert.upper)
+    ident = identity_map(cert.space.universe, cert.upper)
     loose, hom = verify_rough_homomorphism(cert, cert, ident)
     assert loose.verdict == "pass" and hom is not None
     assert loose.clause("classification").witness == "isomorphism"
@@ -310,9 +310,9 @@ def test_kernel_need_not_be_normal(fixa_cert, fixb_cert):
     tgt = fixa_cert
     uB = src.space.universe
     uA = tgt.space.universe
-    const = FiniteMap.from_dict(
+    const = FiniteMap(
         uB, uA, src.upper, tgt.upper,
-        {i: uA.index("0") for i in range(24) if (src.upper >> i) & 1})
+        tuple((i, uA.index("0")) for i in range(24) if (src.upper >> i) & 1))
     rep, hom = verify_rough_homomorphism(src, tgt, const)
     assert rep.verdict == "pass"
     assert rep.clause("classification").witness == "homomorphism-only"
@@ -338,9 +338,9 @@ def test_hom_domain_mismatch(fixa_cert, fixb_cert):
     src = fixa_cert
     tgt = fixb_cert
     u = src.space.universe
-    half = FiniteMap.from_dict(
+    half = FiniteMap(
         u, tgt.space.universe, u.mask_of(["0"]), tgt.upper,
-        {u.index("0"): 0})
+        ((u.index("0"), 0),))
     with pytest.raises(InputError, match=r"domain"):
         verify_rough_homomorphism(src, tgt, half)
 

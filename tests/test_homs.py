@@ -7,6 +7,8 @@ from roughtop.groups import rough_kernel
 from roughtop.homs import verify_trg_homeomorphism, verify_trg_homomorphism
 from roughtop.topology import FiniteMap
 
+from conftest import compose, identity_map
+
 
 def test_constant_map_is_trg_hom(fixa_trg, fixb_trg, ws_hom):
     rep, hom = verify_trg_homomorphism(fixa_trg, fixb_trg, ws_hom.maps["Phi"][2])
@@ -41,7 +43,7 @@ def test_embedding_is_mono_but_not_onto(fixa_trg, fixb_trg, ws_hom):
 
 def test_identity_is_trg_isomorphism(fixa_trg):
     u = fixa_trg.group.space.universe
-    ident = FiniteMap.identity(u, fixa_trg.group.upper)
+    ident = identity_map(u, fixa_trg.group.upper)
     rep, hom = verify_trg_homomorphism(fixa_trg, fixa_trg, ident)
     assert rep.verdict == "pass"
     assert rep.clause("classification").witness == "isomorphism"
@@ -81,7 +83,7 @@ def test_composition_of_homs(fixa_trg, fixb_trg, ws_zmod3, ws_hom):
     continuous monomorphism."""
     neg = ws_zmod3.maps["neg"][2]
     emb = ws_hom.maps["emb"][2]
-    composite = neg.then(emb)
+    composite = compose(neg, emb)
     rep, hom = verify_trg_homomorphism(fixa_trg, fixb_trg, composite)
     assert rep.verdict == "pass"
     assert rep.clause("classification").witness == "monomorphism"
@@ -90,7 +92,7 @@ def test_composition_of_homs(fixa_trg, fixb_trg, ws_zmod3, ws_hom):
 def test_hom_rejects_wrong_domain(fixa_trg, fixb_trg):
     uA = fixa_trg.group.space.universe
     uB = fixb_trg.group.space.universe
-    partial = FiniteMap.from_dict(
-        uA, uB, uA.mask_of(["0"]), fixb_trg.group.upper, {uA.index("0"): 0})
+    partial = FiniteMap(
+        uA, uB, uA.mask_of(["0"]), fixb_trg.group.upper, ((uA.index("0"), 0),))
     with pytest.raises(InputError, match=r"domain"):
         verify_trg_homomorphism(fixa_trg, fixb_trg, partial)

@@ -16,9 +16,9 @@ from pathlib import Path
 import pytest
 
 from roughtop.errors import ParseError
-from roughtop.parser import parse_spec, serialize_workspace
+from roughtop.parser import parse_spec
 
-from conftest import FIXDIR
+from conftest import FIXDIR, serialize_workspace
 from test_fuzz import _mutate
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "parse_diagnostics.txt"
@@ -44,6 +44,10 @@ CASES = [
     ("universe U: a", "11:10: duplicate universe name 'U'"),
     ("universe  U: q", "11:11: duplicate universe name 'U'"),
     ("universe W: a b a", "11:1: duplicate element name 'a' in universe"),
+    ("universe W: a a,b", "11:15: element name 'a,b' has a comma outside parentheses"),
+    ("universe W: (a,b) (a,b),c",
+     "11:19: element name '(a,b),c' has a comma outside parentheses"),
+    ("universe W: a),(b", "11:13: element name 'a),(b' has a comma outside parentheses"),
     # table <name> on <universe>
     ("table T2 on U U:", "11:1: expected 'table <name> on <universe>:'"),
     ("table T2 on:", "11:1: expected 'table <name> on <universe>:'"),

@@ -3,9 +3,9 @@
 import pytest
 
 from roughtop.errors import ParseError
-from roughtop.parser import parse_spec, serialize_workspace
+from roughtop.parser import parse_spec
 
-from conftest import FIXDIR
+from conftest import FIXDIR, serialize_workspace
 
 FIXTURES = [
     "zmod3.rg",
@@ -107,10 +107,10 @@ def test_small_document_contents():
 def test_pair_and_cycle_tokens():
     """Element names with parentheses and commas survive the tokenizer."""
     ws = parse_spec(
-        "universe U: (0,1) (12)(34) x\n"
+        "universe U: (0,1) (12)(34) x ((0,1),2)\n"
         "subset S of U: (0,1) (12)(34)\n")
     u = ws.universes["U"]
-    assert u.elements == ("(0,1)", "(12)(34)", "x")
+    assert u.elements == ("(0,1)", "(12)(34)", "x", "((0,1),2)")
     assert ws.subsets["S"][1] == 0b011
 
 
@@ -134,7 +134,7 @@ def test_fixture_partition_classes(ws_s4):
     _, part = ws_s4.partitions["PB"]
     sizes = sorted(b.bit_count() for b in part.blocks)
     assert sizes == [3, 6, 7, 8]
-    b_of = {u.elements[i]: part.block_mask_of(i) for i in range(24)}
+    b_of = {u.elements[i]: b for b in part.blocks for i in range(24) if b >> i & 1}
     assert b_of["1"] == b_of["(12)"]
     assert b_of["(123)"] != b_of["(12)"]
     assert b_of["(1234)"] != b_of["(12)(34)"]

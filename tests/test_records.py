@@ -107,7 +107,7 @@ def test_records_of_different_values_differ():
     u = FIRST["Universe"]
     assert u != Universe(("0", "1"))
     assert Clause("a", "pass") != Clause("a", "fail")
-    assert Partition.singletons(u) != Partition.one_block(u)
+    assert Partition.singletons(u) != Partition(u, (u.all_mask,))
 
 
 def test_partition_blocks_are_sorted():
@@ -116,14 +116,13 @@ def test_partition_blocks_are_sorted():
     assert part.blocks == (0b011, 0b100)
     assert part == Partition(u, (0b011, 0b100))
     assert hash(part) == hash(Partition(u, (0b011, 0b100)))
-    assert part.block_mask_of(2) == 0b100 and part.block_mask_of(0) == 0b011
 
 
 def test_finite_map_pairs_are_sorted():
     u = Universe(("a", "b", "c"))
     fmap = FiniteMap(u, u, 0b111, 0b111, ((2, 0), (0, 1), (1, 2)))
     assert fmap.pairs == ((0, 1), (1, 2), (2, 0))
-    assert fmap == FiniteMap.from_dict(u, u, 0b111, 0b111, {0: 1, 1: 2, 2: 0})
+    assert fmap == FiniteMap(u, u, 0b111, 0b111, ((0, 1), (1, 2), (2, 0)))
     assert fmap.apply(2) == 0
 
 

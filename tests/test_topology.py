@@ -17,7 +17,6 @@ from roughtop.topology import (
     enumerate_topologies,
     first_unmet,
     generate_topology,
-    interior,
     is_continuous,
     is_homeomorphism,
     product_topology,
@@ -26,7 +25,12 @@ from roughtop.topology import (
     verify_topology,
 )
 
-from conftest import oracle_all_topologies, oracle_close_family, oracle_is_topology
+from conftest import (
+    identity_map,
+    oracle_all_topologies,
+    oracle_close_family,
+    oracle_is_topology,
+)
 
 
 @pytest.fixture
@@ -181,52 +185,46 @@ def test_product_topology_past_the_old_cap():
     assert prod.count_opens() == 1 << 81
 
 
-def test_closure_interior_values(topA, u3):
+def test_closure_values(topA, u3):
     assert u3.set_str(closure(topA, 0b100)) == "{0,2}"
-    assert u3.set_str(interior(topA, 0b101)) == "{2}"
     assert closure(topA, 0) == 0
-    assert interior(topA, 0b111) == 0b111
 
 
 def test_finite_map_validation(u3):
     with pytest.raises(InputError, match=r"not total: missing \{2\}"):
-        FiniteMap.from_dict(u3, u3, 0b111, 0b111, {0: 0, 1: 1})
+        FiniteMap(u3, u3, 0b111, 0b111, ((0, 0), (1, 1)))
     with pytest.raises(InputError, match=r"outside its domain"):
-        FiniteMap.from_dict(u3, u3, 0b011, 0b111, {0: 0, 1: 1, 2: 2})
+        FiniteMap(u3, u3, 0b011, 0b111, ((0, 0), (1, 1), (2, 2)))
     with pytest.raises(InputError, match=r"escapes its codomain"):
-        FiniteMap.from_dict(u3, u3, 0b011, 0b001, {0: 0, 1: 1})
+        FiniteMap(u3, u3, 0b011, 0b001, ((0, 0), (1, 1)))
     with pytest.raises(InputError, match=r"assigns an element twice"):
         FiniteMap(u3, u3, 0b001, 0b111, ((0, 0), (0, 1)))
 
 
 def test_finite_map_operations(u3):
-    swap = FiniteMap.from_dict(u3, u3, 0b111, 0b111, {0: 0, 1: 2, 2: 1})
+    swap = FiniteMap(u3, u3, 0b111, 0b111, ((0, 0), (1, 2), (2, 1)))
     assert swap.apply(1) == 2
     assert swap.image_mask() == 0b111
     assert swap.preimage(0b010) == 0b100
     assert swap.is_bijective()
-    assert swap.then(swap) == FiniteMap.identity(u3, 0b111)
     assert swap.inverse() == swap
-    const = FiniteMap.from_dict(u3, u3, 0b111, 0b111, {0: 0, 1: 0, 2: 0})
+    const = FiniteMap(u3, u3, 0b111, 0b111, ((0, 0), (1, 0), (2, 0)))
     assert not const.is_injective()
     with pytest.raises(InputError, match=r"not bijective"):
         const.inverse()
-    half = FiniteMap.from_dict(u3, u3, 0b011, 0b011, {0: 1, 1: 0})
-    with pytest.raises(InputError, match=r"do not compose"):
-        swap.then(half)
 
 
 def test_is_continuous(topA, u3):
-    ident = FiniteMap.identity(u3, 0b111)
+    ident = identity_map(u3, 0b111)
     assert is_continuous(ident, topA, topA).verdict == "pass"
-    const = FiniteMap.from_dict(u3, u3, 0b111, 0b111, {0: 0, 1: 0, 2: 0})
+    const = FiniteMap(u3, u3, 0b111, 0b111, ((0, 0), (1, 0), (2, 0)))
     assert is_continuous(const, topA, topA).verdict == "pass"
     indiscrete = generate_topology(u3, 0b111, (0, 0b111))
     rep = is_continuous(ident, indiscrete, topA)
     assert rep.verdict == "fail"
     assert rep.clause("preimage-openness").witness == (
         "open {1} has preimage {1}, which is not open")
-    half = FiniteMap.from_dict(u3, u3, 0b011, 0b111, {0: 0, 1: 1})
+    half = FiniteMap(u3, u3, 0b011, 0b111, ((0, 0), (1, 1)))
     with pytest.raises(InputError, match=r"domain differs"):
         is_continuous(half, topA, topA)
 
@@ -288,17 +286,17 @@ def test_first_unmet_of_no_pairs_is_none(two_chains):
 
 
 def test_is_homeomorphism(topA, u3):
-    swap = FiniteMap.from_dict(u3, u3, 0b111, 0b111, {0: 0, 1: 2, 2: 1})
+    swap = FiniteMap(u3, u3, 0b111, 0b111, ((0, 0), (1, 2), (2, 1)))
     rep = is_homeomorphism(swap, topA, topA)
     assert rep.verdict == "pass"
     assert [c.name for c in rep.clauses] == [
         "bijective", "forward-continuity", "inverse-continuity"]
-    const = FiniteMap.from_dict(u3, u3, 0b111, 0b111, {0: 0, 1: 0, 2: 0})
+    const = FiniteMap(u3, u3, 0b111, 0b111, ((0, 0), (1, 0), (2, 0)))
     rep2 = is_homeomorphism(const, topA, topA)
     assert rep2.verdict == "fail"
     assert rep2.clause("bijective").witness == "map is not injective"
     discrete = generate_topology(u3, 0b111, tuple(range(8)))
-    rep3 = is_homeomorphism(FiniteMap.identity(u3, 0b111), discrete, topA)
+    rep3 = is_homeomorphism(identity_map(u3, 0b111), discrete, topA)
     assert rep3.verdict == "fail"
     assert rep3.clause("forward-continuity").verdict == "pass"
     assert rep3.clause("inverse-continuity").witness == (
@@ -369,22 +367,36 @@ def _relations(key: bytes, n: int) -> int:
     return int.from_bytes(key[len(key) - n:], "big")
 
 
+def _random_rules(rnd, n: int, count: int, never: float) -> list[list]:
+    """`count` random implications on n points, each filed at the level
+    of its highest point; each forbids its if_bit outright with
+    probability `never`."""
+    rules = [[] for _ in range(n)]
+    for _ in range(count):
+        a, x, c, d = (rnd.randrange(n) for _ in range(4))
+        then = 1 << 8 * n if rnd.random() < never else 1 << 8 * d + c
+        level = max(a, x) if then >> 8 * n else max(a, x, c, d)
+        rules[level].append((8 * x + a, then))
+    return rules
+
+
 def test_preorder_keys_with_rules_drop_exactly_the_preorders_that_break_one():
-    """Random implications, each filed at the level of its highest
-    point, against filtering every preorder by all of them at once."""
+    """Random implications against filtering every preorder by all of
+    them at once: fifteen sparse sets at each of 3, 4 and 5 points, and
+    two dense sets at 6 points, the second of which also forbids 2 <= 1."""
     rnd = random.Random(11)
-    for n in (3, 4, 5):
-        every = topology._preorder_keys(n)
-        for _ in range(15):
-            rules = [[] for _ in range(n)]
-            for _ in range(rnd.randint(1, 4)):
-                a, x, c, d = (rnd.randrange(n) for _ in range(4))
-                then = 1 << 8 * n if rnd.random() < 0.2 else 1 << 8 * d + c
-                level = max(a, x) if then >> 8 * n else max(a, x, c, d)
-                rules[level].append((8 * x + a, then))
-            flat = [r for level in rules for r in level]
-            want = [k for k in every if topology._keeps(_relations(k, n), flat)]
-            assert topology._preorder_keys(n, rules) == want
+    cases = [(n, _random_rules(rnd, n, rnd.randint(1, 4), 0.2))
+             for n in (3, 4, 5) for _ in range(15)]
+    dense = [_random_rules(rnd, 6, 10, 0.0) for _ in range(2)]
+    dense[1][2].append((8 * 1 + 2, 1 << 8 * 6))
+    cases += [(6, rules) for rules in dense]
+    every = {}
+    for n, rules in cases:
+        if n not in every:
+            every[n] = topology._preorder_keys(n)
+        flat = [r for level in rules for r in level]
+        want = [k for k in every[n] if topology._keeps(_relations(k, n), flat)]
+        assert topology._preorder_keys(n, rules) == want
 
 
 def test_class_table_matches_the_per_point_definition_on_every_small_topology():

@@ -12,7 +12,7 @@ from roughtop.actions import check_AU_open, check_subgroup_open
 from roughtop.errors import CapExceededError, InputError
 from roughtop.groups import CayleyTable, RoughGroupCert, verify_rough_group
 from roughtop.report import serialize_report
-from roughtop.topology import FiniteMap, enumerate_topologies, generate_topology
+from roughtop.topology import enumerate_topologies, generate_topology
 from roughtop.trg import (
     TRGCert,
     check_G_equals_G_inverse,
@@ -31,7 +31,7 @@ from roughtop.trg import (
     verify_trg,
 )
 
-from conftest import cert_of, load_fixture, run_cli, trg_of
+from conftest import cert_of, identity_map, load_fixture, run_cli, trg_of
 
 
 @pytest.fixture(scope="module")
@@ -141,7 +141,7 @@ def _with_identity_inverse(cert):
     for its inverse map."""
     u = cert.space.universe
     return RoughGroupCert(cert.space, cert.g_mask, cert.upper, cert.designated_e,
-                          FiniteMap.identity(u, cert.g_mask))
+                          identity_map(u, cert.g_mask))
 
 
 def test_decide_trg_reads_the_certificate_inverse(ws_zmod3, fixa_cert):
