@@ -18,6 +18,8 @@ witness, so no product topology is built.
 
 from __future__ import annotations
 
+from itertools import product
+
 from .approx import (
     ApproxSpace,
     bit_indices,
@@ -79,34 +81,6 @@ class RoughAction(Record):
         return self.table[g][x]
 
 
-def _first_incompatible(action: RoughAction, laws):
-    """The names of the first (outer, inner, x, lhs, rhs), over the
-    (outer, inner, combined) of `laws` and then the x of upper(X), with
-    lhs = outer.(inner.x) other than rhs = combined.x, or None."""
-    g_names = action.cert.universe.elements
-    x_names = action.rspace.space.universe.elements
-    x_elems = tuple(bit_indices(action.rspace.upper_x))
-    for outer, inner, combined in laws:
-        for x in x_elems:
-            lhs = action.act(outer, action.act(inner, x))
-            rhs = action.act(combined, x)
-            if lhs != rhs:
-                return (g_names[outer], g_names[inner],
-                        *(x_names[i] for i in (x, lhs, rhs)))
-    return None
-
-
-def _moved_by_identity(action: RoughAction):
-    """The names of the first x of upper(X) that the identity moves,
-    and of the point it moves x to, or None."""
-    x_names = action.rspace.space.universe.elements
-    for x in bit_indices(action.rspace.upper_x):
-        y = action.act(action.cert.e, x)
-        if y != x:
-            return x_names[x], x_names[y]
-    return None
-
-
 def verify_rough_action(
     cert: TRGCert,
     rspace: RoughSpace,
@@ -150,27 +124,31 @@ def verify_rough_action(
     clauses.append(law("action-continuity", wit))
 
     g_elems = tuple(bit_indices(cert.upper))
-    found = _first_incompatible(action, (
-        (g, gp, table.rows[g][gp]) if side == "left" else (gp, g, table.rows[g][gp])
-        for g in g_elems for gp in g_elems))
+    x_elems = tuple(bit_indices(rspace.upper_x))
+    g_names = gu.elements
+    x_names = xu.elements
     wit = None
-    if found:
-        outer, inner, x, lhs, rhs = found
-        order = (f"{outer}({inner} {x})" if side == "left"
-                 else f"(({x} {inner}) {outer})")
-        wit = f"{order} = {lhs} but the combined element gives {rhs}"
+    for g, gp, x in product(g_elems, g_elems, x_elems):
+        outer, inner = (g, gp) if side == "left" else (gp, g)
+        lhs = action.act(outer, action.act(inner, x))
+        rhs = action.act(table.rows[g][gp], x)
+        if lhs != rhs:
+            order = (f"{g_names[outer]}({g_names[inner]} {x_names[x]})" if side == "left"
+                     else f"(({x_names[x]} {g_names[inner]}) {g_names[outer]})")
+            wit = f"{order} = {x_names[lhs]} but the combined element gives {x_names[rhs]}"
+            break
     clauses.append(law("compatibility", wit))
 
-    moved = _moved_by_identity(action)
-    wit = (f"identity {gu.elements[cert.e]} moves {moved[0]} to {moved[1]}"
-           if moved else None)
+    wit = None
+    for x in x_elems:
+        y = action.act(cert.e, x)
+        if y != x:
+            wit = f"identity {g_names[cert.e]} moves {x_names[x]} to {x_names[y]}"
+            break
     clauses.append(law("identity", wit))
 
-    report = combine(
-        "rough-action", clauses,
-        stats=[("compatibility-triples",
-                len(g_elems) ** 2 * rspace.upper_x.bit_count())],
-    )
+    report = combine("rough-action", clauses,
+                     stats=[("compatibility-triples", len(g_elems) ** 2 * len(x_elems))])
     if not report.passed:
         return report, None
     return report, action

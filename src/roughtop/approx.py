@@ -161,13 +161,11 @@ def lower_approx(space: ApproxSpace, x_mask: int) -> int:
 
 
 def upper_approx(space: ApproxSpace, x_mask: int) -> int:
-    """Union of the blocks meeting X."""
-    space.universe.check_subset(x_mask, "X")
-    acc = 0
-    for b in space.partition.blocks:
-        if b & x_mask:
-            acc |= b
-    return acc
+    """Union of the blocks meeting X, which is U - lower(U - X): the
+    blocks partition U, so a block that misses X lies inside U - X."""
+    u = space.universe
+    u.check_subset(x_mask, "X")
+    return u.all_mask & ~lower_approx(space, u.all_mask & ~x_mask)
 
 
 def pair_name(a: str, b: str) -> str:

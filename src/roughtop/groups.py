@@ -12,6 +12,8 @@ bitmasks over the universe's canonical order throughout.
 
 from __future__ import annotations
 
+from collections import namedtuple
+
 from .approx import (
     DEFAULT_UNIVERSE_CAP,
     ApproxSpace,
@@ -22,7 +24,6 @@ from .approx import (
     upper_approx,
 )
 from .errors import CapExceededError, InputError
-from .record import Record
 from .report import (
     INFO,
     PASS,
@@ -127,7 +128,7 @@ def group_axioms_witness(table: CayleyTable, mask: int) -> str | None:
     return None
 
 
-class RoughGroupCert(Record):
+class RoughGroupCert(namedtuple("RoughGroupCert", "space g_mask upper designated_e inverse")):
     """Evidence that (space, G) passed the rough-group axioms.
 
     `designated_e` is the first element of the upper approximation, in
@@ -138,12 +139,7 @@ class RoughGroupCert(Record):
     the upper approximation gives y = y*(x*y') = (y*x)*y' = y'.
     """
 
-    _fields = ("space", "g_mask", "upper", "designated_e", "inverse")
-
-    def __init__(self, space: ApproxSpace, g_mask: int, upper: int,
-                 designated_e: int, inverse: FiniteMap):
-        self._set(space=space, g_mask=g_mask, upper=upper,
-                  designated_e=designated_e, inverse=inverse)
+    __slots__ = ()
 
     @property
     def table(self) -> CayleyTable:
@@ -297,13 +293,10 @@ def enumerate_rough_subgroups(
     return tuple(found)
 
 
-class RoughHom(Record):
+class RoughHom(namedtuple("RoughHom", "source target fmap")):
     """A verified structure-compatible map between two rough groups."""
 
-    _fields = ("source", "target", "fmap")
-
-    def __init__(self, source: RoughGroupCert, target: RoughGroupCert, fmap: FiniteMap):
-        self._set(source=source, target=target, fmap=fmap)
+    __slots__ = ()
 
 
 def verify_rough_homomorphism(

@@ -14,9 +14,9 @@ blank lines are ignored; tokens never contain whitespace.  Declarations:
 A <carrier> or map endpoint names a declared subset, or a universe
 (standing for all of its elements).  The empty set is written `{}`, and
 a topology must list its carrier among the opens.  Pair element names
-like `(a,b)` are ordinary tokens; a comma outside parentheses is not
-allowed in a name.  Every error carries the 1-based line and column it
-was detected at.
+like `(a,b)` are ordinary tokens; a name may hold a comma only inside
+parentheses, and its parentheses must balance.  Every error carries the
+1-based line and column it was detected at.
 
 The table `_DECLARATIONS` is the single source of these headers: it
 gives each kind's header, its Workspace namespace and the builder of
@@ -27,18 +27,18 @@ from __future__ import annotations
 
 import re
 from functools import reduce
-from itertools import islice
+from itertools import accumulate, islice
 from operator import or_
 
 from .approx import CayleyTable, Partition, Universe
 from .errors import InputError, ParseError
-from .record import Record
 from .topology import FiniteMap, verify_topology
 
 _BRACE_RE = re.compile(r"\{([^{}]*)\}")
 _STRAY_BRACE_RE = re.compile(r"[{}]")
 _BRACE_LIST_RE = re.compile(r"\s*(?:\{[^{}]*\}\s*)*")
 _TOKEN_RE = re.compile(r"\S+")
+_NAME_PUNCT_RE = re.compile(r"[(),]")
 
 
 def _tokens(text: str, offset: int) -> list[tuple[str, int]]:
@@ -143,14 +143,16 @@ def _word_col(head: str, at: int) -> int:
 
 def _build_universe(name, refs, tail, off, lineno, lines):
     # witnesses join names with ",", and pair names are "(x,y)", so a
-    # comma outside parentheses would make them ambiguous
-    for tok, col in _tokens(tail, off) if "," in tail else ():
-        depth = 0
-        for ch in tok:
-            depth += (ch == "(") - (ch == ")")
-            if ch == "," and depth <= 0:
-                raise ParseError(f"element name {tok!r} has a comma outside "
-                                 "parentheses", lineno, col)
+    # comma outside parentheses, or parentheses that do not balance,
+    # would make them ambiguous; a name's commas are tested first
+    for tok, col in _tokens(tail, off) if _NAME_PUNCT_RE.search(tail) else ():
+        depths = list(accumulate((ch == "(") - (ch == ")") for ch in tok))
+        if any(ch == "," and depth <= 0 for ch, depth in zip(tok, depths)):
+            raise ParseError(f"element name {tok!r} has a comma outside "
+                             "parentheses", lineno, col)
+        if depths[-1] or min(depths) < 0:
+            raise ParseError(f"element name {tok!r} has unbalanced parentheses",
+                             lineno, col)
     return Universe(tuple(tail.split()))
 
 
@@ -239,23 +241,21 @@ _GRAMMAR = {
 }
 
 
-class Workspace(Record):
+class Workspace:
     """Symbol table of parsed declarations, one namespace per kind.
 
     A universe is stored as itself, any other declaration as the names
     its header references followed by the built object (a map as
-    (domain, codomain, FiniteMap)).  Unlike the other records it is
-    mutable.
+    (domain, codomain, FiniteMap)).  It is mutable, so it compares by
+    its namespaces and has no hash.
     """
 
-    _fields = tuple(namespace for _, namespace, _ in _DECLARATIONS)
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None
-
     def __init__(self):
-        for namespace in self._fields:
+        for _, namespace, _ in _DECLARATIONS:
             setattr(self, namespace, {})
+
+    def __eq__(self, other):
+        return isinstance(other, Workspace) and vars(self) == vars(other)
 
     def get(self, kind: str, name: str):
         """The namespace value of the `kind` declaration called `name`."""

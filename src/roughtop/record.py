@@ -1,15 +1,20 @@
 """Read-only value records with an explicit ``__init__``.
 
-A subclass names its fields in ``_fields`` and stores them, together
-with any derived private state, through ``_set``.  It then compares and
-hashes by those fields (only against its own class), and assigning or
-deleting an attribute raises AttributeError.  There is no copy with
-changed fields: a record is built through ``__init__``, so its
-validation, normalisation and derived state always hold, except in
-`topology.Topologies`, which builds each enumerated topology, a
-preorder by construction, through ``__new__`` and one ``_set`` with its
-opens (0.51 s for all 209527 six-point ones, 0.67 s through the
-constructor).
+A record is a value whose constructor checks or derives state:
+`Universe`, `Partition`, `CayleyTable`, `ApproxSpace`, `FiniteTopology`,
+`FiniteMap`, `RoughSpace`, `RoughAction` and `VerificationReport`; a
+value that only holds its fields is a named tuple (`Clause`,
+`RoughGroupCert`, `RoughHom`, `TRGCert`, `TRGHom`), and the mutable
+`parser.Workspace` is a plain class.  A subclass names its fields in
+``_fields`` and stores them, together with any derived private state,
+through ``_set``.  It then compares and hashes by those fields (only
+against its own class), and assigning or deleting an attribute raises
+AttributeError.  There is no copy with changed fields: a record is built
+through ``__init__``, so its validation, normalisation and derived state
+always hold, except in `topology.Topologies`, which builds each
+enumerated topology, a preorder by construction, through ``__new__`` and
+one ``_set`` with its opens (0.51 s for all 209527 six-point ones,
+0.67 s through the constructor).
 """
 
 from __future__ import annotations

@@ -150,8 +150,6 @@ ATTRIBUTES_READ = {bound for tree in READERS for bound in _attribute_reads(tree)
 # Names `roughtop` exports that no package module, script or bench file
 # reads, each with the reason it stays exported.
 UNREACHED_EXPORTS = {
-    "lower_approx": "the paper's lower approximation; no command prints a rough set "
-                    "yet, and a command for rough sets may still read it",
     "product_trg": "the paper's product of TRGs, which a planned command that "
                    "checks a product of two TRGs will read",
     "is_effective": "a property of rough actions, which a planned "
@@ -209,10 +207,6 @@ UNREAD_FIELDS = {
     "RoughAction.side": "which argument of the map the group element is; without it a "
                         "left and a right reading of one map, whose tables differ, "
                         "would compare equal",
-} | {
-    f"Workspace.{namespace}": "a declaration namespace, which `Workspace.get` reads "
-                              "by getattr on the name `parser._GRAMMAR` gives its kind"
-    for namespace in ("tables", "partitions", "topologies", "maps")
 }
 
 
@@ -222,6 +216,45 @@ def test_every_record_field_is_read_or_listed():
             "RoughGroupCert.inverse"} <= set(fields)
     unread = [f for f in fields if f.partition(".")[2] not in ATTRIBUTES_READ]
     assert sorted(unread) == sorted(UNREAD_FIELDS)
+
+
+def _stores_only_its_parameters(init) -> bool:
+    """Whether an `__init__` does nothing but pass its own parameters,
+    unchanged, to one `self._set(...)`."""
+    body = init.body[1:] if ast.get_docstring(init) else init.body
+    if len(body) != 1 or not isinstance(body[0], ast.Expr):
+        return False
+    call = body[0].value
+    params = {a.arg for a in init.args.args[1:] + init.args.kwonlyargs}
+    return (isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+            and isinstance(call.func.value, ast.Name) and call.func.value.id == "self"
+            and call.func.attr == "_set" and not call.args
+            and all(isinstance(k.value, ast.Name) and k.value.id in params
+                    for k in call.keywords))
+
+
+def test_records_validate_or_derive():
+    """A `Record` is a read-only, hashable value whose constructor checks
+    or derives something: a class that only stores its arguments is a
+    named tuple, and a mutable one is a plain class, so no `Record`
+    subclass turns assignment back on, drops its hash, or has an
+    `__init__` that only hands its parameters to `_set`."""
+    overrides = ("__setattr__", "__delattr__", "__hash__")
+    misfits = []
+    for name in MODULES:
+        for c in TREES[name].body:
+            if not isinstance(c, ast.ClassDef) or not any(
+                    isinstance(b, ast.Name) and b.id == "Record" for b in c.bases):
+                continue
+            for node in c.body:
+                if isinstance(node, ast.Assign):
+                    misfits += [f"{c.name}.{t.id}" for t in node.targets
+                                if isinstance(t, ast.Name) and t.id in overrides]
+                elif isinstance(node, ast.FunctionDef) and (
+                        node.name in overrides or node.name == "__init__"
+                        and _stores_only_its_parameters(node)):
+                    misfits.append(f"{c.name}.{node.name}")
+    assert misfits == []
 
 
 def test_every_traced_name_is_a_function_of_its_layer():

@@ -1,7 +1,10 @@
 """The structure-description text format: parsing, errors, serialization."""
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+from roughtop.approx import product_universe
 from roughtop.errors import ParseError
 from roughtop.parser import parse_spec
 
@@ -155,3 +158,23 @@ def test_docstring_lists_every_header_of_the_grammar():
     documented = [line.split(":")[0].strip()
                   for line in parser.__doc__.splitlines() if "<name>" in line]
     assert documented == [header for header, _, _ in parser._DECLARATIONS]
+
+
+UNIVERSE_LINES = st.lists(st.text("ab(),", min_size=1, max_size=5),
+                          min_size=1, max_size=5).map(" ".join)
+
+
+@given(UNIVERSE_LINES)
+@example("(a,(b c (a (b,c")
+@example("( a (,a")
+def test_accepted_element_names_give_unambiguous_witnesses(line):
+    """Every universe the parser accepts prints distinct subsets
+    differently, and its pair universe has distinct names, so a witness
+    names one set and `check action` can build the product."""
+    try:
+        ws = parse_spec(f"universe U: {line}")
+    except ParseError:
+        return
+    u = ws.universes["U"]
+    assert len({u.set_str(mask) for mask in range(u.all_mask + 1)}) == u.all_mask + 1
+    product_universe(u, u)

@@ -81,7 +81,7 @@ NAMES = sorted(FIRST)
 
 
 def test_every_record_type_is_covered():
-    assert len(NAMES) == 14  # the 15th, the mutable Workspace, is below
+    assert len(NAMES) == 14  # the mutable Workspace, a plain class, is below
     assert [type(FIRST[n]).__name__ for n in NAMES] == NAMES
 
 
