@@ -31,12 +31,13 @@ class Universe(Record):
     _fields = ("elements",)
 
     def __init__(self, elements: tuple[str, ...]):
-        bit: dict[str, int] = {}  # name -> the mask of that one element
+        index: dict[str, int] = {}  # name -> position
         for i, name in enumerate(elements):
-            if name in bit:
+            if name in index:
                 raise InputError(f"duplicate element name {name!r} in universe")
-            bit[name] = 1 << i
-        self._set(elements=elements, _bit=bit)
+            index[name] = i
+        bit = {name: 1 << i for name, i in index.items()}  # name -> its one-element mask
+        self._set(elements=elements, _index=index, _bit=bit)
 
     @property
     def size(self) -> int:
@@ -48,9 +49,16 @@ class Universe(Record):
 
     def index(self, name: str) -> int:
         try:
-            return self._bit[name].bit_length() - 1
+            return self._index[name]
         except KeyError:
             raise InputError(f"unknown element {name!r}") from None
+
+    def indices(self, names: Iterable[str]) -> tuple[int, ...]:
+        """The positions of the names, in their order, in one dict pass."""
+        try:
+            return tuple(map(self._index.__getitem__, names))
+        except KeyError as e:
+            raise InputError(f"unknown element {e.args[0]!r}") from None
 
     def mask_of(self, names: Iterable[str]) -> int:
         bit = self._bit
@@ -120,20 +128,13 @@ class CayleyTable(Record):
                     f"table row for {universe.elements[i]} has {len(row)} "
                     f"entries, expected {n}"
                 )
-            for v in row:
-                if not 0 <= v < n:
-                    raise InputError("table entry is not a universe element")
+            if min(row) < 0 or max(row) >= n:
+                raise InputError("table entry is not a universe element")
         self._set(universe=universe, rows=rows)
 
     @classmethod
     def from_names(cls, universe: Universe, name_rows) -> "CayleyTable":
-        rows = tuple(
-            tuple(universe.index(name) for name in row) for row in name_rows
-        )
-        return cls(universe, rows)
-
-    def mul(self, i: int, j: int) -> int:
-        return self.rows[i][j]
+        return cls(universe, tuple(map(universe.indices, name_rows)))
 
 
 class ApproxSpace(Record):
@@ -207,15 +208,9 @@ def product_space(s1: ApproxSpace, s2: ApproxSpace, cap: int = DEFAULT_UNIVERSE_
     partition = Partition(universe, blocks)
     op = None
     if s1.op is not None and s2.op is not None:
-        n1 = s1.universe.size
-        rows = []
-        for i1 in range(n1):
-            for j1 in range(n2):
-                row = []
-                for i2 in range(n1):
-                    for j2 in range(n2):
-                        row.append(s1.op.mul(i1, i2) * n2 + s2.op.mul(j1, j2))
-                rows.append(tuple(row))
+        # row (i1, j1) holds (i1 * i2, j1 * j2) at column (i2, j2)
+        rows = [tuple(a * n2 + b for a in r1 for b in r2)
+                for r1 in s1.op.rows for r2 in s2.op.rows]
         op = CayleyTable(universe, tuple(rows))
     return ApproxSpace(universe, partition, op)
 

@@ -195,6 +195,15 @@ class _Run:
     def __init__(self, ws: Workspace, args: argparse.Namespace, name: str):
         self.ws, self.args, self.name = ws, args, name
         self.universe = None
+        # (flags, the declarations they name) -> the certificate verified
+        # from them, so that src- and tgt- flags naming the same
+        # declarations verify once; a failed premise stops the command
+        self.certs = {}
+
+    def named(self, dash: str, *flags: str) -> tuple:
+        """The key of the declarations the `dash` forms of `flags` name."""
+        return flags, tuple(getattr(self.args, (dash + flag).replace("-", "_"))
+                            for flag in flags)
 
     def need(self, flag: str) -> str:
         value = getattr(self.args, flag.replace("-", "_"))
@@ -236,20 +245,26 @@ class _Run:
     def group(self, dash: str = ""):
         """The rough group of --table/--partition/--group, or of their
         `src-`/`tgt-` forms; failing axioms are a failed premise."""
-        space = self.space(dash)
-        rep, cert = verify_rough_group(space, self.subset(f"{dash}group", "group"))
-        if cert is None:
-            self.premise(f"premise-{dash}rough-group", rep)
-        return cert
+        key = self.named(dash, "table", "partition", "group")
+        if key not in self.certs:
+            space = self.space(dash)
+            rep, cert = verify_rough_group(space, self.subset(f"{dash}group", "group"))
+            if cert is None:
+                self.premise(f"premise-{dash}rough-group", rep)
+            self.certs[key] = cert
+        return self.certs[key]
 
     def trg(self, dash: str = ""):
         """The TRG of that rough group and --topology (or its form)."""
-        cert = self.group(dash)
-        rep, trg = decide_trg(cert, self.get("topology", f"{dash}topology"),
-                              codomain_topology=self.args.codomain_topology)
-        if trg is None:
-            self.premise(f"premise-{dash}trg", rep)
-        return trg
+        key = self.named(dash, "table", "partition", "group", "topology")
+        if key not in self.certs:
+            cert = self.group(dash)
+            rep, trg = decide_trg(cert, self.get("topology", f"{dash}topology"),
+                                  codomain_topology=self.args.codomain_topology)
+            if trg is None:
+                self.premise(f"premise-{dash}trg", rep)
+            self.certs[key] = trg
+        return self.certs[key]
 
     def rough_space(self) -> RoughSpace:
         x_uname, xu, x_mask = self.ws.set_ref(self.need("x-subset"))

@@ -6,13 +6,23 @@ on that upper approximation, a common identity there, and an inverse
 inside G for every member.  Verification returns a clause-by-clause
 report plus, on success, a certificate that downstream checks consume.
 
-Convention for tables: ``rows[x][y]`` is x * y.  Element sets are
-bitmasks over the universe's canonical order throughout.
+Convention for tables: ``rows[x][y]`` is x * y, so row x lists x * y
+for each y.  Element sets are bitmasks over the universe's canonical
+order throughout.
+
+The laws are checked a row at a time: a row restricted to a set is
+read in one `itemgetter` call, so associativity compares the row
+z -> (x*y)*z with z -> x*(y*z) for each pair (x, y), and an identity
+candidate is tested on its row first.  Entries are scanned one by one
+only in the first pair or candidate that fails, so the witness is the
+one a scan of every entry in canonical order would name.  One code
+path serves every table size.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
+from operator import itemgetter
 
 from .approx import (
     DEFAULT_UNIVERSE_CAP,
@@ -66,23 +76,29 @@ def escape_witness(table: CayleyTable, mask: int, target: int,
 
 
 def associativity_witness(table: CayleyTable, mask: int) -> str | None:
-    """The first triple of members of mask, in canonical order, that
-    the operation does not associate, or None."""
+    """The first triple of members of mask, a nonempty mask, in
+    canonical order, that the operation does not associate, or None.
+
+    For each pair (x, y) the row z -> (x*y)*z over mask is compared
+    with z -> x*(y*z) in one step; z is scanned one at a time only in
+    the first pair whose rows differ."""
     u = table.universe
     rows = table.rows
     elems = tuple(bit_indices(mask))
+    # over_mask[w] is the row z -> w*z over mask (an int when mask has
+    # one member, as is then[y](row_x), the row z -> x*(y*z))
+    over_mask = list(map(itemgetter(*elems), rows))
+    then = [itemgetter(*map(rows[y].__getitem__, elems)) for y in elems]
     for x in elems:
         row_x = rows[x]
-        for y in elems:
-            row_xy = rows[row_x[y]]
-            row_y = rows[y]
-            for z in elems:
-                a = row_xy[z]
-                b = row_x[row_y[z]]
-                if a != b:
-                    return (f"({u.elements[x]} * {u.elements[y]}) * {u.elements[z]} = "
-                            f"{u.elements[a]} but {u.elements[x]} * "
-                            f"({u.elements[y]} * {u.elements[z]}) = {u.elements[b]}")
+        for y, then_y in zip(elems, then):
+            if over_mask[row_x[y]] != then_y(row_x):
+                row_xy, row_y = rows[row_x[y]], rows[y]
+                z = next(z for z in elems if row_xy[z] != row_x[row_y[z]])
+                a, b = row_xy[z], row_x[row_y[z]]
+                return (f"({u.elements[x]} * {u.elements[y]}) * {u.elements[z]} = "
+                        f"{u.elements[a]} but {u.elements[x]} * "
+                        f"({u.elements[y]} * {u.elements[z]}) = {u.elements[b]}")
     return None
 
 
@@ -97,13 +113,16 @@ def inverses_in(table: CayleyTable, x: int, mask: int, e: int) -> int:
 
 
 def _identities(table: CayleyTable, candidates: int, members: int) -> int:
-    """The candidates c with x*c = c*x = x for every x in members, as a mask."""
+    """The candidates c with x*c = c*x = x for every x in members, a
+    nonempty mask, as a mask.  Row c is read at the members in one step;
+    the column is scanned only for a c that passes on its row."""
     rows = table.rows
     elems = tuple(bit_indices(members))
+    at_members = itemgetter(*elems)
+    fixed = at_members(range(table.universe.size))  # the identity row at members
     acc = 0
     for c in bit_indices(candidates):
-        row_c = rows[c]
-        if all(rows[x][c] == x and row_c[x] == x for x in elems):
+        if at_members(rows[c]) == fixed and all(rows[x][c] == x for x in elems):
             acc |= 1 << c
     return acc
 

@@ -39,6 +39,7 @@ _STRAY_BRACE_RE = re.compile(r"[{}]")
 _BRACE_LIST_RE = re.compile(r"\s*(?:\{[^{}]*\}\s*)*")
 _TOKEN_RE = re.compile(r"\S+")
 _NAME_PUNCT_RE = re.compile(r"[(),]")
+_NAME_GROUP_RE = re.compile(r"\([^()\s]*\)")  # an innermost group inside one name
 
 
 def _tokens(text: str, offset: int) -> list[tuple[str, int]]:
@@ -56,16 +57,13 @@ def _element(universe: Universe, uname: str, tok: str,
                          lineno, col) from None
 
 
-def _elements(universe: Universe, uname: str, text: str, offset: int,
-              lineno: int) -> list[int]:
-    """Element indices of the tokens of a line fragment starting at
-    `offset`; columns are worked out only to name an unknown token."""
-    try:
-        return [universe.index(tok) for tok in text.split()]
-    except InputError:
-        # raises at the first unknown token
-        return [_element(universe, uname, tok, lineno, col)
-                for tok, col in _tokens(text, offset)]
+def _unknown(universe: Universe, uname: str, text: str, offset: int,
+             lineno: int) -> None:
+    """Raise ParseError at the first token of a line fragment starting
+    at `offset` that names no element; columns are worked out only here,
+    once a fast path has met an unknown name."""
+    for tok, col in _tokens(text, offset):
+        _element(universe, uname, tok, lineno, col)
 
 
 def _mask(universe: Universe, uname: str, text: str, offset: int,
@@ -74,8 +72,7 @@ def _mask(universe: Universe, uname: str, text: str, offset: int,
     try:
         return universe.mask_of(text.split())
     except InputError:
-        for tok, col in _tokens(text, offset):  # raises at the first unknown token
-            _element(universe, uname, tok, lineno, col)
+        _unknown(universe, uname, text, offset, lineno)
         raise
 
 
@@ -144,15 +141,18 @@ def _word_col(head: str, at: int) -> int:
 def _build_universe(name, refs, tail, off, lineno, lines):
     # witnesses join names with ",", and pair names are "(x,y)", so a
     # comma outside parentheses, or parentheses that do not balance,
-    # would make them ambiguous; a name's commas are tested first
-    for tok, col in _tokens(tail, off) if _NAME_PUNCT_RE.search(tail) else ():
-        depths = list(accumulate((ch == "(") - (ch == ")") for ch in tok))
-        if any(ch == "," and depth <= 0 for ch, depth in zip(tok, depths)):
-            raise ParseError(f"element name {tok!r} has a comma outside "
-                             "parentheses", lineno, col)
-        if depths[-1] or min(depths) < 0:
-            raise ParseError(f"element name {tok!r} has unbalanced parentheses",
-                             lineno, col)
+    # would make them ambiguous.  Names are walked one by one, a name's
+    # commas tested first, only when some punctuation is left once the
+    # innermost groups within a name are struck out.
+    if _NAME_PUNCT_RE.search(_NAME_GROUP_RE.sub("", tail)):
+        for tok, col in _tokens(tail, off):
+            depths = list(accumulate((ch == "(") - (ch == ")") for ch in tok))
+            if any(ch == "," and depth <= 0 for ch, depth in zip(tok, depths)):
+                raise ParseError(f"element name {tok!r} has a comma outside "
+                                 "parentheses", lineno, col)
+            if depths[-1] or min(depths) < 0:
+                raise ParseError(f"element name {tok!r} has unbalanced "
+                                 "parentheses", lineno, col)
     return Universe(tuple(tail.split()))
 
 
@@ -167,11 +167,15 @@ def _build_table(name, refs, tail, off, lineno, lines):
         raise InputError(f"table {name!r} needs {n} rows, found {len(found)}")
     rows = []
     for row_lineno, _, row_content in found:
-        entries = len(row_content.split())
-        if entries != n:
-            raise ParseError(f"table row has {entries} entries, expected {n}",
+        row = row_content.split()
+        if len(row) != n:
+            raise ParseError(f"table row has {len(row)} entries, expected {n}",
                              row_lineno, 1)
-        rows.append(tuple(_elements(u, uname, row_content, 0, row_lineno)))
+        try:
+            rows.append(u.indices(row))
+        except InputError:
+            _unknown(u, uname, row_content, 0, row_lineno)
+            raise
     return uname, CayleyTable(u, tuple(rows))
 
 

@@ -326,6 +326,73 @@ def oracle_is_group(rows, elems) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# oracles: the table scans one entry at a time.  The library compares a
+# whole row at once and scans entries only to name a witness; these
+# walk every entry in canonical order, so witnesses can be compared.
+
+
+def oracle_escape_witness(table, mask: int, target: int, where: str) -> str | None:
+    u = table.universe
+    elems = tuple(bit_indices(mask))
+    for x in elems:
+        for y in elems:
+            z = table.rows[x][y]
+            if (target >> z) & 1 == 0:
+                return (f"{u.elements[x]} * {u.elements[y]} = {u.elements[z]} "
+                        f"{where}")
+    return None
+
+
+def oracle_associativity_witness(table, mask: int) -> str | None:
+    u = table.universe
+    rows = table.rows
+    elems = tuple(bit_indices(mask))
+    for x in elems:
+        for y in elems:
+            for z in elems:
+                a = rows[rows[x][y]][z]
+                b = rows[x][rows[y][z]]
+                if a != b:
+                    return (f"({u.elements[x]} * {u.elements[y]}) * {u.elements[z]} = "
+                            f"{u.elements[a]} but {u.elements[x]} * "
+                            f"({u.elements[y]} * {u.elements[z]}) = {u.elements[b]}")
+    return None
+
+
+def oracle_identities(table, candidates: int, members: int) -> int:
+    rows = table.rows
+    acc = 0
+    for c in bit_indices(candidates):
+        if all(rows[x][c] == x and rows[c][x] == x for x in bit_indices(members)):
+            acc |= 1 << c
+    return acc
+
+
+def oracle_compatibility(src, tgt, fmap) -> tuple[str | None, int, int]:
+    """The first pair (x, y) of the source upper approximation whose
+    product stays inside it and that the map does not preserve, with
+    the counts of constrained and unconstrained pairs."""
+    su, tu = src.space.universe, tgt.space.universe
+    rows, t_rows = src.table.rows, tgt.table.rows
+    up = tuple(bit_indices(src.upper))
+    constrained = unconstrained = 0
+    wit = None
+    for x in up:
+        for y in up:
+            z = rows[x][y]
+            if not src.upper >> z & 1:
+                unconstrained += 1
+                continue
+            constrained += 1
+            lhs, rhs = fmap.apply(z), t_rows[fmap.apply(x)][fmap.apply(y)]
+            if lhs != rhs and wit is None:
+                wit = (f"map({su.elements[x]} * {su.elements[y]}) = "
+                       f"{tu.elements[lhs]} but map({su.elements[x]}) * "
+                       f"map({su.elements[y]}) = {tu.elements[rhs]}")
+    return wit, constrained, unconstrained
+
+
+# ---------------------------------------------------------------------------
 # oracle: S4 composition via sympy
 
 

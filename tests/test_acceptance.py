@@ -141,7 +141,7 @@ def test_criterion_3_product_structure():
     assert u.names_of(cert_c.g_mask) == ("(1,1)", "(1,2)", "(2,1)", "(2,2)")
 
     def prod(x: str, y: str) -> str:
-        return u.elements[space.op.mul(u.index(x), u.index(y))]
+        return u.elements[space.op.rows[u.index(x)][u.index(y)]]
 
     expected_products = {
         ("(2,2)", "(2,2)"): "(1,1)",

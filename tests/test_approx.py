@@ -160,7 +160,7 @@ def test_product_with_point_space(ws_zmod3):
     assert len(prod.partition.blocks) == 2
     for x in range(3):
         for y in range(3):
-            assert prod.op.mul(x, y) == space.op.mul(x, y)
+            assert prod.op.rows[x][y] == space.op.rows[x][y]
 
 
 def test_product_space_cap():

@@ -22,12 +22,17 @@ from roughtop.actions import is_rough_homogeneous, verify_rough_action
 from roughtop.approx import product_mask, product_universe
 from roughtop.groups import (
     CayleyTable,
+    RoughGroupCert,
     RoughHom,
+    _identities,
+    associativity_witness,
+    escape_witness,
     inverses_in,
     is_rough_normal,
     rough_kernel,
     set_product,
     verify_rough_group,
+    verify_rough_homomorphism,
     verify_rough_subgroup,
 )
 from roughtop.report import premise
@@ -56,6 +61,10 @@ from conftest import (
     run_cli,
     set_to_mask,
     oracle_all_topologies,
+    oracle_associativity_witness,
+    oracle_compatibility,
+    oracle_escape_witness,
+    oracle_identities,
     oracle_enumerate_topologies,
     oracle_enumerate_topologies_report,
     oracle_generate_opens,
@@ -655,3 +664,95 @@ def test_action_continuity_matches_oracle_on_every_small_topology(side):
     # 33 x 33 pairs of topologies: the 1089 projections pass, and so do
     # some seeded maps
     assert verdicts["pass"] > 1089 and verdicts["fail"] > 1089
+
+
+def _table_cases(rng: random.Random):
+    """Tables of 1 to 9 points: uniformly random ones, which are seldom
+    associative or closed on a subset, and cyclic ones with one entry
+    changed, which fail late in the scan or not at all."""
+    for n in range(1, 10):
+        u = Universe(tuple(f"e{i}" for i in range(n)))
+        for _ in range(30):
+            rows = [[rng.randrange(n) for _ in range(n)] for _ in range(n)]
+            yield CayleyTable(u, tuple(map(tuple, rows)))
+            rows = [[(x + y) % n for y in range(n)] for x in range(n)]
+            if rng.random() < 0.8:
+                rows[rng.randrange(n)][rng.randrange(n)] = rng.randrange(n)
+            yield CayleyTable(u, tuple(map(tuple, rows)))
+
+
+def _nonempty_mask(rng: random.Random, n: int) -> int:
+    return rng.randrange(1, 1 << n)
+
+
+def test_table_scans_match_the_entry_at_a_time_oracles():
+    """Associativity, escape and identity witnesses on random tables
+    and subsets, against the scans of every entry in canonical order."""
+    rng = random.Random(20261020)
+    seen = Counter()
+    for table in _table_cases(rng):
+        n = table.universe.size
+        mask, target = _nonempty_mask(rng, n), _nonempty_mask(rng, n)
+        wit = associativity_witness(table, mask)
+        assert wit == oracle_associativity_witness(table, mask), (table, mask)
+        esc = escape_witness(table, mask, target, "escapes")
+        assert esc == oracle_escape_witness(table, mask, target, "escapes")
+        ids = _identities(table, target, mask)
+        assert ids == oracle_identities(table, target, mask)
+        seen.update({"associative": wit is None, "closed": esc is None,
+                     "identity": ids != 0})
+    assert seen["associative"] > 200 and seen["closed"] > 100 and seen["identity"] > 100
+    assert seen["associative"] < 500 and seen["closed"] < 500 and seen["identity"] < 500
+
+
+def test_compatibility_scan_matches_the_entry_at_a_time_oracle():
+    """The compatibility clause and the pair counts of
+    `verify_rough_homomorphism`, for random maps between upper
+    approximations of random tables.  The scan reads only the tables,
+    the upper approximations and the map, so the certificates are
+    built directly, without the rough-group axioms."""
+    rng = random.Random(1909)
+    tables = list(_table_cases(rng))
+    passed = 0
+    for _ in range(300):
+        src, tgt = (rng.choice(tables) for _ in range(2))
+        certs = []
+        for table in (src, tgt):
+            u = table.universe
+            upper = _nonempty_mask(rng, u.size)
+            space = ApproxSpace(u, Partition.singletons(u), table)
+            certs.append(RoughGroupCert(space, upper, upper, None, None))
+        s, t = certs
+        fmap = FiniteMap(s.space.universe, t.space.universe, s.upper, t.upper, tuple(
+            (x, rng.choice(sorted(mask_to_set(t.upper)))) for x in mask_to_set(s.upper)))
+        report, _ = verify_rough_homomorphism(s, t, fmap)
+        wit, constrained, unconstrained = oracle_compatibility(s, t, fmap)
+        assert report.clause("compatibility").witness == wit
+        stats = dict(report.stats)
+        assert (stats["constrained-pairs"], stats["unconstrained-pairs"]) == (
+            constrained, unconstrained)
+        passed += wit is None
+    assert 20 < passed < 280
+
+
+def test_table_scans_match_the_oracles_past_256_elements():
+    """Z_300 with one entry changed, on subsets whose members and
+    products run past index 255."""
+    n = 300
+    u = Universe(tuple(map(str, range(n))))
+    rows = [[(x + y) % n for y in range(n)] for x in range(n)]
+    exact = CayleyTable(u, tuple(map(tuple, rows)))
+    rows[297][299] = 5
+    changed = CayleyTable(u, tuple(map(tuple, rows)))
+    rng = random.Random(300)
+    mask = sum(1 << x for x in rng.sample(range(250, n), 20)) | 1 << 297 | 1 << 299 | 1
+    assert associativity_witness(exact, mask) is None
+    wit = associativity_witness(changed, mask)
+    assert wit is not None and wit == oracle_associativity_witness(changed, mask)
+    for table in (exact, changed):
+        for target in (mask, u.all_mask, u.all_mask ^ 1 << 5):
+            assert escape_witness(table, mask, target, "escapes") == (
+                oracle_escape_witness(table, mask, target, "escapes"))
+        assert _identities(table, u.all_mask, mask) == oracle_identities(
+            table, u.all_mask, mask)
+    assert _identities(exact, u.all_mask, mask) == 1

@@ -37,6 +37,10 @@ PRELUDE = (
     "map f from S to V: a->x b->y\n"
 )
 
+# a row of a 24-point table, and the 144 pair names of a 12 x 12 universe
+_W24 = " ".join(f"w{i}" for i in range(24))
+_PAIRS = " ".join(f"({i},{j})" for i in range(12) for j in range(12))
+
 CASES = [
     # universe <name>
     ("universe:", "11:1: expected 'universe <name>:'"),
@@ -51,6 +55,11 @@ CASES = [
     ("universe W: (a", "11:13: element name '(a' has unbalanced parentheses"),
     ("universe W: a a)", "11:15: element name 'a)' has unbalanced parentheses"),
     ("universe W: (a,b) )a(", "11:19: element name ')a(' has unbalanced parentheses"),
+    ("universe W: (x,y) (a, b)", "11:19: element name '(a,' has unbalanced parentheses"),
+    ("universe W: " + _PAIRS[:-1],
+     "11:917: element name '(11,11' has unbalanced parentheses"),
+    ("universe W: " + _PAIRS[:-8] + " 11,11",
+     "11:917: element name '11,11' has a comma outside parentheses"),
     # table <name> on <universe>
     ("table T2 on U U:", "11:1: expected 'table <name> on <universe>:'"),
     ("table T2 on:", "11:1: expected 'table <name> on <universe>:'"),
@@ -64,6 +73,8 @@ CASES = [
     ("table T2 on V:\nx y", "11:1: table 'T2' needs 2 rows, found 1"),
     ("table T2 on V:\nx y\nx", "13:1: table row has 1 entries, expected 2"),
     ("table T2 on V:\nx y\ny q", "13:3: unknown element 'q' in universe V"),
+    ("universe W: " + _W24 + "\ntable T2 on W:\n" + (_W24 + "\n") * 23
+     + _W24[:-3] + "w24", "36:83: unknown element 'w24' in universe W"),
     # partition <name> on <universe>
     ("partition P2 on U U: {a b c}",
      "11:1: expected 'partition <name> on <universe>:'"),
@@ -122,7 +133,8 @@ CASES = [
 ]
 
 
-@pytest.mark.parametrize("declaration,diagnostic", CASES, ids=[c[0] for c in CASES])
+@pytest.mark.parametrize("declaration,diagnostic", CASES, ids=[
+    c[0] if len(c[0]) <= 60 else f"{c[0][:24]}...{c[0][-16:]}" for c in CASES])
 def test_diagnostic(declaration, diagnostic):
     with pytest.raises(ParseError) as exc:
         parse_spec(PRELUDE + declaration + "\n")

@@ -215,7 +215,7 @@ def test_rough_group_certificate_invariants(sg):
     rep, cert = verify_rough_group(space, g_mask)
     upper = upper_approx(space, g_mask)
     in_upper = all(
-        (upper >> space.op.mul(x, y)) & 1
+        (upper >> space.op.rows[x][y]) & 1
         for x in mask_to_set(g_mask) for y in mask_to_set(g_mask))
     assert (rep.clause("products-in-upper").verdict == "pass") == in_upper
     if cert is None:
@@ -227,11 +227,11 @@ def test_rough_group_certificate_invariants(sg):
     e = cert.designated_e
     assert (cert.upper >> e) & 1
     assert e == min(c for c in mask_to_set(upper) if all(
-        space.op.mul(c, g) == g == space.op.mul(g, c) for g in mask_to_set(g_mask)))
+        space.op.rows[c][g] == g == space.op.rows[g][c] for g in mask_to_set(g_mask)))
     for g in mask_to_set(g_mask):
         h = cert.inverse.apply(g)
         assert inverses_in(space.op, g, g_mask, e) == 1 << h
-        assert space.op.mul(g, h) == e == space.op.mul(h, g)
+        assert space.op.rows[g][h] == e == space.op.rows[h][g]
 
 
 @given(zmod_groups())
