@@ -198,22 +198,18 @@ def is_rough_homogeneous(rspace: RoughSpace) -> str | None:
     N(a) inside N(b) of the same size, hence N(a) = N(b): the preorder
     is an equivalence whose classes are the neighbourhoods, all open
     and of one size, and a bijection carrying classes to classes joins
-    any two points.  So the sizes |N(p)| decide, and the closures,
-    taken once per class of the class table, only name the witness.
+    any two points.  So the sizes |N(p)| decide, and the closures of
+    the classes (`FiniteTopology.class_closures`) only name the witness.
 
     Witness: p is the first point and q the first point whose key
     differs from p's; no self-homeomorphism carries p to q.
     """
     xu = rspace.space.universe
-    classes = rspace.tau_x.classes
-    if len({n.bit_count() for n, _, _ in classes}) < 2:
+    top = rspace.tau_x
+    if len({n.bit_count() for n, _, _ in top.classes}) < 2:
         return None
-    closed = [0] * len(classes)  # the closure of each class's points
-    for _, points, below in classes:
-        for i in bit_indices(below):
-            closed[i] |= points
-    key = {points: (n.bit_count(), c.bit_count())
-           for (n, points, _), c in zip(classes, closed)}
+    key = {points: (n.bit_count(), cl.bit_count())
+           for (n, points, _), cl in zip(top.classes, top.class_closures)}
     p = rspace.upper_x & -rspace.upper_x
     first = next(k for points, k in key.items() if points & p)
     q = sum(points for points, k in key.items() if k != first)

@@ -20,6 +20,7 @@ import sys
 from functools import partial
 
 from .actions import (
+    SIDES,
     RoughSpace,
     check_AU_open,
     check_subgroup_open,
@@ -54,6 +55,7 @@ from .report import (
 )
 from .topology import enumerate_topologies
 from .trg import (
+    CODOMAIN_MODES,
     INVERSE_CONVENTION,
     check_G_equals_G_inverse,
     check_base_translation,
@@ -109,7 +111,7 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--strict-hom", action="store_true",
                     help="also require the source upper approximation to "
                          "be closed under the operation")
-    sp.add_argument("--codomain-topology", choices=("upper", "relative"),
+    sp.add_argument("--codomain-topology", choices=CODOMAIN_MODES,
                     default="upper",
                     help="topology the product map is checked into")
     sp.add_argument("--table")
@@ -129,7 +131,7 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--x-partition")
     sp.add_argument("--x-subset")
     sp.add_argument("--x-topology")
-    sp.add_argument("--side", choices=("left", "right"), default="left")
+    sp.add_argument("--side", choices=SIDES, default="left")
     sp.add_argument("--element")
     sp.add_argument("--w")
     sp.add_argument("--open")

@@ -46,16 +46,6 @@ def verify_trg_homomorphism(
     return report, TRGHom(src, tgt, fmap, algebra)
 
 
-def _composite_moves(first: FiniteMap, then: FiniteMap,
-                     mask: int) -> str | None:
-    """`composite moves x` for the first x of mask with then(first(x))
-    other than x, or None."""
-    for x in bit_indices(mask):
-        if then.apply(first.apply(x)) != x:
-            return f"composite moves {first.domain_universe.elements[x]}"
-    return None
-
-
 def verify_trg_homeomorphism(hom: TRGHom) -> VerificationReport:
     """Bijectivity plus a verified inverse homomorphism.
 
@@ -83,7 +73,8 @@ def verify_trg_homeomorphism(hom: TRGHom) -> VerificationReport:
         ("source-upper", fmap, inverse, hom.src.upper),
         ("target-upper", inverse, fmap, hom.tgt.upper),
     ):
-        wit = _composite_moves(first, then, mask)
+        wit = next((f"composite moves {first.domain_universe.elements[x]}"
+                    for x in bit_indices(mask) if then.apply(first.apply(x)) != x), None)
         clauses.append(law(f"composite-identity-on-{name}", wit))
     g_image = fmap.image_mask(hom.src.g_mask)
     clauses.append(Clause(

@@ -14,8 +14,8 @@ and the opens are the down-sets of the classes ordered by inclusion.
 One class table per topology, built on first use, gives the distinct
 neighbourhoods, the opens and their count.  One class walk lists the
 opens, for callers that print or walk them all, and decides whether a
-declared family is a topology (`verify_topology`); `_count_down_sets`
-only counts, and also counts G x G.
+declared family is a topology (`verify_topology`); `count_opens` only
+counts, and also counts a product with one other topology.
 
 Continuity is decided from the relations each map requires, as pairs
 (d, mask), "mask lies inside N(d)" (`map_needs`, `table_needs`); a d
@@ -32,8 +32,8 @@ is held as one bytes key of local masks, opens first, which the
 garbage collector does not track and whose byte order is the
 canonical order, so one sort of the keys orders every topology.  The
 generator can also drop, level by level, the preorders that break given
-implications between relations; `trg.trg_topologies` lists the TRG
-topologies of a rough group that way.
+implications between relations (`enumerate_topologies`); that is how
+`trg.trg_topologies` lists the TRG topologies of a rough group.
 
 Bases are represented as plain tuples of open masks; `verify_base` and
 `base_at` operate on those directly.
@@ -41,6 +41,7 @@ Bases are represented as plain tuples of open masks; `verify_base` and
 
 from __future__ import annotations
 
+from collections import defaultdict
 from collections.abc import Iterator, Sequence
 from functools import cache, cached_property
 from operator import itemgetter
@@ -138,6 +139,15 @@ class FiniteTopology(Record):
         return tuple(table.values())
 
     @cached_property
+    def class_closures(self) -> tuple[int, ...]:
+        """The closure of each class's points, in class order."""
+        closed = [0] * len(self.classes)
+        for _, points, below in self.classes:
+            for i in bit_indices(below):
+                closed[i] |= points
+        return tuple(closed)
+
+    @cached_property
     def below_lists(self) -> dict[int, tuple[int, ...]]:
         """The strict below-lists: x -> the points of N(x) other than x,
         for every point x of the carrier."""
@@ -162,9 +172,15 @@ class FiniteTopology(Record):
             opens += [o | points for o in opens if o & n == n ^ points]
         return opens
 
-    def count_opens(self) -> int:
-        """Number of open sets, counted as down-sets of the classes."""
-        return _count_down_sets([below for _, _, below in self.classes])
+    def count_opens(self, other: FiniteTopology | None = None) -> int:
+        """Number of open sets, as down-sets of the classes; with `other`,
+        of the product, on pairs of classes: N((x, y)) = N(x) x N(y), so
+        (i, j) lies below (k, l) iff class i lies below k and j below l."""
+        below = [b for _, _, b in self.classes]
+        if other is not None:
+            right = [b for _, _, b in other.classes]
+            below = [product_mask(i, j, len(right)) for i in below for j in right]
+        return _count_down_sets(below)
 
     def is_open(self, mask: int) -> bool:
         if mask < 0 or mask & ~self.carrier:
@@ -352,13 +368,13 @@ def product_topology(t1: FiniteTopology, t2: FiniteTopology) -> FiniteTopology:
 
 
 def closure(top: FiniteTopology, a_mask: int) -> int:
-    """Smallest closed superset of A: the points whose N(p) meets A."""
+    """Smallest closed superset of A: the closures of the classes it meets."""
     if a_mask < 0 or a_mask & ~top.carrier:
         raise InputError("A is not a subset of the carrier")
     acc = 0
-    for p in bit_indices(top.carrier):
-        if top.nbhd[p] & a_mask:
-            acc |= 1 << p
+    for (_, points, _), cl in zip(top.classes, top.class_closures):
+        if points & a_mask:
+            acc |= cl
     return acc
 
 
@@ -650,20 +666,20 @@ class Topologies(Sequence):
         return map(self._build, self._keys)
 
 
-def enumerate_topologies(universe: Universe, carrier: int, rules=None) -> Topologies:
+def enumerate_topologies(universe: Universe, carrier: int, rules=()) -> Topologies:
     """All topologies on the carrier, in canonical order (by their
     sorted lists of opens), each with its opens already listed; with
-    `rules`, only those whose preorders keep them (`_preorder_keys`,
-    where bit i stands for the i-th point of the carrier).
+    `rules`, only those whose preorders keep each (a, x, c, d): "a in
+    N(x) implies c in N(d)", or, if c is None, "a is never in N(x)".
 
     Topologies on a finite set match one-to-one its preorders (q <= p
     iff q is in N(p)).  `_preorder_keys` generates each preorder once
     on local masks (bit i for the i-th point of the carrier), together
-    with its opens, and one sort of the keys puts them in canonical
-    order.  The result is a sequence that builds each topology when it
-    is read (`Topologies`).  The n-point count is A000798(n): 209527 at
-    6 points and 9535241 at 7, so the carrier is capped at
-    ENUMERATION_MAX_POINTS points.
+    with its opens, dropping each one that breaks a rule, and one sort
+    of the keys puts them in canonical order.  The result is a sequence
+    that builds each topology when it is read (`Topologies`).  The
+    n-point count is A000798(n): 209527 at 6 points and 9535241 at 7,
+    so the carrier is capped at ENUMERATION_MAX_POINTS points.
     """
     universe.check_subset(carrier, "carrier")
     n = carrier.bit_count()
@@ -671,6 +687,17 @@ def enumerate_topologies(universe: Universe, carrier: int, rules=None) -> Topolo
         raise CapExceededError(
             f"topology enumeration supports at most {ENUMERATION_MAX_POINTS} points, got {n}"
         )
-    keys = _preorder_keys(n, rules)
+    local = {p: i for i, p in enumerate(bit_indices(carrier))}
+    then = defaultdict(int)
+    for a, x, c, d in rules:
+        a, x = local[a], local[x]
+        # bit 8n, which no key holds, forbids a in N(x) outright
+        level, bit = ((max(a, x), 1 << 8 * n) if c is None else
+                      (max(a, x, local[c], local[d]), 1 << 8 * local[d] + local[c]))
+        then[level, 8 * x + a] |= bit
+    levels = [[] for _ in range(n)]
+    for (level, if_bit), mask in sorted(then.items()):
+        levels[level].append((if_bit, mask))
+    keys = _preorder_keys(n, levels)
     keys.sort()
     return Topologies(universe, carrier, keys)

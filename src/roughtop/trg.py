@@ -12,18 +12,18 @@ Both maps are decided by the relations they require
 (`topology.first_unmet`, whose witness is the least N(d) over the unmet
 pairs), the product map's by monotonicity in each argument, without
 building G x G.  Fed one candidate relation at a time, the same
-producers give `trg_topologies` the rules to list TRG topologies
-straight from the preorder generator.
+producers give `trg_topologies` the relations each one requires, as
+rules to list TRG topologies straight from the preorder generator.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict, namedtuple
+from collections import namedtuple
 from collections.abc import Iterator
 from functools import reduce
 from operator import or_
 
-from .approx import DEFAULT_UNIVERSE_CAP, bit_indices, pair_name, product_mask
+from .approx import DEFAULT_UNIVERSE_CAP, bit_indices, pair_name
 from .errors import InputError
 from .groups import (
     RoughGroupCert,
@@ -47,7 +47,6 @@ from .topology import (
     FiniteMap,
     FiniteTopology,
     Topologies,
-    _count_down_sets,
     base_at,
     closure,
     enumerate_topologies,
@@ -172,38 +171,26 @@ def trg_topologies(group: RoughGroupCert,
     candidate relation a <= x of points of G (a in N(x)) as the only
     below-list, they give the relations c <= d that it requires: a^-1
     <= x^-1 from the inverse map, and a*y <= x*y and y*a <= y*x for
-    every y in G from the product map (none when a = x).  A d outside
-    the codomain's carrier requires nothing; in relative mode, a c
-    outside G under a d inside G can never hold, so a <= x is forbidden
-    outright.  The carrier cap is `enumerate_topologies`'.
+    every y in G from the product map (none when a = x), each the rule
+    (a, x, c, d) of `enumerate_topologies`.  A d outside the codomain
+    requires nothing; in relative mode no c outside G lies under a d in
+    G, so c is None.  The carrier cap is `enumerate_topologies`'.
     """
     _check_mode(codomain_topology)
     g_mask, rows = group.g_mask, group.table.rows
     cod = g_mask if codomain_topology == "relative" else group.upper
-    points = tuple(bit_indices(group.upper))
-    local = {p: i for i, p in enumerate(points)}
-    g_elems = tuple(p for p in points if g_mask >> p & 1)
-    never = 1 << 8 * len(points)  # a relation no preorder holds
-    then = defaultdict(int)
+    g_elems = tuple(bit_indices(g_mask))
+    rules = []
     below = dict.fromkeys(g_elems, ())
     for x in g_elems:
         for a in g_elems:
             below[x] = (a,)
             for d, mask in [*table_needs(rows, below, below),
                             *map_needs(group.inverse, below)]:
-                if not cod >> d & 1:
-                    continue
-                for c in bit_indices(mask & ~(1 << d)):
-                    if cod >> c & 1:
-                        level = max(local[a], local[x], local[c], local[d])
-                        bit = 1 << 8 * local[d] + local[c]
-                    else:
-                        level, bit = max(local[a], local[x]), never
-                    then[level, 8 * local[x] + local[a]] |= bit
+                if cod >> d & 1:
+                    rules += [(a, x, c if cod >> c & 1 else None, d)
+                              for c in bit_indices(mask & ~(1 << d))]
         below[x] = ()
-    rules = [[] for _ in points]
-    for (level, if_bit), mask in sorted(then.items()):
-        rules[level].append((if_bit, mask))
     return enumerate_topologies(group.space.universe, group.upper, rules)
 
 
@@ -213,19 +200,15 @@ def verify_trg(
     codomain_topology: str = "upper",
 ) -> tuple[VerificationReport, TRGCert | None]:
     """`decide_trg`, with the report's stats counting the opens of tau,
-    of tau_G and of the product topology on G x G.  The last count is
-    taken on pairs of tau_G's classes, and no product is built:
-    N((x, y)) = N(x) x N(y), so pair (i, j) lies below pair (k, l)
-    exactly when class i lies below k and j below l."""
+    of tau_G and of the product topology on G x G, which
+    `FiniteTopology.count_opens` counts without building it."""
     report, cert = decide_trg(group, tau, codomain_topology)
     tau_G = cert.tau_G if cert else subspace_topology(tau, group.g_mask)
-    below = [b for _, _, b in tau_G.classes]
-    pairs = [product_mask(i, j, len(below)) for i in below for j in below]
     return combine(
         "trg", report.clauses,
         stats=[("tau-opens", tau.count_opens()),
                ("tau-G-opens", tau_G.count_opens()),
-               ("product-opens", _count_down_sets(pairs))],
+               ("product-opens", tau_G.count_opens(tau_G))],
     ), cert
 
 

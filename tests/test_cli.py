@@ -412,6 +412,59 @@ def test_missing_flag_rows_run_with_every_flag(words, fixture, flags, name):
     assert out.split("\n", 1)[0].split(" ", 1)[1] == name
 
 
+# the rows that verify a TRG before they read anything else: every row
+# that takes --topology or --src-topology but `check trg`, whose report
+# is that verdict
+_TRG_ROWS = [pytest.param(words, flags, id=words) for words, _, flags, _ in MISSING_FLAG
+             if ("--topology " in flags or "--src-topology " in flags)
+             and words != "check trg"]
+
+
+def test_trg_rows_are_the_props_action_witness_and_homs():
+    assert sorted(row.values[0] for row in _TRG_ROWS) == sorted(
+        [" ".join(words) for words in cli._COMMANDS if words[1] == "prop"]
+        + ["check action", "check trg-hom", "check trg-homeo", "enumerate witness"])
+
+
+@pytest.mark.parametrize("words, flags", _TRG_ROWS)
+def test_a_row_on_a_topology_that_fails_trg_does_not_apply(words, flags):
+    """Under tauA2 = {} {0} {0 1 2} the product map of zmod3.rg is not
+    continuous, so each row stops at its TRG premise (the source's for a
+    homomorphism) and exits 2."""
+    argv = words.split() + [("tauA2" if tok.startswith("tau") else tok)
+                            for tok in flags.split()]
+    label = "premise-src-trg" if "--src-topology" in flags else "premise-trg"
+    code, out, err = run_cli(argv, fixture="zmod3.rg")
+    assert (code, err) == (2, "")
+    assert out == (f"NOT-APPLICABLE {cli._COMMANDS[tuple(words.split())][0]}\n"
+                   f"  {label}: not-applicable  witness: open {{0}} pulls back to "
+                   "{(1,2),(2,1)}, which is not open in the product topology on G x G\n")
+
+
+def test_trg_homeo_of_a_map_that_is_no_trg_homomorphism_does_not_apply():
+    code, out, err = run_cli((
+        "check trg-homeo --src-table TA --src-partition PA --src-group GA "
+        "--src-topology tauA --tgt-table TB --tgt-partition PB --tgt-group GB "
+        "--tgt-topology tauB --map Phi2").split(), fixture="hom_z3_to_s4.rg")
+    assert (code, err) == (2, "")
+    assert out == ("NOT-APPLICABLE trg-homeomorphism\n  premise-trg-homomorphism: "
+                   "not-applicable  witness: map(1 * 2) = 1 but map(1) * map(2) = (12)\n")
+
+
+@pytest.mark.parametrize("argv, name, message", [
+    ("check subgroup --table TA --partition PA --group GA --subgroup GB", "rough-subgroup",
+     "subgroup 'GB' lives on universe 'UB', not the one the table and partition share"),
+    ("check rough-group --table TA --partition PB --group GA", "rough-group",
+     "table 'TA' is on universe 'UA' but partition 'PB' is on 'UB'"),
+    ("check homogeneous --x-partition PB --x-subset GA --x-topology tauA", "homogeneous",
+     "partition 'PB' is not on the universe of 'UA'"),
+])
+def test_a_declaration_on_another_universe_is_an_input_error(argv, name, message):
+    code, out, err = run_cli(argv.split(), fixture="hom_z3_to_s4.rg")
+    assert (code, err) == (3, "")
+    assert out == f"ERROR {name}\n  input: error  witness: {message}\n"
+
+
 @pytest.mark.parametrize("value", ["--check", "--enumerate", "--other"])
 def test_a_spelled_subcommand_after_the_command_word_is_an_option(value):
     """`--check` and `--enumerate` spell the command word only before

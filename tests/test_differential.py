@@ -404,10 +404,12 @@ def test_generated_and_product_opens_match_oracle():
     u = Universe(("a", "b", "c"))
     families = list(_topologies_on(u, 0b111))
     for f1, f2 in itertools.product(families, repeat=2):
-        prod = product_topology(generate_topology(u, 0b111, f1), generate_topology(u, 0b111, f2))
+        t1, t2 = generate_topology(u, 0b111, f1), generate_topology(u, 0b111, f2)
+        prod = product_topology(t1, t2)
         want = oracle_product_opens(f1, 0b111, f2, 0b111, 3)
         assert prod.opens == want
         assert prod.count_opens() == len(want)
+        assert t1.count_opens(t2) == len(want)
 
 
 def test_homogeneity_matches_oracle_on_every_small_topology():

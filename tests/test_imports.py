@@ -99,6 +99,17 @@ def test_module_private_helpers_are_read(name):
     assert unread == [], f"{name} defines private names nothing reads: {unread}"
 
 
+@pytest.mark.parametrize("name", sorted(TREES))
+def test_module_imports_no_private_name_of_another(name):
+    """A package module's underscore names are its own: no other one
+    imports them, by a relative or an absolute import."""
+    private = [(node.lineno, f"{node.module}.{alias.name}")
+               for node in ast.walk(TREES[name]) if isinstance(node, ast.ImportFrom)
+               and (node.level or (node.module or "").startswith("roughtop"))
+               for alias in node.names if alias.name.startswith("_")]
+    assert private == [], f"{name} imports private names: {private}"
+
+
 # Verdict constants a package module other than report.py may name:
 # every other clause verdict comes from `report.law`, `report.premise`
 # or `report.combine`.  cli.py marks each listed topology `trg=pass` or

@@ -367,36 +367,50 @@ def _relations(key: bytes, n: int) -> int:
     return int.from_bytes(key[len(key) - n:], "big")
 
 
-def _random_rules(rnd, n: int, count: int, never: float) -> list[list]:
-    """`count` random implications on n points, each filed at the level
-    of its highest point; each forbids its if_bit outright with
+def _random_rules(rnd, n: int, count: int, never: float) -> tuple[list, list[list]]:
+    """`count` random implications on n points, as relations (a, x, c, d)
+    and as rules of `_preorder_keys`, each filed at the level of its
+    highest point; each forbids its if_bit outright (c = None) with
     probability `never`."""
-    rules = [[] for _ in range(n)]
+    relations, rules = [], [[] for _ in range(n)]
     for _ in range(count):
         a, x, c, d = (rnd.randrange(n) for _ in range(4))
-        then = 1 << 8 * n if rnd.random() < never else 1 << 8 * d + c
-        level = max(a, x) if then >> 8 * n else max(a, x, c, d)
+        if rnd.random() < never:
+            c = None
+        then = 1 << 8 * n if c is None else 1 << 8 * d + c
+        level = max(a, x) if c is None else max(a, x, c, d)
+        relations.append((a, x, c, d))
         rules[level].append((8 * x + a, then))
-    return rules
+    return relations, rules
 
 
 def test_preorder_keys_with_rules_drop_exactly_the_preorders_that_break_one():
     """Random implications against filtering every preorder by all of
     them at once: fifteen sparse sets at each of 3, 4 and 5 points, and
-    two dense sets at 6 points, the second of which also forbids 2 <= 1."""
+    two dense sets at 6 points, the second of which also forbids 2 <= 1.
+    Stated as relations on the points of a carrier that skips point 2
+    of a universe of n + 2 (0b1011 of 5 points at n = 3),
+    `enumerate_topologies` keeps the same preorders."""
     rnd = random.Random(11)
-    cases = [(n, _random_rules(rnd, n, rnd.randint(1, 4), 0.2))
+    cases = [(n, *_random_rules(rnd, n, rnd.randint(1, 4), 0.2))
              for n in (3, 4, 5) for _ in range(15)]
     dense = [_random_rules(rnd, 6, 10, 0.0) for _ in range(2)]
-    dense[1][2].append((8 * 1 + 2, 1 << 8 * 6))
-    cases += [(6, rules) for rules in dense]
+    dense[1][0].append((2, 1, None, 0))
+    dense[1][1][2].append((8 * 1 + 2, 1 << 8 * 6))
+    cases += [(6, *rel_rules) for rel_rules in dense]
     every = {}
-    for n, rules in cases:
+    for n, relations, rules in cases:
         if n not in every:
             every[n] = topology._preorder_keys(n)
         flat = [r for level in rules for r in level]
         want = [k for k in every[n] if topology._keeps(_relations(k, n), flat)]
         assert topology._preorder_keys(n, rules) == want
+        points = [p for p in range(n + 1) if p != 2]
+        u = Universe(tuple("abcdefgh"[:n + 2]))
+        tops = enumerate_topologies(u, sum(1 << p for p in points), [
+            (points[a], points[x], None if c is None else points[c], points[d])
+            for a, x, c, d in relations])
+        assert list(tops.local_opens()[0]) == sorted(k[:len(k) - n] for k in want)
 
 
 def test_class_table_matches_the_per_point_definition_on_every_small_topology():

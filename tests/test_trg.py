@@ -11,8 +11,9 @@ from roughtop import ApproxSpace, Partition, Universe
 from roughtop.actions import check_AU_open, check_subgroup_open
 from roughtop.errors import CapExceededError, InputError
 from roughtop.groups import CayleyTable, RoughGroupCert, verify_rough_group
+from roughtop.parser import parse_spec
 from roughtop.report import serialize_report
-from roughtop.topology import enumerate_topologies, generate_topology
+from roughtop.topology import FiniteTopology, enumerate_topologies, generate_topology
 from roughtop.trg import (
     TRGCert,
     check_G_equals_G_inverse,
@@ -31,7 +32,16 @@ from roughtop.trg import (
     verify_trg,
 )
 
-from conftest import cert_of, identity_map, load_fixture, run_cli, trg_of
+from conftest import (
+    cert_of,
+    identity_map,
+    load_fixture,
+    oracle_close_family,
+    oracle_upper,
+    run_cli,
+    set_to_mask,
+    trg_of,
+)
 
 
 @pytest.fixture(scope="module")
@@ -442,6 +452,75 @@ def test_subgroup_open_w_not_open(z4_indiscrete_trg, ws_zmod4):
     assert rep.verdict == "not-applicable"
     assert rep.clause("premise-W-open").witness == (
         "W = {0} is not open in tau_G")
+
+
+def _zn_trg(n: int, blocks, g: int, nbhd) -> TRGCert:
+    """The TRG on Z_n with the given blocks and G, under the topology
+    whose N(p) are `nbhd`."""
+    u = Universe(tuple(str(i) for i in range(n)))
+    table = CayleyTable.from_names(
+        u, [[str((x + y) % n) for y in range(n)] for x in range(n)])
+    _, cert = verify_rough_group(ApproxSpace(u, Partition(u, blocks), table), g)
+    rep, tcert = verify_trg(cert, FiniteTopology(u, cert.upper, nbhd))
+    assert tcert is not None, rep.first_witness()
+    return tcert
+
+
+def test_base_translation_names_a_translate_that_is_not_open():
+    """Z_4 in one block, G = {0,1,3}, N = {0} {1} {0,2} {3}, and every
+    open of tau_G as the base: 1 + {0,1} = {1,2} is not open in tau."""
+    tcert = _zn_trg(4, (0b1111,), 0b1011, (0b1, 0b10, 0b101, 0b1000))
+    rep = check_base_translation(tcert, tcert.tau_G.opens)
+    assert rep.verdict == "fail"
+    assert rep.clause("base-at-1").witness == (
+        "g*O = {1,2} (O = {0,1}) is not open in tau")
+    assert set_to_mask((1 + o) % 4 for o in (0, 1)) == 0b110
+    assert 0b110 not in oracle_close_family(0b1111, tcert.tau.nbhd)
+
+
+def test_subgroup_open_names_an_upper_H_that_is_not_open():
+    """Z_4 with blocks {0,2} {1,3}, G = {0,1,3}, N = {0} {1} {1,2} {3}
+    and H = W = {0}: upper(H) = {0,2} is not open in tau."""
+    tcert = _zn_trg(4, (0b101, 0b1010), 0b1011, (0b1, 0b10, 0b110, 0b1000))
+    rep = check_subgroup_open(tcert, 0b1, 0b1)
+    assert rep.verdict == "fail"
+    assert rep.clause("upper-H-open").witness == "upper(H) = {0,2} is not open in tau"
+    upper_h = set_to_mask(oracle_upper([frozenset({0, 2}), frozenset({1, 3})],
+                                       frozenset({0})))
+    assert upper_h == 0b101
+    assert upper_h not in oracle_close_family(0b1111, tcert.tau.nbhd)
+
+
+def test_subgroup_open_names_a_translate_not_open_in_upper_H():
+    """Z_2 in one block, G = {0}, N = {0,1} {1} and H = W = {0}: on
+    upper(H) = {0,1}, 0 + W = {0} is not open."""
+    tcert = _zn_trg(2, (0b11,), 0b1, (0b11, 0b10))
+    rep = check_subgroup_open(tcert, 0b1, 0b1)
+    assert rep.verdict == "fail"
+    assert rep.clause("translates-open-in-upper-H").witness == (
+        "h = 0: h*W = {0} is not open in the subspace on upper(H)")
+    assert 0b1 not in {o & 0b11 for o in oracle_close_family(0b11, tcert.tau.nbhd)}
+
+
+@pytest.mark.parametrize("rows, identities, witness", [
+    ("e e\n  e e", [], "no identity element in the set"),
+    ("e e\n  e a", [1], "e has no inverse in the set"),
+])
+def test_au_open_names_why_the_upper_approximation_is_not_a_group(
+        rows, identities, witness):
+    """Universe {e, a} in one block, G = {e}, the indiscrete topology:
+    with every product e there is no identity in {e, a}; with a*a = a
+    as well, a is one, and e has no inverse under it."""
+    doc = (f"universe S: e a\ntable T on S:\n  {rows}\npartition P on S: {{e a}}\n"
+           "subset G of S: e\nsubset U of S: e a\ntopology tau on U: {} {e a}\n")
+    code, out, err = run_cli("check prop au-open --table T --partition P --group G "
+                             "--topology tau --subset G --open U".split(), stdin=doc)
+    assert (code, err) == (2, "")
+    assert out == ("NOT-APPLICABLE AU-open\n  premise-upper-group: not-applicable  "
+                   f"witness: the upper approximation is not a group: {witness}\n")
+    t = parse_spec(doc).tables["T"][1].rows
+    assert [i for i in (0, 1) if all(t[i][x] == x == t[x][i] for x in (0, 1))] == identities
+    assert not any(t[0][y] == i == t[y][0] for i in identities for y in (0, 1))
 
 
 @pytest.mark.parametrize("fixture, argv", [
