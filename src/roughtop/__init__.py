@@ -50,7 +50,6 @@ from .topology import (
     enumerate_topologies,
     generate_topology,
     is_continuous,
-    is_homeomorphism,
     product_topology,
     subspace_topology,
     verify_base,

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .approx import bit_indices
 from .groups import verify_rough_homomorphism
 from .report import INFO, Clause, VerificationReport, combine, law
 from .topology import FiniteMap, is_continuous
@@ -50,11 +49,12 @@ def verify_trg_homeomorphism(hom: TRGHom) -> VerificationReport:
     """Bijectivity plus a verified inverse homomorphism.
 
     The inverse is the set-theoretic one, so the composite-identity
-    clauses hold by construction once bijectivity does; they are still
-    checked explicitly, on the source G and on both upper
-    approximations.  The image of G under the map is reported for
-    information only: the definition does not say whether a
-    homeomorphism must carry the source G onto the target G.
+    clauses, on the source G and on both upper approximations, hold by
+    construction once bijectivity does: `FiniteMap.inverse` swaps each
+    pair of the bijection, and they are stated without a scan.  The
+    image of G under the map is reported for information only: the
+    definition does not say whether a homeomorphism must carry the
+    source G onto the target G.
     """
     fmap = hom.fmap
     tu = hom.tgt.universe
@@ -68,14 +68,8 @@ def verify_trg_homeomorphism(hom: TRGHom) -> VerificationReport:
     inv_rep, _ = verify_trg_homomorphism(hom.tgt, hom.src, inverse)
     clauses.append(inv_rep.as_clause("inverse-homomorphism"))
 
-    for name, first, then, mask in (
-        ("source-G", fmap, inverse, hom.src.g_mask),
-        ("source-upper", fmap, inverse, hom.src.upper),
-        ("target-upper", inverse, fmap, hom.tgt.upper),
-    ):
-        wit = next((f"composite moves {first.domain_universe.elements[x]}"
-                    for x in bit_indices(mask) if then.apply(first.apply(x)) != x), None)
-        clauses.append(law(f"composite-identity-on-{name}", wit))
+    clauses += [law(f"composite-identity-on-{name}", None)
+                for name in ("source-G", "source-upper", "target-upper")]
     g_image = fmap.image_mask(hom.src.g_mask)
     clauses.append(Clause(
         "G-image", INFO,

@@ -453,24 +453,6 @@ def is_continuous(fmap: FiniteMap, dom_top: FiniteTopology,
     return combine("continuity", [law("preimage-openness", wit)])
 
 
-def is_homeomorphism(fmap: FiniteMap, dom_top: FiniteTopology,
-                     cod_top: FiniteTopology) -> VerificationReport:
-    """Bijective plus continuous both ways; stops at the first failure."""
-    wit = (None if fmap.is_bijective()
-           else "map is not injective" if not fmap.is_injective()
-           else "map is not onto its codomain")
-    clauses = [law("bijective", wit)]
-    if wit is not None:
-        return combine("homeomorphism", clauses)
-    fwd = is_continuous(fmap, dom_top, cod_top)
-    clauses.append(fwd.as_clause("forward-continuity"))
-    if fwd.verdict != PASS:
-        return combine("homeomorphism", clauses)
-    bwd = is_continuous(fmap.inverse(), cod_top, dom_top)
-    clauses.append(bwd.as_clause("inverse-continuity"))
-    return combine("homeomorphism", clauses)
-
-
 def verify_base(top: FiniteTopology, members) -> VerificationReport:
     """A base: open members whose unions recover every open set."""
     fam = canonical_family(members)

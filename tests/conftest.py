@@ -31,7 +31,14 @@ from roughtop import (
     verify_rough_group,
     verify_trg,
 )
-from roughtop.approx import Universe, bit_indices, product_mask, product_universe
+from roughtop.approx import (
+    CayleyTable,
+    Partition,
+    Universe,
+    bit_indices,
+    product_mask,
+    product_universe,
+)
 from roughtop.errors import CapExceededError, InputError
 from roughtop.groups import DEFAULT_SUBGROUP_ENUM_CAP
 from roughtop.report import FAIL, INFO, PASS, Clause, VerificationReport, combine
@@ -411,6 +418,46 @@ def sympy_s4_oracle(names):
         return Permutation(cycles, size=4)
 
     return {n: of_name(n) for n in names}
+
+
+# ---------------------------------------------------------------------------
+# every rough group of a table
+
+
+def partitions(n: int):
+    """Every partition of range(n), as a tuple of block masks."""
+    if n == 0:
+        yield ()
+        return
+    for rest in partitions(n - 1):
+        for i in range(len(rest)):
+            yield rest[:i] + (rest[i] | 1 << n - 1,) + rest[i + 1:]
+        yield rest + (1 << n - 1,)
+
+
+def table_of(rows) -> CayleyTable:
+    """The table on the universe 0, 1, ..., n - 1 whose row x lists x*y."""
+    u = Universe(tuple(map(str, range(len(rows)))))
+    return CayleyTable(u, tuple(map(tuple, rows)))
+
+
+def cyclic_table(n: int) -> CayleyTable:
+    """Z_n under addition."""
+    return table_of([[(x + y) % n for y in range(n)] for x in range(n)])
+
+
+def rough_groups(table: CayleyTable) -> list:
+    """Every rough group of the table: each partition of its universe
+    with each nonempty G that passes."""
+    u = table.universe
+    certs = []
+    for blocks in partitions(u.size):
+        space = ApproxSpace(u, Partition(u, blocks), table)
+        for g_mask in range(1, 1 << u.size):
+            cert = verify_rough_group(space, g_mask)[1]
+            if cert is not None:
+                certs.append(cert)
+    return certs
 
 
 # ---------------------------------------------------------------------------

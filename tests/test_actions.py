@@ -13,12 +13,7 @@ from roughtop.actions import (
 from roughtop.approx import pair_name, product_mask, product_universe
 from roughtop.errors import InputError
 from roughtop.groups import CayleyTable, RoughGroupCert, verify_rough_group
-from roughtop.topology import (
-    FiniteMap,
-    FiniteTopology,
-    generate_topology,
-    is_homeomorphism,
-)
+from roughtop.topology import FiniteMap, FiniteTopology, generate_topology, is_continuous
 from roughtop.trg import TRGCert, verify_trg
 
 from conftest import cert_of, identity_map, space_of
@@ -77,7 +72,9 @@ def test_translation_is_a_homeomorphism(sa):
         tmap = FiniteMap(u, u, u.all_mask, u.all_mask,
                          tuple((x, action.act(g, x)) for x in range(3)))
         assert [tmap.apply(x) for x in range(3)] == [(g + x) % 3 for x in range(3)]
-        assert is_homeomorphism(tmap, rs.tau_x, rs.tau_x).verdict == "pass"
+        assert tmap.is_bijective()
+        assert is_continuous(tmap, rs.tau_x, rs.tau_x).verdict == "pass"
+        assert is_continuous(tmap.inverse(), rs.tau_x, rs.tau_x).verdict == "pass"
 
 
 def test_action_continuity_failure(sa):

@@ -17,6 +17,7 @@ from collections import Counter
 import pytest
 
 import roughtop.cli as cli
+import roughtop.trg
 from roughtop import ApproxSpace, Partition, RoughSpace, Universe, topology
 from roughtop.actions import is_rough_homogeneous, verify_rough_action
 from roughtop.approx import product_mask, product_universe
@@ -57,6 +58,7 @@ from roughtop.trg import (
 from conftest import (
     FIXDIR,
     cert_of,
+    cyclic_table,
     mask_to_set,
     run_cli,
     set_to_mask,
@@ -74,6 +76,7 @@ from conftest import (
     oracle_product_opens,
     oracle_verify_topology,
     oracle_verify_trg,
+    rough_groups,
 )
 
 
@@ -157,30 +160,9 @@ def test_decide_trg_matches_verify_trg_without_the_counts(case, mode, ws_zmod3, 
         assert dict(want.stats).keys() == {"tau-opens", "tau-G-opens", "product-opens"}
 
 
-def _partitions(n: int):
-    """Every partition of range(n), as a tuple of block masks."""
-    if n == 0:
-        yield ()
-        return
-    for rest in _partitions(n - 1):
-        for i in range(len(rest)):
-            yield rest[:i] + (rest[i] | 1 << n - 1,) + rest[i + 1:]
-        yield rest + (1 << n - 1,)
-
-
 def _cyclic_rough_groups(n: int) -> list:
     """Every rough group of Z_n: each partition with each nonempty G."""
-    u = Universe(tuple(str(i) for i in range(n)))
-    table = CayleyTable.from_names(
-        u, [[str((x + y) % n) for y in range(n)] for x in range(n)])
-    certs = []
-    for blocks in _partitions(n):
-        space = ApproxSpace(u, Partition(u, blocks), table)
-        for g_mask in range(1, 1 << n):
-            cert = verify_rough_group(space, g_mask)[1]
-            if cert is not None:
-                certs.append(cert)
-    return certs
+    return rough_groups(cyclic_table(n))
 
 
 class _GivenGroup:
@@ -243,6 +225,26 @@ def test_trg_topologies_count_the_trgs_of_z5():
     assert len(certs) == 296
     assert sum(len(trg_topologies(c)) for c in certs) == 82703
     assert sum(len(trg_topologies(c, "relative")) for c in certs) == 88978
+
+
+def test_trg_topologies_pass_each_relation_once(monkeypatch):
+    """Over the 203 rough groups of Z_5, the producers require 15,680
+    relations in upper mode, of which 9,624 are distinct; the generator
+    is handed each distinct one once."""
+    handed = []
+
+    def record(universe, carrier, rules=()):
+        handed.append(list(rules))
+        return ()
+
+    monkeypatch.setattr(roughtop.trg, "enumerate_topologies", record)
+    certs = _cyclic_rough_groups(5)
+    assert len(certs) == 203
+    for cert in certs:
+        trg_topologies(cert)
+    assert len(handed) == 203
+    assert sum(map(len, handed)) == 9624
+    assert all(len(set(rules)) == len(rules) for rules in handed)
 
 
 def test_enumerate_topologies_matches_oracle_on_every_small_carrier():

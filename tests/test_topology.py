@@ -18,7 +18,6 @@ from roughtop.topology import (
     first_unmet,
     generate_topology,
     is_continuous,
-    is_homeomorphism,
     product_topology,
     subspace_topology,
     verify_base,
@@ -283,24 +282,6 @@ def test_first_unmet_reads_only_points_of_the_carrier(two_chains):
 def test_first_unmet_of_no_pairs_is_none(two_chains):
     assert first_unmet(two_chains, []) is None
     assert first_unmet(two_chains, iter(())) is None
-
-
-def test_is_homeomorphism(topA, u3):
-    swap = FiniteMap(u3, u3, 0b111, 0b111, ((0, 0), (1, 2), (2, 1)))
-    rep = is_homeomorphism(swap, topA, topA)
-    assert rep.verdict == "pass"
-    assert [c.name for c in rep.clauses] == [
-        "bijective", "forward-continuity", "inverse-continuity"]
-    const = FiniteMap(u3, u3, 0b111, 0b111, ((0, 0), (1, 0), (2, 0)))
-    rep2 = is_homeomorphism(const, topA, topA)
-    assert rep2.verdict == "fail"
-    assert rep2.clause("bijective").witness == "map is not injective"
-    discrete = generate_topology(u3, 0b111, tuple(range(8)))
-    rep3 = is_homeomorphism(identity_map(u3, 0b111), discrete, topA)
-    assert rep3.verdict == "fail"
-    assert rep3.clause("forward-continuity").verdict == "pass"
-    assert rep3.clause("inverse-continuity").witness == (
-        "open {0} has preimage {0}, which is not open")
 
 
 def test_verify_base(topA, u3):

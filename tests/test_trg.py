@@ -13,7 +13,12 @@ from roughtop.errors import CapExceededError, InputError
 from roughtop.groups import CayleyTable, RoughGroupCert, verify_rough_group
 from roughtop.parser import parse_spec
 from roughtop.report import serialize_report
-from roughtop.topology import FiniteTopology, enumerate_topologies, generate_topology
+from roughtop.topology import (
+    FiniteTopology,
+    enumerate_topologies,
+    generate_topology,
+    subspace_topology,
+)
 from roughtop.trg import (
     TRGCert,
     check_G_equals_G_inverse,
@@ -36,6 +41,7 @@ from conftest import (
     cert_of,
     identity_map,
     load_fixture,
+    mask_to_set,
     oracle_close_family,
     oracle_upper,
     run_cli,
@@ -454,14 +460,19 @@ def test_subgroup_open_w_not_open(z4_indiscrete_trg, ws_zmod4):
         "W = {0} is not open in tau_G")
 
 
-def _zn_trg(n: int, blocks, g: int, nbhd) -> TRGCert:
-    """The TRG on Z_n with the given blocks and G, under the topology
-    whose N(p) are `nbhd`."""
+def _zn_group(n: int, blocks, g: int) -> RoughGroupCert:
+    """The rough group G of Z_n with the given blocks."""
     u = Universe(tuple(str(i) for i in range(n)))
     table = CayleyTable.from_names(
         u, [[str((x + y) % n) for y in range(n)] for x in range(n)])
-    _, cert = verify_rough_group(ApproxSpace(u, Partition(u, blocks), table), g)
-    rep, tcert = verify_trg(cert, FiniteTopology(u, cert.upper, nbhd))
+    return verify_rough_group(ApproxSpace(u, Partition(u, blocks), table), g)[1]
+
+
+def _zn_trg(n: int, blocks, g: int, nbhd) -> TRGCert:
+    """The TRG on Z_n with the given blocks and G, under the topology
+    whose N(p) are `nbhd`."""
+    cert = _zn_group(n, blocks, g)
+    rep, tcert = verify_trg(cert, FiniteTopology(cert.space.universe, cert.upper, nbhd))
     assert tcert is not None, rep.first_witness()
     return tcert
 
@@ -500,6 +511,51 @@ def test_subgroup_open_names_a_translate_not_open_in_upper_H():
     assert rep.clause("translates-open-in-upper-H").witness == (
         "h = 0: h*W = {0} is not open in the subspace on upper(H)")
     assert 0b1 not in {o & 0b11 for o in oracle_close_family(0b11, tcert.tau.nbhd)}
+
+
+def _z3_hand_built(nbhd) -> TRGCert:
+    """Z_3 with singleton blocks and G = Z_3, under the topology whose
+    N(p) are `nbhd`, certified by hand: the topology is no TRG."""
+    cert = _zn_group(3, (0b001, 0b010, 0b100), 0b111)
+    tau = FiniteTopology(cert.space.universe, 0b111, nbhd)
+    assert decide_trg(cert, tau)[1] is None
+    return TRGCert(cert, tau, subspace_topology(tau, 0b111))
+
+
+def test_base_translation_names_a_base_at_g_that_no_translate_fits():
+    """N = {0,1} {1} {2}, with the opens of tau_G as the base: the base
+    at 0 is {0,1} and {0,1,2}, whose translates by 1 are {1,2} and
+    {0,1,2}, both open, and neither fits inside the open {1}."""
+    tcert = _z3_hand_built((0b011, 0b010, 0b100))
+    rep = check_base_translation(tcert, tcert.tau_G.opens)
+    assert serialize_report(rep).splitlines()[5:] == [
+        "  base-at-0: pass",
+        "  base-at-1: fail  witness: open {1} contains 1 but no translated "
+        "member fits inside it",
+        "  base-at-2: fail  witness: g*O = {0,2} (O = {0,1}) is not open in tau",
+        "  stat base-members-at-identity=2"]
+    opens = oracle_close_family(0b111, tcert.tau.nbhd)
+    at_0 = [o for o in opens if o & 1]
+    translates = [set_to_mask((1 + x) % 3 for x in mask_to_set(o)) for o in at_0]
+    assert (at_0, translates) == ([0b011, 0b111], [0b110, 0b111])
+    assert set(translates) <= set(opens)
+    assert min((o for o in opens if o & 0b10), key=int.bit_count) == 0b010
+    assert not any(t & ~0b010 == 0 for t in translates)
+
+
+def test_closure_symmetric_names_a_closure_that_is_not_symmetric():
+    """N = {0} {0,1} {2} and A = {0}: the closeds holding 0 are {0,1}
+    and {0,1,2}, so cl(A) = {0,1}, whose negation is {0,2}."""
+    tcert = _z3_hand_built((0b001, 0b011, 0b100))
+    rep = check_closure_symmetric(tcert, 0b001)
+    assert serialize_report(rep) == (
+        "FAIL closure-symmetric\n"
+        "  closure-inside-G: pass  witness: cl(A) = {0,1}\n"
+        "  closure-symmetric: fail  witness: cl(A) = {0,1} but cl(A)^-1 = {0,2}\n")
+    closeds = [0b111 & ~o for o in oracle_close_family(0b111, tcert.tau.nbhd)]
+    cl = min((c for c in closeds if c & 1), key=int.bit_count)
+    assert cl == 0b011
+    assert set_to_mask(-x % 3 for x in mask_to_set(cl)) == 0b101
 
 
 @pytest.mark.parametrize("rows, identities, witness", [
