@@ -30,8 +30,8 @@ from .approx import (
 from .errors import InputError
 from .groups import (
     escape_witness,
-    group_axioms_witness,
     set_product,
+    upper_group_witness,
     verify_rough_subgroup,
 )
 from .record import Record
@@ -219,7 +219,7 @@ def is_rough_homogeneous(rspace: RoughSpace) -> str | None:
 
 def _upper_group_premise(cert: TRGCert) -> Clause:
     """The premise that the upper approximation of G is a group."""
-    why = group_axioms_witness(cert.table, cert.upper)
+    why = upper_group_witness(cert.group)
     return premise("premise-upper-group", None if why is None
                    else f"the upper approximation is not a group: {why}")
 

@@ -127,26 +127,6 @@ def _identities(table: CayleyTable, candidates: int, members: int) -> int:
     return acc
 
 
-def group_axioms_witness(table: CayleyTable, mask: int) -> str | None:
-    """First classical group-axiom violation on a subset, or None.
-
-    Checks closure of the subset under the table, associativity,
-    a two-sided identity inside the subset, and inverses inside it.
-    """
-    wit = (escape_witness(table, mask, mask, "leaves the set")
-           or associativity_witness(table, mask))
-    if wit:
-        return wit
-    identities = _identities(table, mask, mask)
-    if not identities:
-        return "no identity element in the set"
-    e = (identities & -identities).bit_length() - 1
-    for x in bit_indices(mask):
-        if not inverses_in(table, x, mask, e):
-            return f"{table.universe.elements[x]} has no inverse in the set"
-    return None
-
-
 class RoughGroupCert(namedtuple("RoughGroupCert", "space g_mask upper designated_e inverse")):
     """Evidence that (space, G) passed the rough-group axioms.
 
@@ -163,6 +143,25 @@ class RoughGroupCert(namedtuple("RoughGroupCert", "space g_mask upper designated
     @property
     def table(self) -> CayleyTable:
         return self.space.op
+
+
+def upper_group_witness(cert: RoughGroupCert) -> str | None:
+    """The first group-axiom violation on upper(G), or None when it is
+    a group: closure, a two-sided identity inside it, then inverses.
+    Associativity is left out: the certificate has passed it on upper(G)
+    (`associativity-on-upper`), so its witness cannot be reached."""
+    table, upper = cert.table, cert.upper
+    wit = escape_witness(table, upper, upper, "leaves the set")
+    if wit:
+        return wit
+    identities = _identities(table, upper, upper)
+    if not identities:
+        return "no identity element in the set"
+    e = (identities & -identities).bit_length() - 1
+    for x in bit_indices(upper):
+        if not inverses_in(table, x, upper, e):
+            return f"{table.universe.elements[x]} has no inverse in the set"
+    return None
 
 
 def verify_rough_group(

@@ -36,8 +36,7 @@ def verify_trg_homomorphism(
         src.group, tgt.group, fmap, strict=strict
     )
     clauses = [algebra_rep.as_clause("rough-homomorphism")]
-    cont = is_continuous(fmap, src.tau, tgt.tau)
-    clauses.append(cont.as_clause("continuity"))
+    clauses.append(law("continuity", is_continuous(fmap, src.tau, tgt.tau)))
     clauses.append(algebra_rep.clause("classification"))
     report = combine("trg-homomorphism", clauses, stats=algebra_rep.stats)
     if not report.passed:

@@ -193,10 +193,7 @@ def _build_subset(name, refs, tail, off, lineno, lines):
 def _build_topology(name, refs, tail, off, lineno, lines):
     ((cname, uname, u, carrier),) = refs
     family = _brace_masks(u, uname, tail, off, lineno, carrier)
-    rep, top = verify_topology(u, carrier, family)
-    if top is None:
-        raise InputError(f"family is not a topology: {rep.first_witness()}")
-    return cname, top
+    return cname, verify_topology(u, carrier, family)
 
 
 def _build_map(name, refs, tail, off, lineno, lines):

@@ -1,6 +1,6 @@
 """Structured verdicts with witnesses, serialized deterministically.
 
-Every check in the package returns a :class:`VerificationReport`: an
+Every check a command prints returns a :class:`VerificationReport`: an
 overall verdict, an ordered list of named clauses (each with its own
 verdict and, where relevant, a witness or counterexample string), and a
 few integer counters.  A clause's verdict follows from its witness

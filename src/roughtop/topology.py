@@ -35,8 +35,9 @@ generator can also drop, level by level, the preorders that break given
 implications between relations (`enumerate_topologies`); that is how
 `trg.trg_topologies` lists the TRG topologies of a rough group.
 
-Bases are represented as plain tuples of open masks; `verify_base` and
-`base_at` operate on those directly.
+Bases are plain tuples of open masks, read by `verify_base` and
+`base_at` directly.  Nothing here builds a report: a check puts a
+returned witness (None when the property holds) in a clause of its own.
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ from operator import itemgetter
 from .approx import Universe, bit_indices, product_mask, product_universe
 from .errors import CapExceededError, InputError
 from .record import Record
-from .report import PASS, Clause, VerificationReport, combine, law, premise
 
 ENUMERATION_MAX_POINTS = 6
 
@@ -279,10 +279,6 @@ def first_unmet(cod: FiniteTopology, needs) -> int | None:
     return next(n for n, points, _ in cod.classes if points & bad)
 
 
-_TOPOLOGY_CLAUSES = ("empty-set-member", "carrier-member", "union-closure",
-                     "intersection-closure")
-
-
 def _from_family(universe: Universe, carrier: int, family
                  ) -> tuple[tuple[int, ...], FiniteTopology]:
     """The family in canonical order, and the smallest topology on the
@@ -299,10 +295,9 @@ def _from_family(universe: Universe, carrier: int, family
     return fam, FiniteTopology(universe, carrier, _nbhds(universe.size, carrier, fam))
 
 
-def verify_topology(universe: Universe, carrier: int, family
-                    ) -> tuple[VerificationReport, FiniteTopology | None]:
-    """Check the finite topology axioms on a raw family of subsets, and
-    return the topology it is, or None.
+def verify_topology(universe: Universe, carrier: int, family) -> FiniteTopology:
+    """The topology a raw family of subsets is; InputError, with the
+    witness of the first axiom it breaks, when it is none.
 
     Each member m is the union of N(p) over its points p, where the
     N(p) are the family's own neighbourhoods, so the family lies among
@@ -311,34 +306,35 @@ def verify_topology(universe: Universe, carrier: int, family
     many members as that topology has opens.  The class walk that lists
     the opens stops once it holds more of them than the family has
     members, so a family far from a topology fails as fast as one near
-    it.  Only a failing family gets the pairwise scan, which names the
-    first offending pair.
+    it.  Only a failing family gets the axioms checked one by one (the
+    empty set, the carrier, then pairwise unions and intersections),
+    up to the first that fails.
     """
     fam, top = _from_family(universe, carrier, family)
-    stats = [("members", len(fam))]
     if len(top._walk(len(fam))) == len(fam):
-        rep = combine("topology", [Clause(c, PASS) for c in _TOPOLOGY_CLAUSES], stats=stats)
-        return rep, top
+        return top
+    raise InputError(f"family is not a topology: {_first_broken_axiom(universe, carrier, fam)}")
+
+
+def _first_broken_axiom(universe: Universe, carrier: int, fam: tuple[int, ...]) -> str:
+    """The witness of the first topology axiom that a canonical family,
+    which is no topology, breaks.  One scan always finds it: a finite
+    family that holds the empty set and the carrier and is closed under
+    pairwise unions and intersections is a topology."""
     members = frozenset(fam)
-    clauses = [
-        law("empty-set-member",
-            None if 0 in members else "the empty set is missing from the family"),
-        law("carrier-member", None if carrier in members
-            else f"the carrier {universe.set_str(carrier)} is missing"),
-    ]
+    if 0 not in members:
+        return "the empty set is missing from the family"
+    if carrier not in members:
+        return f"the carrier {universe.set_str(carrier)} is missing"
     for word, op in (("union", "__or__"), ("intersection", "__and__")):
-        wit = None
         # the pairs (a, b) with a before b, a by a; the set takes each
         # a's row whole, and only the failing row is read pair by pair
         for i, a in enumerate(fam):
             with_a, later = getattr(a, op), fam[i + 1:]
             if not members.issuperset(map(with_a, later)):
                 b = next(b for b in later if with_a(b) not in members)
-                wit = (f"{word} of {universe.set_str(a)} and {universe.set_str(b)} = "
-                       f"{universe.set_str(with_a(b))} is not in the family")
-                break
-        clauses.append(law(f"{word}-closure", wit))
-    return combine("topology", clauses, stats=stats), None
+                return (f"{word} of {universe.set_str(a)} and {universe.set_str(b)} = "
+                        f"{universe.set_str(with_a(b))} is not in the family")
 
 
 def generate_topology(universe: Universe, carrier: int, subbasis) -> FiniteTopology:
@@ -437,9 +433,10 @@ class FiniteMap(Record):
 
 
 def is_continuous(fmap: FiniteMap, dom_top: FiniteTopology,
-                  cod_top: FiniteTopology) -> VerificationReport:
-    """f(N(p)) inside N(f(p)) for every point p; a failure is named by
-    the first open of the codomain whose preimage is not open."""
+                  cod_top: FiniteTopology) -> str | None:
+    """None when f(N(p)) lies inside N(f(p)) for every point p, that
+    is, when f is continuous; else the witness naming the first open of
+    the codomain whose preimage is not open."""
     if fmap.domain_universe != dom_top.universe or fmap.codomain_universe != cod_top.universe:
         raise InputError("map universes do not match the topologies")
     if fmap.domain != dom_top.carrier:
@@ -447,42 +444,36 @@ def is_continuous(fmap: FiniteMap, dom_top: FiniteTopology,
     if fmap.codomain != cod_top.carrier:
         raise InputError("map codomain differs from the codomain-topology carrier")
     o = first_unmet(cod_top, map_needs(fmap, dom_top.below_lists))
-    wit = None if o is None else (
+    return None if o is None else (
         f"open {cod_top.universe.set_str(o)} has preimage "
         f"{dom_top.universe.set_str(fmap.preimage(o))}, which is not open")
-    return combine("continuity", [law("preimage-openness", wit)])
 
 
-def verify_base(top: FiniteTopology, members) -> VerificationReport:
-    """A base: open members whose unions recover every open set."""
+def verify_base(top: FiniteTopology, members) -> str | None:
+    """None when the members form a base of the topology: open sets
+    whose unions recover every open set; else the witness of the first
+    failure, a member that is not open or an open that no union of
+    members gives."""
     fam = canonical_family(members)
-    wit = None
     for m in fam:
         if m < 0 or m & ~top.carrier:
             raise InputError("base member is not a subset of the carrier")
         if not top.is_open(m):
-            wit = f"member {top.universe.set_str(m)} is not open"
-            break
-    clauses = [law("members-open", wit)]
-    if wit is None:
-        def inside(o: int) -> int:
-            u = 0
-            for m in fam:
-                if m & ~o == 0:
-                    u |= m
-            return u
+            return f"member {top.universe.set_str(m)} is not open"
 
-        # an open O fails when some z in O lies in no member inside O;
-        # then N(z), inside O, fails too, so the first failing open is an N
-        o = next((n for n, _, _ in top.classes if inside(n) != n), None)
-        wit = None
-        if o is not None:
-            wit = (f"open {top.universe.set_str(o)} is not a union of members; "
-                   f"members inside it cover only {top.universe.set_str(inside(o))}")
-        clauses.append(law("covers-all-opens", wit))
-    else:
-        clauses.append(premise("covers-all-opens", "skipped: non-open member"))
-    return combine("base", clauses, stats=[("members", len(fam))])
+    def inside(o: int) -> int:
+        u = 0
+        for m in fam:
+            if m & ~o == 0:
+                u |= m
+        return u
+
+    # an open O fails when some z in O lies in no member inside O;
+    # then N(z), inside O, fails too, so the first failing open is an N
+    o = next((n for n, _, _ in top.classes if inside(n) != n), None)
+    return None if o is None else (
+        f"open {top.universe.set_str(o)} is not a union of members; "
+        f"members inside it cover only {top.universe.set_str(inside(o))}")
 
 
 def base_at(members, point: int) -> tuple[int, ...]:

@@ -150,8 +150,7 @@ def decide_trg(
     clauses = [Clause("codomain-topology", INFO, codomain_topology)]
     cod = tau if codomain_topology == "upper" else tau_G
     clauses.append(_product_map_clause(group, tau_G, cod))
-    inv_rep = is_continuous(group.inverse, tau_G, tau_G)
-    clauses.append(inv_rep.as_clause("inverse-map-continuity"))
+    clauses.append(law("inverse-map-continuity", is_continuous(group.inverse, tau_G, tau_G)))
     report = combine("trg", clauses)
     if not report.passed:
         return report, None
@@ -246,10 +245,9 @@ def check_translations(cert: TRGCert, a: int) -> VerificationReport:
     ):
         fmap = FiniteMap(u, u, cert.g_mask, cert.upper, pairs)
         clauses.append(law(f"{label}-injective", None))
-        cont = is_continuous(fmap, cert.tau_G, cert.tau)
-        clauses.append(cont.as_clause(f"{label}-continuity"))
-    inv = is_continuous(cert.group.inverse, cert.tau_G, cert.tau_G)
-    clauses.append(inv.as_clause("inverse-homeomorphism"))
+        clauses.append(law(f"{label}-continuity", is_continuous(fmap, cert.tau_G, cert.tau)))
+    clauses.append(law("inverse-homeomorphism",
+                       is_continuous(cert.group.inverse, cert.tau_G, cert.tau_G)))
     return combine("translations", clauses)
 
 
@@ -331,8 +329,8 @@ def check_topological_group(cert: TRGCert) -> VerificationReport:
     # are the group axioms on G, with the same canonically first identity
     clauses.append(law("group-axioms", None))
     clauses.append(_product_map_clause(cert.group, cert.tau, cert.tau))
-    inv_rep = is_continuous(cert.group.inverse, cert.tau_G, cert.tau_G)
-    clauses.append(inv_rep.as_clause("inversion-continuity"))
+    clauses.append(law("inversion-continuity",
+                       is_continuous(cert.group.inverse, cert.tau_G, cert.tau_G)))
     return combine("topological-group", clauses)
 
 
@@ -413,7 +411,7 @@ def check_base_translation(cert: TRGCert, members) -> VerificationReport:
                                "leaves the upper approximation")),
         premise("premise-G-open", None if cert.tau.is_open(cert.g_mask)
                 else f"G = {u.set_str(cert.g_mask)} is not open in tau"),
-        premise("premise-base", verify_base(cert.tau_G, members).first_witness()),
+        premise("premise-base", verify_base(cert.tau_G, members)),
     ]
     if any(c.verdict != PASS for c in premises):
         return combine("base-translation", premises)

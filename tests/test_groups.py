@@ -8,11 +8,11 @@ from roughtop.errors import CapExceededError, InputError
 from roughtop.groups import (
     CayleyTable,
     enumerate_rough_subgroups,
-    group_axioms_witness,
     is_rough_normal,
     product_rough_group,
     rough_kernel,
     set_product,
+    upper_group_witness,
     verify_rough_group,
     verify_rough_homomorphism,
     verify_rough_subgroup,
@@ -55,10 +55,13 @@ def test_set_product_and_translates(ws_zmod3):
     assert set_product(tab, g, 1 << u.index("2")) == u.mask_of(["0", "1"])
 
 
-def test_group_axioms_witness(ws_zmod3):
+def test_upper_group_witness(ws_zmod3, fixa_cert):
+    assert upper_group_witness(fixa_cert) is None  # upper(G) is all of Z_3
     tab = ws_zmod3.tables["TA"][1]
-    assert group_axioms_witness(tab, 0b111) is None
-    assert group_axioms_witness(tab, 0b110) is not None
+    u = tab.universe
+    space = ApproxSpace(u, Partition.from_names(u, [["0", "1"], ["2"]]), tab)
+    _, cert = verify_rough_group(space, u.mask_of(["0"]))
+    assert upper_group_witness(cert) == "1 * 1 = 2 leaves the set"
 
 
 def test_fixa_rough_group(ws_zmod3, fixa_cert):

@@ -1,5 +1,6 @@
 """Every module of the package, the tests and the scripts uses every
-name it imports, only `report.py` decides a clause's verdict, every
+name it imports, each package module imports only the modules its
+layer may read, only `report.py` decides a clause's verdict, every
 public method of a record class is read by a package module, a script
 or a bench file, and every name the package exports and every field of
 a record is read by one of them or is listed with the reason it stays.
@@ -108,6 +109,49 @@ def test_module_imports_no_private_name_of_another(name):
                and (node.level or (node.module or "").startswith("roughtop"))
                for alias in node.names if alias.name.startswith("_")]
     assert private == [], f"{name} imports private names: {private}"
+
+
+# The package modules each module may import.  Each reads only layers
+# below it; `topology` answers with values and witness strings, so it
+# reads no report, and each check builds its own clauses from them.
+MAY_IMPORT = {
+    "errors.py": set(),
+    "record.py": set(),
+    "approx.py": {"errors", "record"},
+    "report.py": {"record"},
+    "topology.py": {"approx", "errors", "record"},
+    "groups.py": {"approx", "errors", "report", "topology"},
+    "trg.py": {"approx", "errors", "groups", "report", "topology"},
+    "actions.py": {"approx", "errors", "groups", "record", "report", "topology", "trg"},
+    "homs.py": {"groups", "report", "topology", "trg"},
+    "parser.py": {"approx", "errors", "topology"},
+    "cli.py": {"actions", "approx", "errors", "groups", "homs", "parser", "report",
+               "topology", "trg"},
+    "__main__.py": {"cli"},
+}
+
+
+def _package_imports(tree):
+    """The package modules a module imports by `from .x import ...` or
+    `from . import x`, or the same through `roughtop` by name."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if not node.level:
+                if module.split(".")[0] != "roughtop":
+                    continue
+                module = module[len("roughtop."):]
+            yield from [module.split(".")[0]] if module else (a.name for a in node.names)
+
+
+def test_layer_table_lists_every_module():
+    assert sorted(MAY_IMPORT) == MODULES
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_module_imports_only_its_layers(name):
+    extra = sorted(set(_package_imports(TREES[name])) - MAY_IMPORT[name])
+    assert extra == [], f"{name} imports modules its layer may not read: {extra}"
 
 
 # Verdict constants a package module other than report.py may name:

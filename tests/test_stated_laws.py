@@ -10,6 +10,8 @@ e for all of G, and an inverse in G for each member.  From these alone:
 - the inverse map sends G into G and is its own inverse, so it is onto
   G, and its continuity is continuity both ways;
 - when G = upper(G), G is a group under the table, with identity e;
+- associativity holds on upper(G), so upper(G) is a group exactly when
+  it is closed and has an identity and inverses in it;
 - g*e = g, so g*O holds g for every O that holds e;
 - when upper(G) is a group, e*e = e makes e its identity, by
   cancellation; so for a rough subgroup H whose upper(H) is closed, and
@@ -25,7 +27,10 @@ topologies are exactly the coset topologies of G's normal subgroups.
 
 import itertools
 import random
+from collections import Counter
 
+from roughtop.actions import check_AU_open
+from roughtop.groups import upper_group_witness
 from roughtop.topology import enumerate_topologies
 from roughtop.trg import (
     TRGCert,
@@ -49,6 +54,9 @@ from conftest import (
 )
 
 KLEIN = [[x ^ y for y in range(4)] for x in range(4)]
+# S_3: the permutations of 3 points, x*y = x after y
+PERMS = list(itertools.permutations(range(3)))
+S3 = [[PERMS.index(tuple(x[i] for i in y)) for y in PERMS] for x in PERMS]
 
 
 def _subsets(s):
@@ -127,13 +135,45 @@ def test_group_level_laws_hold_on_every_probe_rough_group():
     assert seen == {"exact": 918, "translates": 2723, "subgroup-unions": 1904}
 
 
+def _upper_group_witness(rows, names, up):
+    """The witness of `premise-upper-group`, worked out on frozensets:
+    the first pair of upper(G), in canonical order, whose product leaves
+    it, else a missing identity, else the first member with no inverse
+    there.  Associativity is not rechecked: every rough group has it."""
+    elems = sorted(up)
+    for x in elems:
+        for y in elems:
+            if rows[x][y] not in up:
+                return f"{names[x]} * {names[y]} = {names[rows[x][y]]} leaves the set"
+    ident = [c for c in elems if all(rows[c][x] == x == rows[x][c] for x in elems)]
+    if not ident:
+        return "no identity element in the set"
+    for x in elems:
+        if not any(rows[x][y] == ident[0] == rows[y][x] for y in elems):
+            return f"{names[x]} has no inverse in the set"
+    return None
+
+
+def test_upper_group_witness_matches_raw_rows_on_every_probe_rough_group():
+    """upper(G) is a group, or the first of closure, an identity and
+    inverses that it breaks is named, exactly as the raw rows say."""
+    seen = Counter()
+    for cert in _probe_rough_groups():
+        rows, _, _, up, _, _ = _raw(cert)
+        want = _upper_group_witness(rows, cert.space.universe.elements, up)
+        assert upper_group_witness(cert) == want
+        seen[next((k for k in ("leaves", "identity", "inverse") if k in (want or "")), want)] += 1
+    assert seen == {None: 1098, "leaves": 54, "identity": 95, "inverse": 55}
+
+
 def test_topological_laws_hold_on_every_trg_of_z2_z3_and_the_klein_group():
     """On every topology of G, whether or not it comes from a TRG, the
     inverse map is its own inverse, so the inverse-homeomorphism clause
     names the continuity witness of the inverse map alone.  On every
     TRG, each g*O of base-translation holds g, the clauses it still
-    decides agree with the raw scan, and every open W of tau_G with e
-    in W inside a rough subgroup H gives upper(H)*W = upper(H)."""
+    decides agree with the raw scan, every open W of tau_G with e in W
+    inside a rough subgroup H gives upper(H)*W = upper(H), and
+    `premise-upper-group` names the witness of the raw rows."""
     seen = dict.fromkeys(("trgs", "tau-G", "bases", "subgroup-unions"), 0)
     for table in (cyclic_table(2), cyclic_table(3), table_of(KLEIN)):
         for cert in rough_groups(table):
@@ -147,9 +187,12 @@ def test_topological_laws_hold_on_every_trg_of_z2_z3_and_the_klein_group():
                 rep = check_translations(TRGCert(cert, tau, s), min(g))
                 assert rep.clause("inverse-homeomorphism").witness == wit
                 seen["tau-G"] += 1
+            wit = _upper_group_witness(rows, u.elements, up)
             for tau in trg_topologies(cert):
                 tcert = decide_trg(cert, tau)[1]
                 seen["trgs"] += 1
+                assert check_AU_open(tcert, 0, 0).clause("premise-upper-group").witness == (
+                    wit and f"the upper approximation is not a group: {wit}")
                 opens = set(map(mask_to_set, tau.opens))
                 opens_g = {o & g for o in opens}
                 assert check_G_equals_G_inverse(tcert).verdict == "pass"
@@ -190,9 +233,10 @@ def _coset_topologies(rows, g, e, size):
 def test_trg_topologies_of_an_exact_rough_group_are_its_coset_topologies():
     """When G = upper(G), G is a group and N(e) is a normal subgroup K
     with N(x) = x*K, so `trg_topologies` lists exactly the coset
-    topologies, in both codomain modes."""
+    topologies, in both codomain modes: over Z_2 to Z_6, Z_2 x Z_2 and
+    S_3."""
     cases = 0
-    for table in [cyclic_table(n) for n in (2, 3, 4, 5)] + [table_of(KLEIN)]:
+    for table in [cyclic_table(n) for n in (2, 3, 4, 5, 6)] + [table_of(KLEIN), table_of(S3)]:
         for cert in rough_groups(table):
             if cert.g_mask != cert.upper:
                 continue
@@ -201,4 +245,4 @@ def test_trg_topologies_of_an_exact_rough_group_are_its_coset_topologies():
             for mode in ("upper", "relative"):
                 assert sorted(t.nbhd for t in trg_topologies(cert, mode)) == want
                 cases += 1
-    assert cases == 266
+    assert cases == 1626
