@@ -389,10 +389,7 @@ def rough_kernel(hom: RoughHom) -> tuple[int, VerificationReport]:
     report on whether that set is a rough normal subgroup."""
     src = hom.source
     e2 = hom.target.designated_e
-    kernel = 0
-    for x in bit_indices(src.g_mask):
-        if hom.fmap.apply(x) == e2:
-            kernel |= 1 << x
+    kernel = hom.fmap.preimage(1 << e2) & src.g_mask
     u = src.space.universe
     clauses = [Clause("kernel-elements", INFO, u.set_str(kernel))]
     if kernel == 0:

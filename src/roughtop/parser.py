@@ -14,9 +14,9 @@ blank lines are ignored; tokens never contain whitespace.  Declarations:
 A <carrier> or map endpoint names a declared subset, or a universe
 (standing for all of its elements).  The empty set is written `{}`, and
 a topology must list its carrier among the opens.  Pair element names
-like `(a,b)` are ordinary tokens; a name may hold a comma only inside
-parentheses, and its parentheses must balance.  Every error carries the
-1-based line and column it was detected at.
+like `(a,b)` are ordinary tokens; a name holds no brace, may hold a
+comma only inside parentheses, and its parentheses must balance.
+Every error carries the 1-based line and column it was detected at.
 
 The table `_DECLARATIONS` is the single source of these headers: it
 gives each kind's header, its Workspace namespace and the builder of
@@ -38,8 +38,8 @@ _BRACE_RE = re.compile(r"\{([^{}]*)\}")
 _STRAY_BRACE_RE = re.compile(r"[{}]")
 _BRACE_LIST_RE = re.compile(r"\s*(?:\{[^{}]*\}\s*)*")
 _TOKEN_RE = re.compile(r"\S+")
-_NAME_PUNCT_RE = re.compile(r"[(),]")
-_NAME_GROUP_RE = re.compile(r"\([^()\s]*\)")  # an innermost group inside one name
+_NAME_PUNCT_RE = re.compile(r"[(),{}]")
+_NAME_GROUP_RE = re.compile(r"\([^(){}\s]*\)")  # an innermost group inside one name
 
 
 def _tokens(text: str, offset: int) -> list[tuple[str, int]]:
@@ -139,13 +139,15 @@ def _word_col(head: str, at: int) -> int:
 
 
 def _build_universe(name, refs, tail, off, lineno, lines):
-    # witnesses join names with ",", and pair names are "(x,y)", so a
-    # comma outside parentheses, or parentheses that do not balance,
-    # would make them ambiguous.  Names are walked one by one, a name's
-    # commas tested first, only when some punctuation is left once the
-    # innermost groups within a name are struck out.
+    # witnesses are "{x,y}", and pair names "(x,y)", so a brace, a comma
+    # outside parentheses, or parentheses that do not balance would make
+    # them ambiguous.  Names are walked one by one, braces tested first,
+    # only when some punctuation is left once the innermost groups
+    # within a name are struck out.
     if _NAME_PUNCT_RE.search(_NAME_GROUP_RE.sub("", tail)):
         for tok, col in _tokens(tail, off):
+            if "{" in tok or "}" in tok:
+                raise ParseError(f"element name {tok!r} has a brace", lineno, col)
             depths = list(accumulate((ch == "(") - (ch == ")") for ch in tok))
             if any(ch == "," and depth <= 0 for ch, depth in zip(tok, depths)):
                 raise ParseError(f"element name {tok!r} has a comma outside "

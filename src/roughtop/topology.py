@@ -13,9 +13,11 @@ Applications*, LNM 2032, 2011).  Points with one N(p) form a class,
 and the opens are the down-sets of the classes ordered by inclusion.
 One class table per topology, built on first use, gives the distinct
 neighbourhoods, the opens and their count.  One class walk lists the
-opens, for callers that print or walk them all, and decides whether a
-declared family is a topology (`verify_topology`); `count_opens` only
-counts, and also counts a product with one other topology.
+opens, for callers that print or walk them all; over a declared
+family's own N(p) it stops at the first open the family lacks, which
+it names as the union or the intersection of two members
+(`verify_topology`).  `count_opens` only counts, and also counts a
+product with one other topology.
 
 Continuity is decided from the relations each map requires, as pairs
 (d, mask), "mask lies inside N(d)" (`map_needs`, `table_needs`); a d
@@ -157,20 +159,12 @@ class FiniteTopology(Record):
 
     @cached_property
     def opens(self) -> tuple[int, ...]:
-        """Every open set in canonical order, listed on first use."""
-        return tuple(sorted(self._walk()))
-
-    def _walk(self, most: float = float("inf")) -> list[int]:
-        """The opens in class order, or a list longer than `most` once
-        the walk passes it.  The class order extends inclusion, so a
-        class can join an open set once every other point of its N is
-        already in it."""
+        """Every open set in canonical order, listed on first use by one
+        class walk: a class joins an open once the rest of its N is in it."""
         opens = [0]
         for n, points, _ in self.classes:
-            if len(opens) > most:
-                break
             opens += [o | points for o in opens if o & n == n ^ points]
-        return opens
+        return tuple(sorted(opens))
 
     def count_opens(self, other: FiniteTopology | None = None) -> int:
         """Number of open sets, as down-sets of the classes; with `other`,
@@ -280,61 +274,63 @@ def first_unmet(cod: FiniteTopology, needs) -> int | None:
 
 
 def _from_family(universe: Universe, carrier: int, family
-                 ) -> tuple[tuple[int, ...], FiniteTopology]:
-    """The family in canonical order, and the smallest topology on the
-    carrier holding every member; its N(p) (`_nbhds`) are always a
-    preorder, so the constructor never raises here."""
+                 ) -> tuple[frozenset[int], FiniteTopology]:
+    """The family's members, and the smallest topology on the carrier
+    holding every member; its N(p) (`_nbhds`) are always a preorder, so
+    the constructor never raises here."""
     universe.check_subset(carrier, "carrier")
-    fam = canonical_family(family)
-    for m in fam:
+    members = frozenset(family)
+    for m in sorted(members):
         if m < 0 or m & ~carrier:
             raise InputError(
                 f"family member {universe.set_str(m & universe.all_mask)} is not a subset "
                 f"of the carrier {universe.set_str(carrier)}"
             )
-    return fam, FiniteTopology(universe, carrier, _nbhds(universe.size, carrier, fam))
+    return members, FiniteTopology(universe, carrier, _nbhds(universe.size, carrier, members))
 
 
 def verify_topology(universe: Universe, carrier: int, family) -> FiniteTopology:
-    """The topology a raw family of subsets is; InputError, with the
-    witness of the first axiom it breaks, when it is none.
-
-    Each member m is the union of N(p) over its points p, where the
-    N(p) are the family's own neighbourhoods, so the family lies among
-    the opens of the topology they form.  It holds no member twice, so
-    it is a topology, and those N(p) are its, exactly when it has as
-    many members as that topology has opens.  The class walk that lists
-    the opens stops once it holds more of them than the family has
-    members, so a family far from a topology fails as fast as one near
-    it.  Only a failing family gets the axioms checked one by one (the
-    empty set, the carrier, then pairwise unions and intersections),
-    up to the first that fails.
-    """
-    fam, top = _from_family(universe, carrier, family)
-    if len(top._walk(len(fam))) == len(fam):
+    """The topology a raw family of subsets is, or InputError naming
+    the first open it lacks.  Each member m is the union of N(p) over
+    its points p, for the family's own N(p), so the family lies among
+    the opens of the topology they form: it is that topology exactly
+    when it holds them all (`_missing_open`)."""
+    members, top = _from_family(universe, carrier, family)
+    witness = _missing_open(top, members)
+    if witness is None:
         return top
-    raise InputError(f"family is not a topology: {_first_broken_axiom(universe, carrier, fam)}")
+    raise InputError(f"family is not a topology: {witness}")
 
 
-def _first_broken_axiom(universe: Universe, carrier: int, fam: tuple[int, ...]) -> str:
-    """The witness of the first topology axiom that a canonical family,
-    which is no topology, breaks.  One scan always finds it: a finite
-    family that holds the empty set and the carrier and is closed under
-    pairwise unions and intersections is a topology."""
-    members = frozenset(fam)
+def _missing_open(top: FiniteTopology, members: frozenset[int]) -> str | None:
+    """None when the family holds every open of `top`, else the first
+    open it lacks: the empty set, the carrier, or the first w = o | N
+    of the class walk of `opens`, which keeps only members (at most
+    twice as many opens as the family has).  w is the union of o and N
+    when N is a member; else the carrier is cut, in canonical order, by
+    the members holding N, and the first cut that is no member names w."""
+    name = top.universe.set_str
     if 0 not in members:
         return "the empty set is missing from the family"
-    if carrier not in members:
-        return f"the carrier {universe.set_str(carrier)} is missing"
-    for word, op in (("union", "__or__"), ("intersection", "__and__")):
-        # the pairs (a, b) with a before b, a by a; the set takes each
-        # a's row whole, and only the failing row is read pair by pair
-        for i, a in enumerate(fam):
-            with_a, later = getattr(a, op), fam[i + 1:]
-            if not members.issuperset(map(with_a, later)):
-                b = next(b for b in later if with_a(b) not in members)
-                return (f"{word} of {universe.set_str(a)} and {universe.set_str(b)} = "
-                        f"{universe.set_str(with_a(b))} is not in the family")
+    if top.carrier not in members:
+        return f"the carrier {name(top.carrier)} is missing"
+    opens = [0]
+    for n, points, _ in top.classes:
+        rest = n ^ points
+        new = [o | points for o in opens if o & n == rest]
+        if members.issuperset(new):
+            opens += new
+            continue
+        o = next(o for o in opens if o & n == rest and o | points not in members)
+        if n in members:
+            return f"union of {name(o)} and {name(n)} = {name(o | n)} is not in the family"
+        acc = top.carrier
+        for m in sorted(m for m in members if m & points):
+            if acc & m not in members:  # at the latest when acc & m = N
+                return (f"intersection of {name(acc)} and {name(m)} = "
+                        f"{name(acc & m)} is not in the family")
+            acc &= m
+    return None
 
 
 def generate_topology(universe: Universe, carrier: int, subbasis) -> FiniteTopology:

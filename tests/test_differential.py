@@ -305,16 +305,27 @@ def test_verify_topology_matches_oracle_on_random_families():
 
 def _check_verify_topology(u, carrier, fam):
     """verify_topology against the pairwise-scan oracle, whose report
-    it returns: on a failure the message names the oracle's first
-    witness; on a pass the topology has the family as its opens, and as
-    its N(p) the intersection of the members that hold p, worked out on
-    frozensets."""
+    it returns.  The oracle gives the verdict; on a failure at the empty
+    set or the carrier the message is the oracle's witness, and past
+    them the one `_walk_witness` names: two members and their union or
+    intersection, which is no member.  On a pass the topology has the
+    family as its opens, and as its N(p) the intersection of the
+    members that hold p, worked out on frozensets."""
     rep = oracle_verify_topology(u, carrier, fam)
     if not rep.passed:
         with pytest.raises(InputError) as err:
             verify_topology(u, carrier, fam)
-        assert str(err.value) == "family is not a topology: " + rep.first_witness(), (
-            carrier, fam)
+        if "fail" in (rep.clause("empty-set-member").verdict,
+                      rep.clause("carrier-member").verdict):
+            why = rep.first_witness()
+        else:
+            word, a, b, c = _walk_witness(carrier, fam)
+            members = {mask_to_set(m) for m in fam}
+            assert {a, b} <= members and c not in members, (carrier, fam)
+            assert c == (a | b if word == "union" else a & b), (carrier, fam)
+            why = (f"{word} of {u.set_str(set_to_mask(a))} and {u.set_str(set_to_mask(b))}"
+                   f" = {u.set_str(set_to_mask(c))} is not in the family")
+        assert str(err.value) == "family is not a topology: " + why, (carrier, fam)
         return rep
     top = verify_topology(u, carrier, fam)
     assert top.opens == tuple(sorted(set(fam))), (carrier, fam)
@@ -325,6 +336,39 @@ def _check_verify_topology(u, carrier, fam):
             mask_to_set(carrier), *[s for s in sets if p in s]))
     assert top.nbhd == tuple(want), (carrier, fam)
     return rep
+
+
+def _walk_witness(carrier, fam):
+    """(word, a, b, a word b) for a family, holding the empty set and
+    the carrier, that is no topology, on frozensets.  The opens of the
+    family's own N(p) are walked class by class, the classes by
+    ascending mask of N; a class joins each open o so far that holds
+    the rest of its N, in the order the opens were found.  The first
+    such o | N that is no member is named: as the union of o and N when
+    N is a member, else as the first intersection that is no member
+    when the carrier is cut down, in ascending mask order, by the
+    members that hold a point of the class."""
+    members = {mask_to_set(m) for m in fam}
+    whole = mask_to_set(carrier)
+    nbhd = {p: frozenset.intersection(whole, *[s for s in members if p in s])
+            for p in whole}
+    opens = [frozenset()]
+    for n in sorted(set(nbhd.values()), key=set_to_mask):
+        points = {p for p in n if nbhd[p] == n}
+        grown = [o for o in opens if n - points <= o]
+        missing = [o for o in grown if o | n not in members]
+        if not missing:
+            opens += [o | n for o in grown]
+            continue
+        if n in members:
+            return "union", missing[0], n, missing[0] | n
+        acc = whole
+        p = min(points)
+        for m in sorted((s for s in members if p in s), key=set_to_mask):
+            if acc & m not in members:
+                return "intersection", acc, m, acc & m
+            acc &= m
+    raise AssertionError("the family is a topology")
 
 
 def _families(carrier: int):
@@ -365,19 +409,19 @@ def _lattice_family(sides):
 @pytest.mark.parametrize("unions", [False, True])
 def test_verify_topology_fails_far_from_a_topology_by_a_short_walk(sides, unions):
     """A family whose generated topology has far more opens than it has
-    members fails with the pairwise scan's witness.  Deciding it counts
-    no opens, and the one class walk stops once it holds more opens
-    than the family has members, at most twice as many."""
+    members fails by a short walk.  Deciding it counts no opens, and
+    the one class walk keeps only members, so it holds at most twice as
+    many opens as the family has members."""
     u, carrier, fam = _lattice_family(sides)
     if unions:
         fam = sorted(set(fam) | {a | b for a, b in itertools.combinations(fam, 2)})
-    counts, walks = [], []
+    counts, held = [], []
 
     def watch(frame, event, arg):
         if event == "call" and frame.f_code is topology._count_down_sets.__code__:
             counts.append(event)
-        elif event == "return" and frame.f_code is topology.FiniteTopology._walk.__code__:
-            walks.append(len(arg))
+        elif event == "return" and frame.f_code is topology._missing_open.__code__:
+            held.append(len(frame.f_locals["opens"]) + len(frame.f_locals["new"]))
 
     sys.setprofile(watch)
     try:
@@ -388,9 +432,8 @@ def test_verify_topology_fails_far_from_a_topology_by_a_short_walk(sides, unions
     assert rep.clause("union-closure").verdict == "fail"
     assert counts == []
     # the whole walk would list 232,848 (4x4x4) to 7,828,354 (B_6)
-    size = len(set(fam))
-    (listed,) = walks
-    assert size < listed <= 2 * (size + 1)
+    (listed,) = held
+    assert listed <= 2 * (len(set(fam)) + 1)
 
 
 def test_generated_and_product_opens_match_oracle():

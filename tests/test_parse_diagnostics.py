@@ -52,6 +52,8 @@ CASES = [
     ("universe W: (a,b) (a,b),c",
      "11:19: element name '(a,b),c' has a comma outside parentheses"),
     ("universe W: a),(b", "11:13: element name 'a),(b' has a comma outside parentheses"),
+    ("universe W: a {b}", "11:15: element name '{b}' has a brace"),
+    ("universe W: (a,b) (a{)", "11:19: element name '(a{)' has a brace"),
     ("universe W: (a", "11:13: element name '(a' has unbalanced parentheses"),
     ("universe W: a a)", "11:15: element name 'a)' has unbalanced parentheses"),
     ("universe W: (a,b) )a(", "11:19: element name ')a(' has unbalanced parentheses"),

@@ -160,7 +160,20 @@ def test_docstring_lists_every_header_of_the_grammar():
     assert documented == [header for header, _, _ in parser._DECLARATIONS]
 
 
-UNIVERSE_LINES = st.lists(st.text("ab(),", min_size=1, max_size=5),
+@pytest.mark.parametrize("doc", ["universe U: {} a\n",
+                                 "universe U: {} a\npartition P on U: {{}} {a}\n"])
+def test_element_names_hold_no_brace(doc):
+    """A brace in an element name would read like the set syntax: the
+    one-element set of '{}' prints as {{}}, and no partition or
+    topology line could write that element.  The universe line fails
+    at the name's column, not the first line that uses the name."""
+    with pytest.raises(ParseError) as err:
+        parse_spec(doc)
+    assert (err.value.line, err.value.column) == (1, 13)
+    assert str(err.value) == "element name '{}' has a brace"
+
+
+UNIVERSE_LINES = st.lists(st.text("ab(),{}", min_size=1, max_size=5),
                           min_size=1, max_size=5).map(" ".join)
 
 

@@ -86,19 +86,63 @@ def _best_of_3(call) -> float:
 
 def test_verify_topology_stops_at_a_missing_empty_set_or_carrier():
     """Of the 4,096 subsets of 12 points, the family without the empty
-    set or without the carrier fails at that axiom, before any pair is
-    scanned: in less than 10 times what the whole family, a topology,
-    takes to pass."""
+    set or without the carrier fails at that axiom, and the family
+    without {0} or without {0,1} at the first open of the class walk
+    that is no member: each in less than 10 times what the whole
+    family, a topology, takes to pass."""
     u = Universe(tuple(map(str, range(12))))
     full = range(1 << 12)
     passing = _best_of_3(lambda: verify_topology(u, u.all_mask, full))
     for drop, why in ((0, "the empty set is missing from the family"),
-                      (u.all_mask, "the carrier {0,1,2,3,4,5,6,7,8,9,10,11} is missing")):
+                      (u.all_mask, "the carrier {0,1,2,3,4,5,6,7,8,9,10,11} is missing"),
+                      (0b1, "intersection of {0,1} and {0,2} = {0} is not in the family"),
+                      (0b11, "union of {0} and {1} = {0,1} is not in the family")):
         family = [m for m in full if m != drop]
         with pytest.raises(InputError) as err:
             verify_topology(u, u.all_mask, family)
         assert str(err.value) == f"family is not a topology: {why}"
         assert _best_of_3(lambda: verify_topology(u, u.all_mask, family)) < 10 * passing
+
+
+def _near_topology(rng, u):
+    """A topology generated from a random subbasis on the whole of u,
+    and a family near it that is no topology: its opens with one or two
+    left out (never the empty set or the carrier), or with one set
+    that is not open added.  On fewer than 3 points every family that
+    holds the empty set and the carrier is a topology."""
+    n = u.size
+    while True:
+        subbasis = [sum(1 << p for p in rng.sample(range(n), rng.randint(1, n)))
+                    for _ in range(rng.randint(0, 2 * n))]
+        top = generate_topology(u, u.all_mask, subbasis)
+        opens = list(top.opens)
+        inner = opens[1:-1]
+        if rng.random() < 0.5 and inner:
+            drop = rng.sample(inner, min(rng.randint(1, 2), len(inner)))
+            family = [o for o in opens if o not in drop]
+        else:
+            closed = [m for m in range(1 << n) if not top.is_open(m)]
+            if not closed:
+                continue
+            family = opens + [rng.choice(closed)]
+        # each member is open in the topology the family generates, so
+        # the family is one exactly when it has as many members as opens
+        if generate_topology(u, u.all_mask, family).count_opens() > len(family):
+            return opens, family
+
+
+def test_verify_topology_fails_near_a_topology_as_fast_as_it_passes():
+    """Seeded families near a topology on 3 to 12 points each fail in
+    less than 10 times what that topology takes to pass."""
+    rng = random.Random(20261021)
+    for _ in range(150):
+        u = Universe(tuple(map(str, range(rng.randint(3, 12)))))
+        opens, family = _near_topology(rng, u)
+        with pytest.raises(InputError, match="^family is not a topology: "):
+            verify_topology(u, u.all_mask, family)
+        passing = _best_of_3(lambda: verify_topology(u, u.all_mask, opens))
+        assert _best_of_3(lambda: verify_topology(u, u.all_mask, family)) < 10 * passing, (
+            u.size, family)
 
 
 def test_verify_topology_intersection_witness():
