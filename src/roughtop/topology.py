@@ -449,13 +449,18 @@ def verify_base(top: FiniteTopology, members) -> str | None:
     """None when the members form a base of the topology: open sets
     whose unions recover every open set; else the witness of the first
     failure, a member that is not open or an open that no union of
-    members gives."""
+    members gives.  Every member is held to the carrier first, so a
+    member outside it is an input error whatever the order."""
+    name = top.universe.set_str
     fam = canonical_family(members)
     for m in fam:
-        if m < 0 or m & ~top.carrier:
-            raise InputError("base member is not a subset of the carrier")
+        if m & ~top.carrier:
+            raise InputError(
+                f"base member {name(m & top.universe.all_mask)} is not a "
+                f"subset of the carrier {name(top.carrier)}")
+    for m in fam:
         if not top.is_open(m):
-            return f"member {top.universe.set_str(m)} is not open"
+            return f"member {name(m)} is not open"
 
     def inside(o: int) -> int:
         u = 0
@@ -468,8 +473,8 @@ def verify_base(top: FiniteTopology, members) -> str | None:
     # then N(z), inside O, fails too, so the first failing open is an N
     o = next((n for n, _, _ in top.classes if inside(n) != n), None)
     return None if o is None else (
-        f"open {top.universe.set_str(o)} is not a union of members; "
-        f"members inside it cover only {top.universe.set_str(inside(o))}")
+        f"open {name(o)} is not a union of members; "
+        f"members inside it cover only {name(inside(o))}")
 
 
 def base_at(members, point: int) -> tuple[int, ...]:

@@ -14,6 +14,10 @@ pairs), the product map's by monotonicity in each argument, without
 building G x G.  Fed one candidate relation at a time, the same
 producers give `trg_topologies` the relations each one requires, as
 rules to list TRG topologies straight from the preorder generator.
+
+The `check_*` propositions state by proof what the two conditions give,
+such as inversion being a homeomorphism of (G, tau_G), and compute only
+the clauses no proof covers yet.
 """
 
 from __future__ import annotations
@@ -69,7 +73,10 @@ INVERSE_CONVENTION = Clause(
 class TRGCert(namedtuple("TRGCert", "group tau tau_G")):
     """A rough group certificate with a topology tau on its upper
     approximation, and the subspace topology tau_G on G, under which
-    both continuity conditions hold."""
+    both continuity conditions hold.  The `check_*` propositions state
+    what follows from them without deciding it again, so a certificate
+    not made by `decide_trg` must keep this contract, or the clauses
+    they state will not hold."""
 
     __slots__ = ()
 
@@ -92,31 +99,6 @@ class TRGCert(namedtuple("TRGCert", "group tau tau_G")):
     @property
     def e(self) -> int:
         return self.group.designated_e
-
-
-def _product_map_clause(
-    group: RoughGroupCert,
-    factor: FiniteTopology,
-    cod: FiniteTopology,
-) -> Clause:
-    """Continuity of (x, y) -> x*y out of G x G, where G carries
-    `factor`, into `cod`, by monotonicity in each argument
-    (`table_needs`); the product space is never built.  A
-    failure is named by the first open of `cod` whose preimage is not
-    open in the product topology on G x G.
-    """
-    table = group.table
-    below = factor.below_lists
-    v = first_unmet(cod, table_needs(table.rows, below, below))
-    if v is None:
-        return law("product-map-continuity", None)
-    u = group.space.universe
-    g_elems = tuple(bit_indices(group.g_mask))
-    pre = ",".join(pair_name(u.elements[x], u.elements[y])
-                   for x in g_elems for y in g_elems if v >> table.rows[x][y] & 1)
-    return law("product-map-continuity",
-               f"open {u.set_str(v)} pulls back to {{{pre}}}, which is not "
-               "open in the product topology on G x G")
 
 
 def _check_mode(codomain_topology: str) -> None:
@@ -147,11 +129,25 @@ def decide_trg(
             f"approximation {u.set_str(group.upper)}"
         )
     tau_G = subspace_topology(tau, group.g_mask)
-    clauses = [Clause("codomain-topology", INFO, codomain_topology)]
     cod = tau if codomain_topology == "upper" else tau_G
-    clauses.append(_product_map_clause(group, tau_G, cod))
-    clauses.append(law("inverse-map-continuity", is_continuous(group.inverse, tau_G, tau_G)))
-    report = combine("trg", clauses)
+    # the product map out of G x G, by monotonicity in each argument
+    # (`table_needs`), so the product space is never built; a failure
+    # names the first open of cod whose preimage is not open there
+    rows = group.table.rows
+    below = tau_G.below_lists
+    v = first_unmet(cod, table_needs(rows, below, below))
+    product_wit = None
+    if v is not None:
+        g_elems = tuple(bit_indices(group.g_mask))
+        pre = ",".join(pair_name(u.elements[x], u.elements[y])
+                       for x in g_elems for y in g_elems if v >> rows[x][y] & 1)
+        product_wit = (f"open {u.set_str(v)} pulls back to {{{pre}}}, which is "
+                       "not open in the product topology on G x G")
+    report = combine("trg", [
+        Clause("codomain-topology", INFO, codomain_topology),
+        law("product-map-continuity", product_wit),
+        law("inverse-map-continuity", is_continuous(group.inverse, tau_G, tau_G)),
+    ])
     if not report.passed:
         return report, None
     return report, TRGCert(group, tau, tau_G)
@@ -231,8 +227,8 @@ def check_translations(cert: TRGCert, a: int) -> VerificationReport:
     Injectivity holds in every rough group: a*x = a*y gives x =
     (a^-1*a)*x = a^-1*(a*x) = a^-1*(a*y) = y by associativity on the
     upper approximation, and likewise on the right.  The inverse map is
-    its own inverse, so it is a bijection of G and its continuity
-    decides continuity both ways."""
+    its own inverse, so it is a bijection of G, and the certificate's
+    `inverse-map-continuity` is continuity both ways."""
     u = cert.universe
     if (cert.g_mask >> a) & 1 == 0:
         raise InputError(f"{u.elements[a]} is not a member of G")
@@ -246,8 +242,7 @@ def check_translations(cert: TRGCert, a: int) -> VerificationReport:
         fmap = FiniteMap(u, u, cert.g_mask, cert.upper, pairs)
         clauses.append(law(f"{label}-injective", None))
         clauses.append(law(f"{label}-continuity", is_continuous(fmap, cert.tau_G, cert.tau)))
-    clauses.append(law("inverse-homeomorphism",
-                       is_continuous(cert.group.inverse, cert.tau_G, cert.tau_G)))
+    clauses.append(law("inverse-homeomorphism", None))
     return combine("translations", clauses)
 
 
@@ -260,21 +255,12 @@ def check_G_equals_G_inverse(cert: TRGCert) -> VerificationReport:
 def check_open_iff_inverse_open(cert: TRGCert) -> VerificationReport:
     """The inverse map carries opens of tau_G to opens and closeds to
     closeds (both subsets of G, complements taken inside G).  The inverse
-    map is an involution of G, so V^-1 is V's preimage and (G - V)^-1 =
-    G - V^-1: C = G - V has C^-1 closed exactly when V^-1 is open, and
-    the continuity of the inverse map decides both (`first_unmet`)."""
-    u = cert.universe
-    top = cert.tau_G
-    v = first_unmet(top, map_needs(cert.group.inverse, top.below_lists))
-    open_wit = closed_wit = None
-    if v is not None:
-        c = cert.g_mask & ~v
-        open_wit = (f"V = {u.set_str(v)} is open but V^-1 = "
-                    f"{u.set_str(inverse_of_set(cert, v))} is not")
-        closed_wit = (f"C = {u.set_str(c)} is closed but C^-1 = "
-                      f"{u.set_str(inverse_of_set(cert, c))} is not")
-    return combine("open-inverse", [law("open-sets", open_wit),
-                                    law("closed-sets", closed_wit)])
+    map is an involution of G, continuous on (G, tau_G) by the
+    certificate, so it is a homeomorphism: V^-1 is the preimage of V,
+    open for every open V, and C^-1 = G - (G - C)^-1 is closed for every
+    closed C."""
+    return combine("open-inverse", [law("open-sets", None),
+                                    law("closed-sets", None)])
 
 
 def symmetric_square_nbhds(cert: TRGCert, w_mask: int) -> Iterator[int]:
@@ -317,7 +303,13 @@ def find_symmetric_square_nbhd(
 
 def check_topological_group(cert: TRGCert) -> VerificationReport:
     """When G equals its upper approximation, the structure must be a
-    classical topological group; otherwise the check does not apply."""
+    classical topological group; otherwise the check does not apply.
+
+    With G = upper(G) the rough-group axioms the certificate passed are
+    the group axioms on G, with the same canonically first identity.
+    tau_G is tau, so either codomain mode checked the product map into
+    tau: both continuity clauses are the conditions the certificate
+    passed."""
     u = cert.universe
     wit = None if cert.g_mask == cert.upper else (
         f"G = {u.set_str(cert.g_mask)} differs from its upper "
@@ -325,18 +317,21 @@ def check_topological_group(cert: TRGCert) -> VerificationReport:
     clauses = [premise("premise-G-equals-upper", wit)]
     if wit is not None:
         return combine("topological-group", clauses)
-    # with G = upper(G) the rough-group axioms the certificate passed
-    # are the group axioms on G, with the same canonically first identity
-    clauses.append(law("group-axioms", None))
-    clauses.append(_product_map_clause(cert.group, cert.tau, cert.tau))
-    clauses.append(law("inversion-continuity",
-                       is_continuous(cert.group.inverse, cert.tau_G, cert.tau_G)))
+    clauses += [law("group-axioms", None),
+                law("product-map-continuity", None),
+                law("inversion-continuity", None)]
     return combine("topological-group", clauses)
 
 
 def check_closure_symmetric(cert: TRGCert, a_mask: int) -> VerificationReport:
     """Closure (in tau) of a rough symmetric subset of G stays
-    symmetric, provided it stays inside G at all."""
+    symmetric, provided it stays inside G at all.
+
+    For x in G, N(x) in tau meets A, a subset of G, exactly when N(x) in
+    tau_G does, so a closure inside G is the closure in tau_G.  The
+    inverse map is a homeomorphism of (G, tau_G), as in
+    `check_open_iff_inverse_open`, so it carries the closure of A onto
+    the closure of A^-1 = A."""
     u = cert.universe
     if a_mask < 0 or a_mask & ~cert.g_mask:
         raise InputError(f"A = {u.set_str(a_mask)} is not a subset of G")
@@ -349,13 +344,9 @@ def check_closure_symmetric(cert: TRGCert, a_mask: int) -> VerificationReport:
     if cl & ~cert.g_mask:
         return combine("closure-symmetric", [premise(
             "closure-inside-G", f"closure escapes G: cl(A) = {u.set_str(cl)}")])
-    clauses = [Clause("closure-inside-G", PASS, f"cl(A) = {u.set_str(cl)}")]
-    inv = inverse_of_set(cert, cl)
-    wit = None
-    if inv != cl:
-        wit = f"cl(A) = {u.set_str(cl)} but cl(A)^-1 = {u.set_str(inv)}"
-    clauses.append(law("closure-symmetric", wit))
-    return combine("closure-symmetric", clauses)
+    return combine("closure-symmetric", [
+        Clause("closure-inside-G", PASS, f"cl(A) = {u.set_str(cl)}"),
+        law("closure-symmetric", None)])
 
 
 def check_closure_subgroup(cert: TRGCert, h_mask: int) -> VerificationReport:

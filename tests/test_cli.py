@@ -412,6 +412,40 @@ def test_missing_flag_rows_run_with_every_flag(words, fixture, flags, name):
     assert out.split("\n", 1)[0].split(" ", 1)[1] == name
 
 
+_BASE_ORDER_DOC = """universe U4: 0 1 2 3
+table T4 on U4:
+  0 1 2 3
+  1 2 3 0
+  2 3 0 1
+  3 0 1 2
+partition P4 on U4: {0 1} {2 3}
+subset G4 of U4: 0 1 3
+subset Gbar4 of U4: 0 1 2 3
+subset B1 of U4: 1
+subset B2 of U4: 2
+subset B013 of U4: 0 1 3
+topology ind on Gbar4: {} {0 1 2 3}
+"""
+
+
+@pytest.mark.parametrize("members", [("B1", "B2"), ("B2", "B1"), ("B2", "B013"),
+                                     ("B013", "B2")])
+def test_a_base_member_outside_G_is_an_input_error_in_any_order(members):
+    """Under the indiscrete topology tau_G has the opens {} and {0,1,3}:
+    the member {1} is not open and {0,1,3} is, but {2} lies outside G,
+    so each order ends in the input error that names {2}."""
+    argv = ("check prop base-translation --table T4 --partition P4 --group G4 "
+            "--topology ind").split()
+    code, out, err = run_cli(argv + ["--base-member", "B1"], stdin=_BASE_ORDER_DOC)
+    assert code == 2
+    assert out.endswith("  premise-base: not-applicable  witness: member {1} is not open\n")
+    for m in members:
+        argv += ["--base-member", m]
+    assert run_cli(argv, stdin=_BASE_ORDER_DOC) == (
+        3, "ERROR base-translation\n  input: error  witness: base member {2} is not a "
+        "subset of the carrier {0,1,3}\n", "")
+
+
 # the rows that verify a TRG before they read anything else: every row
 # that takes --topology or --src-topology but `check trg`, whose report
 # is that verdict

@@ -17,25 +17,46 @@ e for all of G, and an inverse in G for each member.  From these alone:
   cancellation; so for a rough subgroup H whose upper(H) is closed, and
   e in W inside H, upper(H)*W lies in upper(H) and holds each h*e = h.
 
+On a TRG, whose inverse map is continuous on (G, tau_G) and whose
+product map is continuous from G x G, these follow as well:
+
+- the inverse map is a homeomorphism of (G, tau_G), so it carries opens
+  to opens and closeds to closeds;
+- when G = upper(G), tau_G is tau, so both maps are continuous into
+  tau in either codomain mode;
+- a closure inside G is the closure in tau_G, which the inverse map
+  carries onto itself when A = A^-1.
+
+And the inverse of a bijection swaps each of its pairs, so composed
+with the bijection it is the identity on either side.
+
 Each fact is recomputed here from the rows of the table, with
 frozensets, never through the library's scans: the group-level ones on
 every rough group of Z_2 to Z_4, of Z_2 x Z_2 and of 400 seeded 3-point
-tables, the ones that involve a topology on every TRG of Z_2, Z_3 and
-Z_2 x Z_2.  The last test pins the theorem for G = upper(G): the TRG
+tables, the ones that involve a topology on every TRG of Z_2 to Z_4 and
+of Z_2 x Z_2, and the bijection one on every bijection between subsets
+of 4 points.  `STATED` names, for every clause a check states by proof,
+the test that recomputes it, and a guard keeps that table equal to the
+code.  The last test pins the theorem for G = upper(G): the TRG
 topologies are exactly the coset topologies of G's normal subgroups.
 """
 
+import ast
 import itertools
 import random
 from collections import Counter
+from functools import cache
 
 from roughtop.actions import check_AU_open
+from roughtop.approx import Universe, product_universe
 from roughtop.groups import upper_group_witness
-from roughtop.topology import enumerate_topologies
+from roughtop.report import serialize_report
+from roughtop.topology import FiniteMap
 from roughtop.trg import (
-    TRGCert,
+    check_closure_symmetric,
     check_G_equals_G_inverse,
     check_base_translation,
+    check_open_iff_inverse_open,
     check_topological_group,
     check_translations,
     decide_trg,
@@ -43,10 +64,14 @@ from roughtop.trg import (
 )
 
 from conftest import (
+    ROOT,
     cyclic_table,
     mask_to_set,
+    oracle_close_family,
     oracle_is_continuous,
     oracle_is_group,
+    oracle_product_map_clause,
+    oracle_product_opens,
     oracle_upper,
     rough_groups,
     set_to_mask,
@@ -167,26 +192,18 @@ def test_upper_group_witness_matches_raw_rows_on_every_probe_rough_group():
 
 
 def test_topological_laws_hold_on_every_trg_of_z2_z3_and_the_klein_group():
-    """On every topology of G, whether or not it comes from a TRG, the
-    inverse map is its own inverse, so the inverse-homeomorphism clause
-    names the continuity witness of the inverse map alone.  On every
-    TRG, each g*O of base-translation holds g, the clauses it still
-    decides agree with the raw scan, every open W of tau_G with e in W
-    inside a rough subgroup H gives upper(H)*W = upper(H), and
-    `premise-upper-group` names the witness of the raw rows."""
-    seen = dict.fromkeys(("trgs", "tau-G", "bases", "subgroup-unions"), 0)
+    """The inverse map is its own inverse.  On every TRG, each g*O of
+    base-translation holds g, the clauses it still decides agree with
+    the raw scan, every open W of tau_G with e in W inside a rough
+    subgroup H gives upper(H)*W = upper(H), and `premise-upper-group`
+    names the witness of the raw rows."""
+    seen = dict.fromkeys(("trgs", "bases", "subgroup-unions"), 0)
     for table in (cyclic_table(2), cyclic_table(3), table_of(KLEIN)):
         for cert in rough_groups(table):
             rows, blocks, g, up, e, inverse = _raw(cert)
             u = cert.space.universe
             pairs = sorted(inverse.items())
             assert sorted((y, x) for x, y in pairs) == pairs
-            tau = next(iter(trg_topologies(cert)))
-            for s in enumerate_topologies(u, cert.g_mask):
-                wit = oracle_is_continuous(cert.inverse, u, s.opens, u, s.opens).first_witness()
-                rep = check_translations(TRGCert(cert, tau, s), min(g))
-                assert rep.clause("inverse-homeomorphism").witness == wit
-                seen["tau-G"] += 1
             wit = _upper_group_witness(rows, u.elements, up)
             for tau in trg_topologies(cert):
                 tcert = decide_trg(cert, tau)[1]
@@ -215,7 +232,92 @@ def test_topological_laws_hold_on_every_trg_of_z2_z3_and_the_klein_group():
                         if e in w and w <= h:
                             assert _product(rows, up_h, w) == up_h
                             seen["subgroup-unions"] += 1
-    assert seen == {"trgs": 7614, "tau-G": 6928, "bases": 1267, "subgroup-unions": 11505}
+    assert seen == {"trgs": 7614, "bases": 1267, "subgroup-unions": 11505}
+
+
+@cache
+def _opens(carrier: int, nbhd) -> frozenset:
+    """The opens of the topology whose N(p) are `nbhd`, found by closing
+    the N(p) under pairwise unions and intersections."""
+    return frozenset(oracle_close_family(carrier, set(nbhd) - {0}))
+
+
+@cache
+def _closure(carrier: int, nbhd, a: frozenset) -> frozenset:
+    """The least closed set of that topology holding A: the carrier
+    less every open that misses A."""
+    miss = [mask_to_set(o) for o in _opens(carrier, nbhd) if not mask_to_set(o) & a]
+    return mask_to_set(carrier).difference(*miss)
+
+
+@cache
+def _product_opens(carrier: int, nbhd, size: int) -> tuple[int, ...]:
+    """The opens of the product of that topology with itself."""
+    opens = _opens(carrier, nbhd)
+    return oracle_product_opens(opens, carrier, opens, carrier, size)
+
+
+def test_continuity_laws_hold_on_every_trg_of_z2_to_z4_and_the_klein_group():
+    """On every TRG, in both codomain modes, the two continuity
+    conditions give what four checks state: inversion carries the opens
+    of tau_G to opens and its closeds to closeds; when G = upper(G),
+    the product map is continuous from G x G into tau; and every rough
+    symmetric A whose closure stays in G has a symmetric closure.  Each
+    is recomputed from the rows and the opens closed up from N(p), and
+    each clause stated for it prints pass.  A topology that is a TRG in
+    both modes gives one certificate, checked once."""
+    seen = dict.fromkeys(("trgs", "exact", "certificates", "closure-in-G",
+                          "closure-escapes"), 0)
+    for table in [cyclic_table(n) for n in (2, 3, 4)] + [table_of(KLEIN)]:
+        for cert in rough_groups(table):
+            _, _, g, up, _, inverse = _raw(cert)
+            u = cert.space.universe
+            g_mask, up_mask = set_to_mask(g), set_to_mask(up)
+            symmetric = [a for a in _subsets(g) if {inverse[x] for x in a} == a]
+            checked = set()
+            for mode in ("upper", "relative"):
+                for tau in trg_topologies(cert, mode):
+                    seen["trgs"] += 1
+                    seen["exact"] += up == g
+                    if tau.nbhd in checked:
+                        continue
+                    checked.add(tau.nbhd)
+                    seen["certificates"] += 1
+                    tcert = decide_trg(cert, tau, mode)[1]
+                    opens = _opens(up_mask, tau.nbhd)
+                    opens_g = {mask_to_set(o) & g for o in opens}
+                    closeds_g = {g - v for v in opens_g}
+                    masks_g = [set_to_mask(v) for v in opens_g]
+                    assert oracle_is_continuous(cert.inverse, u, masks_g,
+                                                u, masks_g).verdict == "pass"
+                    assert all({inverse[x] for x in v} in opens_g for v in opens_g)
+                    assert all({inverse[x] for x in c} in closeds_g for c in closeds_g)
+                    assert check_translations(tcert, min(g)).clause(
+                        "inverse-homeomorphism").verdict == "pass"
+                    assert serialize_report(check_open_iff_inverse_open(tcert)) == (
+                        "PASS open-inverse\n  open-sets: pass\n  closed-sets: pass\n")
+                    if up == g:
+                        prod = _product_opens(up_mask, tau.nbhd, u.size)
+                        assert oracle_product_map_clause(
+                            cert, product_universe(u, u), prod, u, opens).verdict == "pass"
+                        assert serialize_report(check_topological_group(tcert)).splitlines()[
+                            -2:] == ["  product-map-continuity: pass",
+                                     "  inversion-continuity: pass"]
+                    for a in symmetric:
+                        cl = _closure(up_mask, tau.nbhd, a)
+                        rep = check_closure_symmetric(tcert, set_to_mask(a))
+                        if cl <= g:
+                            assert {inverse[x] for x in cl} == cl
+                            assert serialize_report(rep) == (
+                                "PASS closure-symmetric\n  closure-inside-G: pass  witness: "
+                                f"cl(A) = {u.set_str(set_to_mask(cl))}\n"
+                                "  closure-symmetric: pass\n")
+                            seen["closure-in-G"] += 1
+                        else:
+                            assert rep.verdict == "not-applicable"
+                            seen["closure-escapes"] += 1
+    assert seen == {"trgs": 23921, "exact": 358, "certificates": 13722,
+                    "closure-in-G": 18179, "closure-escapes": 20869}
 
 
 def _coset_topologies(rows, g, e, size):
@@ -246,3 +348,74 @@ def test_trg_topologies_of_an_exact_rough_group_are_its_coset_topologies():
                 assert sorted(t.nbhd for t in trg_topologies(cert, mode)) == want
                 cases += 1
     assert cases == 1626
+
+
+def test_the_inverse_of_a_bijection_swaps_its_pairs():
+    """For every bijection f between two subsets of 4 points, f^-1 maps
+    each f(x) back to x, so f^-1 after f is the identity on the source
+    and f after f^-1 the identity on the target: trg-homeo's three
+    composite-identity clauses hold once `bijective` passes."""
+    u = Universe(tuple("abcd"))
+    count = 0
+    for dom in range(1 << 4):
+        xs = sorted(mask_to_set(dom))
+        for cod in range(1 << 4):
+            if cod.bit_count() != len(xs):
+                continue
+            for ys in itertools.permutations(sorted(mask_to_set(cod))):
+                fmap = FiniteMap(u, u, dom, cod, tuple(zip(xs, ys)))
+                inverse = fmap.inverse()
+                assert dict(inverse.pairs) == dict(zip(ys, xs))
+                assert [inverse.apply(fmap.apply(x)) for x in xs] == xs
+                assert [fmap.apply(inverse.apply(y)) for y in ys] == list(ys)
+                count += 1
+    assert count == 209
+
+
+CONTINUITY = "test_continuity_laws_hold_on_every_trg_of_z2_to_z4_and_the_klein_group"
+GROUP_LEVEL = "test_group_level_laws_hold_on_every_probe_rough_group"
+# every clause a check states by proof, `law(name, None)`, as
+# "function: name" with each f-string field written *, and the test
+# here that recomputes it
+STATED = {
+    "check_translations: *-injective": GROUP_LEVEL,
+    "check_translations: inverse-homeomorphism": CONTINUITY,
+    "check_G_equals_G_inverse: G-equals-G-inverse": GROUP_LEVEL,
+    "check_open_iff_inverse_open: open-sets": CONTINUITY,
+    "check_open_iff_inverse_open: closed-sets": CONTINUITY,
+    "check_topological_group: group-axioms": GROUP_LEVEL,
+    "check_topological_group: product-map-continuity": CONTINUITY,
+    "check_topological_group: inversion-continuity": CONTINUITY,
+    "check_closure_symmetric: closure-symmetric": CONTINUITY,
+    "check_subgroup_open: union-is-upper-H": GROUP_LEVEL,
+    "verify_trg_homeomorphism: composite-identity-on-*":
+        "test_the_inverse_of_a_bijection_swaps_its_pairs",
+}
+
+
+def _clause_name(node) -> str:
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value
+    assert isinstance(node, ast.JoinedStr), ast.unparse(node)
+    return "".join(v.value if isinstance(v, ast.Constant) else "*" for v in node.values)
+
+
+def _stated_laws(node, function=None):
+    """Each `law(name, None)` call under the node, as "function: name",
+    keyed by the innermost function that holds it."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        function = node.name
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "law":
+        args = {**dict(enumerate(node.args)), **{k.arg: k.value for k in node.keywords}}
+        witness = args.get(1, args.get("witness"))
+        if isinstance(witness, ast.Constant) and witness.value is None:
+            yield f"{function}: {_clause_name(args.get(0, args.get('name')))}"
+    for child in ast.iter_child_nodes(node):
+        yield from _stated_laws(child, function)
+
+
+def test_every_clause_stated_by_proof_has_a_test_that_recomputes_it():
+    found = [law for path in sorted((ROOT / "src" / "roughtop").glob("*.py"))
+             for law in _stated_laws(ast.parse(path.read_text(encoding="utf-8")))]
+    assert sorted(found) == sorted(STATED)
+    assert all(callable(globals().get(test)) for test in STATED.values())

@@ -360,6 +360,19 @@ def test_verify_base(topA, u3):
     assert verify_base(topA, [0b010, 0b100, 0b101, 0b111]) == "member {0,2} is not open"
 
 
+@pytest.mark.parametrize("members, outside", [
+    ([0b001, 0b100], "{2}"), ([0b100, 0b001], "{2}"), ([0b001, -1], "{0,1,2}")])
+def test_verify_base_holds_every_member_to_the_carrier_first(topA, members, outside):
+    """{0} is no open of the subspace on {0,1}, but {2} lies outside
+    it: the input error comes first, whatever the members' order.  A
+    negative mask lies outside every carrier."""
+    sub = subspace_topology(topA, 0b011)
+    with pytest.raises(InputError) as exc:
+        verify_base(sub, members)
+    assert str(exc.value) == f"base member {outside} is not a subset of the carrier {{0,1}}"
+    assert verify_base(sub, [0b001]) == "member {0} is not open"
+
+
 def test_base_at(u3):
     members = [0b010, 0b100, 0b110, 0b111]
     assert base_at(members, 1) == (0b010, 0b110, 0b111)

@@ -254,24 +254,6 @@ def test_derived_symmetry_checks(fixa_trg, fixb_trg):
         assert [c.name for c in rep.clauses] == ["open-sets", "closed-sets"]
 
 
-def test_open_inverse_names_failing_witnesses():
-    """A certificate whose tau_G is not inversion-invariant: the first
-    open V with V^-1 not open, and its complement C, are the witnesses."""
-    u = Universe(("0", "1", "2"))
-    table = CayleyTable.from_names(
-        u, [[str((x + y) % 3) for y in range(3)] for x in range(3)])
-    _, cert = verify_rough_group(
-        ApproxSpace(u, Partition.singletons(u), table), u.all_mask)
-    _, tcert = verify_trg(cert, generate_topology(u, u.all_mask, (0, u.all_mask)))
-    doctored = TRGCert(tcert.group, tcert.tau,
-                       generate_topology(u, u.all_mask, (u.mask_of(["1"]),)))
-    rep = check_open_iff_inverse_open(doctored)
-    assert serialize_report(rep) == (
-        "FAIL open-inverse\n"
-        "  open-sets: fail  witness: V = {1} is open but V^-1 = {2} is not\n"
-        "  closed-sets: fail  witness: C = {0,2} is closed but C^-1 = {0,1} is not\n")
-
-
 def test_symmetric_square_whole_upper(fixa_trg):
     u = fixa_trg.group.space.universe
     v, rep = find_symmetric_square_nbhd(fixa_trg, u.all_mask)
@@ -541,21 +523,6 @@ def test_base_translation_names_a_base_at_g_that_no_translate_fits():
     assert set(translates) <= set(opens)
     assert min((o for o in opens if o & 0b10), key=int.bit_count) == 0b010
     assert not any(t & ~0b010 == 0 for t in translates)
-
-
-def test_closure_symmetric_names_a_closure_that_is_not_symmetric():
-    """N = {0} {0,1} {2} and A = {0}: the closeds holding 0 are {0,1}
-    and {0,1,2}, so cl(A) = {0,1}, whose negation is {0,2}."""
-    tcert = _z3_hand_built((0b001, 0b011, 0b100))
-    rep = check_closure_symmetric(tcert, 0b001)
-    assert serialize_report(rep) == (
-        "FAIL closure-symmetric\n"
-        "  closure-inside-G: pass  witness: cl(A) = {0,1}\n"
-        "  closure-symmetric: fail  witness: cl(A) = {0,1} but cl(A)^-1 = {0,2}\n")
-    closeds = [0b111 & ~o for o in oracle_close_family(0b111, tcert.tau.nbhd)]
-    cl = min((c for c in closeds if c & 1), key=int.bit_count)
-    assert cl == 0b011
-    assert set_to_mask(-x % 3 for x in mask_to_set(cl)) == 0b101
 
 
 @pytest.mark.parametrize("rows, identities, witness", [
