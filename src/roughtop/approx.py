@@ -11,10 +11,8 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 
-from .errors import CapExceededError, InputError
+from .errors import InputError
 from .record import Record
-
-DEFAULT_UNIVERSE_CAP = 64
 
 
 def bit_indices(mask: int) -> Iterator[int]:
@@ -187,17 +185,12 @@ def product_mask(m1: int, m2: int, n2: int) -> int:
     return mask
 
 
-def product_space(s1: ApproxSpace, s2: ApproxSpace, cap: int = DEFAULT_UNIVERSE_CAP) -> ApproxSpace:
+def product_space(s1: ApproxSpace, s2: ApproxSpace) -> ApproxSpace:
     """Componentwise product: pair universe, block products, pointwise operation.
 
     Blocks of the product are exactly the products of component blocks,
     so approximations commute with products (tested as an invariant).
     """
-    n = s1.universe.size * s2.universe.size
-    if n > cap:
-        raise CapExceededError(
-            f"product universe would have {n} elements, exceeding the cap of {cap}"
-        )
     universe = product_universe(s1.universe, s2.universe)
     n2 = s2.universe.size
     blocks = tuple(

@@ -15,9 +15,11 @@ building G x G.  Fed one candidate relation at a time, the same
 producers give `trg_topologies` the relations each one requires, as
 rules to list TRG topologies straight from the preorder generator.
 
-The `check_*` propositions state by proof what the two conditions give,
-such as inversion being a homeomorphism of (G, tau_G), and compute only
-the clauses no proof covers yet.
+A `TRGCert` comes from `decide_trg`, or from `product_trg` on two of
+one mode, and names that mode.  The `check_*` propositions state by
+proof what the two conditions give, such as inversion being a
+homeomorphism of (G, tau_G), and compute only the clauses no proof
+covers yet.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from collections.abc import Iterator
 from functools import reduce
 from operator import or_
 
-from .approx import DEFAULT_UNIVERSE_CAP, bit_indices, pair_name
+from .approx import bit_indices, pair_name
 from .errors import InputError
 from .groups import (
     RoughGroupCert,
@@ -70,13 +72,13 @@ INVERSE_CONVENTION = Clause(
 )
 
 
-class TRGCert(namedtuple("TRGCert", "group tau tau_G")):
+class TRGCert(namedtuple("TRGCert", "group tau tau_G mode")):
     """A rough group certificate with a topology tau on its upper
     approximation, and the subspace topology tau_G on G, under which
-    both continuity conditions hold.  The `check_*` propositions state
-    what follows from them without deciding it again, so a certificate
-    not made by `decide_trg` must keep this contract, or the clauses
-    they state will not hold."""
+    both continuity conditions hold, the product map's into the codomain
+    `mode`.  It comes from `decide_trg` or `product_trg`; the `check_*`
+    propositions state what follows from it without deciding it again,
+    so one built any other way must keep this contract."""
 
     __slots__ = ()
 
@@ -150,7 +152,7 @@ def decide_trg(
     ])
     if not report.passed:
         return report, None
-    return report, TRGCert(group, tau, tau_G)
+    return report, TRGCert(group, tau, tau_G, codomain_topology)
 
 
 def trg_topologies(group: RoughGroupCert,
@@ -368,18 +370,18 @@ def check_closure_subgroup(cert: TRGCert, h_mask: int) -> VerificationReport:
     return combine("closure-subgroup", clauses)
 
 
-def product_trg(a: TRGCert, b: TRGCert, cap: int = DEFAULT_UNIVERSE_CAP) -> TRGCert:
-    """Componentwise product; the continuity conditions re-verify by
-    construction, so a failure here signals an internal bug."""
-    group = product_rough_group(a.group, b.group, cap)
+def product_trg(a: TRGCert, b: TRGCert) -> TRGCert:
+    """The product of two TRGs of one mode, certified from its factors
+    in that mode: tau_a x tau_b restricts to tau_{G_a} x tau_{G_b} on G,
+    N((x, y)) = N(x) x N(y), and both maps act componentwise, so each
+    relation the product requires is a pair the factors meet.  A mixed
+    pair meets neither reading in general."""
+    if a.mode != b.mode:
+        raise InputError(f"cannot multiply a TRG in {a.mode} mode by one in "
+                         f"{b.mode} mode")
+    group = product_rough_group(a.group, b.group)
     tau = product_topology(a.tau, b.tau)
-    report, cert = decide_trg(group, tau)
-    if cert is None:
-        raise RuntimeError(
-            "internal error: product of verified topological rough groups "
-            f"failed re-verification: {report.first_witness()}"
-        )
-    return cert
+    return TRGCert(group, tau, subspace_topology(tau, group.g_mask), a.mode)
 
 
 def check_base_translation(cert: TRGCert, members) -> VerificationReport:
@@ -390,6 +392,10 @@ def check_base_translation(cert: TRGCert, members) -> VerificationReport:
     the identity lies in G; the upper approximation is closed under the
     operation; G is open in tau; the family is a base of tau_G.  Each
     g*O then holds g, since every O in the base at e holds e and g*e = g.
+    Only whether each g*O is open is computed: a base of tau_G holds
+    N_{tau_G}(e), the one open of tau_G holding e inside it, and the
+    product map's continuity at (g, e) puts g*N_{tau_G}(e) inside
+    N_tau(g), so some g*O fits inside every open holding g.
     """
     u = cert.universe
     table = cert.table
@@ -410,16 +416,10 @@ def check_base_translation(cert: TRGCert, members) -> VerificationReport:
     clauses = list(premises)
     b_e = base_at(members, e)
     for g in bit_indices(cert.g_mask):
-        translated = tuple(set_product(table, 1 << g, o) for o in b_e)
+        translated = (set_product(table, 1 << g, o) for o in b_e)
         wit = next((f"g*O = {u.set_str(go)} (O = {u.set_str(o)}) is not "
                     "open in tau" for o, go in zip(b_e, translated)
                     if not cert.tau.is_open(go)), None)
-        # every open holding g contains N(g), so N(g) is the first one
-        # in canonical order that no translated member fits inside
-        w = cert.tau.nbhd[g]
-        if wit is None and not any(go & ~w == 0 for go in translated):
-            wit = (f"open {u.set_str(w)} contains {u.elements[g]} but "
-                   "no translated member fits inside it")
         clauses.append(law(f"base-at-{u.elements[g]}", wit))
     return combine("base-translation", clauses,
                    stats=[("base-members-at-identity", len(b_e))])

@@ -135,7 +135,7 @@ def test_action_premise_not_applicable(sa):
     tc = sa["tc_disc"]
     doc_group = RoughGroupCert(tc.group.space, tc.g_mask, u.mask_of(["1", "2"]),
                                tc.e, tc.group.inverse)
-    doc = TRGCert(doc_group, tc.tau, tc.tau_G)
+    doc = TRGCert(doc_group, tc.tau, tc.tau_G, tc.mode)
     rs = RoughSpace(sa["space"], u.all_mask, sa["ws"].topologies["tauD"][1])
     pu = product_universe(u, u)
     dom = product_mask(doc_group.upper, u.all_mask, u.size)

@@ -4,6 +4,7 @@ import pytest
 
 from roughtop import (
     ApproxSpace,
+    CayleyTable,
     Partition,
     Universe,
     lower_approx,
@@ -12,7 +13,7 @@ from roughtop import (
     product_universe,
     upper_approx,
 )
-from roughtop.errors import CapExceededError, InputError
+from roughtop.errors import InputError
 
 from conftest import mask_to_set, oracle_lower, oracle_upper, set_to_mask
 
@@ -163,12 +164,16 @@ def test_product_with_point_space(ws_zmod3):
             assert prod.op.rows[x][y] == space.op.rows[x][y]
 
 
-def test_product_space_cap():
+def test_product_space_has_no_size_cap():
+    """A 9 x 9 product has 81 points and an 81 x 81 table."""
     u = Universe(tuple(str(i) for i in range(9)))
-    space = ApproxSpace(u, Partition.singletons(u))
-    with pytest.raises(CapExceededError):
-        product_space(space, space, cap=64)
-    assert product_space(space, space, cap=81).universe.size == 81
+    table = CayleyTable.from_names(
+        u, [[str((x + y) % 9) for y in range(9)] for x in range(9)])
+    prod = product_space(ApproxSpace(u, Partition.singletons(u), table),
+                         ApproxSpace(u, Partition(u, (u.all_mask,)), table))
+    assert prod.universe.size == 81
+    assert len(prod.partition.blocks) == 9
+    assert len(prod.op.rows) == 81
 
 
 def test_product_approximations_componentwise():

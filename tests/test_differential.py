@@ -535,7 +535,7 @@ def test_symmetric_square_nbhds_match_brute_force_on_every_zmod3_topology(fixa_t
     cases = found = via_cli = 0
     for fam in families:
         tau = generate_topology(u, group.upper, fam)
-        cert = TRGCert(group, tau, subspace_topology(tau, group.g_mask))
+        cert = TRGCert(group, tau, subspace_topology(tau, group.g_mask), "upper")
         is_trg = decide_trg(group, tau)[0].passed
         for w in fam:
             if not w >> e & 1:
@@ -695,7 +695,7 @@ def test_action_continuity_matches_oracle_on_every_small_topology(side):
         for g_fam, x_fam in itertools.product(_topologies_on(gu, gu.all_mask),
                                               _topologies_on(xu, xu.all_mask)):
             cert = TRGCert(cert0.group, generate_topology(gu, gu.all_mask, g_fam),
-                           cert0.tau_G)
+                           cert0.tau_G, cert0.mode)
             rspace = RoughSpace(xspace, xu.all_mask,
                                 generate_topology(xu, xu.all_mask, x_fam))
             f1, f2 = (g_fam, x_fam) if side == "left" else (x_fam, g_fam)

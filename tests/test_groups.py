@@ -361,7 +361,10 @@ def test_product_rough_group(fixa_cert):
     assert u.elements[prod.inverse.apply(u.index("(2,1)"))] == "(1,2)"
 
 
-def test_product_rough_group_cap(fixb_cert):
-    cert = fixb_cert
-    with pytest.raises(CapExceededError, match=r"576 elements, exceeding the cap of 64"):
-        product_rough_group(cert, cert)
+def test_product_rough_group_has_no_size_cap(fixa_cert, fixb_cert):
+    """Z_3 x S_4 has 72 points."""
+    prod = product_rough_group(fixa_cert, fixb_cert)
+    u = prod.space.universe
+    assert u.size == 72
+    assert u.elements[prod.designated_e] == "(0,1)"
+    assert prod.g_mask.bit_count() == fixa_cert.g_mask.bit_count() * fixb_cert.g_mask.bit_count()

@@ -5,8 +5,9 @@ public method of a record class is read by a package module, a script
 or a bench file, and every name the package exports and every field of
 a record is read by one of them or is listed with the reason it stays.
 Every function the traced bench run wraps exists under the name it
-wraps, and a record is built past its constructor only where
-`record.py` says so.
+wraps, a record is built past its constructor only where `record.py`
+says so, and a certificate is built only where it is decided or proved
+from certified factors.
 
 No linter ships with the package, so this stands in for an
 unused-import check: a name bound by an import must be read somewhere
@@ -338,3 +339,41 @@ def test_records_are_built_past_the_constructor_only_where_declared():
                 and isinstance(node.value, ast.Name)]
     assert bypasses == [("topology.py", "Topologies", "FiniteTopology")]
     assert "`topology.Topologies`" in ast.get_docstring(TREES["record.py"])
+
+
+# The functions that may build each certificate: each verifies or
+# decides one, or builds a product from certified factors.
+CERTIFIERS = {
+    ("groups.py", "verify_rough_group", "RoughGroupCert"),
+    ("groups.py", "product_rough_group", "RoughGroupCert"),
+    ("trg.py", "decide_trg", "TRGCert"),
+    ("trg.py", "product_trg", "TRGCert"),
+}
+
+
+def _certificates_built(node, function=None):
+    """(function, class) for each `RoughGroupCert(...)` or
+    `TRGCert(...)` call under the node, keyed by the innermost function
+    that makes it."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        function = node.name
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in ("RoughGroupCert", "TRGCert")):
+        yield function, node.func.id
+    for child in ast.iter_child_nodes(node):
+        yield from _certificates_built(child, function)
+
+
+def test_certificates_come_only_from_a_proof_or_a_decision():
+    """The checks state what a certificate proves without deciding it
+    again, so every certificate of the package is built where its laws
+    are decided or proved from certified factors, and no module raises
+    RuntimeError, the mark of a run-time re-decision behind a certificate."""
+    built = {(name, *site) for name, tree in TREES.items()
+             for site in _certificates_built(tree)}
+    assert built == CERTIFIERS
+    raising = [name for name, tree in TREES.items() for node in ast.walk(tree)
+               if isinstance(node, ast.Raise) and node.exc is not None
+               and "RuntimeError" in {n.id for n in ast.walk(node.exc)
+                                      if isinstance(n, ast.Name)}]
+    assert raising == []

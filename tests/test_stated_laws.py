@@ -25,7 +25,10 @@ product map is continuous from G x G, these follow as well:
 - when G = upper(G), tau_G is tau, so both maps are continuous into
   tau in either codomain mode;
 - a closure inside G is the closure in tau_G, which the inverse map
-  carries onto itself when A = A^-1.
+  carries onto itself when A = A^-1;
+- when e is in G, a base of tau_G holds N_{tau_G}(e), the only open
+  of tau_G that holds e inside it, and the product map's continuity at
+  (g, e) puts g*N_{tau_G}(e) inside N_tau(g) for every g in G.
 
 And the inverse of a bijection swaps each of its pairs, so composed
 with the bijection it is the identity on either side.
@@ -259,18 +262,23 @@ def _product_opens(carrier: int, nbhd, size: int) -> tuple[int, ...]:
 
 def test_continuity_laws_hold_on_every_trg_of_z2_to_z4_and_the_klein_group():
     """On every TRG, in both codomain modes, the two continuity
-    conditions give what four checks state: inversion carries the opens
+    conditions give what five checks state: inversion carries the opens
     of tau_G to opens and its closeds to closeds; when G = upper(G),
-    the product map is continuous from G x G into tau; and every rough
-    symmetric A whose closure stays in G has a symmetric closure.  Each
-    is recomputed from the rows and the opens closed up from N(p), and
-    each clause stated for it prints pass.  A topology that is a TRG in
-    both modes gives one certificate, checked once."""
+    the product map is continuous from G x G into tau; every rough
+    symmetric A whose closure stays in G has a symmetric closure; and,
+    when e is in G, the base at e of a base of tau_G holds N_{tau_G}(e),
+    which g translates inside N_tau(g) for every g in G, so some
+    translated member fits inside every open holding g, which
+    base-translation no longer scans for.  Each is recomputed from the
+    rows and the opens closed up from N(p), the fit with two bases:
+    every open of tau_G and the N_{tau_G}(p).  Each clause stated for
+    the first four prints pass.  A topology that is a TRG in both modes
+    gives one certificate, checked once."""
     seen = dict.fromkeys(("trgs", "exact", "certificates", "closure-in-G",
-                          "closure-escapes"), 0)
+                          "closure-escapes", "translates-fit"), 0)
     for table in [cyclic_table(n) for n in (2, 3, 4)] + [table_of(KLEIN)]:
         for cert in rough_groups(table):
-            _, _, g, up, _, inverse = _raw(cert)
+            rows, _, g, up, e, inverse = _raw(cert)
             u = cert.space.universe
             g_mask, up_mask = set_to_mask(g), set_to_mask(up)
             symmetric = [a for a in _subsets(g) if {inverse[x] for x in a} == a]
@@ -285,7 +293,8 @@ def test_continuity_laws_hold_on_every_trg_of_z2_to_z4_and_the_klein_group():
                     seen["certificates"] += 1
                     tcert = decide_trg(cert, tau, mode)[1]
                     opens = _opens(up_mask, tau.nbhd)
-                    opens_g = {mask_to_set(o) & g for o in opens}
+                    open_sets = [mask_to_set(o) for o in opens]
+                    opens_g = {v & g for v in open_sets}
                     closeds_g = {g - v for v in opens_g}
                     masks_g = [set_to_mask(v) for v in opens_g]
                     assert oracle_is_continuous(cert.inverse, u, masks_g,
@@ -303,6 +312,17 @@ def test_continuity_laws_hold_on_every_trg_of_z2_to_z4_and_the_klein_group():
                         assert serialize_report(check_topological_group(tcert)).splitlines()[
                             -2:] == ["  product-map-continuity: pass",
                                      "  inversion-continuity: pass"]
+                    if e in g:
+                        n_g = {x: frozenset.intersection(*(v for v in opens_g if x in v))
+                               for x in g}
+                        for base in (opens_g, set(n_g.values())):
+                            assert all(v == frozenset().union(*(m for m in base if m <= v))
+                                       for v in opens_g)
+                            assert n_g[e] in {m for m in base if e in m}
+                        for x in g:
+                            n_x = frozenset.intersection(*(v for v in open_sets if x in v))
+                            assert _product(rows, {x}, n_g[e]) <= n_x
+                            seen["translates-fit"] += 1
                     for a in symmetric:
                         cl = _closure(up_mask, tau.nbhd, a)
                         rep = check_closure_symmetric(tcert, set_to_mask(a))
@@ -317,7 +337,8 @@ def test_continuity_laws_hold_on_every_trg_of_z2_to_z4_and_the_klein_group():
                             assert rep.verdict == "not-applicable"
                             seen["closure-escapes"] += 1
     assert seen == {"trgs": 23921, "exact": 358, "certificates": 13722,
-                    "closure-in-G": 18179, "closure-escapes": 20869}
+                    "closure-in-G": 18179, "closure-escapes": 20869,
+                    "translates-fit": 11152}
 
 
 def _coset_topologies(rows, g, e, size):
